@@ -251,15 +251,17 @@ def cmd_sweep(config):
 
 def cmd_audit(args):
     tol = args.audit_tol if args.audit_tol is not None else DEFAULTS["audit_tol"]
+    maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0}
+    counted = {key: 0 for key in maxima}
     with open(args.trace_in) as handle:
-        header = handle.readline().strip()
-        if header != TRACE_HEADER:
-            raise UsageError(f"{args.trace_in}: not a trace file (unexpected header)")
-        maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0}
-        counted = {key: 0 for key in maxima}
+        columns = handle.readline().strip().split(",")
+        missing = [key for key in maxima if key not in columns]
+        if missing:
+            raise UsageError(f"{args.trace_in}: not a trace file (no column {', '.join(missing)})")
+        index = {key: columns.index(key) for key in maxima}
         for line in handle:
             cells = line.strip().split(",")
-            for key, idx in (("res_energy_law", 6), ("res_nodal_recursion", 7)):
+            for key, idx in index.items():
                 if idx < len(cells) and cells[idx]:
                     maxima[key] = max(maxima[key], float(cells[idx]))
                     counted[key] += 1

@@ -115,6 +115,18 @@ class EnergySystem:
             return self._constraint_builder(u_hat, self.free)
         return assemble_constraint_rows(u_hat, self.free)
 
+    def kkt_system(self, scale, u_hat, rhs):
+        """KKT system with block ``kkt_block(scale)``, directions ``u_hat`` and ``rhs``.
+
+        The nodal sphere constraint goes in as the free-node directions, which
+        :func:`solve_kkt` handles on the tangent planes; a custom builder's
+        rows go in as a general G.
+        """
+        block = self.kkt_block(scale)
+        if self.uses_sphere_constraint:
+            return KktSystem(block, None, rhs, directions=u_hat[self.free])
+        return KktSystem(block, self.constraint_rows(u_hat), rhs)
+
     def rhs_from(self, explicit_field, factor):
         """Free-DOF right-hand side b - factor * a(explicit_field, .)."""
         rhs = -factor * (self.stiffness @ explicit_field)
@@ -160,8 +172,7 @@ def euler_init_step(u0, sys, cfg):
     u1 = u0 + tau * dt_u1.
     """
     tau = cfg.tau
-    system = KktSystem(sys.kkt_block(tau), sys.constraint_rows(u0), sys.rhs_from(u0, 1.0))
-    sol = solve_kkt(system, tol=cfg.solver_tol)
+    sol = solve_kkt(sys.kkt_system(tau, u0, sys.rhs_from(u0, 1.0)), tol=cfg.solver_tol)
     dt_u1 = _scatter(sys, sol.primal)
     return u0 + tau * dt_u1, dt_u1
 
@@ -176,11 +187,7 @@ def bdf2_step(hist, sys, cfg):
     tau = cfg.tau
     u_hat = 2.0 * hist.u_n - hist.u_prev
     explicit = 4.0 * hist.u_n - hist.u_prev
-    system = KktSystem(
-        sys.kkt_block(2.0 * tau / 3.0),
-        sys.constraint_rows(u_hat),
-        sys.rhs_from(explicit, 1.0 / 3.0),
-    )
+    system = sys.kkt_system(2.0 * tau / 3.0, u_hat, sys.rhs_from(explicit, 1.0 / 3.0))
     sol = solve_kkt(system, tol=cfg.solver_tol)
     u_dot = _scatter(sys, sol.primal)
     u_next = (explicit + 2.0 * tau * u_dot) / 3.0
@@ -195,11 +202,19 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     audits (initialization equality, telescoped energy law, nodal recursion,
     closed-form constraint violation) alongside the stepping.
 
+    The nodal recursion, closed-form and monotonicity audits hold only for
+    the nodal sphere constraint; with a custom constraint builder they are
+    NaN (skipped).
+
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
-    criterion was met before the final time or step cap.
+    criterion was met before the final time or step cap.  Raises
+    ``ValueError`` when ``cfg.metric`` is not the metric of ``sys``.
     """
     tau = cfg.tau
-    if sys.uses_sphere_constraint:
+    if cfg.metric != sys.metric:
+        raise ValueError(f"config metric {cfg.metric!r} does not match system metric {sys.metric!r}")
+    sphere = sys.uses_sphere_constraint
+    if sphere:
         defect = np.abs(np.sum(u0 * u0, axis=1) - 1.0).max()
         if defect > FEASIBILITY_TOL:
             raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
@@ -268,9 +283,10 @@ def run_flow(u0, sys, cfg, reference_energy=None):
             res_step_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, g_prev)
             sum_udot_star += tau * udot_star_sq
             sum_grad_d2 += grad_d2_term
-            f = sys.free
-            res_nodal = nodal_recursion_residual(u_next[f], hist.u_n[f], hist.u_prev[f], tau)
-            res_nodal_max = max(res_nodal_max, res_nodal)
+            if sphere:
+                f = sys.free
+                res_nodal = nodal_recursion_residual(u_next[f], hist.u_n[f], hist.u_prev[f], tau)
+                res_nodal_max = max(res_nodal_max, res_nodal)
             g_prev = g_new
             bdf2_steps += 1
         else:
@@ -328,6 +344,9 @@ def run_flow(u0, sys, cfg, reference_energy=None):
         predicted = tau**2 * sum_dt_lumped
         res_nodal_total = math.nan
     res_closed_form = relative_residual(final.delta_uni, predicted)
+    if not sphere:
+        # these identities hold only for the nodal sphere constraint
+        res_nodal_total = res_closed_form = mono_violation = math.nan
 
     return RunReport(
         method=cfg.method,

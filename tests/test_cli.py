@@ -132,6 +132,33 @@ def test_audit_rejects_non_trace(tmp_path, capsys):
     bogus = tmp_path / "x.csv"
     bogus.write_text("a,b,c\n1,2,3\n")
     assert main(["audit", "--trace-in", str(bogus)]) == 2
+    partial = tmp_path / "y.csv"
+    partial.write_text("n,res_energy_law\n2,1e-16\n")
+    assert main(["audit", "--trace-in", str(partial)]) == 2
+    assert "res_nodal_recursion" in capsys.readouterr().err
+
+
+def test_audit_finds_columns_by_name(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
+          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv"), "--audit", "off"])
+    assert main(["audit", "--trace-in", str(trace)]) == 0
+    expected = capsys.readouterr().out
+    # swap the two residual columns in the header and in every row
+    swapped = tmp_path / "swapped.csv"
+    rows = [line.split(",") for line in read(trace).splitlines()]
+    for cells in rows:
+        cells[6], cells[7] = cells[7], cells[6]
+    swapped.write_text("\n".join(",".join(cells) for cells in rows) + "\n")
+    assert main(["audit", "--trace-in", str(swapped)]) == 0
+    assert capsys.readouterr().out == expected
+    # a failing energy law is attributed to its own column after the swap
+    failing = tmp_path / "failing.csv"
+    failing.write_text(",".join(rows[0]) + "\n2,0.25,1,1,1,0,1e-12,1e-3\n")
+    assert main(["audit", "--trace-in", str(failing)]) == 1
+    out = capsys.readouterr().out
+    assert "res_energy_law: max 1.000e-03" in out
+    assert "res_nodal_recursion: max 1.000e-12" in out
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -14,8 +14,10 @@ from sphereflow.flow import (
     harmonic_map_system,
     run_flow,
 )
+from sphereflow.diagnostics import audit_identities
 from sphereflow.fem import assemble_mass, assemble_stiffness, dirichlet_energy
 from sphereflow.initial_data import InitSpec, make_initial
+from sphereflow.kkt import assemble_constraint_rows
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 
@@ -235,6 +237,37 @@ def test_generalized_driver_with_load_and_custom_constraints():
     assert report.u_final is not None
     assert np.abs(report.u_final - expected).max() <= 1e-8
     assert report.trace[-1].energy == pytest.approx(system.energy(expected), rel=1e-10)
+    # the nodal sphere identities do not apply to a custom constraint
+    _, summary = audit_identities(report)
+    for key in ("res_nodal_recursion", "res_closed_form", "mono_violation"):
+        assert math.isnan(summary[key])
+    assert all(math.isnan(rec.res_nodal_recursion) for rec in report.trace)
+
+
+def test_run_flow_rejects_metric_mismatch():
+    _, u0, system = unit_square_setup(4, metric="h1")
+    with pytest.raises(ValueError, match="metric"):
+        run_flow(u0, system, FlowConfig(metric="l2", tau=0.25))
+
+
+def test_tangent_and_saddle_constraint_paths_agree():
+    # the default constraint is solved on the tangent planes; the same rows
+    # given through a constraint builder take the general saddle-point path
+    mesh, u0, default = unit_square_setup(8, init="perturbed", amplitude=0.5)
+    general = EnergySystem(
+        mesh,
+        assemble_stiffness(mesh),
+        assemble_mass(mesh),
+        metric="h1",
+        constraint_builder=assemble_constraint_rows,
+    )
+    cfg = FlowConfig(method="bdf2", metric="h1", tau=0.125)
+    first = run_flow(u0, default, cfg)
+    second = run_flow(u0, general, cfg)
+    assert first.n_stop == second.n_stop
+    for a, b in zip(first.trace, second.trace):
+        for key in ("norm_udot_star", "norm_dtu_l2", "energy", "delta_uni"):
+            assert getattr(a, key) == pytest.approx(getattr(b, key), rel=1e-12, abs=0.0)
 
 
 def test_u_final_matches_reported_constraint_violation():

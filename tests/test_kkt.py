@@ -1,10 +1,16 @@
-"""Constraint-row assembly and saddle-point solves against dense references."""
+"""Constraint-row assembly, saddle-point and tangent-plane solves against references."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sphereflow.kkt import KktError, KktSystem, assemble_constraint_rows, solve_kkt
+from sphereflow.kkt import (
+    KktError,
+    KktSystem,
+    assemble_constraint_rows,
+    solve_kkt,
+    tangent_basis,
+)
 
 RNG = np.random.default_rng(2718)
 
@@ -123,3 +129,73 @@ def test_constraint_rows_respects_free_subset():
     assert g.shape == (2, 6)
     assert np.allclose(g.toarray()[0, :3], u_hat[1])
     assert np.allclose(g.toarray()[1, 3:], u_hat[3])
+
+
+def random_nodal_system(rng, k_max=30):
+    """Random node-major SPD system with nodal directions, some of them zero."""
+    k = int(rng.integers(1, k_max + 1))
+    n = 3 * k
+    base = rng.standard_normal((n, n))
+    a = sp.csc_matrix(base @ base.T + n * np.eye(n))
+    directions = rng.standard_normal((k, 3))
+    directions[rng.random(k) < 0.2] = 0.0
+    if not directions.any():
+        directions[0] = rng.standard_normal(3)
+    return a, directions, rng.standard_normal(n)
+
+
+def test_tangent_solve_matches_saddle_solve():
+    for _ in range(50):
+        a, directions, rhs = random_nodal_system(RNG)
+        rows = assemble_constraint_rows(directions, np.arange(len(directions)))
+        tangent = solve_kkt(KktSystem(a, None, rhs, directions=directions))
+        saddle = solve_kkt(KktSystem(a, rows, rhs))
+        scale = 1.0 + np.linalg.norm(saddle.primal)
+        assert np.linalg.norm(tangent.primal - saddle.primal) <= 1e-10 * scale
+        assert np.abs(rows @ tangent.primal).max() <= 1e-12 * scale
+        assert tangent.multiplier.shape == saddle.multiplier.shape
+        scale = 1.0 + np.linalg.norm(saddle.multiplier)
+        assert np.linalg.norm(tangent.multiplier - saddle.multiplier) <= 1e-10 * scale
+
+
+def test_tangent_basis_is_orthonormal_kernel():
+    directions = RNG.standard_normal((40, 3))
+    directions[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -0.0], [1.0, 0.0, 0.0]]
+    norms = np.linalg.norm(directions, axis=1)
+    keep = norms > 0.0
+    normals = np.zeros_like(directions)
+    normals[keep] = directions[keep] / norms[keep, None]
+    t = tangent_basis(normals, keep).toarray()
+    assert t.shape == (120, 2 * int(keep.sum()) + 3 * int((~keep).sum()))
+    assert np.abs(t.T @ t - np.eye(t.shape[1])).max() <= 1e-14
+    rows = assemble_constraint_rows(directions, np.arange(40)).toarray()
+    assert np.abs(rows @ t).max() <= 1e-14
+
+
+def test_tangent_solve_singular_raises():
+    a = sp.csc_matrix(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(KktError):
+        solve_kkt(KktSystem(a, None, np.ones(6), directions=directions))
+
+
+def test_tangent_solve_vanishing_directions_raise():
+    a = sp.identity(6, format="csc")
+    with pytest.raises(KktError):
+        solve_kkt(KktSystem(a, None, np.ones(6), directions=np.zeros((2, 3))))
+
+
+def test_tangent_solve_deterministic_bitwise():
+    a, directions, rhs = random_nodal_system(RNG)
+    system = KktSystem(a, None, rhs, directions=directions)
+    first = solve_kkt(system)
+    second = solve_kkt(system)
+    assert np.array_equal(first.primal, second.primal)
+    assert np.array_equal(first.multiplier, second.multiplier)
+
+
+def test_rows_and_directions_together_rejected():
+    a = sp.identity(3, format="csc")
+    rows = sp.csr_matrix(np.array([[0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        solve_kkt(KktSystem(a, rows, np.ones(3), directions=np.array([[0.0, 0.0, 1.0]])))

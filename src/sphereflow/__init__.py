@@ -6,7 +6,6 @@ from .diagnostics import (
     audit_identities,
     build_sweep_table,
     constraint_violation,
-    energy_error,
     eoc,
 )
 from .fem import (
@@ -20,7 +19,6 @@ from .fem import (
 from .flow import (
     EnergySystem,
     FlowConfig,
-    HistoryWindow,
     bdf2_step,
     euler_init_step,
     harmonic_map_system,

@@ -197,21 +197,24 @@ def _setup(config):
     return mesh, u0, system
 
 
-def _flow_config(config, tau):
-    return FlowConfig(
-        method=config.method,
-        metric=config.metric,
-        tau=tau,
-        eps_stop=config.eps_stop,
-        t_max=config.t_max,
-    )
+def _prepare(config, taus):
+    """Initial field, system and one FlowConfig per step size; bad values are usage errors."""
+    try:
+        flow_configs = [
+            FlowConfig(method=config.method, tau=tau, eps_stop=config.eps_stop, t_max=config.t_max)
+            for tau in taus
+        ]
+        _, u0, system = _setup(config)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return u0, system, flow_configs
 
 
 def cmd_run(config):
     if config.tau is None:
         raise UsageError("run requires --tau")
-    _, u0, system = _setup(config)
-    report = run_flow(u0, system, _flow_config(config, config.tau), reference_energy=config.ref_energy)
+    u0, system, (flow_config,) = _prepare(config, [config.tau])
+    report = run_flow(u0, system, flow_config, reference_energy=config.ref_energy)
 
     _write(config.out, CSV_HEADER + "\n" + _report_row(config.tau, report) + "\n")
     if config.trace_out is not None:
@@ -231,12 +234,9 @@ def cmd_sweep(config):
     taus = config.taus()
     if len(taus) < 2:
         raise UsageError("sweep needs at least two step sizes (use --tau-range m_lo:m_hi with m_hi > m_lo)")
-    _, u0, system = _setup(config)
+    u0, system, flow_configs = _prepare(config, taus)
 
-    reports = [
-        run_flow(u0, system, _flow_config(config, tau), reference_energy=config.ref_energy)
-        for tau in taus
-    ]
+    reports = [run_flow(u0, system, cfg, reference_energy=config.ref_energy) for cfg in flow_configs]
     rows = build_sweep_table(taus, reports)
     lines = [CSV_HEADER]
     lines += [_report_row(row.tau, row.report, row.eoc_uni, row.eoc_ener) for row in rows]

@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import dirichlet_energy, l1_nodal_norm
+from .fem import l1_nodal_norm
+from .seqcalc import second_difference
+
+AUDIT_KEYS = ("res_init", "res_energy_law", "res_nodal_recursion", "res_closed_form", "mono_violation")
 
 
 @dataclass
@@ -74,11 +77,6 @@ def constraint_violation(u, mesh, weights=None):
     return l1_nodal_norm(defect, mesh, weights=weights)
 
 
-def energy_error(u, stiffness, reference_energy):
-    """Absolute distance of the field's energy from a reference value."""
-    return abs(dirichlet_energy(u, stiffness) - reference_energy)
-
-
 def eoc(coarse, fine):
     """Convergence order log2(coarse/fine) under step halving.
 
@@ -100,42 +98,24 @@ def nodal_recursion_residual(u_n, u_prev, u_prev2, tau):
     sq_n = np.sum(u_n * u_n, axis=-1)
     sq_p = np.sum(u_prev * u_prev, axis=-1)
     sq_p2 = np.sum(u_prev2 * u_prev2, axis=-1)
-    d2 = (u_n - 2.0 * u_prev + u_prev2) / tau**2
+    d2 = second_difference(u_n, u_prev, u_prev2, tau)
     lhs = 1.5 * sq_n - 2.0 * sq_p + 0.5 * sq_p2
     rhs = 1.5 * tau**4 * np.sum(d2 * d2, axis=-1)
     return relative_residual(lhs, rhs)
 
 
-def audit_summary(report):
-    """Collect the identity residuals of a finished run.
-
-    Returns a dict with the initialization identity, the telescoped energy
-    law, the worst per-step nodal recursion, the closed-form constraint
-    audit, and the worst monotonicity violation.  Both step-law entries are
-    NaN (skipped) for pure Euler runs, which have no two-step identities.
-    """
-    return {
-        "res_init": report.res_init,
-        "res_energy_law": report.res_energy_law,
-        "res_nodal_recursion": report.res_nodal_recursion,
-        "res_closed_form": report.res_closed_form,
-        "mono_violation": report.mono_violation,
-    }
-
-
 def audit_identities(report, tol=1e-8, mono_slack=1e-9):
-    """Pass/fail view of :func:`audit_summary`.
+    """Pass/fail view of the identity residuals of a finished run.
 
-    NaN residuals count as skipped, not failed.  Returns (passed, summary).
+    The summary maps each of ``AUDIT_KEYS`` to the report's value: the
+    initialization identity, the telescoped energy law, the worst per-step
+    nodal recursion, the closed-form constraint audit, and the worst
+    monotonicity violation.  NaN residuals count as skipped, not failed;
+    pure Euler runs skip both two-step entries.  Returns (passed, summary).
     """
-    summary = audit_summary(report)
-    passed = True
-    for key, value in summary.items():
-        if math.isnan(value):
-            continue
-        limit = mono_slack if key == "mono_violation" else tol
-        if value > limit:
-            passed = False
+    summary = {key: getattr(report, key) for key in AUDIT_KEYS}
+    # a NaN compares false, so a skipped identity never fails
+    passed = not any(value > (mono_slack if key == "mono_violation" else tol) for key, value in summary.items())
     return passed, summary
 
 

@@ -24,9 +24,9 @@ from .diagnostics import (
     relative_residual,
 )
 from .fem import assemble_mass, assemble_stiffness, dirichlet_energy, lumped_mass_diagonal
-from .kkt import KktSystem, assemble_constraint_rows, solve_kkt
+from .kkt import KktSystem, solve_kkt
 from .mesh import free_nodes
-from .seqcalc import g_norm_sq
+from .seqcalc import backward_difference, extrapolate, g_norm_sq, gamma, second_difference
 
 METHODS = ("euler", "bdf2")
 METRICS = ("l2", "h1")
@@ -36,10 +36,9 @@ FEASIBILITY_TOL = 1e-8
 
 @dataclass
 class FlowConfig:
-    """Run parameters: scheme, flow metric, step size and stopping rule."""
+    """Run parameters: scheme, step size and stopping rule (the metric is the system's)."""
 
     method: str = "bdf2"
-    metric: str = "h1"
     tau: float = 0.25
     eps_stop: float = 1e-3
     t_max: float = 1e6
@@ -49,25 +48,12 @@ class FlowConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.tau <= 0:
             raise ValueError(f"step size must be positive, got {self.tau}")
         if self.eps_stop <= 0:
             raise ValueError(f"stopping threshold must be positive, got {self.eps_stop}")
         if self.t_max <= 0:
             raise ValueError(f"final time must be positive, got {self.t_max}")
-
-
-@dataclass
-class HistoryWindow:
-    """Rolling state (u_n, u_prev, u_prev2) plus the cached first increment."""
-
-    u_n: np.ndarray
-    u_prev: np.ndarray
-    u_prev2: np.ndarray | None
-    dt_u1: np.ndarray
-    n: int
 
 
 class EnergySystem:
@@ -110,11 +96,6 @@ class EnergySystem:
             self._kkt_blocks[scale] = block
         return block
 
-    def constraint_rows(self, u_hat):
-        if self._constraint_builder is not None:
-            return self._constraint_builder(u_hat, self.free)
-        return assemble_constraint_rows(u_hat, self.free)
-
     def kkt_system(self, scale, u_hat, rhs):
         """KKT system with block ``kkt_block(scale)``, directions ``u_hat`` and ``rhs``.
 
@@ -125,7 +106,7 @@ class EnergySystem:
         block = self.kkt_block(scale)
         if self.uses_sphere_constraint:
             return KktSystem(block, None, rhs, directions=u_hat[self.free])
-        return KktSystem(block, self.constraint_rows(u_hat), rhs)
+        return KktSystem(block, self._constraint_builder(u_hat, self.free), rhs)
 
     def rhs_from(self, explicit_field, factor):
         """Free-DOF right-hand side b - factor * a(explicit_field, .)."""
@@ -134,10 +115,14 @@ class EnergySystem:
             rhs = rhs + self.load
         return rhs[self.free].ravel()
 
+    def load_pairing(self, u):
+        """Load functional b(u) = sum(load * u); only defined with a load."""
+        return float(np.sum(self.load * u))
+
     def energy(self, u):
         value = dirichlet_energy(u, self.stiffness)
         if self.load is not None:
-            value -= float(np.sum(self.load * u))
+            value -= self.load_pairing(u)
         return value
 
     def a_inner(self, u, v):
@@ -177,193 +162,194 @@ def euler_init_step(u0, sys, cfg):
     return u0 + tau * dt_u1, dt_u1
 
 
-def bdf2_step(hist, sys, cfg):
-    """One two-step update from the window (u_n, u_prev) = (u^{n-1}, u^{n-2}).
+def bdf2_step(u_n, u_prev, sys, cfg):
+    """One two-step update from the states (u_n, u_prev) = (u^{n-1}, u^{n-2}).
 
     The constraint direction is the extrapolation 2 u^{n-1} - u^{n-2}; the
     KKT matrix is metric + (2 tau / 3) * a and the returned pair is
     (u^n, udot^n) with u^n = (4 u^{n-1} - u^{n-2} + 2 tau udot^n) / 3.
     """
     tau = cfg.tau
-    u_hat = 2.0 * hist.u_n - hist.u_prev
-    explicit = 4.0 * hist.u_n - hist.u_prev
-    system = sys.kkt_system(2.0 * tau / 3.0, u_hat, sys.rhs_from(explicit, 1.0 / 3.0))
+    explicit = 4.0 * u_n - u_prev
+    system = sys.kkt_system(2.0 * tau / 3.0, extrapolate(u_n, u_prev), sys.rhs_from(explicit, 1.0 / 3.0))
     sol = solve_kkt(system, tol=cfg.solver_tol)
     u_dot = _scatter(sys, sol.primal)
     u_next = (explicit + 2.0 * tau * u_dot) / 3.0
     return u_next, u_dot
 
 
+def _steps(u0, sys, cfg):
+    """Yield (u_prev, u_n, u_next, u_dot, dt) for steps 1, 2, ... of the flow.
+
+    Step 1 is the Euler initialization and has u_prev None; later steps
+    repeat it or take two-step updates, by ``cfg.method``.  ``dt`` is the
+    backward difference (u_next - u_n) / tau, which an Euler step solves for.
+    """
+    u_prev, u_n = None, u0
+    while True:
+        if cfg.method == "bdf2" and u_prev is not None:
+            u_next, u_dot = bdf2_step(u_n, u_prev, sys, cfg)
+            dt = backward_difference(u_next, u_n, cfg.tau)
+        else:
+            u_next, u_dot = euler_init_step(u_n, sys, cfg)
+            dt = u_dot
+        yield u_prev, u_n, u_next, u_dot, dt
+        u_prev, u_n = u_n, u_next
+
+
+class _Audit:
+    """Per-step trace, the regularity sums A^2 and B^2, and the identity audits.
+
+    Which identities apply is fixed at construction: the energy law and the
+    nodal recursion belong to the two-step scheme, and the nodal recursion,
+    closed-form and monotonicity audits to the nodal sphere constraint.
+    The others are NaN (skipped) in the report.
+    """
+
+    def __init__(self, u0, sys, cfg):
+        self.sys = sys
+        self.method = cfg.method
+        self.tau = cfg.tau
+        self.two_step = cfg.method == "bdf2"
+        self.sphere = sys.uses_sphere_constraint
+        self.trace = []
+        self.sum_d2_l2 = 0.0
+        self.node_norms = np.linalg.norm(u0, axis=1)
+        self.mono_violation = 0.0
+        # telescoped energy law (two-step only)
+        self.sum_udot_star = 0.0
+        self.sum_grad_d2 = 0.0
+        # closed-form constraint violation: lumped sums of squared second
+        # differences (two-step) or of squared derivatives (Euler)
+        self.s1_lumped = 0.0
+        self.c_lumped = 0.0
+
+    def _g(self, x, y):
+        """BDF2 energy of a state pair: g_a(x, y) - (1.5 b(x) - 0.5 b(y))."""
+        value = g_norm_sq(x, y, inner=self.sys.a_inner)
+        if self.sys.load is not None:
+            value -= 1.5 * self.sys.load_pairing(x) - 0.5 * self.sys.load_pairing(y)
+        return value
+
+    def record(self, u_prev, u_n, u_next, u_dot, dt):
+        """Audit one step of :func:`_steps` and return its trace record."""
+        sys, tau = self.sys, self.tau
+        n = len(self.trace) + 1
+        udot_star_sq = sys.metric_norm_sq(u_dot)
+        dt_l2_sq = sys.l2_norm_sq(dt)
+        energy = sys.energy(u_next)
+        res_law = res_nodal = math.nan
+        if u_prev is None:
+            self.b_sq = dt_l2_sq
+            self.b_lumped = self.sum_dt_lumped = sys.lumped_norm_sq(dt)
+            self.res_init = relative_residual(
+                energy + tau * udot_star_sq + 0.5 * tau**2 * sys.a_inner(dt, dt), sys.energy(u_n)
+            )
+            if self.two_step:
+                self.g_first = self.g_prev = self._g(u_next, u_n)
+        else:
+            d2 = second_difference(u_next, u_n, u_prev, tau)
+            self.sum_d2_l2 += sys.l2_norm_sq(d2)
+            if self.two_step:
+                g_new = self._g(u_next, u_n)
+                grad_d2_term = 0.25 * tau**4 * sys.a_inner(d2, d2)
+                res_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, self.g_prev)
+                self.sum_udot_star += tau * udot_star_sq
+                self.sum_grad_d2 += grad_d2_term
+                self.g_prev = g_new
+            if self.sphere and self.two_step:
+                f = sys.free
+                res_nodal = nodal_recursion_residual(u_next[f], u_n[f], u_prev[f], tau)
+                a_n = sys.lumped_norm_sq(d2)
+                self.s1_lumped += a_n
+                self.c_lumped = a_n + self.c_lumped / 3.0
+            elif self.sphere:
+                self.sum_dt_lumped += sys.lumped_norm_sq(dt)
+        if self.sphere:
+            next_norms = np.linalg.norm(u_next, axis=1)
+            self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
+            self.node_norms = next_norms
+        rec = StepRecord(
+            n=n,
+            time=n * tau,
+            norm_udot_star=math.sqrt(udot_star_sq),
+            norm_dtu_l2=math.sqrt(dt_l2_sq),
+            energy=energy,
+            delta_uni=constraint_violation(u_next, sys.mesh, weights=sys.lumped_weights),
+            res_energy_law=res_law,
+            res_nodal_recursion=res_nodal,
+        )
+        self.trace.append(rec)
+        return rec
+
+    def report(self, converged, u_final, reference_energy):
+        tau, final = self.tau, self.trace[-1]
+        n_stop = final.n
+        res_energy_law = res_nodal = res_closed_form = mono = math.nan
+        if self.two_step and n_stop > 1:
+            res_energy_law = relative_residual(self.g_prev + self.sum_udot_star + self.sum_grad_d2, self.g_first)
+        if self.sphere:
+            if self.two_step and n_stop > 1:
+                predicted = 1.5 * gamma(n_stop - 1) * tau**2 * self.b_lumped + 1.5 * tau**4 * (
+                    self.s1_lumped - self.c_lumped / 3.0
+                )
+                res_nodal = max(rec.res_nodal_recursion for rec in self.trace[1:])
+            else:
+                # Euler runs (or a two-step run cut off before any two-step
+                # step) obey the telescoped sum of squared derivatives
+                predicted = tau**2 * self.sum_dt_lumped
+            res_closed_form = relative_residual(final.delta_uni, predicted)
+            mono = self.mono_violation
+        return RunReport(
+            method=self.method,
+            metric=self.sys.metric,
+            tau=tau,
+            n_stop=n_stop,
+            converged=converged,
+            energy_final=final.energy,
+            delta_uni=final.delta_uni,
+            delta_ener=abs(final.energy - reference_energy) if reference_energy is not None else math.nan,
+            a_sq=tau**2 * self.sum_d2_l2,
+            b_sq=self.b_sq,
+            trace=self.trace,
+            res_init=self.res_init,
+            res_energy_law=res_energy_law,
+            res_nodal_recursion=res_nodal,
+            res_closed_form=res_closed_form,
+            mono_violation=mono,
+            u_final=u_final,
+        )
+
+
 def run_flow(u0, sys, cfg, reference_energy=None):
     """Drive the flow from ``u0`` until the stopping rule fires.
 
-    Records per-step norms, energies and constraint violations, accumulates
-    the regularity quantities A^2 and B^2, and evaluates the identity
-    audits (initialization equality, telescoped energy law, nodal recursion,
-    closed-form constraint violation) alongside the stepping.
+    Records per-step norms, energies and constraint violations, the
+    regularity quantities A^2 and B^2, and the identity audits
+    (initialization equality, telescoped energy law, nodal recursion,
+    closed-form constraint violation, nodal monotonicity).  With a load the
+    energies and the energy law include the -b(u) term.
 
     The nodal recursion, closed-form and monotonicity audits hold only for
     the nodal sphere constraint; with a custom constraint builder they are
     NaN (skipped).
 
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
-    criterion was met before the final time or step cap.  Raises
-    ``ValueError`` when ``cfg.metric`` is not the metric of ``sys``.
+    criterion was met before the final time or step cap.
     """
-    tau = cfg.tau
-    if cfg.metric != sys.metric:
-        raise ValueError(f"config metric {cfg.metric!r} does not match system metric {sys.metric!r}")
-    sphere = sys.uses_sphere_constraint
-    if sphere:
+    if sys.uses_sphere_constraint:
         defect = np.abs(np.sum(u0 * u0, axis=1) - 1.0).max()
         if defect > FEASIBILITY_TOL:
             raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
 
-    weights = sys.lumped_weights
-    u1, dt_u1 = euler_init_step(u0, sys, cfg)
-
-    b_sq = sys.l2_norm_sq(dt_u1)
-    b_lumped = sys.lumped_norm_sq(dt_u1)
-    res_init = relative_residual(
-        dirichlet_energy(u1, sys.stiffness)
-        + tau * sys.metric_norm_sq(dt_u1)
-        + 0.5 * tau**2 * sys.a_inner(dt_u1, dt_u1),
-        dirichlet_energy(u0, sys.stiffness),
-    )
-
-    norm_star_1 = math.sqrt(sys.metric_norm_sq(dt_u1))
-    norm_l2_1 = math.sqrt(sys.l2_norm_sq(dt_u1))
-    trace = [
-        StepRecord(
-            n=1,
-            time=tau,
-            norm_udot_star=norm_star_1,
-            norm_dtu_l2=norm_l2_1,
-            energy=sys.energy(u1),
-            delta_uni=constraint_violation(u1, sys.mesh, weights=weights),
-        )
-    ]
-
-    node_norms = np.linalg.norm(u1, axis=1)
-    mono_violation = max(0.0, float((np.linalg.norm(u0, axis=1) - node_norms).max()))
-
-    hist = HistoryWindow(u_n=u1, u_prev=u0, u_prev2=None, dt_u1=dt_u1, n=1)
-
-    # Telescoped energy-law state (two-step scheme only).
-    g_first = g_norm_sq(u1, u0, inner=sys.a_inner)
-    g_prev = g_first
-    sum_udot_star = 0.0
-    sum_grad_d2 = 0.0
-
-    sum_d2_l2 = 0.0
-    s1_lumped = 0.0
-    c_lumped = 0.0
-    sum_dt_lumped = b_lumped
-    res_nodal_max = 0.0
-    bdf2_steps = 0
-
-    converged = cfg.method == "euler" and norm_star_1 + norm_l2_1 <= cfg.eps_stop
-    hit_cap = False
-
-    while not converged:
-        n = hist.n + 1
-        if n > cfg.max_steps:
-            hit_cap = True
+    audit = _Audit(u0, sys, cfg)
+    converged = False
+    for n, step in enumerate(_steps(u0, sys, cfg), start=1):
+        rec = audit.record(*step)
+        # a two-step run is judged from its first two-step step on, and the
+        # final time is first checked after step 2
+        if n > 1 or cfg.method == "euler":
+            converged = rec.norm_udot_star + rec.norm_dtu_l2 <= cfg.eps_stop
+        if converged or n >= cfg.max_steps or (n > 1 and n * cfg.tau >= cfg.t_max):
             break
-
-        res_step_law = math.nan
-        res_nodal = math.nan
-        if cfg.method == "bdf2":
-            u_next, u_dot = bdf2_step(hist, sys, cfg)
-            dt_un = (u_next - hist.u_n) / tau
-            d2 = (u_next - 2.0 * hist.u_n + hist.u_prev) / tau**2
-            g_new = g_norm_sq(u_next, hist.u_n, inner=sys.a_inner)
-            udot_star_sq = sys.metric_norm_sq(u_dot)
-            grad_d2_term = 0.25 * tau**4 * sys.a_inner(d2, d2)
-            res_step_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, g_prev)
-            sum_udot_star += tau * udot_star_sq
-            sum_grad_d2 += grad_d2_term
-            if sphere:
-                f = sys.free
-                res_nodal = nodal_recursion_residual(u_next[f], hist.u_n[f], hist.u_prev[f], tau)
-                res_nodal_max = max(res_nodal_max, res_nodal)
-            g_prev = g_new
-            bdf2_steps += 1
-        else:
-            u_next, u_dot = euler_init_step(hist.u_n, sys, cfg)
-            dt_un = u_dot
-            d2 = (u_next - 2.0 * hist.u_n + hist.u_prev) / tau**2
-            udot_star_sq = sys.metric_norm_sq(u_dot)
-            sum_dt_lumped += sys.lumped_norm_sq(dt_un)
-
-        sum_d2_l2 += sys.l2_norm_sq(d2)
-        a_n = sys.lumped_norm_sq(d2)
-        s1_lumped += a_n
-        c_lumped = a_n + c_lumped / 3.0
-
-        next_norms = np.linalg.norm(u_next, axis=1)
-        mono_violation = max(mono_violation, float((node_norms - next_norms).max()))
-        node_norms = next_norms
-
-        norm_udot_star = math.sqrt(udot_star_sq)
-        norm_dtu_l2 = math.sqrt(sys.l2_norm_sq(dt_un))
-        trace.append(
-            StepRecord(
-                n=n,
-                time=n * tau,
-                norm_udot_star=norm_udot_star,
-                norm_dtu_l2=norm_dtu_l2,
-                energy=sys.energy(u_next),
-                delta_uni=constraint_violation(u_next, sys.mesh, weights=weights),
-                res_energy_law=res_step_law,
-                res_nodal_recursion=res_nodal,
-            )
-        )
-
-        hist = HistoryWindow(u_n=u_next, u_prev=hist.u_n, u_prev2=hist.u_prev, dt_u1=dt_u1, n=n)
-
-        if norm_udot_star + norm_dtu_l2 <= cfg.eps_stop:
-            converged = True
-            break
-        if n * tau >= cfg.t_max:
-            break
-
-    n_stop = hist.n
-    final = trace[-1]
-
-    if cfg.method == "bdf2" and bdf2_steps > 0:
-        res_energy_law = relative_residual(g_prev + sum_udot_star + sum_grad_d2, g_first)
-        predicted = 1.5 * (1.0 - 3.0**-n_stop) * tau**2 * b_lumped + 1.5 * tau**4 * (
-            s1_lumped - c_lumped / 3.0
-        )
-        res_nodal_total = res_nodal_max
-    else:
-        # pure Euler runs (or a two-step run cut off before any step) have
-        # no two-step identities; their violation obeys the telescoped sum
-        res_energy_law = math.nan
-        predicted = tau**2 * sum_dt_lumped
-        res_nodal_total = math.nan
-    res_closed_form = relative_residual(final.delta_uni, predicted)
-    if not sphere:
-        # these identities hold only for the nodal sphere constraint
-        res_nodal_total = res_closed_form = mono_violation = math.nan
-
-    return RunReport(
-        method=cfg.method,
-        metric=cfg.metric,
-        tau=tau,
-        n_stop=n_stop,
-        converged=converged and not hit_cap,
-        energy_final=final.energy,
-        delta_uni=final.delta_uni,
-        delta_ener=abs(final.energy - reference_energy) if reference_energy is not None else math.nan,
-        a_sq=tau**2 * sum_d2_l2,
-        b_sq=b_sq,
-        trace=trace,
-        res_init=res_init,
-        res_energy_law=res_energy_law,
-        res_nodal_recursion=res_nodal_total,
-        res_closed_form=res_closed_form,
-        mono_violation=mono_violation,
-        u_final=hist.u_n,
-    )
+    return audit.report(converged, step[2], reference_energy)

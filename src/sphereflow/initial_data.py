@@ -128,25 +128,3 @@ def make_initial(mesh, spec):
             values[z] = v
 
     return _normalize_rows(values)
-
-
-def dump_field(u, stream):
-    """Write a nodal field as one "u i vx vy vz" line per node."""
-    for i, (vx, vy, vz) in enumerate(u):
-        stream.write(f"u {i} {vx:.17g} {vy:.17g} {vz:.17g}\n")
-
-
-def load_field(stream):
-    """Read a field written by :func:`dump_field`."""
-    rows = {}
-    for line in stream:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] != "u" or len(parts) != 5:
-            raise ValueError(f"malformed field record: {line.rstrip()!r}")
-        rows[int(parts[1])] = [float(p) for p in parts[2:]]
-    values = np.zeros((len(rows), 3))
-    for i, v in rows.items():
-        values[i] = v
-    return values

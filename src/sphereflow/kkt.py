@@ -32,7 +32,7 @@ _SPD_SPLU_OPTIONS = {
 
 
 class KktError(Exception):
-    """Raised when a saddle-point solve fails its residual contract."""
+    """Raised when a KKT solve (tangent-plane or saddle-point) fails its residual contract."""
 
 
 @dataclass

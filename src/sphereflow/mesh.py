@@ -93,13 +93,3 @@ def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0, dirichlet="boundary"):
 def free_nodes(mesh):
     """Sorted indices of vertices not marked Dirichlet."""
     return np.setdiff1d(np.arange(mesh.n_vertices), mesh.dirichlet_nodes)
-
-
-def dump_mesh(mesh, stream):
-    """Write the mesh as plain text: one v/c/d record per line."""
-    for x, y in mesh.vertices:
-        stream.write(f"v {x:.17g} {y:.17g}\n")
-    for i, j, k in mesh.cells:
-        stream.write(f"c {i} {j} {k}\n")
-    for i in mesh.dirichlet_nodes:
-        stream.write(f"d {i}\n")

@@ -3,6 +3,11 @@
 Everything here is pure sequence-level arithmetic: elements are scalars or
 numpy arrays from a common inner-product space, and the inner product is
 supplied by the caller where it matters.  No mesh or solver knowledge.
+
+The driver and the audits take ``extrapolate``, ``backward_difference``,
+``second_difference``, ``g_norm_sq`` and ``gamma`` from here.
+``bdf2_derivative`` and ``constraint_recursion_closed_form`` (the explicit
+sum behind the driver's running closed-form update) are test oracles.
 """
 
 from __future__ import annotations

@@ -40,6 +40,21 @@ def test_run_requires_tau(capsys):
     assert "requires --tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mesh-n", "0", "--tau", "0.25"],
+        ["--mesh-n", "2", "--tau", "-1"],
+        ["--mesh-n", "2", "--tau", "0.25", "--eps-stop", "0"],
+        ["--mesh-n", "2", "--tau", "0.25", "--perturb-amplitude", "-1", "--init", "perturbed"],
+    ],
+)
+def test_run_invalid_option_values(args, capsys):
+    # exit code 1 means non-convergence; a bad value is a usage error
+    assert main(["run", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_stdout_when_no_out(capsys):
     code = main(["run", "--mesh-n", "2", "--tau", "0.25", "--audit", "off"])
     assert code == 0

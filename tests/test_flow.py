@@ -8,7 +8,6 @@ import pytest
 from sphereflow.flow import (
     EnergySystem,
     FlowConfig,
-    HistoryWindow,
     bdf2_step,
     euler_init_step,
     harmonic_map_system,
@@ -38,8 +37,9 @@ def constant_state_setup():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(method="rk4")
+    mesh = build_square_mesh(3)
     with pytest.raises(ValueError):
-        FlowConfig(metric="linf")
+        EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric="linf")
     with pytest.raises(ValueError):
         FlowConfig(tau=0.0)
     with pytest.raises(ValueError):
@@ -54,14 +54,14 @@ def test_h1_metric_requires_dirichlet_nodes():
 
 def test_init_step_stationary_state():
     _, u0, system = constant_state_setup()
-    u1, dt_u1 = euler_init_step(u0, system, FlowConfig(method="euler", metric="l2", tau=0.5))
+    u1, dt_u1 = euler_init_step(u0, system, FlowConfig(method="euler", tau=0.5))
     assert np.abs(dt_u1).max() == 0.0
     assert np.array_equal(u1, u0)
 
 
 def test_init_step_orthogonality_and_energy_identity():
     mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
-    cfg = FlowConfig(method="bdf2", metric="h1", tau=0.25)
+    cfg = FlowConfig(method="bdf2", tau=0.25)
     u1, dt_u1 = euler_init_step(u0, system, cfg)
     f = free_nodes(mesh)
     assert np.abs(np.sum(dt_u1[f] * u0[f], axis=1)).max() <= 1e-10
@@ -78,7 +78,7 @@ def test_init_step_orthogonality_and_energy_identity():
 
 def test_init_step_nodal_identity_single_free_node():
     mesh, u0, system = unit_square_setup(2)
-    cfg = FlowConfig(method="bdf2", metric="h1", tau=0.25)
+    cfg = FlowConfig(method="bdf2", tau=0.25)
     u1, dt_u1 = euler_init_step(u0, system, cfg)
     z = free_nodes(mesh)[0]
     lhs = np.sum(u1[z] ** 2) - 1.0
@@ -91,7 +91,7 @@ def test_init_bound_with_g_constant():
     from sphereflow.seqcalc import g_norm_sq
 
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=1.0)
-    cfg = FlowConfig(method="bdf2", metric="l2", tau=0.5)
+    cfg = FlowConfig(method="bdf2", tau=0.5)
     u1, _ = euler_init_step(u0, system, cfg)
     g_sq = g_norm_sq(u1, u0, inner=system.a_inner)
     assert g_sq <= 2.5 * 2.0 * dirichlet_energy(u0, system.stiffness) * (1.0 + 1e-12)
@@ -99,20 +99,19 @@ def test_init_bound_with_g_constant():
 
 def test_bdf2_fixed_point_ten_steps():
     _, u0, system = constant_state_setup()
-    cfg = FlowConfig(method="bdf2", metric="l2", tau=0.25)
-    hist = HistoryWindow(u_n=u0, u_prev=u0, u_prev2=None, dt_u1=np.zeros_like(u0), n=1)
-    for n in range(2, 12):
-        u_next, u_dot = bdf2_step(hist, system, cfg)
+    cfg = FlowConfig(method="bdf2", tau=0.25)
+    u_n = u_prev = u0
+    for _ in range(10):
+        u_next, u_dot = bdf2_step(u_n, u_prev, system, cfg)
         assert np.abs(u_next - u0).max() <= 1e-12
-        hist = HistoryWindow(u_n=u_next, u_prev=hist.u_n, u_prev2=hist.u_prev, dt_u1=hist.dt_u1, n=n)
+        u_n, u_prev = u_next, u_n
 
 
 def test_bdf2_step_orthogonality_and_nodal_recursion():
     mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
-    cfg = FlowConfig(method="bdf2", metric="h1", tau=0.125)
+    cfg = FlowConfig(method="bdf2", tau=0.125)
     u1, dt_u1 = euler_init_step(u0, system, cfg)
-    hist = HistoryWindow(u_n=u1, u_prev=u0, u_prev2=None, dt_u1=dt_u1, n=1)
-    u2, u_dot = bdf2_step(hist, system, cfg)
+    u2, u_dot = bdf2_step(u1, u0, system, cfg)
     f = free_nodes(mesh)
     u_hat = 2.0 * u1 - u0
     assert np.abs(np.sum(u_dot[f] * u_hat[f], axis=1)).max() <= 1e-10
@@ -126,10 +125,10 @@ def test_bdf2_step_orthogonality_and_nodal_recursion():
 
 def test_run_flow_stationary_stops_immediately():
     _, u0, system = constant_state_setup()
-    euler = run_flow(u0, system, FlowConfig(method="euler", metric="l2", tau=0.5))
+    euler = run_flow(u0, system, FlowConfig(method="euler", tau=0.5))
     assert euler.converged and euler.n_stop == 1
     assert euler.trace[-1].norm_dtu_l2 <= 1e-13
-    bdf2 = run_flow(u0, system, FlowConfig(method="bdf2", metric="l2", tau=0.5))
+    bdf2 = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.5))
     assert bdf2.converged and bdf2.n_stop == 2
     assert bdf2.trace[-1].norm_udot_star <= 1e-13
 
@@ -143,12 +142,20 @@ def test_run_flow_rejects_infeasible_start():
 
 
 def test_run_flow_audit_residuals_both_metrics():
-    for metric in ("h1", "l2"):
-        _, u0, system = unit_square_setup(8, metric=metric, init="perturbed", amplitude=0.5)
-        cfg = FlowConfig(method="bdf2", metric=metric, tau=0.125, t_max=50.0)
+    mesh, u0, _ = unit_square_setup(8, init="perturbed", amplitude=0.5)
+    mass = assemble_mass(mesh)
+    # the load term enters the energies of the initialization identity and
+    # of the energy law
+    load = 0.5 * mass @ np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
+    systems = [harmonic_map_system(mesh, metric=metric) for metric in ("h1", "l2")]
+    systems.append(EnergySystem(mesh, assemble_stiffness(mesh), mass, metric="h1", load=load))
+    for system in systems:
+        cfg = FlowConfig(method="bdf2", tau=0.125, t_max=50.0)
         report = run_flow(u0, system, cfg)
+        assert audit_identities(report)[0]
         assert report.res_init <= 1e-10
         assert report.res_energy_law <= 1e-8
+        assert max(rec.res_energy_law for rec in report.trace[1:]) <= 1e-8
         assert report.res_nodal_recursion <= 1e-8
         assert report.res_closed_form <= 1e-8
         assert report.mono_violation <= 1e-9
@@ -158,7 +165,7 @@ def test_run_flow_audit_residuals_both_metrics():
 
 def test_run_flow_euler_audits_and_skips():
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
-    report = run_flow(u0, system, FlowConfig(method="euler", metric="h1", tau=0.125))
+    report = run_flow(u0, system, FlowConfig(method="euler", tau=0.125))
     assert math.isnan(report.res_energy_law)
     assert math.isnan(report.res_nodal_recursion)
     assert report.res_init <= 1e-10
@@ -189,7 +196,7 @@ def test_constraint_violation_linear_in_tau_unconditionally():
     _, u0, system = unit_square_setup(16, init="perturbed", amplitude=0.5)
     ratios = []
     for tau in (0.25, 0.125, 0.0625):
-        report = run_flow(u0, system, FlowConfig(method="bdf2", metric="h1", tau=tau))
+        report = run_flow(u0, system, FlowConfig(method="bdf2", tau=tau))
         ratios.append(report.delta_uni / tau)
     assert max(ratios) <= 2.0 * ratios[0] + 1e-12
 
@@ -200,7 +207,7 @@ def test_rate_window_bdf2_vs_euler():
     deltas = {}
     for method in ("bdf2", "euler"):
         deltas[method] = [
-            run_flow(u0, system, FlowConfig(method=method, metric="h1", tau=tau)).delta_uni
+            run_flow(u0, system, FlowConfig(method=method, tau=tau)).delta_uni
             for tau in (0.125, 0.0625)
         ]
     eoc_bdf2 = math.log2(deltas["bdf2"][0] / deltas["bdf2"][1])
@@ -226,7 +233,7 @@ def test_generalized_driver_with_load_and_custom_constraints():
         constraint_builder=lambda u_hat, free: None,
     )
     u0 = np.zeros((mesh.n_vertices, 3))
-    report = run_flow(u0, system, FlowConfig(method="bdf2", metric="h1", tau=0.5, eps_stop=1e-10))
+    report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.5, eps_stop=1e-10))
     assert report.converged
 
     f = free_nodes(mesh)
@@ -238,16 +245,32 @@ def test_generalized_driver_with_load_and_custom_constraints():
     assert np.abs(report.u_final - expected).max() <= 1e-8
     assert report.trace[-1].energy == pytest.approx(system.energy(expected), rel=1e-10)
     # the nodal sphere identities do not apply to a custom constraint
-    _, summary = audit_identities(report)
+    passed, summary = audit_identities(report)
+    assert passed
     for key in ("res_nodal_recursion", "res_closed_form", "mono_violation"):
         assert math.isnan(summary[key])
     assert all(math.isnan(rec.res_nodal_recursion) for rec in report.trace)
 
 
-def test_run_flow_rejects_metric_mismatch():
-    _, u0, system = unit_square_setup(4, metric="h1")
-    with pytest.raises(ValueError, match="metric"):
-        run_flow(u0, system, FlowConfig(metric="l2", tau=0.25))
+def test_corrupted_step_trips_nodal_recursion_audit(monkeypatch):
+    mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
+    cfg = FlowConfig(method="bdf2", tau=0.125)
+    assert audit_identities(run_flow(u0, system, cfg))[0]
+    calls = []
+
+    def corrupted_step(u_n, u_prev, sys, cfg):
+        u_next, u_dot = bdf2_step(u_n, u_prev, sys, cfg)
+        calls.append(None)
+        if len(calls) == 4:
+            u_next = u_next.copy()
+            u_next[sys.free[len(sys.free) // 2], 0] += 1e-6
+        return u_next, u_dot
+
+    monkeypatch.setattr("sphereflow.flow.bdf2_step", corrupted_step)
+    report = run_flow(u0, system, cfg)
+    assert len(calls) > 4
+    assert report.res_nodal_recursion > 1e-8
+    assert not audit_identities(report)[0]
 
 
 def test_tangent_and_saddle_constraint_paths_agree():
@@ -261,7 +284,7 @@ def test_tangent_and_saddle_constraint_paths_agree():
         metric="h1",
         constraint_builder=assemble_constraint_rows,
     )
-    cfg = FlowConfig(method="bdf2", metric="h1", tau=0.125)
+    cfg = FlowConfig(method="bdf2", tau=0.125)
     first = run_flow(u0, default, cfg)
     second = run_flow(u0, general, cfg)
     assert first.n_stop == second.n_stop
@@ -274,14 +297,14 @@ def test_u_final_matches_reported_constraint_violation():
     from sphereflow.diagnostics import constraint_violation
 
     mesh, u0, system = unit_square_setup(6, init="perturbed", amplitude=0.5)
-    report = run_flow(u0, system, FlowConfig(method="bdf2", metric="h1", tau=0.25))
+    report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.25))
     assert constraint_violation(report.u_final, mesh) == pytest.approx(report.delta_uni, rel=1e-12)
 
 
 def test_h1_stopping_time_roughly_tau_independent():
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
     times = [
-        run_flow(u0, system, FlowConfig(method="bdf2", metric="h1", tau=tau)).n_stop * tau
+        run_flow(u0, system, FlowConfig(method="bdf2", tau=tau)).n_stop * tau
         for tau in (0.25, 0.125, 0.0625)
     ]
     assert max(times) <= 1.5 * min(times)

@@ -1,7 +1,5 @@
 """Stereographic data, the seeded generator, and field construction."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,7 @@ from sphereflow.fem import assemble_stiffness, dirichlet_energy
 from sphereflow.initial_data import (
     InitSpec,
     SplitMix64,
-    dump_field,
     inverse_stereographic,
-    load_field,
     make_initial,
 )
 from sphereflow.mesh import build_square_mesh
@@ -109,17 +105,3 @@ def test_invalid_spec():
         InitSpec("bogus")
     with pytest.raises(ValueError):
         InitSpec("perturbed", perturb_amplitude=-1.0)
-
-
-def test_field_dump_load_roundtrip():
-    mesh = build_square_mesh(3, lower_left=(-0.5, -0.5), side=1.0)
-    u = make_initial(mesh, InitSpec("random", seed=8))
-    buf = io.StringIO()
-    dump_field(u, buf)
-    loaded = load_field(io.StringIO(buf.getvalue()))
-    assert np.array_equal(u, loaded)
-
-
-def test_load_field_rejects_garbage():
-    with pytest.raises(ValueError):
-        load_field(io.StringIO("u 0 1.0 2.0\n"))

@@ -1,11 +1,9 @@
-"""Structured mesh construction, marking and text dump."""
-
-import io
+"""Structured mesh construction and marking."""
 
 import numpy as np
 import pytest
 
-from sphereflow.mesh import build_square_mesh, dump_mesh, free_nodes
+from sphereflow.mesh import build_square_mesh, free_nodes
 
 
 def signed_areas(mesh):
@@ -85,20 +83,3 @@ def test_mesh_is_immutable():
     m = build_square_mesh(2)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 99.0
-
-
-def test_dump_format_roundtrip():
-    m = build_square_mesh(2, lower_left=(-0.5, -0.5), side=1.0)
-    buf = io.StringIO()
-    dump_mesh(m, buf)
-    lines = buf.getvalue().splitlines()
-    v_lines = [l for l in lines if l.startswith("v ")]
-    c_lines = [l for l in lines if l.startswith("c ")]
-    d_lines = [l for l in lines if l.startswith("d ")]
-    assert len(v_lines) == m.n_vertices
-    assert len(c_lines) == m.n_cells
-    assert len(d_lines) == len(m.dirichlet_nodes)
-    coords = np.array([[float(t) for t in l.split()[1:]] for l in v_lines])
-    assert np.array_equal(coords, m.vertices)
-    cells = np.array([[int(t) for t in l.split()[1:]] for l in c_lines])
-    assert np.array_equal(cells, m.cells)

@@ -38,18 +38,6 @@ DEFAULTS = {
     "audit_tol": 1e-8,
 }
 
-_PARSERS = {
-    "mesh_n": int,
-    "seed": int,
-    "tau": float,
-    "eps_stop": float,
-    "t_max": float,
-    "perturb_amplitude": float,
-    "ref_energy": float,
-    "audit_tol": float,
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -100,22 +88,29 @@ def _write(path, text):
             handle.write(text)
 
 
+def _read_lines(path):
+    try:
+        with open(path) as handle:
+            return handle.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def load_config_file(path):
-    """Read a flat key=value configuration file."""
-    values = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in DEFAULTS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _PARSERS.get(key, str)(raw.strip())
-    return values
+    """Read a flat key=value configuration file as ``--key=value`` flag tokens."""
+    tokens = []
+    for lineno, line in enumerate(_read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in DEFAULTS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        tokens.append(f"--{key.replace('_', '-')}={raw.strip()}")
+    return tokens
 
 
 @dataclass
@@ -179,14 +174,20 @@ def build_parser():
 
 
 def resolve_config(args):
-    """Apply precedence: command-line flags beat config file beats defaults."""
+    """Apply precedence: command-line flags beat config file beats defaults.
+
+    Config values go through the same parser as flags, so a bad value exits
+    with argparse's usage error (code 2).
+    """
     merged = dict(DEFAULTS)
+    layers = [args]
     if getattr(args, "config", None):
-        merged.update(load_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+        layers.insert(0, build_parser().parse_args([args.subcommand, *load_config_file(args.config)]))
+    for layer in layers:
+        for key in DEFAULTS:
+            value = getattr(layer, key, None)
+            if value is not None:
+                merged[key] = value
     return CliConfig(subcommand=args.subcommand, **merged)
 
 
@@ -253,18 +254,22 @@ def cmd_audit(args):
     tol = args.audit_tol if args.audit_tol is not None else DEFAULTS["audit_tol"]
     maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0}
     counted = {key: 0 for key in maxima}
-    with open(args.trace_in) as handle:
-        columns = handle.readline().strip().split(",")
-        missing = [key for key in maxima if key not in columns]
-        if missing:
-            raise UsageError(f"{args.trace_in}: not a trace file (no column {', '.join(missing)})")
-        index = {key: columns.index(key) for key in maxima}
-        for line in handle:
-            cells = line.strip().split(",")
-            for key, idx in index.items():
-                if idx < len(cells) and cells[idx]:
-                    maxima[key] = max(maxima[key], float(cells[idx]))
-                    counted[key] += 1
+    header, *rows = _read_lines(args.trace_in) or [""]
+    columns = header.strip().split(",")
+    missing = [key for key in maxima if key not in columns]
+    if missing:
+        raise UsageError(f"{args.trace_in}: not a trace file (no column {', '.join(missing)})")
+    index = {key: columns.index(key) for key in maxima}
+    for lineno, line in enumerate(rows, 2):
+        cells = line.strip().split(",")
+        for key, idx in index.items():
+            if idx < len(cells) and cells[idx]:
+                try:
+                    value = float(cells[idx])
+                except ValueError:
+                    raise UsageError(f"{args.trace_in}:{lineno}: {key} is not a number: {cells[idx]!r}") from None
+                maxima[key] = max(maxima[key], value)
+                counted[key] += 1
     ok = True
     for key, value in maxima.items():
         if counted[key] == 0:

@@ -48,26 +48,20 @@ def assemble_stiffness(mesh):
     return _accumulate(mesh, local)
 
 
-def assemble_mass(mesh, lumped=False):
-    """Scalar P1 mass matrix, integral of phi_i*phi_j.
-
-    With ``lumped=True`` the matrix is diagonal, each entry the row sum of
-    the consistent matrix (area/3 from each adjacent triangle).
-    """
+def assemble_mass(mesh):
+    """Scalar P1 mass matrix, integral of phi_i*phi_j."""
     _, _, area = _cell_geometry(mesh)
-    if lumped:
-        nv = mesh.n_vertices
-        diag = np.zeros(nv)
-        np.add.at(diag, mesh.cells.ravel(), np.repeat(area / 3.0, 3))
-        return sp.dia_matrix((diag, 0), shape=(nv, nv)).tocsr()
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = base[None, :, :] * area[:, None, None]
     return _accumulate(mesh, local)
 
 
 def lumped_mass_diagonal(mesh):
-    """Diagonal of the lumped mass matrix as a vector of nodal weights."""
-    return np.asarray(assemble_mass(mesh, lumped=True).diagonal())
+    """Diagonal of the lumped mass matrix: area/3 from each adjacent triangle."""
+    _, _, area = _cell_geometry(mesh)
+    diag = np.zeros(mesh.n_vertices)
+    np.add.at(diag, mesh.cells.ravel(), np.repeat(area / 3.0, 3))
+    return diag
 
 
 def interpolate(f, mesh):

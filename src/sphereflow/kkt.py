@@ -1,13 +1,14 @@
 """Sparse KKT solves for the per-step linearly constrained systems.
 
 Unknowns are ordered node-major: degree of freedom 3*k + c is component c
-at the k-th free node.  The constraint block carries one row per free node
-whose extrapolated direction is non-degenerate.  A constraint given as
-general sparse rows G is solved as the saddle-point system
-[[A, G^T], [G, 0]].  One given as nodal directions is solved on the
+at the k-th free node.  The constraint block carries one row per free node,
+along that node's extrapolated direction; a degenerate direction (zero, or
+below ``DEGENERATE_REL_TOL`` times the largest) raises :class:`KktError`.
+A constraint given as general sparse rows G is solved as the saddle-point
+system [[A, G^T], [G, 0]].  One given as nodal directions is solved on the
 tangent planes instead (Alouges 2008; Bartels 2016): with T a node-major
 orthonormal basis of the kernel of those rows, the SPD system
-T^T A T x = T^T rhs has two unknowns per constrained node and p = T x.
+T^T A T x = T^T rhs has two unknowns per node and p = T x.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-DEFAULT_TOL = 1e-12
-ROW_DROP_REL_TOL = 1e-12
+TOL = 1e-12
+DEGENERATE_REL_TOL = 1e-12
 
 # the tangent-plane matrix is SPD: a symmetric ordering and diagonal pivots
 # keep its LU fill well below COLAMD's (the indefinite saddle-point matrix
@@ -32,7 +33,7 @@ _SPD_SPLU_OPTIONS = {
 
 
 class KktError(Exception):
-    """Raised when a KKT solve (tangent-plane or saddle-point) fails its residual contract."""
+    """Raised when a KKT solve fails its residual contract or meets a degenerate direction."""
 
 
 @dataclass
@@ -43,9 +44,9 @@ class KktSystem:
     g : (M, N) sparse constraint rows, or None
     rhs : (N,) vector
     directions : (N/3, 3) nodal constraint directions, or None.  They stand
-        for the rows ``assemble_constraint_rows(directions, all nodes)`` and
-        select the tangent-plane solve; ``g`` must then be None.  With
-        neither, the solve is unconstrained.
+        for the rows ``assemble_constraint_rows(directions, all nodes)``, one
+        per node, and select the tangent-plane solve; ``g`` must then be
+        None.  With neither, the solve is unconstrained.
     """
 
     a: sp.spmatrix
@@ -62,79 +63,59 @@ class KktSolution:
     residual_constraint: float
 
 
-def constrained_nodes(norms, row_drop_tol=None):
-    """Mask of the nodes that carry a constraint row.
+def _check_directions(directions):
+    """Norms of the nodal ``directions``; raises :class:`KktError` at a degenerate one."""
+    norms = np.linalg.norm(directions, axis=1)
+    largest = norms.max(initial=0.0)
+    bad = np.flatnonzero((norms < DEGENERATE_REL_TOL * largest) | (norms == 0.0))
+    if bad.size:
+        z = bad[0]
+        raise KktError(
+            f"KKT constraint direction {z} of {norms.size} is degenerate "
+            f"(|u_hat| = {norms[z]:.3e}, largest {largest:.3e})"
+        )
+    return norms
 
-    A node keeps its row when |u_hat(z)| >= row_drop_tol, which defaults to
-    ``ROW_DROP_REL_TOL`` times the largest of ``norms``.
-    """
-    if row_drop_tol is None:
-        row_drop_tol = ROW_DROP_REL_TOL * (norms.max() if norms.size else 0.0)
-    return norms >= row_drop_tol
 
-
-def assemble_constraint_rows(u_hat, free, row_drop_tol=None):
+def assemble_constraint_rows(u_hat, free):
     """Rows of the linearized nodal constraint for directions ``u_hat``.
 
-    Row for free node z carries the three entries u_hat(z) in that node's
-    component columns; nodes dropped by :func:`constrained_nodes` get no
-    row (the constraint direction is undefined there).
+    Row k carries the three entries u_hat(free[k]) in that node's component
+    columns.  Raises :class:`KktError` at a degenerate direction.
 
     Parameters
     ----------
     u_hat : (nv, 3) nodal field of constraint directions
     free : index array of free nodes, defining the column layout
-    row_drop_tol : float, defaults to 1e-12 * max_z |u_hat(z)| over free z
 
     Returns
     -------
-    (M, 3*len(free)) CSR matrix with M <= len(free).
+    (len(free), 3*len(free)) CSR matrix.
     """
-    u_hat = np.asarray(u_hat, dtype=float)
-    directions = u_hat[free]
-    keep = np.flatnonzero(constrained_nodes(np.linalg.norm(directions, axis=1), row_drop_tol))
-    m = keep.size
-    rows = np.repeat(np.arange(m), 3)
-    cols = (3 * keep[:, None] + np.arange(3)[None, :]).ravel()
-    data = directions[keep].ravel()
-    return sp.coo_matrix((data, (rows, cols)), shape=(m, 3 * len(free))).tocsr()
+    directions = np.asarray(u_hat, dtype=float)[free]
+    _check_directions(directions)
+    k = len(directions)
+    return sp.csr_matrix((directions.ravel(), np.arange(3 * k), np.arange(0, 3 * k + 1, 3)), shape=(k, 3 * k))
 
 
-def tangent_basis(normals, keep):
-    """Node-major T with orthonormal columns spanning the constraint kernel.
+def tangent_basis(normals):
+    """(3K, 2K) node-major CSR matrix T with orthonormal columns spanning the constraint kernel.
 
-    A kept node with unit normal n gets two columns spanning n^perp (the
-    branch-free frame of Duff et al. 2017); any other node gets its three
-    unit columns, the semantics of a dropped constraint row.
-
-    Parameters
-    ----------
-    normals : (K, 3) unit directions at the kept nodes (other rows ignored)
-    keep : (K,) boolean mask of the kept nodes
-
-    Returns
-    -------
-    (3K, 2*kept + 3*dropped) CSR matrix.
+    Node k with unit normal ``normals[k]`` gets columns 2k and 2k + 1
+    spanning its tangent plane (the branch-free frame of Duff et al. 2017).
     """
-    k = keep.size
-    x, y, z = normals[keep].T
+    k = normals.shape[0]
+    x, y, z = normals.T
     sign = np.where(z >= 0.0, 1.0, -1.0)
     a = -1.0 / (sign + z)
     b = x * y * a
-    frames = np.tile(np.eye(3), (k, 1, 1))
-    frames[keep, :, 0] = np.column_stack([1.0 + sign * x * x * a, sign * b, -sign * x])
-    frames[keep, :, 1] = np.column_stack([b, sign + y * y * a, -y])
-    # row 3k + c holds frames[k, c, :width[k]] in columns first[k] + j
-    width = np.where(keep, 2, 3)
-    first = np.cumsum(width) - width
-    comp = np.arange(3)
-    used = np.broadcast_to(comp < width[:, None, None], frames.shape)
-    cols = np.broadcast_to(first[:, None, None] + comp, frames.shape)[used]
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(width, 3))])
-    return sp.csr_matrix((frames[used], cols, indptr), shape=(3 * k, int(width.sum())))
+    # row 3k + c holds component c of node k's two frame vectors
+    frames = np.array([[1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]]).T
+    cols = np.broadcast_to(2 * np.arange(k)[:, None, None] + np.arange(2), frames.shape)
+    return sp.csr_matrix((frames.ravel(), cols.ravel(), np.arange(0, 6 * k + 1, 2)), shape=(3 * k, 2 * k))
 
 
-def _checked_solve(matrix, rhs, finish, bound_p, tol, what, splu_options):
+def _checked_solve(matrix, rhs, finish, bound_p, what, splu_options):
     """Factor ``matrix``, solve, and enforce the residual contract.
 
     ``finish`` maps a solution of ``matrix x = rhs`` to a
@@ -151,7 +132,7 @@ def _checked_solve(matrix, rhs, finish, bound_p, tol, what, splu_options):
         raise KktError(f"KKT solve produced non-finite values ({what})")
 
     def missed(out):
-        return out.residual_primal > bound_p or out.residual_constraint > tol * (
+        return out.residual_primal > bound_p or out.residual_constraint > TOL * (
             1.0 + np.linalg.norm(out.primal)
         )
 
@@ -162,13 +143,13 @@ def _checked_solve(matrix, rhs, finish, bound_p, tol, what, splu_options):
     if missed(out):
         raise KktError(
             f"KKT residuals not reached (primal {out.residual_primal:.3e}, "
-            f"constraint {out.residual_constraint:.3e}, tol {tol:.1e}, {what}); "
+            f"constraint {out.residual_constraint:.3e}, tol {TOL:.1e}, {what}); "
             "system may be ill-conditioned"
         )
     return out
 
 
-def _solve_saddle(a, g, rhs, tol):
+def _solve_saddle(a, g, rhs):
     n = a.shape[0]
     m = 0 if g is None else g.shape[0]
     if m == 0:
@@ -184,25 +165,19 @@ def _solve_saddle(a, g, rhs, tol):
         rc = np.linalg.norm(g @ p) if m else 0.0
         return KktSolution(p, sol[n:], rp, rc)
 
-    bound_p = tol * (1.0 + np.linalg.norm(full_rhs))
-    return _checked_solve(kkt, full_rhs, finish, bound_p, tol, f"n={n}, m={m}", {})
+    bound_p = TOL * (1.0 + np.linalg.norm(full_rhs))
+    return _checked_solve(kkt, full_rhs, finish, bound_p, f"n={n}, m={m}", {})
 
 
-def _solve_tangent(a, directions, rhs, tol):
+def _solve_tangent(a, directions, rhs):
     n = a.shape[0]
     directions = np.asarray(directions, dtype=float)
     if directions.shape != (n // 3, 3) or n % 3:
         raise ValueError(f"directions must have shape ({n // 3}, 3) for n={n}, got {directions.shape}")
-    norms = np.linalg.norm(directions, axis=1)
-    keep = constrained_nodes(norms)
-    m = int(keep.sum())
-    what = f"n={n}, m={m}"
-    if np.any(norms[keep] == 0.0):
-        raise KktError(f"KKT constraint has a vanishing direction ({what})")
-    normals = np.zeros_like(directions)
-    normals[keep] = directions[keep] / norms[keep, None]
+    norms = _check_directions(directions)
+    normals = directions / norms[:, None]
 
-    t = tangent_basis(normals, keep)
+    t = tangent_basis(normals)
     reduced = (t.T @ (a @ t)).tocsc()
 
     def finish(x):
@@ -210,27 +185,28 @@ def _solve_tangent(a, directions, rhs, tol):
         r = (a @ p - rhs).reshape(-1, 3)
         normal_part = np.sum(normals * r, axis=1)
         tangential = r - normals * normal_part[:, None]
-        rc = np.linalg.norm(np.sum(directions[keep] * p.reshape(-1, 3)[keep], axis=1))
-        return KktSolution(p, -normal_part[keep] / norms[keep], np.linalg.norm(tangential), rc)
+        rc = np.linalg.norm(np.sum(directions * p.reshape(-1, 3), axis=1))
+        return KktSolution(p, -normal_part / norms, np.linalg.norm(tangential), rc)
 
-    bound_p = tol * (1.0 + np.linalg.norm(rhs))
-    return _checked_solve(reduced, t.T @ rhs, finish, bound_p, tol, what, _SPD_SPLU_OPTIONS)
+    bound_p = TOL * (1.0 + np.linalg.norm(rhs))
+    return _checked_solve(reduced, t.T @ rhs, finish, bound_p, f"n={n}, m={norms.size}", _SPD_SPLU_OPTIONS)
 
 
-def solve_kkt(system, tol=DEFAULT_TOL):
+def solve_kkt(system):
     """Direct solve of the constrained system A p + G^T m = rhs, G p = 0.
 
     Nodal ``directions`` are solved on the tangent planes, general rows
     ``g`` through the saddle-point matrix [[A, G^T], [G, 0]]; both give the
     same primal and multipliers.  The residual contract is
-    ||A p + G^T m - rhs|| <= tol*(1 + ||rhs||) and ||G p|| <= tol*(1 + ||p||);
+    ||A p + G^T m - rhs|| <= TOL*(1 + ||rhs||) and ||G p|| <= TOL*(1 + ||p||);
     one step of iterative refinement is applied if the first solve misses.
-    Raises :class:`KktError` on a singular matrix or an unmet tolerance.
+    Raises :class:`KktError` on a singular matrix, an unmet tolerance or a
+    degenerate nodal direction.
     """
     a = system.a.tocsc()
     rhs = np.asarray(system.rhs, dtype=float)
     if system.directions is None:
-        return _solve_saddle(a, system.g, rhs, tol)
+        return _solve_saddle(a, system.g, rhs)
     if system.g is not None:
         raise ValueError("give the constraint either as rows g or as directions, not both")
-    return _solve_tangent(a, system.directions, rhs, tol)
+    return _solve_tangent(a, system.directions, rhs)

@@ -151,6 +151,12 @@ def test_audit_rejects_non_trace(tmp_path, capsys):
     partial.write_text("n,res_energy_law\n2,1e-16\n")
     assert main(["audit", "--trace-in", str(partial)]) == 2
     assert "res_nodal_recursion" in capsys.readouterr().err
+    assert main(["audit", "--trace-in", str(tmp_path / "missing.csv")]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    garbled = tmp_path / "z.csv"
+    garbled.write_text("res_energy_law,res_nodal_recursion\n1e-16,1e-15\n1e-16,oops\n")
+    assert main(["audit", "--trace-in", str(garbled)]) == 2
+    assert "z.csv:3: res_nodal_recursion" in capsys.readouterr().err
 
 
 def test_audit_finds_columns_by_name(tmp_path, capsys):
@@ -198,14 +204,42 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("mesh_m = 2\n")
+    config.write_text("mesh_n = 2\nmesh_m = 2\n")
     assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
+    assert f"{config}:2: unknown key 'mesh_m'" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "missing.cfg"), "--tau", "0.25"]) == 2
+    assert "missing.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["mesh_n = abc", "audit = maybe", "tau = fast"])
+def test_config_file_bad_value(tmp_path, capsys, line):
+    # config values go through the flag parser: a bad one is a usage error
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", str(config), "--mesh-n", "2", "--tau", "0.25"])
+    assert err.value.code == 2
+    assert line.split(" = ")[1] in capsys.readouterr().err
 
 
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as err:
         main(["run", "--method", "leapfrog"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--tau", "0.25"],
+        ["run", "--tau", "0.25", "--method", "euler"],
+        ["sweep", "--tau-range", "2:3"],
+    ],
+)
+def test_mesh_without_free_nodes_runs(tmp_path, capsys, args):
+    # a 1x1 mesh with a Dirichlet boundary has no free node; audits must pass
+    assert main([*args, "--mesh-n", "1", "--out", str(tmp_path / "o.csv")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_euler_run_works(tmp_path):

@@ -94,10 +94,9 @@ def test_mass_total_and_lumped_diagonal():
     M = assemble_mass(mesh)
     ones = np.ones(mesh.n_vertices)
     assert ones @ (M @ ones) == pytest.approx(side**2, rel=1e-13)
-    L = assemble_mass(mesh, lumped=True)
-    assert L.sum() == pytest.approx(side**2, rel=1e-13)
-    # interior node: six adjacent triangles of area h^2/2, a third each
     diag = lumped_mass_diagonal(mesh)
+    assert diag.sum() == pytest.approx(side**2, rel=1e-13)
+    # interior node: six adjacent triangles of area h^2/2, a third each
     center = 2 * 5 + 2
     assert diag[center] == pytest.approx(mesh.h**2, rel=1e-13)
 

@@ -181,6 +181,14 @@ def test_run_flow_non_convergence_flags():
     overflow = run_flow(u0, system, FlowConfig(tau=0.125, max_steps=3))
     assert not overflow.converged
     assert overflow.n_stop == 3
+    # a final time inside the first step stops after that step
+    _, u0, system = unit_square_setup(4, init="perturbed", amplitude=0.5)
+    for method in ("bdf2", "euler"):
+        short = run_flow(u0, system, FlowConfig(method=method, tau=0.5, t_max=0.25))
+        assert not short.converged
+        assert short.n_stop == 1
+        assert math.isnan(short.res_energy_law) and math.isnan(short.res_nodal_recursion)
+        assert audit_identities(short)[0]
 
 
 def test_run_flow_reference_energy_wiring():

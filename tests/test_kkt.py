@@ -1,5 +1,7 @@
 """Constraint-row assembly, saddle-point and tangent-plane solves against references."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,13 +106,25 @@ def test_constraint_rows_single_node():
     assert np.allclose(g.toarray(), [[0.0, 0.0, 1.0]])
 
 
-def test_constraint_rows_drop_degenerate():
-    u_hat = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    g = assemble_constraint_rows(u_hat, np.array([0, 1, 2]))
-    assert g.shape == (2, 9)
-    dense = g.toarray()
-    assert np.allclose(dense[0, :3], [0.0, 0.0, 1.0])
-    assert np.allclose(dense[1, 6:], [1.0, 0.0, 0.0])
+def test_constraint_rows_reject_degenerate():
+    # a zero direction, or one 1e-13 of the largest, raises on the row and
+    # the tangent-plane path alike and names the node; 1e-11 still solves
+    a = sp.identity(9, format="csc")
+    rhs = np.ones(9)
+    directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    for small in (0.0, 1e-13):
+        directions[1, 1] = small
+        message = re.escape(f"direction 1 of 3 is degenerate (|u_hat| = {small:.3e}, largest 1.000e+00)")
+        with pytest.raises(KktError, match=message):
+            assemble_constraint_rows(directions, np.arange(3))
+        with pytest.raises(KktError, match=message):
+            solve_kkt(KktSystem(a, None, rhs, directions=directions))
+    directions[1, 1] = 1e-11
+    rows = assemble_constraint_rows(directions, np.arange(3))
+    assert rows.shape == (3, 9)
+    sol = solve_kkt(KktSystem(a, None, rhs, directions=directions))
+    assert sol.multiplier.shape == (3,)
+    assert np.abs(rows @ sol.primal).max() <= 1e-12 * (1.0 + np.linalg.norm(sol.primal))
 
 
 def test_constraint_rows_action_extracts_component():
@@ -132,15 +146,12 @@ def test_constraint_rows_respects_free_subset():
 
 
 def random_nodal_system(rng, k_max=30):
-    """Random node-major SPD system with nodal directions, some of them zero."""
+    """Random node-major SPD system with nodal directions."""
     k = int(rng.integers(1, k_max + 1))
     n = 3 * k
     base = rng.standard_normal((n, n))
     a = sp.csc_matrix(base @ base.T + n * np.eye(n))
     directions = rng.standard_normal((k, 3))
-    directions[rng.random(k) < 0.2] = 0.0
-    if not directions.any():
-        directions[0] = rng.standard_normal(3)
     return a, directions, rng.standard_normal(n)
 
 
@@ -160,13 +171,10 @@ def test_tangent_solve_matches_saddle_solve():
 
 def test_tangent_basis_is_orthonormal_kernel():
     directions = RNG.standard_normal((40, 3))
-    directions[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -0.0], [1.0, 0.0, 0.0]]
-    norms = np.linalg.norm(directions, axis=1)
-    keep = norms > 0.0
-    normals = np.zeros_like(directions)
-    normals[keep] = directions[keep] / norms[keep, None]
-    t = tangent_basis(normals, keep).toarray()
-    assert t.shape == (120, 2 * int(keep.sum()) + 3 * int((~keep).sum()))
+    directions[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1.0, -0.0], [1.0, 0.0, 0.0]]
+    normals = directions / np.linalg.norm(directions, axis=1)[:, None]
+    t = tangent_basis(normals).toarray()
+    assert t.shape == (120, 80)
     assert np.abs(t.T @ t - np.eye(t.shape[1])).max() <= 1e-14
     rows = assemble_constraint_rows(directions, np.arange(40)).toarray()
     assert np.abs(rows @ t).max() <= 1e-14
@@ -183,6 +191,13 @@ def test_tangent_solve_vanishing_directions_raise():
     a = sp.identity(6, format="csc")
     with pytest.raises(KktError):
         solve_kkt(KktSystem(a, None, np.ones(6), directions=np.zeros((2, 3))))
+
+
+def test_tangent_solve_without_nodes():
+    sol = solve_kkt(KktSystem(sp.csc_matrix((0, 0)), None, np.zeros(0), directions=np.zeros((0, 3))))
+    assert sol.primal.shape == (0,)
+    assert sol.multiplier.shape == (0,)
+    assert assemble_constraint_rows(np.zeros((4, 3)), np.array([], dtype=int)).shape == (0, 0)
 
 
 def test_tangent_solve_deterministic_bitwise():

@@ -97,8 +97,14 @@ def _read_lines(path):
 
 
 def load_config_file(path):
-    """Read a flat key=value configuration file as ``--key=value`` flag tokens."""
-    tokens = []
+    """Parse a flat key=value configuration file with the flag declarations.
+
+    Returns a namespace of the values set in the file; a malformed line, an
+    unknown key or a bad value is a :class:`UsageError` naming ``path:line``.
+    """
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    _add_common(parser)
+    values = argparse.Namespace()
     for lineno, line in enumerate(_read_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -109,8 +115,11 @@ def load_config_file(path):
         key = key.strip().replace("-", "_")
         if key not in DEFAULTS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        tokens.append(f"--{key.replace('_', '-')}={raw.strip()}")
-    return tokens
+        try:
+            parser.parse_args([f"--{key.replace('_', '-')}={raw.strip()}"], namespace=values)
+        except argparse.ArgumentError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
+    return values
 
 
 @dataclass
@@ -174,15 +183,11 @@ def build_parser():
 
 
 def resolve_config(args):
-    """Apply precedence: command-line flags beat config file beats defaults.
-
-    Config values go through the same parser as flags, so a bad value exits
-    with argparse's usage error (code 2).
-    """
+    """Apply precedence: command-line flags beat config file beats defaults."""
     merged = dict(DEFAULTS)
     layers = [args]
     if getattr(args, "config", None):
-        layers.insert(0, build_parser().parse_args([args.subcommand, *load_config_file(args.config)]))
+        layers.insert(0, load_config_file(args.config))
     for layer in layers:
         for key in DEFAULTS:
             value = getattr(layer, key, None)
@@ -268,7 +273,8 @@ def cmd_audit(args):
                     value = float(cells[idx])
                 except ValueError:
                     raise UsageError(f"{args.trace_in}:{lineno}: {key} is not a number: {cells[idx]!r}") from None
-                maxima[key] = max(maxima[key], value)
+                # a non-finite cell sticks as nan (max(nan, x) is nan) and fails
+                maxima[key] = max(maxima[key], value) if math.isfinite(value) else math.nan
                 counted[key] += 1
     ok = True
     for key, value in maxima.items():
@@ -276,7 +282,7 @@ def cmd_audit(args):
             print(f"{key}: skipped (no records)")
             continue
         print(f"{key}: max {value:.3e} over {counted[key]} steps")
-        if value > tol:
+        if not value <= tol:
             ok = False
     return 0 if ok else 1
 

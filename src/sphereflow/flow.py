@@ -24,7 +24,7 @@ from .diagnostics import (
     relative_residual,
 )
 from .fem import assemble_mass, assemble_stiffness, dirichlet_energy, lumped_mass_diagonal
-from .kkt import KktSystem, solve_kkt
+from .kkt import solve_kkt, solve_saddle
 from .mesh import free_nodes
 from .seqcalc import backward_difference, extrapolate, g_norm_sq, gamma, second_difference
 
@@ -88,31 +88,31 @@ class EnergySystem:
         self._kkt_blocks = {}
 
     def kkt_block(self, scale):
-        """Cached node-major block kron(metric_ff + scale * a_ff, I3)."""
+        """Cached scalar CSR block metric_ff + scale * a_ff of the per-step solves."""
         block = self._kkt_blocks.get(scale)
         if block is None:
-            block = sp.kron(self._metric_ff + scale * self._a_ff, sp.identity(3), format="csc")
-            self._kkt_blocks[scale] = block
+            block = self._kkt_blocks[scale] = self._metric_ff + scale * self._a_ff
         return block
 
-    def kkt_system(self, scale, u_hat, rhs):
-        """KKT system with block ``kkt_block(scale)``, directions ``u_hat`` and ``rhs``.
+    def solve_increment(self, scale, u_hat, rhs):
+        """(K, 3) free-node increment for block ``kkt_block(scale)``, directions ``u_hat`` and ``rhs``.
 
-        The nodal sphere constraint goes in as the free-node directions, which
-        :func:`solve_kkt` handles on the tangent planes; a custom builder's
-        rows go in as a general G.
+        The nodal sphere constraint is solved on the scalar block by
+        :func:`solve_kkt`; a custom builder's rows go to :func:`solve_saddle`
+        with the block acting on each component, kron(block, I3).
         """
         block = self.kkt_block(scale)
         if self.uses_sphere_constraint:
-            return KktSystem(block, None, rhs, directions=u_hat[self.free])
-        return KktSystem(block, self._constraint_builder(u_hat, self.free), rhs)
+            return solve_kkt(block, u_hat[self.free], rhs).primal
+        a = sp.kron(block, sp.identity(3), format="csc")
+        return solve_saddle(a, self._constraint_builder(u_hat, self.free), rhs.ravel()).primal.reshape(-1, 3)
 
     def rhs_from(self, explicit_field, factor):
-        """Free-DOF right-hand side b - factor * a(explicit_field, .)."""
+        """(K, 3) free-node right-hand side b - factor * a(explicit_field, .)."""
         rhs = -factor * (self.stiffness @ explicit_field)
         if self.load is not None:
             rhs = rhs + self.load
-        return rhs[self.free].ravel()
+        return rhs[self.free]
 
     def load_pairing(self, u):
         """Load functional b(u) = sum(load * u); only defined with a load."""
@@ -142,9 +142,9 @@ def harmonic_map_system(mesh, metric="h1"):
     return EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric=metric)
 
 
-def _scatter(sys, primal):
+def _scatter(sys, increment):
     out = np.zeros((sys.mesh.n_vertices, 3))
-    out[sys.free] = primal.reshape(-1, 3)
+    out[sys.free] = increment
     return out
 
 
@@ -156,8 +156,7 @@ def euler_init_step(u0, sys, cfg):
     u1 = u0 + tau * dt_u1.
     """
     tau = cfg.tau
-    sol = solve_kkt(sys.kkt_system(tau, u0, sys.rhs_from(u0, 1.0)))
-    dt_u1 = _scatter(sys, sol.primal)
+    dt_u1 = _scatter(sys, sys.solve_increment(tau, u0, sys.rhs_from(u0, 1.0)))
     return u0 + tau * dt_u1, dt_u1
 
 
@@ -170,9 +169,8 @@ def bdf2_step(u_n, u_prev, sys, cfg):
     """
     tau = cfg.tau
     explicit = 4.0 * u_n - u_prev
-    system = sys.kkt_system(2.0 * tau / 3.0, extrapolate(u_n, u_prev), sys.rhs_from(explicit, 1.0 / 3.0))
-    sol = solve_kkt(system)
-    u_dot = _scatter(sys, sol.primal)
+    increment = sys.solve_increment(2.0 * tau / 3.0, extrapolate(u_n, u_prev), sys.rhs_from(explicit, 1.0 / 3.0))
+    u_dot = _scatter(sys, increment)
     u_next = (explicit + 2.0 * tau * u_dot) / 3.0
     return u_next, u_dot
 

@@ -1,14 +1,14 @@
 """Sparse KKT solves for the per-step linearly constrained systems.
 
-Unknowns are ordered node-major: degree of freedom 3*k + c is component c
-at the k-th free node.  The constraint block carries one row per free node,
-along that node's extrapolated direction; a degenerate direction (zero, or
-below ``DEGENERATE_REL_TOL`` times the largest) raises :class:`KktError`.
-A constraint given as general sparse rows G is solved as the saddle-point
-system [[A, G^T], [G, 0]].  One given as nodal directions is solved on the
-tangent planes instead (Alouges 2008; Bartels 2016): with T a node-major
-orthonormal basis of the kernel of those rows, the SPD system
-T^T A T x = T^T rhs has two unknowns per node and p = T x.
+The nodal solve :func:`solve_kkt` takes a (K, K) scalar SPD block B that
+acts on each component of a (K, 3) field, and one linearized constraint per
+node, p_z . u_hat(z) = 0; a degenerate direction (zero, or below
+``DEGENERATE_REL_TOL`` times the largest) raises :class:`KktError`.  It
+solves on the tangent planes (Alouges 2008; Bartels 2016): with F_z an
+orthonormal 3x2 frame of u_hat(z)^perp, the SPD system with 2x2 blocks
+B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  General
+sparse rows G on a 3N system A go through :func:`solve_saddle`, which
+factors the saddle-point matrix [[A, G^T], [G, 0]].
 """
 
 from __future__ import annotations
@@ -37,25 +37,6 @@ class KktError(Exception):
 
 
 @dataclass
-class KktSystem:
-    """System matrix, constraint and right-hand side of one solve.
-
-    a : (N, N) sparse, symmetric positive definite on the free DOFs
-    g : (M, N) sparse constraint rows, or None
-    rhs : (N,) vector
-    directions : (N/3, 3) nodal constraint directions, or None.  They stand
-        for the rows ``assemble_constraint_rows(directions, all nodes)``, one
-        per node, and select the tangent-plane solve; ``g`` must then be
-        None.  With neither, the solve is unconstrained.
-    """
-
-    a: sp.spmatrix
-    g: sp.spmatrix | None
-    rhs: np.ndarray
-    directions: np.ndarray | None = None
-
-
-@dataclass
 class KktSolution:
     primal: np.ndarray
     multiplier: np.ndarray
@@ -81,7 +62,8 @@ def assemble_constraint_rows(u_hat, free):
     """Rows of the linearized nodal constraint for directions ``u_hat``.
 
     Row k carries the three entries u_hat(free[k]) in that node's component
-    columns.  Raises :class:`KktError` at a degenerate direction.
+    columns 3k, 3k + 1, 3k + 2.  Raises :class:`KktError` at a degenerate
+    direction.
 
     Parameters
     ----------
@@ -98,21 +80,17 @@ def assemble_constraint_rows(u_hat, free):
     return sp.csr_matrix((directions.ravel(), np.arange(3 * k), np.arange(0, 3 * k + 1, 3)), shape=(k, 3 * k))
 
 
-def tangent_basis(normals):
-    """(3K, 2K) node-major CSR matrix T with orthonormal columns spanning the constraint kernel.
+def tangent_frames(normals):
+    """(K, 3, 2) orthonormal frames of the planes normal to the unit ``normals``.
 
-    Node k with unit normal ``normals[k]`` gets columns 2k and 2k + 1
-    spanning its tangent plane (the branch-free frame of Duff et al. 2017).
+    ``frames[k]`` has the two frame vectors of node k as columns (the
+    branch-free frame of Duff et al. 2017).
     """
-    k = normals.shape[0]
     x, y, z = normals.T
     sign = np.where(z >= 0.0, 1.0, -1.0)
     a = -1.0 / (sign + z)
     b = x * y * a
-    # row 3k + c holds component c of node k's two frame vectors
-    frames = np.array([[1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]]).T
-    cols = np.broadcast_to(2 * np.arange(k)[:, None, None] + np.arange(2), frames.shape)
-    return sp.csr_matrix((frames.ravel(), cols.ravel(), np.arange(0, 6 * k + 1, 2)), shape=(3 * k, 2 * k))
+    return np.array([[1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]]).T
 
 
 def _checked_solve(matrix, rhs, finish, bound_p, what, splu_options):
@@ -149,7 +127,18 @@ def _checked_solve(matrix, rhs, finish, bound_p, what, splu_options):
     return out
 
 
-def _solve_saddle(a, g, rhs):
+def solve_saddle(a, g, rhs):
+    """Direct solve of A p + G^T m = rhs, G p = 0 through [[A, G^T], [G, 0]].
+
+    ``a`` is (N, N) sparse, SPD on the kernel of the (M, N) sparse rows
+    ``g`` (None: unconstrained), and ``rhs`` has shape (N,).  The residual
+    contract is ||A p + G^T m - rhs|| <= TOL*(1 + ||rhs||) and
+    ||G p|| <= TOL*(1 + ||p||); one step of iterative refinement is applied
+    if the first solve misses.  Raises :class:`KktError` on a singular
+    matrix or an unmet tolerance.
+    """
+    a = a.tocsc()
+    rhs = np.asarray(rhs, dtype=float)
     n = a.shape[0]
     m = 0 if g is None else g.shape[0]
     if m == 0:
@@ -169,44 +158,45 @@ def _solve_saddle(a, g, rhs):
     return _checked_solve(kkt, full_rhs, finish, bound_p, f"n={n}, m={m}", {})
 
 
-def _solve_tangent(a, directions, rhs):
-    n = a.shape[0]
+def solve_kkt(b, directions, rhs):
+    """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
+
+    ``b`` is the (K, K) sparse SPD scalar block, applied to each component;
+    ``directions`` (u_hat) and ``rhs`` have shape (K, 3).  Returns a
+    :class:`KktSolution` with a (K, 3) primal and (K,) multipliers, equal to
+    those of :func:`solve_saddle` on kron(B, I3) with the rows
+    :func:`assemble_constraint_rows`.  The residual contract is
+    ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||) and
+    ||(p_z . u_hat(z))_z|| <= TOL*(1 + ||p||); one step of iterative
+    refinement is applied if the first solve misses.  Raises
+    :class:`KktError` on a singular block, an unmet tolerance or a degenerate
+    direction.
+    """
+    b = b.tocsr()
     directions = np.asarray(directions, dtype=float)
-    if directions.shape != (n // 3, 3) or n % 3:
-        raise ValueError(f"directions must have shape ({n // 3}, 3) for n={n}, got {directions.shape}")
+    rhs = np.asarray(rhs, dtype=float)
+    k = b.shape[0]
+    if b.shape != (k, k) or directions.shape != (k, 3) or rhs.shape != (k, 3):
+        raise ValueError(
+            f"need a square block and (K, 3) directions and rhs, got {b.shape}, {directions.shape}, {rhs.shape}"
+        )
     norms = _check_directions(directions)
     normals = directions / norms[:, None]
+    frames = tangent_frames(normals)
 
-    t = tangent_basis(normals)
-    reduced = (t.T @ (a @ t)).tocsc()
+    # block (i, j) of the reduced matrix is b_ij F_i^T F_j, one per entry of b
+    entry_rows = np.repeat(np.arange(k), np.diff(b.indptr))
+    blocks = b.data[:, None, None] * (frames[entry_rows].transpose(0, 2, 1) @ frames[b.indices])
+    reduced = sp.bsr_matrix((blocks, b.indices, b.indptr), shape=(2 * k, 2 * k)).tocsc()
 
     def finish(x):
-        p = t @ x
-        r = (a @ p - rhs).reshape(-1, 3)
+        p = np.einsum("kcj,kj->kc", frames, x.reshape(k, 2))
+        r = b @ p - rhs
         normal_part = np.sum(normals * r, axis=1)
         tangential = r - normals * normal_part[:, None]
-        rc = np.linalg.norm(np.sum(directions * p.reshape(-1, 3), axis=1))
+        rc = np.linalg.norm(np.sum(directions * p, axis=1))
         return KktSolution(p, -normal_part / norms, np.linalg.norm(tangential), rc)
 
     bound_p = TOL * (1.0 + np.linalg.norm(rhs))
-    return _checked_solve(reduced, t.T @ rhs, finish, bound_p, f"n={n}, m={norms.size}", _SPD_SPLU_OPTIONS)
-
-
-def solve_kkt(system):
-    """Direct solve of the constrained system A p + G^T m = rhs, G p = 0.
-
-    Nodal ``directions`` are solved on the tangent planes, general rows
-    ``g`` through the saddle-point matrix [[A, G^T], [G, 0]]; both give the
-    same primal and multipliers.  The residual contract is
-    ||A p + G^T m - rhs|| <= TOL*(1 + ||rhs||) and ||G p|| <= TOL*(1 + ||p||);
-    one step of iterative refinement is applied if the first solve misses.
-    Raises :class:`KktError` on a singular matrix, an unmet tolerance or a
-    degenerate nodal direction.
-    """
-    a = system.a.tocsc()
-    rhs = np.asarray(system.rhs, dtype=float)
-    if system.directions is None:
-        return _solve_saddle(a, system.g, rhs)
-    if system.g is not None:
-        raise ValueError("give the constraint either as rows g or as directions, not both")
-    return _solve_tangent(a, system.directions, rhs)
+    reduced_rhs = np.einsum("kcj,kc->kj", frames, rhs).ravel()
+    return _checked_solve(reduced, reduced_rhs, finish, bound_p, f"{k} nodes", _SPD_SPLU_OPTIONS)

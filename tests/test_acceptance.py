@@ -14,7 +14,7 @@ from sphereflow.cli import main
 from sphereflow.fem import assemble_stiffness, dirichlet_energy, interpolate
 from sphereflow.flow import FlowConfig, harmonic_map_system, run_flow
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
-from sphereflow.kkt import KktSystem, solve_kkt
+from sphereflow.kkt import solve_saddle
 from sphereflow.mesh import build_square_mesh
 from sphereflow.seqcalc import constraint_recursion_closed_form, gamma
 
@@ -223,7 +223,7 @@ def test_acceptance_7_kkt_oracle():
         dense[n:, :n] = g
         ref = np.linalg.solve(dense, np.concatenate([rhs, np.zeros(m)]))[:n] if m else np.linalg.solve(a, rhs)
 
-        sol = solve_kkt(KktSystem(sp.csr_matrix(a), sp.csr_matrix(g) if m else None, rhs))
+        sol = solve_saddle(sp.csr_matrix(a), sp.csr_matrix(g) if m else None, rhs)
         worst_rel = max(
             worst_rel, np.linalg.norm(sol.primal - ref) / (1.0 + np.linalg.norm(ref))
         )

@@ -159,6 +159,18 @@ def test_audit_rejects_non_trace(tmp_path, capsys):
     assert "z.csv:3: res_nodal_recursion" in capsys.readouterr().err
 
 
+def test_audit_fails_non_finite_residual(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("res_energy_law,res_nodal_recursion\nnan,nan\n")
+    assert main(["audit", "--trace-in", str(trace)]) == 1
+    assert capsys.readouterr().out.count("max nan over 1 steps") == 2
+    # a nan or inf cell between finite ones still fails
+    for cell in ("nan", "inf", "-inf"):
+        trace.write_text(f"res_energy_law,res_nodal_recursion\n1e-16,1e-16\n{cell},1e-16\n1e-16,1e-16\n")
+        assert main(["audit", "--trace-in", str(trace)]) == 1
+        assert "res_energy_law: max nan over 3 steps" in capsys.readouterr().out
+
+
 def test_audit_finds_columns_by_name(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
@@ -216,10 +228,10 @@ def test_config_file_bad_value(tmp_path, capsys, line):
     # config values go through the flag parser: a bad one is a usage error
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n")
-    with pytest.raises(SystemExit) as err:
-        main(["run", "--config", str(config), "--mesh-n", "2", "--tau", "0.25"])
-    assert err.value.code == 2
-    assert line.split(" = ")[1] in capsys.readouterr().err
+    assert main(["run", "--config", str(config), "--mesh-n", "2", "--tau", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:1: argument --" in err
+    assert line.split(" = ")[1] in err
 
 
 def test_usage_error_from_argparse():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphereflow.flow import (
     EnergySystem,
@@ -161,6 +163,31 @@ def test_run_flow_audit_residuals_both_metrics():
         assert report.mono_violation <= 1e-9
         assert report.n_stop == report.trace[-1].n
         assert report.a_sq > 0.0 and report.b_sq > 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    metric=st.sampled_from(["h1", "l2"]),
+    method=st.sampled_from(["euler", "bdf2"]),
+    loaded=st.booleans(),
+    m=st.integers(1, 6),
+    init=st.sampled_from(["perturbed", "random"]),
+    seed=st.integers(0, 2**16),
+    max_steps=st.integers(2, 15),
+)
+def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, loaded, m, init, seed, max_steps):
+    # every accepted configuration passes its audits to round-off; only the
+    # two-step identities of an Euler run read skipped
+    mesh, u0, _ = unit_square_setup(n, init=init, seed=seed)
+    mass = assemble_mass(mesh)
+    load = 0.5 * mass @ np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1)) if loaded else None
+    system = EnergySystem(mesh, assemble_stiffness(mesh), mass, metric=metric, load=load)
+    report = run_flow(u0, system, FlowConfig(method=method, tau=2.0**-m, max_steps=max_steps))
+    passed, summary = audit_identities(report, tol=1e-10)
+    assert passed, summary
+    skipped = {key for key, value in summary.items() if math.isnan(value)}
+    assert skipped == ({"res_energy_law", "res_nodal_recursion"} if method == "euler" else set())
 
 
 def test_run_flow_euler_audits_and_skips():

@@ -8,10 +8,10 @@ import scipy.sparse as sp
 
 from sphereflow.kkt import (
     KktError,
-    KktSystem,
     assemble_constraint_rows,
     solve_kkt,
-    tangent_basis,
+    solve_saddle,
+    tangent_frames,
 )
 
 RNG = np.random.default_rng(2718)
@@ -30,14 +30,14 @@ def random_kkt(rng, n_max=50, m_max=10):
     dense[:n, n:] = g.T
     dense[n:, :n] = g
     ref = np.linalg.solve(dense, np.concatenate([rhs, np.zeros(m)])) if m else np.linalg.solve(a, rhs)
-    system = KktSystem(sp.csr_matrix(a), sp.csr_matrix(g) if m else None, rhs)
+    system = (sp.csr_matrix(a), sp.csr_matrix(g) if m else None, rhs)
     return system, ref, n, m
 
 
 def test_hand_solved_system():
     a = sp.identity(2, format="csr")
     g = sp.csr_matrix(np.array([[1.0, 0.0]]))
-    sol = solve_kkt(KktSystem(a, g, np.array([1.0, 1.0])))
+    sol = solve_saddle(a, g, np.array([1.0, 1.0]))
     assert np.allclose(sol.primal, [0.0, 1.0], atol=1e-14)
     assert np.allclose(sol.multiplier, [1.0], atol=1e-14)
 
@@ -46,7 +46,7 @@ def test_unconstrained_reduces_to_spd_solve():
     base = RNG.standard_normal((6, 6))
     a = base @ base.T + 6 * np.eye(6)
     rhs = RNG.standard_normal(6)
-    sol = solve_kkt(KktSystem(sp.csr_matrix(a), None, rhs))
+    sol = solve_saddle(sp.csr_matrix(a), None, rhs)
     assert sol.multiplier.size == 0
     assert np.allclose(sol.primal, np.linalg.solve(a, rhs), rtol=1e-12)
 
@@ -58,7 +58,7 @@ def test_orthonormal_constraints():
     q, _ = np.linalg.qr(RNG.standard_normal((n, m)))
     g = sp.csr_matrix(q.T)
     rhs = RNG.standard_normal(n)
-    sol = solve_kkt(KktSystem(a, g, rhs))
+    sol = solve_saddle(a, g, rhs)
     assert np.abs(q.T @ sol.primal).max() <= 1e-10
     assert sol.residual_primal <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
@@ -66,7 +66,7 @@ def test_orthonormal_constraints():
 def test_matches_dense_reference():
     for _ in range(50):
         system, ref, n, m = random_kkt(RNG)
-        sol = solve_kkt(KktSystem(system.a, system.g, system.rhs))
+        sol = solve_saddle(*system)
         scale = np.linalg.norm(ref[:n]) + 1.0
         assert np.linalg.norm(sol.primal - ref[:n]) <= 1e-9 * scale
 
@@ -77,18 +77,18 @@ def test_galerkin_orthogonality():
         system, _, n, m = random_kkt(RNG)
         if m == 0:
             continue
-        sol = solve_kkt(system)
-        g = system.g.toarray()
-        _, _, vt = np.linalg.svd(g)
+        a, g, rhs = system
+        sol = solve_saddle(a, g, rhs)
+        _, _, vt = np.linalg.svd(g.toarray())
         null_basis = vt[m:].T
-        resid = null_basis.T @ (system.a @ sol.primal - system.rhs)
-        assert np.abs(resid).max() <= 1e-10 * (1.0 + np.linalg.norm(system.rhs))
+        resid = null_basis.T @ (a @ sol.primal - rhs)
+        assert np.abs(resid).max() <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
 def test_deterministic_bitwise():
     system, _, _, _ = random_kkt(RNG)
-    first = solve_kkt(system)
-    second = solve_kkt(system)
+    first = solve_saddle(*system)
+    second = solve_saddle(*system)
     assert np.array_equal(first.primal, second.primal)
     assert np.array_equal(first.multiplier, second.multiplier)
 
@@ -96,7 +96,7 @@ def test_deterministic_bitwise():
 def test_singular_system_raises():
     a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(KktError):
-        solve_kkt(KktSystem(a, None, np.array([1.0, 1.0])))
+        solve_saddle(a, None, np.array([1.0, 1.0]))
 
 
 def test_constraint_rows_single_node():
@@ -109,8 +109,8 @@ def test_constraint_rows_single_node():
 def test_constraint_rows_reject_degenerate():
     # a zero direction, or one 1e-13 of the largest, raises on the row and
     # the tangent-plane path alike and names the node; 1e-11 still solves
-    a = sp.identity(9, format="csc")
-    rhs = np.ones(9)
+    b = sp.identity(3, format="csr")
+    rhs = np.ones((3, 3))
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     for small in (0.0, 1e-13):
         directions[1, 1] = small
@@ -118,13 +118,13 @@ def test_constraint_rows_reject_degenerate():
         with pytest.raises(KktError, match=message):
             assemble_constraint_rows(directions, np.arange(3))
         with pytest.raises(KktError, match=message):
-            solve_kkt(KktSystem(a, None, rhs, directions=directions))
+            solve_kkt(b, directions, rhs)
     directions[1, 1] = 1e-11
     rows = assemble_constraint_rows(directions, np.arange(3))
     assert rows.shape == (3, 9)
-    sol = solve_kkt(KktSystem(a, None, rhs, directions=directions))
+    sol = solve_kkt(b, directions, rhs)
     assert sol.multiplier.shape == (3,)
-    assert np.abs(rows @ sol.primal).max() <= 1e-12 * (1.0 + np.linalg.norm(sol.primal))
+    assert np.abs(rows @ sol.primal.ravel()).max() <= 1e-12 * (1.0 + np.linalg.norm(sol.primal))
 
 
 def test_constraint_rows_action_extracts_component():
@@ -146,71 +146,69 @@ def test_constraint_rows_respects_free_subset():
 
 
 def random_nodal_system(rng, k_max=30):
-    """Random node-major SPD system with nodal directions."""
+    """Random SPD scalar block with (K, 3) nodal directions and right-hand side."""
     k = int(rng.integers(1, k_max + 1))
-    n = 3 * k
-    base = rng.standard_normal((n, n))
-    a = sp.csc_matrix(base @ base.T + n * np.eye(n))
-    directions = rng.standard_normal((k, 3))
-    return a, directions, rng.standard_normal(n)
+    base = rng.standard_normal((k, k))
+    b = sp.csr_matrix(base @ base.T + k * np.eye(k))
+    return b, rng.standard_normal((k, 3)), rng.standard_normal((k, 3))
 
 
 def test_tangent_solve_matches_saddle_solve():
     for _ in range(50):
-        a, directions, rhs = random_nodal_system(RNG)
+        b, directions, rhs = random_nodal_system(RNG)
         rows = assemble_constraint_rows(directions, np.arange(len(directions)))
-        tangent = solve_kkt(KktSystem(a, None, rhs, directions=directions))
-        saddle = solve_kkt(KktSystem(a, rows, rhs))
+        tangent = solve_kkt(b, directions, rhs)
+        saddle = solve_saddle(sp.kron(b, sp.identity(3)), rows, rhs.ravel())
+        assert tangent.primal.shape == rhs.shape
         scale = 1.0 + np.linalg.norm(saddle.primal)
-        assert np.linalg.norm(tangent.primal - saddle.primal) <= 1e-10 * scale
-        assert np.abs(rows @ tangent.primal).max() <= 1e-12 * scale
+        assert np.linalg.norm(tangent.primal.ravel() - saddle.primal) <= 1e-10 * scale
+        assert np.abs(rows @ tangent.primal.ravel()).max() <= 1e-12 * scale
         assert tangent.multiplier.shape == saddle.multiplier.shape
         scale = 1.0 + np.linalg.norm(saddle.multiplier)
         assert np.linalg.norm(tangent.multiplier - saddle.multiplier) <= 1e-10 * scale
 
 
-def test_tangent_basis_is_orthonormal_kernel():
+def test_tangent_frames_are_orthonormal_kernel():
     directions = RNG.standard_normal((40, 3))
     directions[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1.0, -0.0], [1.0, 0.0, 0.0]]
     normals = directions / np.linalg.norm(directions, axis=1)[:, None]
-    t = tangent_basis(normals).toarray()
-    assert t.shape == (120, 80)
-    assert np.abs(t.T @ t - np.eye(t.shape[1])).max() <= 1e-14
-    rows = assemble_constraint_rows(directions, np.arange(40)).toarray()
-    assert np.abs(rows @ t).max() <= 1e-14
+    frames = tangent_frames(normals)
+    assert frames.shape == (40, 3, 2)
+    assert np.abs(np.einsum("kci,kcj->kij", frames, frames) - np.eye(2)).max() <= 1e-14
+    assert np.abs(np.einsum("kc,kcj->kj", directions, frames)).max() <= 1e-14
 
 
 def test_tangent_solve_singular_raises():
-    a = sp.csc_matrix(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    b = sp.csr_matrix(np.diag([1.0, 0.0]))
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError):
-        solve_kkt(KktSystem(a, None, np.ones(6), directions=directions))
+        solve_kkt(b, directions, np.ones((2, 3)))
 
 
 def test_tangent_solve_vanishing_directions_raise():
-    a = sp.identity(6, format="csc")
     with pytest.raises(KktError):
-        solve_kkt(KktSystem(a, None, np.ones(6), directions=np.zeros((2, 3))))
+        solve_kkt(sp.identity(2, format="csr"), np.zeros((2, 3)), np.ones((2, 3)))
+
+
+def test_tangent_solve_rejects_mismatched_shapes():
+    b = sp.identity(2, format="csr")
+    directions = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    cases = [(b, directions[:1], np.ones((2, 3))), (b, directions, np.ones(6)), (sp.identity(3), directions, np.ones((2, 3)))]
+    for case in cases:
+        with pytest.raises(ValueError):
+            solve_kkt(*case)
 
 
 def test_tangent_solve_without_nodes():
-    sol = solve_kkt(KktSystem(sp.csc_matrix((0, 0)), None, np.zeros(0), directions=np.zeros((0, 3))))
-    assert sol.primal.shape == (0,)
+    sol = solve_kkt(sp.csr_matrix((0, 0)), np.zeros((0, 3)), np.zeros((0, 3)))
+    assert sol.primal.shape == (0, 3)
     assert sol.multiplier.shape == (0,)
     assert assemble_constraint_rows(np.zeros((4, 3)), np.array([], dtype=int)).shape == (0, 0)
 
 
 def test_tangent_solve_deterministic_bitwise():
-    a, directions, rhs = random_nodal_system(RNG)
-    system = KktSystem(a, None, rhs, directions=directions)
-    first = solve_kkt(system)
-    second = solve_kkt(system)
+    b, directions, rhs = random_nodal_system(RNG)
+    first = solve_kkt(b, directions, rhs)
+    second = solve_kkt(b, directions, rhs)
     assert np.array_equal(first.primal, second.primal)
     assert np.array_equal(first.multiplier, second.multiplier)
-
-
-def test_rows_and_directions_together_rejected():
-    a = sp.identity(3, format="csc")
-    rows = sp.csr_matrix(np.array([[0.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        solve_kkt(KktSystem(a, rows, np.ones(3), directions=np.array([[0.0, 0.0, 1.0]])))

@@ -25,7 +25,7 @@ from .flow import (
     run_flow,
 )
 from .initial_data import InitSpec, SplitMix64, inverse_stereographic, make_initial
-from .kkt import KktError, KktSolution, assemble_constraint_rows, solve_kkt, solve_saddle
+from .kkt import KktError, KktSolution, TangentPlaneAnalysis, assemble_constraint_rows, solve_kkt, solve_saddle
 from .mesh import TriMesh, build_square_mesh, free_nodes
 from .seqcalc import (
     backward_difference,

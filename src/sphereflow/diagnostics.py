@@ -112,8 +112,8 @@ def audit_identities(report, tol=1e-8):
 
     The summary maps each of ``AUDIT_KEYS`` to the report's value: the
     initialization identity, the telescoped energy law, the worst per-step
-    nodal recursion, the closed-form constraint audit, and the worst
-    monotonicity violation, which must stay below ``MONO_SLACK``.  NaN
+    nodal recursion, the worst per-step closed-form constraint audit, and the
+    worst monotonicity violation, which must stay below ``MONO_SLACK``.  NaN
     residuals count as skipped, not failed; pure Euler runs skip both
     two-step entries.  Returns (passed, summary).
     """

@@ -24,7 +24,7 @@ from .diagnostics import (
     relative_residual,
 )
 from .fem import assemble_mass, assemble_stiffness, dirichlet_energy, lumped_mass_diagonal
-from .kkt import solve_kkt, solve_saddle
+from .kkt import TangentPlaneAnalysis, solve_saddle
 from .mesh import free_nodes
 from .seqcalc import backward_difference, extrapolate, g_norm_sq, gamma, second_difference
 
@@ -86,6 +86,7 @@ class EnergySystem:
         self._a_ff = self.stiffness[f][:, f].tocsr()
         self._metric_ff = self.metric_matrix[f][:, f].tocsr()
         self._kkt_blocks = {}
+        self._tangent_analyses = {}
 
     def kkt_block(self, scale):
         """Cached scalar CSR block metric_ff + scale * a_ff of the per-step solves."""
@@ -97,13 +98,17 @@ class EnergySystem:
     def solve_increment(self, scale, u_hat, rhs):
         """(K, 3) free-node increment for block ``kkt_block(scale)``, directions ``u_hat`` and ``rhs``.
 
-        The nodal sphere constraint is solved on the scalar block by
-        :func:`solve_kkt`; a custom builder's rows go to :func:`solve_saddle`
-        with the block acting on each component, kron(block, I3).
+        The nodal sphere constraint is solved on the scalar block through a
+        :class:`TangentPlaneAnalysis`, built on the first solve at each scale
+        and kept; a custom builder's rows go to :func:`solve_saddle` with the
+        block acting on each component, kron(block, I3).
         """
         block = self.kkt_block(scale)
         if self.uses_sphere_constraint:
-            return solve_kkt(block, u_hat[self.free], rhs).primal
+            analysis = self._tangent_analyses.get(scale)
+            if analysis is None:
+                analysis = self._tangent_analyses[scale] = TangentPlaneAnalysis(block)
+            return analysis.solve(block, u_hat[self.free], rhs).primal
         a = sp.kron(block, sp.identity(3), format="csc")
         return solve_saddle(a, self._constraint_builder(u_hat, self.free), rhs.ravel()).primal.reshape(-1, 3)
 
@@ -216,10 +221,12 @@ class _Audit:
         # telescoped energy law (two-step only)
         self.sum_udot_star = 0.0
         self.sum_grad_d2 = 0.0
-        # closed-form constraint violation: lumped sums of squared second
-        # differences (two-step) or of squared derivatives (Euler)
+        # closed-form constraint violation, predicted in O(1) per step from
+        # lumped sums of squared second differences (two-step) or of squared
+        # derivatives (Euler) and audited at every step
         self.s1_lumped = 0.0
         self.c_lumped = 0.0
+        self.res_closed_form = 0.0
 
     def _g(self, x, y):
         """BDF2 energy of a state pair: g_a(x, y) - (1.5 b(x) - 0.5 b(y))."""
@@ -235,6 +242,7 @@ class _Audit:
         udot_star_sq = sys.metric_norm_sq(u_dot)
         dt_l2_sq = sys.l2_norm_sq(dt)
         energy = sys.energy(u_next)
+        delta_uni = constraint_violation(u_next, sys.mesh, weights=sys.lumped_weights)
         res_law = res_nodal = math.nan
         if u_prev is None:
             self.b_sq = dt_l2_sq
@@ -263,6 +271,15 @@ class _Audit:
             elif self.sphere:
                 self.sum_dt_lumped += sys.lumped_norm_sq(dt)
         if self.sphere:
+            if self.two_step and u_prev is not None:
+                predicted = 1.5 * gamma(n - 1) * tau**2 * self.b_lumped + 1.5 * tau**4 * (
+                    self.s1_lumped - self.c_lumped / 3.0
+                )
+            else:
+                # Euler steps, and the initialization step of a two-step run,
+                # obey the telescoped sum of squared derivatives
+                predicted = tau**2 * self.sum_dt_lumped
+            self.res_closed_form = max(self.res_closed_form, relative_residual(delta_uni, predicted))
             next_norms = np.linalg.norm(u_next, axis=1)
             self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
             self.node_norms = next_norms
@@ -272,7 +289,7 @@ class _Audit:
             norm_udot_star=math.sqrt(udot_star_sq),
             norm_dtu_l2=math.sqrt(dt_l2_sq),
             energy=energy,
-            delta_uni=constraint_violation(u_next, sys.mesh, weights=sys.lumped_weights),
+            delta_uni=delta_uni,
             res_energy_law=res_law,
             res_nodal_recursion=res_nodal,
         )
@@ -287,15 +304,8 @@ class _Audit:
             res_energy_law = relative_residual(self.g_prev + self.sum_udot_star + self.sum_grad_d2, self.g_first)
         if self.sphere:
             if self.two_step and n_stop > 1:
-                predicted = 1.5 * gamma(n_stop - 1) * tau**2 * self.b_lumped + 1.5 * tau**4 * (
-                    self.s1_lumped - self.c_lumped / 3.0
-                )
                 res_nodal = max(rec.res_nodal_recursion for rec in self.trace[1:])
-            else:
-                # Euler runs (or a two-step run cut off before any two-step
-                # step) obey the telescoped sum of squared derivatives
-                predicted = tau**2 * self.sum_dt_lumped
-            res_closed_form = relative_residual(final.delta_uni, predicted)
+            res_closed_form = self.res_closed_form
             mono = self.mono_violation
         return RunReport(
             method=self.method,
@@ -324,8 +334,8 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     Records per-step norms, energies and constraint violations, the
     regularity quantities A^2 and B^2, and the identity audits
     (initialization equality, telescoped energy law, nodal recursion,
-    closed-form constraint violation, nodal monotonicity).  With a load the
-    energies and the energy law include the -b(u) term.
+    closed-form constraint violation at every step, nodal monotonicity).
+    With a load the energies and the energy law include the -b(u) term.
 
     The nodal recursion, closed-form and monotonicity audits hold only for
     the nodal sphere constraint; with a custom constraint builder they are

@@ -18,7 +18,7 @@ from sphereflow.flow import (
 from sphereflow.diagnostics import audit_identities
 from sphereflow.fem import assemble_mass, assemble_stiffness, dirichlet_energy
 from sphereflow.initial_data import InitSpec, make_initial
-from sphereflow.kkt import assemble_constraint_rows
+from sphereflow.kkt import TangentPlaneAnalysis, assemble_constraint_rows
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 
@@ -306,6 +306,36 @@ def test_corrupted_step_trips_nodal_recursion_audit(monkeypatch):
     assert len(calls) > 4
     assert report.res_nodal_recursion > 1e-8
     assert not audit_identities(report)[0]
+
+
+def test_gamma_off_by_one_trips_closed_form_audit(monkeypatch):
+    # gamma(n) tends to 1, so only a per-step comparison sees this bug: at
+    # the last of 40 steps the prediction is off by about 1e-17
+    mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
+    cfg = FlowConfig(method="bdf2", tau=2.0**-4, max_steps=40)
+    assert audit_identities(run_flow(u0, system, cfg))[0]
+    monkeypatch.setattr("sphereflow.flow.gamma", lambda n: 1.0 - 3.0 ** -(n + 2))
+    report = run_flow(u0, system, cfg)
+    assert report.n_stop == 40
+    assert report.res_closed_form > 1e-8
+    assert not audit_identities(report)[0]
+
+
+def test_run_flow_analyses_each_scale_once(monkeypatch):
+    built = []
+
+    class CountingAnalysis(TangentPlaneAnalysis):
+        def __init__(self, b):
+            built.append(b.shape)
+            super().__init__(b)
+
+    monkeypatch.setattr("sphereflow.flow.TangentPlaneAnalysis", CountingAnalysis)
+    for method, scales in (("bdf2", 2), ("euler", 1)):
+        built.clear()
+        mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
+        report = run_flow(u0, system, FlowConfig(method=method, tau=0.125))
+        assert report.n_stop > 10
+        assert len(built) == scales
 
 
 def test_tangent_and_saddle_constraint_paths_agree():

@@ -1,18 +1,26 @@
 """Constraint-row assembly, saddle-point and tangent-plane solves against references."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scipy.sparse.linalg import splu
+
+from sphereflow import kkt
+from sphereflow.flow import harmonic_map_system
 from sphereflow.kkt import (
+    TOL,
     KktError,
+    TangentPlaneAnalysis,
     assemble_constraint_rows,
     solve_kkt,
     solve_saddle,
     tangent_frames,
 )
+from sphereflow.mesh import build_square_mesh
 
 RNG = np.random.default_rng(2718)
 
@@ -212,3 +220,111 @@ def test_tangent_solve_deterministic_bitwise():
     second = solve_kkt(b, directions, rhs)
     assert np.array_equal(first.primal, second.primal)
     assert np.array_equal(first.multiplier, second.multiplier)
+
+
+def fresh_mmd_solve(b, directions, rhs):
+    """Tangent-plane primal and multipliers from a fresh minimum-degree LU of T^T kron(B, I3) T."""
+    k = b.shape[0]
+    norms = np.linalg.norm(directions, axis=1)
+    normals = directions / norms[:, None]
+    basis = sp.block_diag(list(tangent_frames(normals)), format="csr")
+    reduced = (basis.T @ sp.kron(b, sp.identity(3)) @ basis).tocsc()
+    lu = splu(reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    primal = (basis @ lu.solve(basis.T @ rhs.ravel())).reshape(k, 3)
+    multiplier = -np.sum(normals * (b @ primal - rhs), axis=1) / norms
+    return primal, multiplier
+
+
+def test_cached_analysis_matches_fresh_factorization():
+    # one analysis of an 8x8 BDF2 block serves every direction set, and
+    # agrees with a per-step minimum-degree factorization of the same matrix
+    b = harmonic_map_system(build_square_mesh(8), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
+    k = b.shape[0]
+    analysis = TangentPlaneAnalysis(b)
+    cases = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(6)]
+    first = [analysis.solve(b, directions, rhs) for directions, rhs in cases]
+    for (directions, rhs), sol in zip(cases, first):
+        primal, multiplier = fresh_mmd_solve(b, directions, rhs)
+        assert np.linalg.norm(sol.primal - primal) <= 1e-12 * np.linalg.norm(primal)
+        assert np.linalg.norm(sol.multiplier - multiplier) <= 1e-12 * np.linalg.norm(multiplier)
+    for (directions, rhs), sol in zip(cases, first):
+        again = analysis.solve(b, directions, rhs)
+        assert np.array_equal(again.primal, sol.primal)
+        assert np.array_equal(again.multiplier, sol.multiplier)
+
+
+def test_analysis_ordering_failure_raises():
+    # SuperLU meets the zero pivot while ordering the singular block
+    with pytest.raises(KktError, match="ordering failed"):
+        TangentPlaneAnalysis(sp.csr_matrix(np.diag([1.0, 0.0])))
+
+
+def test_analysis_rejects_other_block():
+    analysis = TangentPlaneAnalysis(sp.identity(2, format="csr"))
+    directions = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError):
+        analysis.solve(sp.csr_matrix(np.ones((2, 2))), directions, np.ones((2, 3)))
+
+
+class PerturbedFactor:
+    """SuperLU factor whose first ``bad`` solves are off by about 1e-6 relative.
+
+    The offset is fixed by the first solve, so a factor that is bad on every
+    solve also spoils the refinement correction.
+    """
+
+    def __init__(self, lu, bad):
+        self.lu = lu
+        self.bad = bad
+        self.solves = 0
+        self.offset = None
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        if self.offset is None:
+            self.offset = 1e-6 * np.linalg.norm(x) * np.cos(np.arange(x.size)) / np.sqrt(x.size)
+        self.solves += 1
+        return x + self.offset if self.solves <= self.bad else x
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+def perturb_factors(monkeypatch, bad):
+    """Route ``kkt.splu`` through :class:`PerturbedFactor`; return the factors made."""
+    factors = []
+
+    def factor(matrix, **options):
+        factors.append(PerturbedFactor(splu(matrix, **options), bad))
+        return factors[-1]
+
+    monkeypatch.setattr(kkt, "splu", factor)
+    return factors
+
+
+def test_refinement_restores_residual_contract(monkeypatch):
+    nodal = random_nodal_system(RNG)
+    system, _, _, _ = random_kkt(RNG)
+    while system[1] is None:
+        system, _, _, _ = random_kkt(RNG)
+    exact = (solve_kkt(*nodal), solve_saddle(*system))
+    for solve, args, ref in zip((solve_kkt, solve_saddle), (nodal, system), exact):
+        factors = perturb_factors(monkeypatch, bad=1)
+        sol = solve(*args)
+        rhs = args[-1]
+        assert sum(f.solves for f in factors) == 2
+        assert sol.residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
+        assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
+        assert np.linalg.norm(sol.primal - ref.primal) <= 1e-10 * (1.0 + np.linalg.norm(ref.primal))
+
+
+def test_persistent_solve_error_raises(monkeypatch):
+    nodal = random_nodal_system(RNG)
+    system, _, _, _ = random_kkt(RNG)
+    while system[1] is None:
+        system, _, _, _ = random_kkt(RNG)
+    for solve, args in ((solve_kkt, nodal), (solve_saddle, system)):
+        factors = perturb_factors(monkeypatch, bad=math.inf)
+        with pytest.raises(KktError, match="residuals not reached"):
+            solve(*args)
+        assert sum(f.solves for f in factors) == 2

@@ -32,6 +32,7 @@ from .seqcalc import (
     bdf2_derivative,
     constraint_recursion_closed_form,
     extrapolate,
+    g_form,
     g_norm_sq,
     gamma,
     second_difference,

@@ -182,6 +182,13 @@ def build_parser():
     return parser
 
 
+def _check_audit_tol(tol):
+    # NaN would make every audit comparison false, so every audit would pass
+    if not tol >= 0:
+        raise UsageError(f"--audit-tol must be nonnegative, got {tol}")
+    return tol
+
+
 def resolve_config(args):
     """Apply precedence: command-line flags beat config file beats defaults."""
     merged = dict(DEFAULTS)
@@ -193,6 +200,7 @@ def resolve_config(args):
             value = getattr(layer, key, None)
             if value is not None:
                 merged[key] = value
+    _check_audit_tol(merged["audit_tol"])
     return CliConfig(subcommand=args.subcommand, **merged)
 
 
@@ -256,7 +264,7 @@ def cmd_sweep(config):
 
 
 def cmd_audit(args):
-    tol = args.audit_tol if args.audit_tol is not None else DEFAULTS["audit_tol"]
+    tol = _check_audit_tol(args.audit_tol if args.audit_tol is not None else DEFAULTS["audit_tol"])
     maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0}
     counted = {key: 0 for key in maxima}
     header, *rows = _read_lines(args.trace_in) or [""]

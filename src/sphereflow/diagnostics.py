@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import l1_nodal_norm
-from .seqcalc import second_difference
 
 AUDIT_KEYS = ("res_init", "res_energy_law", "res_nodal_recursion", "res_closed_form", "mono_violation")
 
@@ -74,10 +73,14 @@ def relative_residual(lhs, rhs):
 
 
 def constraint_violation(u, mesh, weights=None):
-    """Lumped L1 norm of the nodal unit-length defect |u|^2 - 1."""
-    u = np.asarray(u, dtype=float)
-    defect = np.sum(u * u, axis=1) - 1.0
-    return l1_nodal_norm(defect, mesh, weights=weights)
+    """Lumped L1 norm of the nodal unit-length defect |u|^2 - 1.
+
+    ``u`` is a (nv, 3) nodal field or the (nv,) nodal squared lengths of one.
+    """
+    sq = np.asarray(u, dtype=float)
+    if sq.ndim == 2:
+        sq = np.sum(sq * sq, axis=1)
+    return l1_nodal_norm(sq - 1.0, mesh, weights=weights)
 
 
 def eoc(coarse, fine):
@@ -90,20 +93,17 @@ def eoc(coarse, fine):
     return math.log2(coarse / fine)
 
 
-def nodal_recursion_residual(u_n, u_prev, u_prev2, tau):
+def nodal_recursion_residual(sq_n, sq_prev, sq_prev2, d2_sq, tau):
     """Per-node defect of the squared-length difference equation.
 
     The orthogonality of the two-step derivative to the extrapolated state
     forces (3/2)|u_n|^2 - 2|u_prev|^2 + (1/2)|u_prev2|^2 to equal
-    (3/2) tau^4 |second difference|^2 node by node.  Returns the worst
-    scaled residual over the given nodal values.
+    (3/2) tau^4 |second difference|^2 node by node.  Takes the nodal
+    squared lengths of the three states and of their second difference;
+    returns the worst scaled residual.
     """
-    sq_n = np.sum(u_n * u_n, axis=-1)
-    sq_p = np.sum(u_prev * u_prev, axis=-1)
-    sq_p2 = np.sum(u_prev2 * u_prev2, axis=-1)
-    d2 = second_difference(u_n, u_prev, u_prev2, tau)
-    lhs = 1.5 * sq_n - 2.0 * sq_p + 0.5 * sq_p2
-    rhs = 1.5 * tau**4 * np.sum(d2 * d2, axis=-1)
+    lhs = 1.5 * sq_n - 2.0 * sq_prev + 0.5 * sq_prev2
+    rhs = 1.5 * tau**4 * d2_sq
     return relative_residual(lhs, rhs)
 
 

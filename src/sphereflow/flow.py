@@ -23,10 +23,10 @@ from .diagnostics import (
     nodal_recursion_residual,
     relative_residual,
 )
-from .fem import assemble_mass, assemble_stiffness, dirichlet_energy, lumped_mass_diagonal
+from .fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
 from .kkt import TangentPlaneAnalysis, solve_saddle
 from .mesh import free_nodes
-from .seqcalc import backward_difference, extrapolate, g_norm_sq, gamma, second_difference
+from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
 METHODS = ("euler", "bdf2")
 METRICS = ("l2", "h1")
@@ -47,12 +47,18 @@ class FlowConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.tau <= 0:
-            raise ValueError(f"step size must be positive, got {self.tau}")
-        if self.eps_stop <= 0:
-            raise ValueError(f"stopping threshold must be positive, got {self.eps_stop}")
-        if self.t_max <= 0:
+        # written so that NaN fails every check
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"step size must be positive and finite, got {self.tau}")
+        if not (math.isfinite(self.eps_stop) and self.eps_stop > 0):
+            raise ValueError(f"stopping threshold must be positive and finite, got {self.eps_stop}")
+        if not self.t_max > 0:
             raise ValueError(f"final time must be positive, got {self.t_max}")
+
+
+def _pair(u, v):
+    """Euclidean pairing sum(u * v) of two nodal fields."""
+    return float((u * v).sum())
 
 
 class EnergySystem:
@@ -74,7 +80,6 @@ class EnergySystem:
         self.stiffness = stiffness.tocsr()
         self.mass = mass.tocsr()
         self.metric = metric
-        self.metric_matrix = self.mass if metric == "l2" else self.stiffness
         self.load = load
         self.free = free_nodes(mesh)
         self.lumped_weights = lumped_mass_diagonal(mesh)
@@ -84,7 +89,7 @@ class EnergySystem:
         self._constraint_builder = constraint_builder
         f = self.free
         self._a_ff = self.stiffness[f][:, f].tocsr()
-        self._metric_ff = self.metric_matrix[f][:, f].tocsr()
+        self._metric_ff = (self.mass if metric == "l2" else self.stiffness)[f][:, f].tocsr()
         self._kkt_blocks = {}
         self._tangent_analyses = {}
 
@@ -121,22 +126,16 @@ class EnergySystem:
 
     def load_pairing(self, u):
         """Load functional b(u) = sum(load * u); only defined with a load."""
-        return float(np.sum(self.load * u))
+        return _pair(self.load, u)
 
-    def energy(self, u):
-        value = dirichlet_energy(u, self.stiffness)
+    def energy(self, u, k_u=None):
+        """Energy (1/2) a(u, u) - b(u); ``k_u`` is ``stiffness @ u`` when already formed."""
+        if k_u is None:
+            k_u = self.stiffness @ u
+        value = 0.5 * _pair(u, k_u)
         if self.load is not None:
             value -= self.load_pairing(u)
         return value
-
-    def a_inner(self, u, v):
-        return float(np.sum(u * (self.stiffness @ v)))
-
-    def l2_norm_sq(self, u):
-        return float(np.sum(u * (self.mass @ u)))
-
-    def metric_norm_sq(self, u):
-        return float(np.sum(u * (self.metric_matrix @ u)))
 
     def lumped_norm_sq(self, u):
         return float(self.lumped_weights @ np.sum(u * u, axis=1))
@@ -206,6 +205,11 @@ class _Audit:
     nodal recursion belong to the two-step scheme, and the nodal recursion,
     closed-form and monotonicity audits to the nodal sphere constraint.
     The others are NaN (skipped) in the report.
+
+    Each step forms three sparse products, K u_next, K dt and M dt, and
+    keeps them for the next step; every other pairing comes from these.
+    Differences are paired through products of differences, never of
+    states, which would cancel near convergence.
     """
 
     def __init__(self, u0, sys, cfg):
@@ -216,8 +220,15 @@ class _Audit:
         self.sphere = sys.uses_sphere_constraint
         self.trace = []
         self.sum_d2_l2 = 0.0
-        self.node_norms = np.linalg.norm(u0, axis=1)
         self.mono_violation = 0.0
+        # kept between steps: K u_n, a(u_n, u_n) and the nodal squared
+        # lengths and lengths of the newest state u_n; the previous step's
+        # K dt, M dt and metric dt; the nodal squared lengths before u_n
+        self.k_u = sys.stiffness @ u0
+        self.a_uu = _pair(u0, self.k_u)
+        self.sq = (u0 * u0).sum(axis=1)
+        self.node_norms = np.sqrt(self.sq)
+        self.k_dt = self.m_dt = self.metric_dt = self.sq_prev = None
         # telescoped energy law (two-step only)
         self.sum_udot_star = 0.0
         self.sum_grad_d2 = 0.0
@@ -228,44 +239,50 @@ class _Audit:
         self.c_lumped = 0.0
         self.res_closed_form = 0.0
 
-    def _g(self, x, y):
-        """BDF2 energy of a state pair: g_a(x, y) - (1.5 b(x) - 0.5 b(y))."""
-        value = g_norm_sq(x, y, inner=self.sys.a_inner)
-        if self.sys.load is not None:
-            value -= 1.5 * self.sys.load_pairing(x) - 0.5 * self.sys.load_pairing(y)
-        return value
-
     def record(self, u_prev, u_n, u_next, u_dot, dt):
         """Audit one step of :func:`_steps` and return its trace record."""
         sys, tau = self.sys, self.tau
         n = len(self.trace) + 1
-        udot_star_sq = sys.metric_norm_sq(u_dot)
-        dt_l2_sq = sys.l2_norm_sq(dt)
-        energy = sys.energy(u_next)
-        delta_uni = constraint_violation(u_next, sys.mesh, weights=sys.lumped_weights)
+        k_u, k_dt, m_dt = sys.stiffness @ u_next, sys.stiffness @ dt, sys.mass @ dt
+        metric_dt = k_dt if sys.metric == "h1" else m_dt
+        if u_prev is None or not self.two_step:
+            udot_star_sq = _pair(u_dot, metric_dt)
+        else:
+            # 2 udot = 3 dt_n - dt_{n-1} for a two-step step
+            udot_star_sq = _pair(u_dot, 1.5 * metric_dt - 0.5 * self.metric_dt)
+        dt_l2_sq = _pair(dt, m_dt)
+        a_uu = _pair(u_next, k_u)
+        energy = sys.energy(u_next, k_u)
+        sq = (u_next * u_next).sum(axis=1)
+        delta_uni = constraint_violation(sq, sys.mesh, weights=sys.lumped_weights)
+        if self.two_step:
+            # BDF2 energy of the pair: g_a(u_next, u_n) - (1.5 b(u_next) - 0.5 b(u_n))
+            g_new = g_form(a_uu, _pair(u_next, self.k_u), self.a_uu)
+            if sys.load is not None:
+                g_new -= 1.5 * sys.load_pairing(u_next) - 0.5 * sys.load_pairing(u_n)
         res_law = res_nodal = math.nan
         if u_prev is None:
             self.b_sq = dt_l2_sq
             self.b_lumped = self.sum_dt_lumped = sys.lumped_norm_sq(dt)
             self.res_init = relative_residual(
-                energy + tau * udot_star_sq + 0.5 * tau**2 * sys.a_inner(dt, dt), sys.energy(u_n)
+                energy + tau * udot_star_sq + 0.5 * tau**2 * _pair(dt, k_dt), sys.energy(u_n, self.k_u)
             )
             if self.two_step:
-                self.g_first = self.g_prev = self._g(u_next, u_n)
+                self.g_first = self.g_prev = g_new
         else:
             d2 = second_difference(u_next, u_n, u_prev, tau)
-            self.sum_d2_l2 += sys.l2_norm_sq(d2)
+            self.sum_d2_l2 += _pair(d2, backward_difference(m_dt, self.m_dt, tau))
             if self.two_step:
-                g_new = self._g(u_next, u_n)
-                grad_d2_term = 0.25 * tau**4 * sys.a_inner(d2, d2)
+                grad_d2_term = 0.25 * tau**4 * _pair(d2, backward_difference(k_dt, self.k_dt, tau))
                 res_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, self.g_prev)
                 self.sum_udot_star += tau * udot_star_sq
                 self.sum_grad_d2 += grad_d2_term
                 self.g_prev = g_new
             if self.sphere and self.two_step:
                 f = sys.free
-                res_nodal = nodal_recursion_residual(u_next[f], u_n[f], u_prev[f], tau)
-                a_n = sys.lumped_norm_sq(d2)
+                d2_sq = (d2 * d2).sum(axis=1)
+                res_nodal = nodal_recursion_residual(sq[f], self.sq[f], self.sq_prev[f], d2_sq[f], tau)
+                a_n = float(sys.lumped_weights @ d2_sq)
                 self.s1_lumped += a_n
                 self.c_lumped = a_n + self.c_lumped / 3.0
             elif self.sphere:
@@ -280,9 +297,11 @@ class _Audit:
                 # obey the telescoped sum of squared derivatives
                 predicted = tau**2 * self.sum_dt_lumped
             self.res_closed_form = max(self.res_closed_form, relative_residual(delta_uni, predicted))
-            next_norms = np.linalg.norm(u_next, axis=1)
+            next_norms = np.sqrt(sq)
             self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
             self.node_norms = next_norms
+        self.k_u, self.a_uu, self.k_dt, self.m_dt, self.metric_dt = k_u, a_uu, k_dt, m_dt, metric_dt
+        self.sq_prev, self.sq = self.sq, sq
         rec = StepRecord(
             n=n,
             time=n * tau,
@@ -346,7 +365,7 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     """
     if sys.uses_sphere_constraint:
         defect = np.abs(np.sum(u0 * u0, axis=1) - 1.0).max()
-        if defect > FEASIBILITY_TOL:
+        if not defect <= FEASIBILITY_TOL:
             raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
 
     audit = _Audit(u0, sys, cfg)

@@ -62,8 +62,9 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ValueError(f"kind must be one of {INIT_KINDS}, got {self.kind!r}")
-        if self.perturb_amplitude < 0:
-            raise ValueError(f"perturbation amplitude must be nonnegative, got {self.perturb_amplitude}")
+        # a NaN amplitude would never leave the retry loop of make_initial
+        if not (math.isfinite(self.perturb_amplitude) and self.perturb_amplitude >= 0):
+            raise ValueError(f"perturbation amplitude must be nonnegative and finite, got {self.perturb_amplitude}")
 
 
 def inverse_stereographic(x):

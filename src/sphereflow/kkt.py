@@ -96,7 +96,14 @@ def tangent_frames(normals):
     sign = np.where(z >= 0.0, 1.0, -1.0)
     a = -1.0 / (sign + z)
     b = x * y * a
-    return np.array([[1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]]).T
+    frames = np.empty((len(normals), 3, 2))
+    frames[:, 0, 0] = 1.0 + sign * x * x * a
+    frames[:, 1, 0] = sign * b
+    frames[:, 2, 0] = -sign * x
+    frames[:, 0, 1] = b
+    frames[:, 1, 1] = sign + y * y * a
+    frames[:, 2, 1] = -y
+    return frames
 
 
 def _checked_solve(matrix, rhs, finish, bound_p, what, splu_options):
@@ -167,13 +174,14 @@ def solve_saddle(a, g, rhs):
 class TangentPlaneAnalysis:
     """Pattern-only part of the tangent-plane solve for one (K, K) scalar block.
 
-    Built once from a sparse SPD block B; it keeps index arrays only:
+    Built once from a sparse SPD block B; it keeps:
     - the node order, SuperLU's minimum-degree ordering of B with each node
       keeping its two tangent unknowns together;
     - the gather index that takes the 2x2 blocks b_ij F_i^T F_j, laid out in
       the CSR order of B, straight into the ``data`` of the permuted CSC
       tangent-plane matrix;
-    - that matrix's ``indices`` and ``indptr``.
+    - that matrix, built once; each solve refills its ``data`` in place, so
+      one analysis serves one solve at a time.
 
     :meth:`solve` does the numeric part for any directions.  Raises
     :class:`KktError` if SuperLU cannot order B (a singular block).
@@ -198,18 +206,21 @@ class TangentPlaneAnalysis:
         rows = np.broadcast_to(unknown[self._entry_rows][:, :, None], (b.nnz, 2, 2)).ravel()
         cols = np.broadcast_to(unknown[b.indices][:, None, :], (b.nnz, 2, 2)).ravel()
         self._gather = np.lexsort((rows, cols))
-        self._indices = rows[self._gather].astype(np.intc)
-        self._indptr = np.zeros(2 * k + 1, dtype=np.intc)
-        np.cumsum(np.bincount(cols, minlength=2 * k), out=self._indptr[1:])
+        indptr = np.zeros(2 * k + 1, dtype=np.intc)
+        np.cumsum(np.bincount(cols, minlength=2 * k), out=indptr[1:])
+        self._matrix = sp.csc_matrix(
+            (np.zeros(rows.size), rows[self._gather].astype(np.intc), indptr), shape=(2 * k, 2 * k)
+        )
 
-    def _matrix(self, b, frames):
-        """The permuted CSC tangent-plane matrix of ``b`` for the frames ``frames``."""
+    def _refill(self, b, frames):
+        """The permuted CSC tangent-plane matrix of ``b`` for the frames ``frames``, filled in place."""
         # np.take gathers the frames about twice as fast as fancy indexing;
         # the temporaries are freed before the factorization
         left = np.take(frames, self._entry_rows, axis=0).transpose(0, 2, 1)
         blocks = b.data[:, None, None] * (left @ np.take(frames, b.indices, axis=0))
-        n = 2 * self.k
-        return sp.csc_matrix((blocks.ravel().take(self._gather), self._indices, self._indptr), shape=(n, n))
+        # the gather is in range; "clip" writes to ``out`` without a buffer
+        np.take(blocks.ravel(), self._gather, out=self._matrix.data, mode="clip")
+        return self._matrix
 
     def solve(self, b, directions, rhs):
         """:func:`solve_kkt` for a block ``b`` with the analysed pattern."""
@@ -238,7 +249,7 @@ class TangentPlaneAnalysis:
 
         bound_p = TOL * (1.0 + np.linalg.norm(rhs))
         reduced_rhs = np.einsum("kcj,kc->kj", frames, rhs)[self._order].ravel()
-        reduced = self._matrix(b, frames)
+        reduced = self._refill(b, frames)
         return _checked_solve(reduced, reduced_rhs, finish, bound_p, f"{k} nodes", _PERMUTED_SPLU_OPTIONS)
 
 

@@ -5,7 +5,7 @@ numpy arrays from a common inner-product space, and the inner product is
 supplied by the caller where it matters.  No mesh or solver knowledge.
 
 The driver and the audits take ``extrapolate``, ``backward_difference``,
-``second_difference``, ``g_norm_sq`` and ``gamma`` from here.
+``second_difference``, ``g_form`` and ``gamma`` from here.
 ``bdf2_derivative`` and ``constraint_recursion_closed_form`` (the explicit
 sum behind the driver's running closed-form update) are test oracles.
 """
@@ -64,6 +64,11 @@ def extrapolate(u_prev, u_prev2):
     return 2.0 * np.asarray(u_prev, dtype=float) - np.asarray(u_prev2, dtype=float)
 
 
+def g_form(xx, xy, yy):
+    """The form of :func:`g_norm_sq` from the pairings (x, x), (x, y) and (y, y)."""
+    return G11 * xx + 2.0 * G12 * xy + G22 * yy
+
+
 def g_norm_sq(x, y, inner=None):
     """Quadratic form (5/4)|x|^2 - x.y + (1/4)|y|^2 on a state pair.
 
@@ -71,11 +76,7 @@ def g_norm_sq(x, y, inner=None):
     dot product over all array entries.  The form is positive definite and
     satisfies g_norm_sq(x, y) - 0.5*|x-y|^2 = 0.75*|x|^2 - 0.25*|y|^2.
     """
-    return (
-        G11 * _dot(x, x, inner)
-        + 2.0 * G12 * _dot(x, y, inner)
-        + G22 * _dot(y, y, inner)
-    )
+    return g_form(_dot(x, x, inner), _dot(x, y, inner), _dot(y, y, inner))
 
 
 def gamma(n):

@@ -47,6 +47,13 @@ def test_run_requires_tau(capsys):
         ["--mesh-n", "2", "--tau", "-1"],
         ["--mesh-n", "2", "--tau", "0.25", "--eps-stop", "0"],
         ["--mesh-n", "2", "--tau", "0.25", "--perturb-amplitude", "-1", "--init", "perturbed"],
+        ["--mesh-n", "2", "--tau", "0.25", "--perturb-amplitude", "nan", "--init", "perturbed"],
+        ["--mesh-n", "2", "--tau", "nan"],
+        ["--mesh-n", "2", "--tau", "inf"],
+        ["--mesh-n", "4", "--tau", "0.25", "--eps-stop", "nan"],
+        ["--mesh-n", "2", "--tau", "0.25", "--t-max", "nan"],
+        ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "nan"],
+        ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "-1"],
     ],
 )
 def test_run_invalid_option_values(args, capsys):
@@ -169,6 +176,14 @@ def test_audit_fails_non_finite_residual(tmp_path, capsys):
         trace.write_text(f"res_energy_law,res_nodal_recursion\n1e-16,1e-16\n{cell},1e-16\n1e-16,1e-16\n")
         assert main(["audit", "--trace-in", str(trace)]) == 1
         assert "res_energy_law: max nan over 3 steps" in capsys.readouterr().out
+
+
+def test_audit_rejects_bad_tolerance(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("res_energy_law,res_nodal_recursion\n1e-16,1e-16\n")
+    for tol in ("nan", "-1"):
+        assert main(["audit", "--trace-in", str(trace), "--audit-tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("error: --audit-tol")
 
 
 def test_audit_finds_columns_by_name(tmp_path, capsys):

@@ -18,6 +18,7 @@ from sphereflow.diagnostics import (
 from sphereflow.flow import FlowConfig, bdf2_step, euler_init_step, harmonic_map_system
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.mesh import build_square_mesh
+from sphereflow.seqcalc import second_difference
 
 
 def _report(**overrides):
@@ -63,6 +64,8 @@ def test_constraint_violation_values():
     c = 0.3
     scaled = u * math.sqrt(1.0 + c)
     assert constraint_violation(scaled, mesh) == pytest.approx(c, rel=1e-12)
+    # the nodal squared lengths of a field give the same value
+    assert constraint_violation(np.sum(scaled * scaled, axis=1), mesh) == constraint_violation(scaled, mesh)
 
 
 def test_relative_residual_scaling():
@@ -81,11 +84,16 @@ def test_nodal_recursion_negative_control():
     u1, dt_u1 = euler_init_step(u0, system, cfg)
     u2, _ = bdf2_step(u1, u0, system, cfg)
 
-    clean = nodal_recursion_residual(u2, u1, u0, cfg.tau)
+    def residual(u_n, u_prev, u_prev2):
+        sq = [np.sum(u * u, axis=1) for u in (u_n, u_prev, u_prev2)]
+        d2 = second_difference(u_n, u_prev, u_prev2, cfg.tau)
+        return nodal_recursion_residual(*sq, np.sum(d2 * d2, axis=1), cfg.tau)
+
+    clean = residual(u2, u1, u0)
     assert clean <= 1e-10
     corrupted = u1.copy()
     corrupted[mesh.n_vertices // 2] += 0.05
-    assert nodal_recursion_residual(u2, corrupted, u0, cfg.tau) > 1e-3
+    assert residual(u2, corrupted, u0) > 1e-3
 
 
 def test_audit_identities_pass_and_fail():

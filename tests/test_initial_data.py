@@ -1,5 +1,7 @@
 """Stereographic data, the seeded generator, and field construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,6 @@ def test_invalid_spec():
         InitSpec("bogus")
     with pytest.raises(ValueError):
         InitSpec("perturbed", perturb_amplitude=-1.0)
+    for amplitude in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            InitSpec("perturbed", perturb_amplitude=amplitude)

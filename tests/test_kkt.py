@@ -253,6 +253,25 @@ def test_cached_analysis_matches_fresh_factorization():
         assert np.array_equal(again.multiplier, sol.multiplier)
 
 
+def test_analysis_refill_leaves_no_stale_values():
+    # each solve refills one tangent-plane matrix in place: solving A, then
+    # B, then A again must give A's solution bit for bit, as a fresh analysis does
+    b = harmonic_map_system(build_square_mesh(8), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
+    k = b.shape[0]
+    case_a, case_b = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(2)]
+    analysis = TangentPlaneAnalysis(b)
+    first = analysis.solve(b, *case_a)
+    other = analysis.solve(b, *case_b)
+    third = analysis.solve(b, *case_a)
+    fresh = TangentPlaneAnalysis(b).solve(b, *case_a)
+    assert not np.array_equal(other.primal, first.primal)
+    for sol in (third, fresh):
+        assert np.array_equal(sol.primal, first.primal)
+        assert np.array_equal(sol.multiplier, first.multiplier)
+        assert sol.residual_primal == first.residual_primal
+        assert sol.residual_constraint == first.residual_constraint
+
+
 def test_analysis_ordering_failure_raises():
     # SuperLU meets the zero pivot while ordering the singular block
     with pytest.raises(KktError, match="ordering failed"):

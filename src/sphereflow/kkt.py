@@ -8,34 +8,25 @@ solves on the tangent planes (Alouges 2008; Bartels 2016): with F_z an
 orthonormal 3x2 frame of u_hat(z)^perp, the SPD system with 2x2 blocks
 B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
 is that of B, whatever the directions, so :class:`TangentPlaneAnalysis`
-does the pattern-only work once per block and each solve only fills in and
-factors the values.  General sparse rows G on a 3N system A go through
-:func:`solve_saddle`, which factors the saddle-point matrix
-[[A, G^T], [G, 0]].
+finds a banded node order once per block and each solve only fills in the
+band and factors it (LAPACK's banded Cholesky).  General sparse rows G on a
+3N system A go through :func:`solve_saddle`, which LU-factors the
+saddle-point matrix [[A, G^T], [G, 0]].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
-
-# the tangent-plane matrix is SPD: a symmetric minimum-degree ordering of
-# the scalar block and diagonal pivots keep its LU fill well below COLAMD's
-# (the indefinite saddle-point matrix keeps SuperLU's defaults); the
-# ordering is found once per block, and each step factors the matrix
-# permuted by it as it stands
-_ORDERING_SPLU_OPTIONS = {
-    "permc_spec": "MMD_AT_PLUS_A",
-    "diag_pivot_thresh": 0.0,
-    "options": {"SymmetricMode": True},
-}
-_PERMUTED_SPLU_OPTIONS = dict(_ORDERING_SPLU_OPTIONS, permc_spec="NATURAL")
 
 
 class KktError(Exception):
@@ -48,6 +39,12 @@ class KktSolution:
     multiplier: np.ndarray
     residual_primal: float
     residual_constraint: float
+
+
+def _norm(v):
+    """Euclidean norm of ``v`` raveled; the same value as ``np.linalg.norm(v)``, with less overhead."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
 
 
 def _check_directions(directions):
@@ -106,31 +103,25 @@ def tangent_frames(normals):
     return frames
 
 
-def _checked_solve(matrix, rhs, finish, bound_p, what, splu_options):
-    """Factor ``matrix``, solve, and enforce the residual contract.
+def _checked_solve(solve, rhs, finish, bound_p, what):
+    """Solve with the factor's ``solve`` and enforce the residual contract.
 
-    ``finish`` maps a solution of ``matrix x = rhs`` to a
-    :class:`KktSolution` carrying the residuals of the original system.  One
-    step of iterative refinement is applied if the first solve misses.
+    ``finish`` maps a solution x of the factored system to a :class:`KktSolution`
+    with the residuals of the original system and to a function giving
+    ``rhs - matrix x``.  One step of iterative refinement is applied if the
+    first solve misses.
     """
-    try:
-        lu = splu(matrix, **splu_options)
-    except RuntimeError as exc:
-        raise KktError(f"KKT factorization failed ({what}): {exc}") from exc
-
-    sol = lu.solve(rhs)
+    sol = solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise KktError(f"KKT solve produced non-finite values ({what})")
 
     def missed(out):
-        return out.residual_primal > bound_p or out.residual_constraint > TOL * (
-            1.0 + np.linalg.norm(out.primal)
-        )
+        return out.residual_primal > bound_p or out.residual_constraint > TOL * (1.0 + _norm(out.primal))
 
-    out = finish(sol)
+    out, residual = finish(sol)
     if missed(out):
-        sol = sol + lu.solve(rhs - matrix @ sol)
-        out = finish(sol)
+        sol = sol + solve(residual())
+        out, _ = finish(sol)
     if missed(out):
         raise KktError(
             f"KKT residuals not reached (primal {out.residual_primal:.3e}, "
@@ -160,31 +151,35 @@ def solve_saddle(a, g, rhs):
     else:
         kkt = sp.bmat([[a, g.T], [g, None]], format="csc")
         full_rhs = np.concatenate([rhs, np.zeros(m)])
+    what = f"n={n}, m={m}"
+    try:
+        lu = splu(kkt)
+    except RuntimeError as exc:
+        raise KktError(f"KKT factorization failed ({what}): {exc}") from exc
 
     def finish(sol):
         p = sol[:n]
-        rp = np.linalg.norm((kkt @ sol - full_rhs)[:n])
-        rc = np.linalg.norm(g @ p) if m else 0.0
-        return KktSolution(p, sol[n:], rp, rc)
+        r = kkt @ sol - full_rhs
+        rc = _norm(g @ p) if m else 0.0
+        return KktSolution(p, sol[n:], _norm(r[:n]), rc), lambda: -r
 
-    bound_p = TOL * (1.0 + np.linalg.norm(full_rhs))
-    return _checked_solve(kkt, full_rhs, finish, bound_p, f"n={n}, m={m}", {})
+    return _checked_solve(lu.solve, full_rhs, finish, TOL * (1.0 + _norm(full_rhs)), what)
 
 
 class TangentPlaneAnalysis:
     """Pattern-only part of the tangent-plane solve for one (K, K) scalar block.
 
-    Built once from a sparse SPD block B; it keeps:
-    - the node order, SuperLU's minimum-degree ordering of B with each node
-      keeping its two tangent unknowns together;
-    - the gather index that takes the 2x2 blocks b_ij F_i^T F_j, laid out in
-      the CSR order of B, straight into the ``data`` of the permuted CSC
-      tangent-plane matrix;
-    - that matrix, built once; each solve refills its ``data`` in place, so
-      one analysis serves one solve at a time.
+    Built once from a sparse SPD block B (symmetric, without duplicate
+    entries); it keeps index arrays only:
+    - the node order, reverse Cuthill-McKee of B, with each node keeping its
+      two tangent unknowns together, so the tangent-plane matrix has a
+      narrow band of ``kd`` superdiagonals;
+    - the positions of the upper-triangle entries in the (nnz, 2, 2) blocks
+      b_ij F_i^T F_j, laid out in the CSR order of B, and their places in the
+      Fortran-order (kd + 1, 2K) upper band storage of LAPACK.
 
-    :meth:`solve` does the numeric part for any directions.  Raises
-    :class:`KktError` if SuperLU cannot order B (a singular block).
+    :meth:`solve` does the numeric part for any directions in a band of its
+    own, so solves on one analysis do not share state.
     """
 
     def __init__(self, b):
@@ -192,35 +187,36 @@ class TangentPlaneAnalysis:
         k = b.shape[0]
         if b.shape != (k, k):
             raise ValueError(f"need a square block, got {b.shape}")
-        try:
-            position = splu(b.tocsc(), **_ORDERING_SPLU_OPTIONS).perm_c
-        except RuntimeError as exc:
-            raise KktError(f"KKT ordering failed ({k} nodes): {exc}") from exc
         self.k = k
         self.nnz = b.nnz
-        self._order = np.argsort(position)
+        # csgraph cannot order an empty graph
+        self._order = reverse_cuthill_mckee(b, symmetric_mode=True) if k else np.arange(0)
+        position = np.argsort(self._order)
         self._entry_rows = np.repeat(np.arange(k), np.diff(b.indptr))
         # unknown 2 position(i) + a of node i, for the rows and columns of
         # entry (a, c) of each block, in the (nnz, 2, 2) layout of the blocks
         unknown = 2 * position[:, None] + np.arange(2)
         rows = np.broadcast_to(unknown[self._entry_rows][:, :, None], (b.nnz, 2, 2)).ravel()
         cols = np.broadcast_to(unknown[b.indices][:, None, :], (b.nnz, 2, 2)).ravel()
-        self._gather = np.lexsort((rows, cols))
-        indptr = np.zeros(2 * k + 1, dtype=np.intc)
-        np.cumsum(np.bincount(cols, minlength=2 * k), out=indptr[1:])
-        self._matrix = sp.csc_matrix(
-            (np.zeros(rows.size), rows[self._gather].astype(np.intc), indptr), shape=(2 * k, 2 * k)
-        )
+        self._source = np.flatnonzero(rows <= cols)
+        rows, cols = rows[self._source], cols[self._source]
+        self.kd = int(np.max(cols - rows, initial=0))
+        # entry (i, j), i <= j, sits at ab[kd + i - j, j]
+        self._dest = self.kd + rows - cols + (self.kd + 1) * cols
 
-    def _refill(self, b, frames):
-        """The permuted CSC tangent-plane matrix of ``b`` for the frames ``frames``, filled in place."""
-        # np.take gathers the frames about twice as fast as fancy indexing;
-        # the temporaries are freed before the factorization
+    def _factorize(self, b, frames):
+        """Band solve ``v -> x`` of the tangent-plane matrix of ``b`` for ``frames``, by banded Cholesky."""
+        # np.take gathers the frames about twice as fast as fancy indexing
         left = np.take(frames, self._entry_rows, axis=0).transpose(0, 2, 1)
         blocks = b.data[:, None, None] * (left @ np.take(frames, b.indices, axis=0))
-        # the gather is in range; "clip" writes to ``out`` without a buffer
-        np.take(blocks.ravel(), self._gather, out=self._matrix.data, mode="clip")
-        return self._matrix
+        band = np.zeros((self.kd + 1) * 2 * self.k)
+        band[self._dest] = np.take(blocks.ravel(), self._source)
+        factor, info = dpbtrf(band.reshape((self.kd + 1, 2 * self.k), order="F"), lower=0, overwrite_ab=1)
+        if info > 0:
+            node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
+            what = f"at tangent unknown {unknown} of node {node} ({self.k} nodes)"
+            raise KktError(f"KKT tangent-plane matrix is not positive definite {what}")
+        return lambda v: dpbtrs(factor, v, lower=0)[0]
 
     def solve(self, b, directions, rhs):
         """:func:`solve_kkt` for a block ``b`` with the analysed pattern."""
@@ -236,6 +232,10 @@ class TangentPlaneAnalysis:
         norms = _check_directions(directions)
         normals = directions / norms[:, None]
         frames = tangent_frames(normals)
+        solve = self._factorize(b, frames)
+
+        def reduce(field):  # F^T field, in band order
+            return np.einsum("kcj,kc->kj", frames, field)[self._order].ravel()
 
         def finish(x):
             tangent = np.empty((k, 2))
@@ -244,13 +244,11 @@ class TangentPlaneAnalysis:
             r = b @ p - rhs
             normal_part = np.sum(normals * r, axis=1)
             tangential = r - normals * normal_part[:, None]
-            rc = np.linalg.norm(np.sum(directions * p, axis=1))
-            return KktSolution(p, -normal_part / norms, np.linalg.norm(tangential), rc)
+            rc = _norm(np.sum(directions * p, axis=1))
+            # F^T rhs - F^T B F x = -F^T r: the band holds the factor, not the matrix
+            return KktSolution(p, -normal_part / norms, _norm(tangential), rc), lambda: -reduce(r)
 
-        bound_p = TOL * (1.0 + np.linalg.norm(rhs))
-        reduced_rhs = np.einsum("kcj,kc->kj", frames, rhs)[self._order].ravel()
-        reduced = self._refill(b, frames)
-        return _checked_solve(reduced, reduced_rhs, finish, bound_p, f"{k} nodes", _PERMUTED_SPLU_OPTIONS)
+        return _checked_solve(solve, reduce(rhs), finish, TOL * (1.0 + _norm(rhs)), f"{k} nodes")
 
 
 def solve_kkt(b, directions, rhs):
@@ -264,9 +262,10 @@ def solve_kkt(b, directions, rhs):
     ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||) and
     ||(p_z . u_hat(z))_z|| <= TOL*(1 + ||p||); one step of iterative
     refinement is applied if the first solve misses.  Raises
-    :class:`KktError` on a singular block, an unmet tolerance or a degenerate
-    direction.  A one-shot :class:`TangentPlaneAnalysis`; repeated solves on
-    one block should keep the analysis.
+    :class:`KktError` on a block that is not positive definite on the
+    tangent planes, an unmet tolerance or a degenerate direction.  A one-shot
+    :class:`TangentPlaneAnalysis`; repeated solves on one block should keep
+    the analysis.
     """
     b = b.tocsr()
     return TangentPlaneAnalysis(b).solve(b, directions, rhs)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import splu
 
 from sphereflow import kkt
@@ -236,26 +237,47 @@ def fresh_mmd_solve(b, directions, rhs):
 
 
 def test_cached_analysis_matches_fresh_factorization():
-    # one analysis of an 8x8 BDF2 block serves every direction set, and
-    # agrees with a per-step minimum-degree factorization of the same matrix
-    b = harmonic_map_system(build_square_mesh(8), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
+    # one analysis of an 8x8 or 16x16 BDF2 block serves every direction set,
+    # and agrees with a per-step minimum-degree factorization of the same matrix
+    for n in (8, 16):
+        b = harmonic_map_system(build_square_mesh(n), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
+        k = b.shape[0]
+        analysis = TangentPlaneAnalysis(b)
+        cases = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(6)]
+        first = [analysis.solve(b, directions, rhs) for directions, rhs in cases]
+        for (directions, rhs), sol in zip(cases, first):
+            primal, multiplier = fresh_mmd_solve(b, directions, rhs)
+            assert np.linalg.norm(sol.primal - primal) <= 1e-12 * np.linalg.norm(primal)
+            assert np.linalg.norm(sol.multiplier - multiplier) <= 1e-12 * np.linalg.norm(multiplier)
+        for (directions, rhs), sol in zip(cases, first):
+            again = analysis.solve(b, directions, rhs)
+            assert np.array_equal(again.primal, sol.primal)
+            assert np.array_equal(again.multiplier, sol.multiplier)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_analysis_half_bandwidth_on_square_mesh(n):
+    # reverse Cuthill-McKee orders the (n-1)^2 free nodes of the square mesh
+    # about row by row: n - 1 nodes apart at most, two unknowns each
+    b = harmonic_map_system(build_square_mesh(n), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
+    assert TangentPlaneAnalysis(b).kd <= 2 * n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_analysis_on_meshes_with_few_free_nodes(n):
+    # n = 1 has no free node, n = 2 one: an empty band and a 2x2 one
+    b = harmonic_map_system(build_square_mesh(n), metric="h1").kkt_block(0.5)
     k = b.shape[0]
-    analysis = TangentPlaneAnalysis(b)
-    cases = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(6)]
-    first = [analysis.solve(b, directions, rhs) for directions, rhs in cases]
-    for (directions, rhs), sol in zip(cases, first):
-        primal, multiplier = fresh_mmd_solve(b, directions, rhs)
-        assert np.linalg.norm(sol.primal - primal) <= 1e-12 * np.linalg.norm(primal)
-        assert np.linalg.norm(sol.multiplier - multiplier) <= 1e-12 * np.linalg.norm(multiplier)
-    for (directions, rhs), sol in zip(cases, first):
-        again = analysis.solve(b, directions, rhs)
-        assert np.array_equal(again.primal, sol.primal)
-        assert np.array_equal(again.multiplier, sol.multiplier)
+    assert k == (n - 1) ** 2
+    sol = TangentPlaneAnalysis(b).solve(b, np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
+    assert sol.primal.shape == (k, 3)
+    assert sol.multiplier.shape == (k,)
+    assert np.abs(sol.primal @ [0.0, 0.6, 0.8]).max(initial=0.0) <= 1e-15
 
 
 def test_analysis_refill_leaves_no_stale_values():
-    # each solve refills one tangent-plane matrix in place: solving A, then
-    # B, then A again must give A's solution bit for bit, as a fresh analysis does
+    # each solve fills a band of its own: solving A, then B, then A again
+    # must give A's solution bit for bit, as a fresh analysis does
     b = harmonic_map_system(build_square_mesh(8), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
     k = b.shape[0]
     case_a, case_b = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(2)]
@@ -272,10 +294,14 @@ def test_analysis_refill_leaves_no_stale_values():
         assert sol.residual_constraint == first.residual_constraint
 
 
-def test_analysis_ordering_failure_raises():
-    # SuperLU meets the zero pivot while ordering the singular block
-    with pytest.raises(KktError, match="ordering failed"):
-        TangentPlaneAnalysis(sp.csr_matrix(np.diag([1.0, 0.0])))
+def test_analysis_non_spd_block_raises():
+    # the analysis factors nothing; the band factor of each solve meets the
+    # zero pivot of the singular block and names its unknown and node
+    b = sp.csr_matrix(np.diag([1.0, 0.0]))
+    analysis = TangentPlaneAnalysis(b)
+    directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 1 \(2 nodes\)"):
+        analysis.solve(b, directions, np.ones((2, 3)))
 
 
 def test_analysis_rejects_other_block():
@@ -285,53 +311,71 @@ def test_analysis_rejects_other_block():
         analysis.solve(sp.csr_matrix(np.ones((2, 2))), directions, np.ones((2, 3)))
 
 
-class PerturbedFactor:
-    """SuperLU factor whose first ``bad`` solves are off by about 1e-6 relative.
+class Perturbation:
+    """Offsets the first ``bad`` solutions it sees by about 1e-6 relative.
 
-    The offset is fixed by the first solve, so a factor that is bad on every
-    solve also spoils the refinement correction.
+    The offset is fixed by the first solution, so solves that are bad every
+    time also spoil the refinement correction.
     """
 
-    def __init__(self, lu, bad):
-        self.lu = lu
+    def __init__(self, bad):
         self.bad = bad
         self.solves = 0
         self.offset = None
 
-    def solve(self, rhs):
-        x = self.lu.solve(rhs)
+    def __call__(self, x):
         if self.offset is None:
             self.offset = 1e-6 * np.linalg.norm(x) * np.cos(np.arange(x.size)) / np.sqrt(x.size)
         self.solves += 1
         return x + self.offset if self.solves <= self.bad else x
 
+
+class PerturbedFactor:
+    """SuperLU factor whose solves go through a :class:`Perturbation`."""
+
+    def __init__(self, lu, perturbation):
+        self.lu = lu
+        self.perturbation = perturbation
+
+    def solve(self, rhs):
+        return self.perturbation(self.lu.solve(rhs))
+
     def __getattr__(self, name):
         return getattr(self.lu, name)
 
 
-def perturb_factors(monkeypatch, bad):
-    """Route ``kkt.splu`` through :class:`PerturbedFactor`; return the factors made."""
-    factors = []
+def perturb_solves(monkeypatch, solve, bad):
+    """Route the triangular solves of ``solve`` through a :class:`Perturbation` and return it.
 
-    def factor(matrix, **options):
-        factors.append(PerturbedFactor(splu(matrix, **options), bad))
-        return factors[-1]
+    :func:`solve_kkt` solves with ``kkt.dpbtrs`` on its band factor,
+    :func:`solve_saddle` with the factors of ``kkt.splu``.
+    """
+    perturbation = Perturbation(bad)
+    if solve is solve_kkt:
 
-    monkeypatch.setattr(kkt, "splu", factor)
-    return factors
+        def band_solve(*args, **options):
+            x, info = dpbtrs(*args, **options)
+            return perturbation(x), info
+
+        monkeypatch.setattr(kkt, "dpbtrs", band_solve)
+    else:
+        monkeypatch.setattr(kkt, "splu", lambda *args, **options: PerturbedFactor(splu(*args, **options), perturbation))
+    return perturbation
 
 
 def test_refinement_restores_residual_contract(monkeypatch):
+    # the tangent-plane refinement residual is formed without the matrix,
+    # whose band holds the factor by then
     nodal = random_nodal_system(RNG)
     system, _, _, _ = random_kkt(RNG)
     while system[1] is None:
         system, _, _, _ = random_kkt(RNG)
     exact = (solve_kkt(*nodal), solve_saddle(*system))
     for solve, args, ref in zip((solve_kkt, solve_saddle), (nodal, system), exact):
-        factors = perturb_factors(monkeypatch, bad=1)
+        perturbation = perturb_solves(monkeypatch, solve, bad=1)
         sol = solve(*args)
         rhs = args[-1]
-        assert sum(f.solves for f in factors) == 2
+        assert perturbation.solves == 2
         assert sol.residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
         assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
         assert np.linalg.norm(sol.primal - ref.primal) <= 1e-10 * (1.0 + np.linalg.norm(ref.primal))
@@ -343,7 +387,7 @@ def test_persistent_solve_error_raises(monkeypatch):
     while system[1] is None:
         system, _, _, _ = random_kkt(RNG)
     for solve, args in ((solve_kkt, nodal), (solve_saddle, system)):
-        factors = perturb_factors(monkeypatch, bad=math.inf)
+        perturbation = perturb_solves(monkeypatch, solve, bad=math.inf)
         with pytest.raises(KktError, match="residuals not reached"):
             solve(*args)
-        assert sum(f.solves for f in factors) == 2
+        assert perturbation.solves == 2

@@ -10,33 +10,37 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, fields
 
-from .diagnostics import audit_identities, build_sweep_table
-from .flow import FlowConfig, harmonic_map_system, run_flow
-from .initial_data import InitSpec, make_initial
+from .diagnostics import StepRecord, audit_identities, build_sweep_table
+from .flow import METHODS, METRICS, FlowConfig, harmonic_map_system, run_flow
+from .initial_data import INIT_KINDS, InitSpec, make_initial
 from .mesh import build_square_mesh
 
 CSV_HEADER = "tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged"
-TRACE_HEADER = "n,time,norm_udot_star,norm_dtu_l2,energy,delta_uni,res_energy_law,res_nodal_recursion"
+TRACE_HEADER = ",".join(f.name for f in fields(StepRecord))
 
-DEFAULTS = {
-    "mesh_n": 32,
-    "method": "bdf2",
-    "metric": "h1",
-    "tau": None,
-    "tau_range": None,
-    "eps_stop": 1e-3,
-    "t_max": 1e6,
-    "init": "exact",
-    "seed": 1,
-    "perturb_amplitude": 0.5,
-    "ref_energy": 3.009,
-    "out": None,
-    "trace_out": None,
-    "audit": "on",
-    "audit_tol": 1e-8,
-}
+# one row per option: key (the flag without "--", with "_" for "-"; also
+# the config-file key), type or tuple of choices, default
+OPTIONS = (
+    ("mesh_n", int, 32),
+    ("method", METHODS, "bdf2"),
+    ("metric", METRICS, "h1"),
+    ("tau", float, None),
+    ("tau_range", str, None),
+    ("eps_stop", float, 1e-3),
+    ("t_max", float, 1e6),
+    ("init", INIT_KINDS, "exact"),
+    ("seed", int, 1),
+    ("perturb_amplitude", float, 0.5),
+    ("ref_energy", float, 3.009),
+    ("out", str, None),
+    ("trace_out", str, None),
+    ("audit", ("on", "off"), "on"),
+    ("audit_tol", float, 1e-8),
+)
+DEFAULTS = {key: default for key, _, default in OPTIONS}
+
 
 class UsageError(Exception):
     pass
@@ -48,17 +52,18 @@ def _fmt(x, digits=6):
     return f"{x:.{digits}g}"
 
 
-def _report_row(tau, report, eoc_uni=None, eoc_ener=None):
+def _report_row(row):
+    report = row.report
     cells = [
-        _fmt(tau),
+        _fmt(row.tau),
         str(report.n_stop),
         _fmt(report.delta_uni),
-        _fmt(eoc_uni),
+        _fmt(row.eoc_uni),
         _fmt(report.a_sq),
         _fmt(report.b_sq),
         _fmt(report.energy_final),
         _fmt(report.delta_ener),
-        _fmt(eoc_ener),
+        _fmt(row.eoc_ener),
         "true" if report.converged else "false",
     ]
     return ",".join(cells)
@@ -67,25 +72,19 @@ def _report_row(tau, report, eoc_uni=None, eoc_ener=None):
 def _trace_lines(report):
     yield TRACE_HEADER
     for rec in report.trace:
-        cells = [
-            str(rec.n),
-            _fmt(rec.time, 17),
-            _fmt(rec.norm_udot_star, 17),
-            _fmt(rec.norm_dtu_l2, 17),
-            _fmt(rec.energy, 17),
-            _fmt(rec.delta_uni, 17),
-            _fmt(rec.res_energy_law, 17),
-            _fmt(rec.res_nodal_recursion, 17),
-        ]
-        yield ",".join(cells)
+        n, *values = astuple(rec)
+        yield ",".join([str(n), *(_fmt(x, 17) for x in values)])
 
 
 def _write(path, text):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_lines(path):
@@ -94,16 +93,27 @@ def _read_lines(path):
             return handle.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _add_options(parser, keys):
+    # a flag left out sets nothing, so it cannot hide a config-file value
+    for key, kind, default in OPTIONS:
+        if key in keys:
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            parser.add_argument(f"--{key.replace('_', '-')}", default=argparse.SUPPRESS,
+                                help=f"default {default}", **typed)
 
 
 def load_config_file(path):
     """Parse a flat key=value configuration file with the flag declarations.
 
-    Returns a namespace of the values set in the file; a malformed line, an
+    Returns a dict of the values set in the file; a malformed line, an
     unknown key or a bad value is a :class:`UsageError` naming ``path:line``.
     """
     parser = argparse.ArgumentParser(exit_on_error=False)
-    _add_common(parser)
+    _add_options(parser, DEFAULTS)
     values = argparse.Namespace()
     for lineno, line in enumerate(_read_lines(path), 1):
         line = line.strip()
@@ -119,89 +129,43 @@ def load_config_file(path):
             parser.parse_args([f"--{key.replace('_', '-')}={raw.strip()}"], namespace=values)
         except argparse.ArgumentError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from None
-    return values
+    return vars(values)
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    mesh_n: int
-    method: str
-    metric: str
-    tau: float | None
-    tau_range: str | None
-    eps_stop: float
-    t_max: float
-    init: str
-    seed: int
-    perturb_amplitude: float
-    ref_energy: float
-    out: str | None
-    trace_out: str | None
-    audit: str
-    audit_tol: float
-
-    def taus(self):
-        """Step sizes 2**-m for the configured m_lo:m_hi range."""
-        try:
-            lo, hi = (int(part) for part in self.tau_range.split(":"))
-        except (ValueError, AttributeError):
-            raise UsageError(f"--tau-range expects m_lo:m_hi, got {self.tau_range!r}")
-        if hi < lo:
-            raise UsageError(f"--tau-range must be increasing in m, got {self.tau_range!r}")
-        return [2.0**-m for m in range(lo, hi + 1)]
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--mesh-n", type=int, dest="mesh_n")
-    parser.add_argument("--method", choices=("euler", "bdf2"))
-    parser.add_argument("--metric", choices=("l2", "h1"))
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--tau-range", dest="tau_range", help="m_lo:m_hi meaning 2^-m")
-    parser.add_argument("--eps-stop", type=float, dest="eps_stop")
-    parser.add_argument("--t-max", type=float, dest="t_max")
-    parser.add_argument("--init", choices=("exact", "perturbed", "random"))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--perturb-amplitude", type=float, dest="perturb_amplitude")
-    parser.add_argument("--ref-energy", type=float, dest="ref_energy")
-    parser.add_argument("--out")
-    parser.add_argument("--trace-out", dest="trace_out")
-    parser.add_argument("--audit", choices=("on", "off"))
-    parser.add_argument("--audit-tol", type=float, dest="audit_tol")
+def _taus(tau_range):
+    """Step sizes 2**-m for a range m_lo:m_hi."""
+    try:
+        lo, hi = (int(part) for part in tau_range.split(":"))
+    except (ValueError, AttributeError):
+        raise UsageError(f"--tau-range expects m_lo:m_hi, got {tau_range!r}")
+    if hi < lo:
+        raise UsageError(f"--tau-range must be increasing in m, got {tau_range!r}")
+    return [2.0**-m for m in range(lo, hi + 1)]
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="sphereflow")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("run", "sweep"):
-        _add_common(sub.add_parser(name))
+    for name, about in (("run", "one run at step size --tau"),
+                        ("sweep", "one run per tau = 2^-m for m in --tau-range m_lo:m_hi")):
+        command = sub.add_parser(name, description=about)
+        command.add_argument("--config", help="flat key=value config file")
+        _add_options(command, DEFAULTS)
     audit = sub.add_parser("audit")
     audit.add_argument("--trace-in", dest="trace_in", required=True)
-    audit.add_argument("--audit-tol", type=float, dest="audit_tol")
+    _add_options(audit, ["audit_tol"])
     return parser
-
-
-def _check_audit_tol(tol):
-    # NaN would make every audit comparison false, so every audit would pass
-    if not tol >= 0:
-        raise UsageError(f"--audit-tol must be nonnegative, got {tol}")
-    return tol
 
 
 def resolve_config(args):
     """Apply precedence: command-line flags beat config file beats defaults."""
-    merged = dict(DEFAULTS)
-    layers = [args]
-    if getattr(args, "config", None):
-        layers.insert(0, load_config_file(args.config))
-    for layer in layers:
-        for key in DEFAULTS:
-            value = getattr(layer, key, None)
-            if value is not None:
-                merged[key] = value
-    _check_audit_tol(merged["audit_tol"])
-    return CliConfig(subcommand=args.subcommand, **merged)
+    config_file = getattr(args, "config", None)
+    file_values = load_config_file(config_file) if config_file else {}
+    config = argparse.Namespace(**{**DEFAULTS, **file_values, **vars(args)})
+    # NaN would make every audit comparison false, so every audit would pass
+    if not config.audit_tol >= 0:
+        raise UsageError(f"--audit-tol must be nonnegative, got {config.audit_tol}")
+    return config
 
 
 def _setup(config):
@@ -224,54 +188,51 @@ def _prepare(config, taus):
     return u0, system, flow_configs
 
 
+def _run_table(config, taus):
+    """Run each step size from one initial field and write the CSV table.
+
+    Returns the sweep rows, the audit results (none with ``--audit off``)
+    and the exit status.
+    """
+    u0, system, flow_configs = _prepare(config, taus)
+    reports = [run_flow(u0, system, cfg, reference_energy=config.ref_energy) for cfg in flow_configs]
+    rows = build_sweep_table(taus, reports)
+    _write(config.out, "\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
+    audits = [audit_identities(r, tol=config.audit_tol) for r in reports] if config.audit == "on" else []
+    ok = all(r.converged for r in reports) and all(passed for passed, _ in audits)
+    return rows, audits, 0 if ok else 1
+
+
 def cmd_run(config):
     if config.tau is None:
         raise UsageError("run requires --tau")
-    u0, system, (flow_config,) = _prepare(config, [config.tau])
-    report = run_flow(u0, system, flow_config, reference_energy=config.ref_energy)
-
-    _write(config.out, CSV_HEADER + "\n" + _report_row(config.tau, report) + "\n")
+    (row,), audits, status = _run_table(config, [config.tau])
     if config.trace_out is not None:
-        _write(config.trace_out, "\n".join(_trace_lines(report)) + "\n")
-
-    status = 0 if report.converged else 1
-    if config.audit == "on":
-        passed, summary = audit_identities(report, tol=config.audit_tol)
+        _write(config.trace_out, "\n".join(_trace_lines(row.report)) + "\n")
+    for _, summary in audits:
         for key, value in summary.items():
             print(f"{key} = {value:.3e}" if not math.isnan(value) else f"{key} = skipped", file=sys.stderr)
-        if not passed:
-            status = 1
     return status
 
 
 def cmd_sweep(config):
-    taus = config.taus()
+    if config.trace_out is not None:
+        raise UsageError("--trace-out applies to run only")
+    taus = _taus(config.tau_range)
     if len(taus) < 2:
         raise UsageError("sweep needs at least two step sizes (use --tau-range m_lo:m_hi with m_hi > m_lo)")
-    u0, system, flow_configs = _prepare(config, taus)
-
-    reports = [run_flow(u0, system, cfg, reference_energy=config.ref_energy) for cfg in flow_configs]
-    rows = build_sweep_table(taus, reports)
-    lines = [CSV_HEADER]
-    lines += [_report_row(row.tau, row.report, row.eoc_uni, row.eoc_ener) for row in rows]
-    _write(config.out, "\n".join(lines) + "\n")
-
-    status = 0 if all(r.converged for r in reports) else 1
-    if config.audit == "on":
-        if not all(audit_identities(r, tol=config.audit_tol)[0] for r in reports):
-            status = 1
+    *_, status = _run_table(config, taus)
     return status
 
 
-def cmd_audit(args):
-    tol = _check_audit_tol(args.audit_tol if args.audit_tol is not None else DEFAULTS["audit_tol"])
+def cmd_audit(config):
     maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0}
     counted = {key: 0 for key in maxima}
-    header, *rows = _read_lines(args.trace_in) or [""]
+    header, *rows = _read_lines(config.trace_in) or [""]
     columns = header.strip().split(",")
     missing = [key for key in maxima if key not in columns]
     if missing:
-        raise UsageError(f"{args.trace_in}: not a trace file (no column {', '.join(missing)})")
+        raise UsageError(f"{config.trace_in}: not a trace file (no column {', '.join(missing)})")
     index = {key: columns.index(key) for key in maxima}
     for lineno, line in enumerate(rows, 2):
         cells = line.strip().split(",")
@@ -280,7 +241,7 @@ def cmd_audit(args):
                 try:
                     value = float(cells[idx])
                 except ValueError:
-                    raise UsageError(f"{args.trace_in}:{lineno}: {key} is not a number: {cells[idx]!r}") from None
+                    raise UsageError(f"{config.trace_in}:{lineno}: {key} is not a number: {cells[idx]!r}") from None
                 # a non-finite cell sticks as nan (max(nan, x) is nan) and fails
                 maxima[key] = max(maxima[key], value) if math.isfinite(value) else math.nan
                 counted[key] += 1
@@ -290,21 +251,18 @@ def cmd_audit(args):
             print(f"{key}: skipped (no records)")
             continue
         print(f"{key}: max {value:.3e} over {counted[key]} steps")
-        if not value <= tol:
+        if not value <= config.audit_tol:
             ok = False
     return 0 if ok else 1
 
 
+COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "audit": cmd_audit}
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "audit":
-            return cmd_audit(args)
-        config = resolve_config(args)
-        if args.subcommand == "run":
-            return cmd_run(config)
-        return cmd_sweep(config)
+        return COMMANDS[args.subcommand](resolve_config(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sphereflow import cli
 from sphereflow.cli import CSV_HEADER, TRACE_HEADER, main
 
 
@@ -276,3 +277,57 @@ def test_euler_run_works(tmp_path):
     )
     assert code == 0
     assert read(out).splitlines()[1].endswith("true")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, flag):
+    bad = tmp_path / "missing" / "x.csv"
+    args = ["run", "--mesh-n", "2", "--tau", "0.25", "--out", str(tmp_path / "o.csv"), flag, str(bad)]
+    assert main(args) == 2
+    assert f"error: cannot write {bad}" in capsys.readouterr().err
+
+
+def test_sweep_rejects_trace_out(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    assert main(["sweep", "--mesh-n", "2", "--tau-range", "2:3", "--trace-out", str(trace)]) == 2
+    assert "--trace-out applies to run only" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["run --tau 0.25 --config", "audit --trace-in"])
+def test_undecodable_input_file_is_usage_error(tmp_path, capsys, subcommand):
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_bytes(b"\xff\xfe")
+    assert main([*subcommand.split(), str(garbage)]) == 2
+    assert f"error: cannot read {garbage}" in capsys.readouterr().err
+
+
+# a config-file value and a different flag value for every option but the output paths
+OVERRIDES = {
+    "mesh_n": ("4", "8"),
+    "method": ("euler", "bdf2"),
+    "metric": ("l2", "h1"),
+    "tau": ("0.25", "0.125"),
+    "tau_range": ("2:4", "3:5"),
+    "eps_stop": ("1e-4", "1e-5"),
+    "t_max": ("10", "20"),
+    "init": ("random", "perturbed"),
+    "seed": ("7", "9"),
+    "perturb_amplitude": ("0.25", "0.75"),
+    "ref_energy": ("3.5", "2.5"),
+    "audit": ("off", "on"),
+    "audit_tol": ("1e-6", "1e-7"),
+}
+
+
+@pytest.mark.parametrize("key, kind", [(key, kind) for key, kind, _ in cli.OPTIONS if key not in ("out", "trace_out")])
+def test_every_option_from_config_file_and_flag(tmp_path, key, kind):
+    parse = str if isinstance(kind, tuple) else kind
+    file_value, flag_value = OVERRIDES[key]
+    config = tmp_path / "flow.cfg"
+    config.write_text(f"{key} = {file_value}\n")
+    args = ["run", "--config", str(config)]
+    resolved = getattr(cli.resolve_config(cli.build_parser().parse_args(args)), key)
+    assert resolved == parse(file_value) != cli.DEFAULTS[key]
+    args += [f"--{key.replace('_', '-')}", flag_value]
+    assert getattr(cli.resolve_config(cli.build_parser().parse_args(args)), key) == parse(flag_value)

@@ -8,14 +8,7 @@ from .diagnostics import (
     constraint_violation,
     eoc,
 )
-from .fem import (
-    assemble_mass,
-    assemble_stiffness,
-    dirichlet_energy,
-    interpolate,
-    l1_nodal_norm,
-    lumped_mass_diagonal,
-)
+from .fem import assemble_mass, assemble_stiffness, l1_nodal_norm, lumped_mass_diagonal
 from .flow import (
     EnergySystem,
     FlowConfig,
@@ -25,17 +18,8 @@ from .flow import (
     run_flow,
 )
 from .initial_data import InitSpec, SplitMix64, inverse_stereographic, make_initial
-from .kkt import KktError, KktSolution, TangentPlaneAnalysis, assemble_constraint_rows, solve_kkt, solve_saddle
+from .kkt import KktError, KktSolution, TangentPlaneAnalysis, solve_saddle
 from .mesh import TriMesh, build_square_mesh, free_nodes
-from .seqcalc import (
-    backward_difference,
-    bdf2_derivative,
-    constraint_recursion_closed_form,
-    extrapolate,
-    g_form,
-    g_norm_sq,
-    gamma,
-    second_difference,
-)
+from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,9 @@ files carry 17 (lossless for audit reuse).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import astuple, fields
 
@@ -20,26 +22,28 @@ from .mesh import build_square_mesh
 CSV_HEADER = "tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged"
 TRACE_HEADER = ",".join(f.name for f in fields(StepRecord))
 
+FLOWS = ("run", "sweep")
 # one row per option: key (the flag without "--", with "_" for "-"; also
-# the config-file key), type or tuple of choices, default
+# the config-file key), type or tuple of choices, default, the subcommands
+# that take the flag (a config file may set any key)
 OPTIONS = (
-    ("mesh_n", int, 32),
-    ("method", METHODS, "bdf2"),
-    ("metric", METRICS, "h1"),
-    ("tau", float, None),
-    ("tau_range", str, None),
-    ("eps_stop", float, 1e-3),
-    ("t_max", float, 1e6),
-    ("init", INIT_KINDS, "exact"),
-    ("seed", int, 1),
-    ("perturb_amplitude", float, 0.5),
-    ("ref_energy", float, 3.009),
-    ("out", str, None),
-    ("trace_out", str, None),
-    ("audit", ("on", "off"), "on"),
-    ("audit_tol", float, 1e-8),
+    ("mesh_n", int, 32, FLOWS),
+    ("method", METHODS, "bdf2", FLOWS),
+    ("metric", METRICS, "h1", FLOWS),
+    ("tau", float, None, ("run",)),
+    ("tau_range", str, None, ("sweep",)),
+    ("eps_stop", float, 1e-3, FLOWS),
+    ("t_max", float, 1e6, FLOWS),
+    ("init", INIT_KINDS, "exact", FLOWS),
+    ("seed", int, 1, FLOWS),
+    ("perturb_amplitude", float, 0.5, FLOWS),
+    ("ref_energy", float, 3.009, FLOWS),
+    ("out", str, None, FLOWS),
+    ("trace_out", str, None, ("run",)),
+    ("audit", ("on", "off"), "on", FLOWS),
+    ("audit_tol", float, 1e-8, (*FLOWS, "audit")),
 )
-DEFAULTS = {key: default for key, _, default in OPTIONS}
+DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 
 
 class UsageError(Exception):
@@ -76,13 +80,12 @@ def _trace_lines(report):
         yield ",".join([str(n), *(_fmt(x, 17) for x in values)])
 
 
-def _write(path, text):
+def _opened(path):
+    """``path`` opened for writing (a no-op context for None); an unwritable path is a usage error."""
     if path is None:
-        sys.stdout.write(text)
-        return
+        return contextlib.nullcontext()
     try:
-        with open(path, "w") as handle:
-            handle.write(text)
+        return open(path, "w")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -97,10 +100,11 @@ def _read_lines(path):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _add_options(parser, keys):
+def _add_options(parser, subcommand=None):
+    """Add the flags that ``subcommand`` takes (None: every flag)."""
     # a flag left out sets nothing, so it cannot hide a config-file value
-    for key, kind, default in OPTIONS:
-        if key in keys:
+    for key, kind, default, subcommands in OPTIONS:
+        if subcommand is None or subcommand in subcommands:
             typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             parser.add_argument(f"--{key.replace('_', '-')}", default=argparse.SUPPRESS,
                                 help=f"default {default}", **typed)
@@ -113,7 +117,7 @@ def load_config_file(path):
     unknown key or a bad value is a :class:`UsageError` naming ``path:line``.
     """
     parser = argparse.ArgumentParser(exit_on_error=False)
-    _add_options(parser, DEFAULTS)
+    _add_options(parser)
     values = argparse.Namespace()
     for lineno, line in enumerate(_read_lines(path), 1):
         line = line.strip()
@@ -148,12 +152,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, about in (("run", "one run at step size --tau"),
                         ("sweep", "one run per tau = 2^-m for m in --tau-range m_lo:m_hi")):
-        command = sub.add_parser(name, description=about)
+        # no abbreviations: sweep would read --tau as --tau-range
+        command = sub.add_parser(name, description=about, allow_abbrev=False)
         command.add_argument("--config", help="flat key=value config file")
-        _add_options(command, DEFAULTS)
-    audit = sub.add_parser("audit")
+        _add_options(command, name)
+    audit = sub.add_parser("audit", allow_abbrev=False)
     audit.add_argument("--trace-in", dest="trace_in", required=True)
-    _add_options(audit, ["audit_tol"])
+    _add_options(audit, "audit")
     return parser
 
 
@@ -188,27 +193,32 @@ def _prepare(config, taus):
     return u0, system, flow_configs
 
 
-def _run_table(config, taus):
-    """Run each step size from one initial field and write the CSV table.
+def _run_table(config, taus, trace_out=None):
+    """Run each step size from one initial field; write the CSV table and, for one run, its trace.
 
-    Returns the sweep rows, the audit results (none with ``--audit off``)
-    and the exit status.
+    Both outputs are opened before the first flow, so an unwritable path
+    costs no computation.  Returns the audit results (none with
+    ``--audit off``) and the exit status.
     """
     u0, system, flow_configs = _prepare(config, taus)
-    reports = [run_flow(u0, system, cfg, reference_energy=config.ref_energy) for cfg in flow_configs]
-    rows = build_sweep_table(taus, reports)
-    _write(config.out, "\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
+    with _opened(config.out) as out, _opened(trace_out) as trace:
+        # two handles on one file would interleave the table and the trace
+        if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
+            raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
+        reports = [run_flow(u0, system, cfg, reference_energy=config.ref_energy) for cfg in flow_configs]
+        rows = build_sweep_table(taus, reports)
+        (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
+        if trace is not None:
+            trace.write("\n".join(_trace_lines(reports[0])) + "\n")
     audits = [audit_identities(r, tol=config.audit_tol) for r in reports] if config.audit == "on" else []
     ok = all(r.converged for r in reports) and all(passed for passed, _ in audits)
-    return rows, audits, 0 if ok else 1
+    return audits, 0 if ok else 1
 
 
 def cmd_run(config):
     if config.tau is None:
         raise UsageError("run requires --tau")
-    (row,), audits, status = _run_table(config, [config.tau])
-    if config.trace_out is not None:
-        _write(config.trace_out, "\n".join(_trace_lines(row.report)) + "\n")
+    audits, status = _run_table(config, [config.tau], config.trace_out)
     for _, summary in audits:
         for key, value in summary.items():
             print(f"{key} = {value:.3e}" if not math.isnan(value) else f"{key} = skipped", file=sys.stderr)
@@ -216,13 +226,10 @@ def cmd_run(config):
 
 
 def cmd_sweep(config):
-    if config.trace_out is not None:
-        raise UsageError("--trace-out applies to run only")
     taus = _taus(config.tau_range)
     if len(taus) < 2:
         raise UsageError("sweep needs at least two step sizes (use --tau-range m_lo:m_hi with m_hi > m_lo)")
-    *_, status = _run_table(config, taus)
-    return status
+    return _run_table(config, taus)[1]
 
 
 def cmd_audit(config):

@@ -1,4 +1,4 @@
-"""P1 finite elements on triangle meshes: assembly, interpolation, norms.
+"""P1 finite elements on triangle meshes: assembly and nodal norms.
 
 Vector-valued nodal fields are plain (n_vertices, 3) float arrays; scalar
 matrices act blockwise on the component columns, so a single N x N matrix
@@ -62,20 +62,6 @@ def lumped_mass_diagonal(mesh):
     diag = np.zeros(mesh.n_vertices)
     np.add.at(diag, mesh.cells.ravel(), np.repeat(area / 3.0, 3))
     return diag
-
-
-def interpolate(f, mesh):
-    """Nodal interpolant of ``f``: row z holds f(vertex z) as a 3-vector."""
-    values = np.array([f(p) for p in mesh.vertices], dtype=float)
-    if values.ndim != 2 or values.shape[1] != 3:
-        raise ValueError(f"interpolated function must return 3-vectors, got shape {values.shape}")
-    return values
-
-
-def dirichlet_energy(u, stiffness):
-    """Energy 0.5 * sum_c u_c.K.u_c of a nodal field."""
-    u = np.asarray(u, dtype=float)
-    return 0.5 * float(np.sum(u * (stiffness @ u)))
 
 
 def l1_nodal_norm(w, mesh, weights=None):

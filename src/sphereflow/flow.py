@@ -90,32 +90,27 @@ class EnergySystem:
         f = self.free
         self._a_ff = self.stiffness[f][:, f].tocsr()
         self._metric_ff = (self.mass if metric == "l2" else self.stiffness)[f][:, f].tocsr()
-        self._kkt_blocks = {}
-        self._tangent_analyses = {}
-
-    def kkt_block(self, scale):
-        """Cached scalar CSR block metric_ff + scale * a_ff of the per-step solves."""
-        block = self._kkt_blocks.get(scale)
-        if block is None:
-            block = self._kkt_blocks[scale] = self._metric_ff + scale * self._a_ff
-        return block
+        self._solvers = {}
 
     def solve_increment(self, scale, u_hat, rhs):
-        """(K, 3) free-node increment for block ``kkt_block(scale)``, directions ``u_hat`` and ``rhs``.
+        """(K, 3) free-node increment for block metric_ff + scale * a_ff, directions ``u_hat`` and ``rhs``.
 
-        The nodal sphere constraint is solved on the scalar block through a
-        :class:`TangentPlaneAnalysis`, built on the first solve at each scale
-        and kept; a custom builder's rows go to :func:`solve_saddle` with the
-        block acting on each component, kron(block, I3).
+        The solver of each scale is built on its first solve and kept: for
+        the nodal sphere constraint a :class:`TangentPlaneAnalysis` of the
+        scalar block, for a custom builder the block acting on each
+        component, kron(block, I3), whose rows go to :func:`solve_saddle`.
         """
-        block = self.kkt_block(scale)
+        solver = self._solvers.get(scale)
+        if solver is None:
+            block = self._metric_ff + scale * self._a_ff
+            if self.uses_sphere_constraint:
+                solver = TangentPlaneAnalysis(block)
+            else:
+                solver = sp.kron(block, sp.identity(3), format="csc")
+            self._solvers[scale] = solver
         if self.uses_sphere_constraint:
-            analysis = self._tangent_analyses.get(scale)
-            if analysis is None:
-                analysis = self._tangent_analyses[scale] = TangentPlaneAnalysis(block)
-            return analysis.solve(block, u_hat[self.free], rhs).primal
-        a = sp.kron(block, sp.identity(3), format="csc")
-        return solve_saddle(a, self._constraint_builder(u_hat, self.free), rhs.ravel()).primal.reshape(-1, 3)
+            return solver.solve(u_hat[self.free], rhs).primal
+        return solve_saddle(solver, self._constraint_builder(u_hat, self.free), rhs.ravel()).primal.reshape(-1, 3)
 
     def rhs_from(self, explicit_field, factor):
         """(K, 3) free-node right-hand side b - factor * a(explicit_field, .)."""

@@ -1,17 +1,18 @@
 """Sparse KKT solves for the per-step linearly constrained systems.
 
-The nodal solve :func:`solve_kkt` takes a (K, K) scalar SPD block B that
-acts on each component of a (K, 3) field, and one linearized constraint per
-node, p_z . u_hat(z) = 0; a degenerate direction (zero, or below
+The nodal solve takes a (K, K) scalar SPD block B that acts on each
+component of a (K, 3) field, and one linearized constraint per node,
+p_z . u_hat(z) = 0; a degenerate direction (zero, or below
 ``DEGENERATE_REL_TOL`` times the largest) raises :class:`KktError`.  It
 solves on the tangent planes (Alouges 2008; Bartels 2016): with F_z an
 orthonormal 3x2 frame of u_hat(z)^perp, the SPD system with 2x2 blocks
 B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
 is that of B, whatever the directions, so :class:`TangentPlaneAnalysis`
-finds a banded node order once per block and each solve only fills in the
-band and factors it (LAPACK's banded Cholesky).  General sparse rows G on a
-3N system A go through :func:`solve_saddle`, which LU-factors the
-saddle-point matrix [[A, G^T], [G, 0]].
+keeps B and a banded node order found once, and each
+:meth:`~TangentPlaneAnalysis.solve` only fills in the band and factors it
+(LAPACK's banded Cholesky).  General sparse rows G on a 3N system A go
+through :func:`solve_saddle`, which LU-factors the saddle-point matrix
+[[A, G^T], [G, 0]].
 """
 
 from __future__ import annotations
@@ -59,28 +60,6 @@ def _check_directions(directions):
             f"(|u_hat| = {norms[z]:.3e}, largest {largest:.3e})"
         )
     return norms
-
-
-def assemble_constraint_rows(u_hat, free):
-    """Rows of the linearized nodal constraint for directions ``u_hat``.
-
-    Row k carries the three entries u_hat(free[k]) in that node's component
-    columns 3k, 3k + 1, 3k + 2.  Raises :class:`KktError` at a degenerate
-    direction.
-
-    Parameters
-    ----------
-    u_hat : (nv, 3) nodal field of constraint directions
-    free : index array of free nodes, defining the column layout
-
-    Returns
-    -------
-    (len(free), 3*len(free)) CSR matrix.
-    """
-    directions = np.asarray(u_hat, dtype=float)[free]
-    _check_directions(directions)
-    k = len(directions)
-    return sp.csr_matrix((directions.ravel(), np.arange(3 * k), np.arange(0, 3 * k + 1, 3)), shape=(k, 3 * k))
 
 
 def tangent_frames(normals):
@@ -167,10 +146,10 @@ def solve_saddle(a, g, rhs):
 
 
 class TangentPlaneAnalysis:
-    """Pattern-only part of the tangent-plane solve for one (K, K) scalar block.
+    """Tangent-plane solver for one (K, K) scalar block, analysed once.
 
-    Built once from a sparse SPD block B (symmetric, without duplicate
-    entries); it keeps index arrays only:
+    Built from a sparse SPD block B (symmetric, without duplicate entries);
+    it keeps B and index arrays:
     - the node order, reverse Cuthill-McKee of B, with each node keeping its
       two tangent unknowns together, so the tangent-plane matrix has a
       narrow band of ``kd`` superdiagonals;
@@ -183,12 +162,11 @@ class TangentPlaneAnalysis:
     """
 
     def __init__(self, b):
-        b = b.tocsr()
+        b = self._b = b.tocsr()
         k = b.shape[0]
         if b.shape != (k, k):
             raise ValueError(f"need a square block, got {b.shape}")
         self.k = k
-        self.nnz = b.nnz
         # csgraph cannot order an empty graph
         self._order = reverse_cuthill_mckee(b, symmetric_mode=True) if k else np.arange(0)
         position = np.argsort(self._order)
@@ -204,8 +182,9 @@ class TangentPlaneAnalysis:
         # entry (i, j), i <= j, sits at ab[kd + i - j, j]
         self._dest = self.kd + rows - cols + (self.kd + 1) * cols
 
-    def _factorize(self, b, frames):
-        """Band solve ``v -> x`` of the tangent-plane matrix of ``b`` for ``frames``, by banded Cholesky."""
+    def _factorize(self, frames):
+        """Band solve ``v -> x`` of the tangent-plane matrix for ``frames``, by banded Cholesky."""
+        b = self._b
         # np.take gathers the frames about twice as fast as fancy indexing
         left = np.take(frames, self._entry_rows, axis=0).transpose(0, 2, 1)
         blocks = b.data[:, None, None] * (left @ np.take(frames, b.indices, axis=0))
@@ -218,21 +197,28 @@ class TangentPlaneAnalysis:
             raise KktError(f"KKT tangent-plane matrix is not positive definite {what}")
         return lambda v: dpbtrs(factor, v, lower=0)[0]
 
-    def solve(self, b, directions, rhs):
-        """:func:`solve_kkt` for a block ``b`` with the analysed pattern."""
+    def solve(self, directions, rhs):
+        """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
+
+        ``directions`` (u_hat) and ``rhs`` have shape (K, 3); B applies to
+        each component.  Returns a :class:`KktSolution` with a (K, 3) primal
+        and (K,) multipliers, equal to those of :func:`solve_saddle` on
+        kron(B, I3) with one row u_hat(z) per node.  The residual contract is
+        ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||) and
+        ||(p_z . u_hat(z))_z|| <= TOL*(1 + ||p||); one step of iterative
+        refinement is applied if the first solve misses.  Raises
+        :class:`KktError` on a block that is not positive definite on the
+        tangent planes, an unmet tolerance or a degenerate direction.
+        """
         directions = np.asarray(directions, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
-        k = self.k
-        analysed = b.format == "csr" and b.shape == (k, k) and b.nnz == self.nnz
-        if not analysed or directions.shape != (k, 3) or rhs.shape != (k, 3):
-            raise ValueError(
-                f"need the analysed {k}x{k} CSR block ({self.nnz} entries) and (K, 3) directions and rhs, "
-                f"got {b.format} {b.shape} ({b.nnz} entries), {directions.shape}, {rhs.shape}"
-            )
+        b, k = self._b, self.k
+        if directions.shape != (k, 3) or rhs.shape != (k, 3):
+            raise ValueError(f"need ({k}, 3) directions and rhs, got {directions.shape}, {rhs.shape}")
         norms = _check_directions(directions)
         normals = directions / norms[:, None]
         frames = tangent_frames(normals)
-        solve = self._factorize(b, frames)
+        solve = self._factorize(frames)
 
         def reduce(field):  # F^T field, in band order
             return np.einsum("kcj,kc->kj", frames, field)[self._order].ravel()
@@ -249,23 +235,3 @@ class TangentPlaneAnalysis:
             return KktSolution(p, -normal_part / norms, _norm(tangential), rc), lambda: -reduce(r)
 
         return _checked_solve(solve, reduce(rhs), finish, TOL * (1.0 + _norm(rhs)), f"{k} nodes")
-
-
-def solve_kkt(b, directions, rhs):
-    """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
-
-    ``b`` is the (K, K) sparse SPD scalar block, applied to each component;
-    ``directions`` (u_hat) and ``rhs`` have shape (K, 3).  Returns a
-    :class:`KktSolution` with a (K, 3) primal and (K,) multipliers, equal to
-    those of :func:`solve_saddle` on kron(B, I3) with the rows
-    :func:`assemble_constraint_rows`.  The residual contract is
-    ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||) and
-    ||(p_z . u_hat(z))_z|| <= TOL*(1 + ||p||); one step of iterative
-    refinement is applied if the first solve misses.  Raises
-    :class:`KktError` on a block that is not positive definite on the
-    tangent planes, an unmet tolerance or a degenerate direction.  A one-shot
-    :class:`TangentPlaneAnalysis`; repeated solves on one block should keep
-    the analysis.
-    """
-    b = b.tocsr()
-    return TangentPlaneAnalysis(b).solve(b, directions, rhs)

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import constraint_recursion_closed_form
 from sphereflow.cli import main
-from sphereflow.fem import assemble_stiffness, dirichlet_energy, interpolate
 from sphereflow.flow import FlowConfig, harmonic_map_system, run_flow
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.kkt import solve_saddle
 from sphereflow.mesh import build_square_mesh
-from sphereflow.seqcalc import constraint_recursion_closed_form, gamma
+from sphereflow.seqcalc import gamma
 
 SEED = 1
 CASES = 1000
@@ -168,8 +168,7 @@ def test_acceptance_4_rate_dichotomy():
 def test_acceptance_5_reference_energy():
     start = time.perf_counter()
     mesh = benchmark_mesh(64)
-    u = interpolate(inverse_stereographic, mesh)
-    energy = dirichlet_energy(u, assemble_stiffness(mesh))
+    energy = harmonic_map_system(mesh).energy(inverse_stereographic(mesh.vertices))
     elapsed = time.perf_counter() - start
     ok = 2.95 <= energy <= 3.07 and elapsed < 5.0
     assert announce(5, "reference energy", ok, f"(energy {energy:.4f}, {elapsed:.1f} s)")

@@ -289,9 +289,51 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, flag):
 
 def test_sweep_rejects_trace_out(tmp_path, capsys):
     trace = tmp_path / "t.csv"
-    assert main(["sweep", "--mesh-n", "2", "--tau-range", "2:3", "--trace-out", str(trace)]) == 2
-    assert "--trace-out applies to run only" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--mesh-n", "2", "--tau-range", "2:3", "--trace-out", str(trace)])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --trace-out" in capsys.readouterr().err
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("args", [["sweep", "--tau-range", "2:3", "--tau", "0.1"],
+                                  ["run", "--tau", "0.25", "--tau-range", "2:3"],
+                                  ["audit", "--trace-in", "t.csv", "--mesh-n", "2"]])
+def test_flag_of_another_subcommand_is_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {args[3]}" in capsys.readouterr().err
+
+
+def test_one_config_file_serves_run_and_sweep(tmp_path, monkeypatch):
+    # a config file may set any option; each subcommand uses the ones it takes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flow.cfg").write_text("mesh_n = 2\ntau = 0.25\ntau_range = 2:3\ntrace_out = t.csv\naudit = off\n")
+    assert main(["sweep", "--config", "flow.cfg", "--out", "s.csv"]) == 0
+    assert read(tmp_path / "s.csv").splitlines()[2].startswith("0.125,")
+    assert not (tmp_path / "t.csv").exists()
+    assert main(["run", "--config", "flow.cfg", "--out", "r.csv"]) == 0
+    assert read(tmp_path / "r.csv").splitlines()[1].startswith("0.25,")
+    assert read(tmp_path / "t.csv").startswith(TRACE_HEADER)
+
+
+def test_out_and_trace_out_same_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--mesh-n", "2", "--tau", "0.25", "--out", "o.csv", "--trace-out", "./o.csv"]) == 2
+    assert "error: --out and --trace-out name the same file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["sweep", "--mesh-n", "16", "--tau-range", "2:6", "--out"],
+                                  ["run", "--mesh-n", "16", "--tau", "0.25", "--trace-out"]])
+def test_unwritable_output_fails_before_any_flow(tmp_path, monkeypatch, capsys, args):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_flow", no_flow)
+    bad = tmp_path / "missing" / "x.csv"
+    assert main([*args, str(bad)]) == 2
+    assert f"error: cannot write {bad}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["run --tau 0.25 --config", "audit --trace-in"])
@@ -320,13 +362,15 @@ OVERRIDES = {
 }
 
 
-@pytest.mark.parametrize("key, kind", [(key, kind) for key, kind, _ in cli.OPTIONS if key not in ("out", "trace_out")])
+@pytest.mark.parametrize("key, kind", [row[:2] for row in cli.OPTIONS if row[0] not in ("out", "trace_out")])
 def test_every_option_from_config_file_and_flag(tmp_path, key, kind):
     parse = str if isinstance(kind, tuple) else kind
     file_value, flag_value = OVERRIDES[key]
     config = tmp_path / "flow.cfg"
     config.write_text(f"{key} = {file_value}\n")
-    args = ["run", "--config", str(config)]
+    # the first subcommand that takes the flag
+    subcommand = next(subcommands[0] for name, _, _, subcommands in cli.OPTIONS if name == key)
+    args = [subcommand, "--config", str(config)]
     resolved = getattr(cli.resolve_config(cli.build_parser().parse_args(args)), key)
     assert resolved == parse(file_value) != cli.DEFAULTS[key]
     args += [f"--{key.replace('_', '-')}", flag_value]

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from sphereflow.fem import (
-    assemble_mass,
-    assemble_stiffness,
-    dirichlet_energy,
-    interpolate,
-    l1_nodal_norm,
-    lumped_mass_diagonal,
-)
+from sphereflow.fem import assemble_mass, assemble_stiffness, l1_nodal_norm, lumped_mass_diagonal
+from sphereflow.flow import harmonic_map_system
 from sphereflow.initial_data import inverse_stereographic
 from sphereflow.mesh import build_square_mesh
 
@@ -75,9 +69,9 @@ def test_stiffness_energy_exact_on_affine():
         mesh = build_square_mesh(n, lower_left=(0.25, -1.0), side=side)
         K = assemble_stiffness(mesh)
         u = np.column_stack([mesh.vertices[:, 0], np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices)])
-        assert dirichlet_energy(u, K) == pytest.approx(0.5 * side**2, rel=1e-12)
+        assert 0.5 * np.sum(u * (K @ u)) == pytest.approx(0.5 * side**2, rel=1e-12)
         v = np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1], np.zeros(mesh.n_vertices)])
-        assert dirichlet_energy(v, K) == pytest.approx(side**2, rel=1e-12)
+        assert 0.5 * np.sum(v * (K @ v)) == pytest.approx(side**2, rel=1e-12)
 
 
 def test_stiffness_kernel_is_constants():
@@ -110,33 +104,24 @@ def test_consistent_mass_positive_definite():
 
 
 def test_interpolate_constant_and_affine():
+    # the nodal interpolant reproduces an affine map exactly, so its energy is exact
     mesh = build_square_mesh(3, lower_left=(-0.5, -0.5), side=1.0)
-    c = np.array([0.3, -1.0, 2.0])
-    u = interpolate(lambda p: c, mesh)
-    assert np.allclose(u, c)
-    # affine maps are reproduced exactly, so the energy is exact
-    A = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
-    v = interpolate(lambda p: A @ p, mesh)
     K = assemble_stiffness(mesh)
-    assert dirichlet_energy(v, K) == pytest.approx(0.5 * np.sum(A * A), rel=1e-12)
+    A = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
+    v = mesh.vertices @ A.T
+    assert 0.5 * np.sum(v * (K @ v)) == pytest.approx(0.5 * np.sum(A * A), rel=1e-12)
 
 
 def test_interpolate_stereographic_unit_nodes():
     mesh = build_square_mesh(16, lower_left=(-0.5, -0.5), side=1.0)
-    u = interpolate(inverse_stereographic, mesh)
+    u = inverse_stereographic(mesh.vertices)
     assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-14
-
-
-def test_interpolate_rejects_non_vector_values():
-    mesh = build_square_mesh(1)
-    with pytest.raises(ValueError):
-        interpolate(lambda p: 1.0, mesh)
 
 
 def test_reference_energy_on_paper_mesh():
     mesh = build_square_mesh(64, lower_left=(-0.5, -0.5), side=1.0)
-    u = interpolate(inverse_stereographic, mesh)
-    energy = dirichlet_energy(u, assemble_stiffness(mesh))
+    u = inverse_stereographic(mesh.vertices)
+    energy = harmonic_map_system(mesh).energy(u)
     assert energy == pytest.approx(3.009, rel=0.02)
 
 
@@ -155,6 +140,5 @@ def test_l1_nodal_norm():
 
 def test_dirichlet_energy_constant_field():
     mesh = build_square_mesh(3)
-    K = assemble_stiffness(mesh)
     u = np.tile([1.0, 2.0, 3.0], (mesh.n_vertices, 1))
-    assert dirichlet_energy(u, K) == pytest.approx(0.0, abs=1e-13)
+    assert harmonic_map_system(mesh).energy(u) == pytest.approx(0.0, abs=1e-13)

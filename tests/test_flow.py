@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import assemble_constraint_rows
+from sphereflow import flow
 from sphereflow.flow import (
     EnergySystem,
     FlowConfig,
@@ -16,9 +18,9 @@ from sphereflow.flow import (
     run_flow,
 )
 from sphereflow.diagnostics import audit_identities
-from sphereflow.fem import assemble_mass, assemble_stiffness, dirichlet_energy
+from sphereflow.fem import assemble_mass, assemble_stiffness
 from sphereflow.initial_data import InitSpec, make_initial
-from sphereflow.kkt import TangentPlaneAnalysis, assemble_constraint_rows
+from sphereflow.kkt import TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 
@@ -74,14 +76,14 @@ def test_init_step_orthogonality_and_energy_identity():
     f = free_nodes(mesh)
     assert np.abs(np.sum(dt_u1[f] * u0[f], axis=1)).max() <= 1e-10
     lhs = (
-        dirichlet_energy(u1, system.stiffness)
+        system.energy(u1)
         + cfg.tau * np.sum(dt_u1 * (system.stiffness @ dt_u1))
         + 0.5 * cfg.tau**2 * np.sum(dt_u1 * (system.stiffness @ dt_u1))
     )
-    rhs = dirichlet_energy(u0, system.stiffness)
+    rhs = system.energy(u0)
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + rhs)
     # energy never increases across the initialization
-    assert dirichlet_energy(u1, system.stiffness) <= rhs * (1.0 + 1e-12)
+    assert system.energy(u1) <= rhs * (1.0 + 1e-12)
 
 
 def test_init_step_nodal_identity_single_free_node():
@@ -96,13 +98,14 @@ def test_init_step_nodal_identity_single_free_node():
 
 def test_init_bound_with_g_constant():
     # |grad pair|_G^2 <= (5/2) |grad u0|^2 follows from the energy identity
-    from sphereflow.seqcalc import g_norm_sq
+    from sphereflow.seqcalc import g_form
 
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=1.0)
     cfg = FlowConfig(method="bdf2", tau=0.5)
     u1, _ = euler_init_step(u0, system, cfg)
-    g_sq = g_norm_sq(u1, u0, inner=lambda u, v: np.sum(u * (system.stiffness @ v)))
-    assert g_sq <= 2.5 * 2.0 * dirichlet_energy(u0, system.stiffness) * (1.0 + 1e-12)
+    k_u1, k_u0 = system.stiffness @ u1, system.stiffness @ u0
+    g_sq = g_form(np.sum(u1 * k_u1), np.sum(u1 * k_u0), np.sum(u0 * k_u0))
+    assert g_sq <= 2.5 * 2.0 * system.energy(u0) * (1.0 + 1e-12)
 
 
 def test_bdf2_fixed_point_ten_steps():
@@ -332,6 +335,27 @@ def test_run_flow_analyses_each_scale_once(monkeypatch):
         report = run_flow(u0, system, FlowConfig(method=method, tau=0.125))
         assert report.n_stop > 10
         assert len(built) == scales
+
+
+def test_custom_builder_forms_each_block_once(monkeypatch):
+    # the saddle-point path keeps kron(block, I3) per scale instead of
+    # forming it every step
+    calls = []
+    kron = flow.sp.kron
+
+    def counting_kron(*args, **kwargs):
+        calls.append(None)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(flow.sp, "kron", counting_kron)
+    for method, scales in (("bdf2", 2), ("euler", 1)):
+        calls.clear()
+        mesh, u0, _ = unit_square_setup(8, init="perturbed", amplitude=0.5)
+        system = EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric="h1",
+                              constraint_builder=assemble_constraint_rows)
+        report = run_flow(u0, system, FlowConfig(method=method, tau=0.125))
+        assert report.n_stop > 10
+        assert len(calls) == scales
 
 
 class CountingMatrix:

@@ -10,18 +10,11 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import splu
 
+from oracles import assemble_constraint_rows
 from sphereflow import kkt
-from sphereflow.flow import harmonic_map_system
-from sphereflow.kkt import (
-    TOL,
-    KktError,
-    TangentPlaneAnalysis,
-    assemble_constraint_rows,
-    solve_kkt,
-    solve_saddle,
-    tangent_frames,
-)
-from sphereflow.mesh import build_square_mesh
+from sphereflow.fem import assemble_stiffness
+from sphereflow.kkt import TOL, KktError, TangentPlaneAnalysis, solve_saddle, tangent_frames
+from sphereflow.mesh import build_square_mesh, free_nodes
 
 RNG = np.random.default_rng(2718)
 
@@ -127,11 +120,11 @@ def test_constraint_rows_reject_degenerate():
         with pytest.raises(KktError, match=message):
             assemble_constraint_rows(directions, np.arange(3))
         with pytest.raises(KktError, match=message):
-            solve_kkt(b, directions, rhs)
+            TangentPlaneAnalysis(b).solve(directions, rhs)
     directions[1, 1] = 1e-11
     rows = assemble_constraint_rows(directions, np.arange(3))
     assert rows.shape == (3, 9)
-    sol = solve_kkt(b, directions, rhs)
+    sol = TangentPlaneAnalysis(b).solve(directions, rhs)
     assert sol.multiplier.shape == (3,)
     assert np.abs(rows @ sol.primal.ravel()).max() <= 1e-12 * (1.0 + np.linalg.norm(sol.primal))
 
@@ -166,7 +159,7 @@ def test_tangent_solve_matches_saddle_solve():
     for _ in range(50):
         b, directions, rhs = random_nodal_system(RNG)
         rows = assemble_constraint_rows(directions, np.arange(len(directions)))
-        tangent = solve_kkt(b, directions, rhs)
+        tangent = TangentPlaneAnalysis(b).solve(directions, rhs)
         saddle = solve_saddle(sp.kron(b, sp.identity(3)), rows, rhs.ravel())
         assert tangent.primal.shape == rhs.shape
         scale = 1.0 + np.linalg.norm(saddle.primal)
@@ -191,25 +184,25 @@ def test_tangent_solve_singular_raises():
     b = sp.csr_matrix(np.diag([1.0, 0.0]))
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError):
-        solve_kkt(b, directions, np.ones((2, 3)))
+        TangentPlaneAnalysis(b).solve(directions, np.ones((2, 3)))
 
 
 def test_tangent_solve_vanishing_directions_raise():
     with pytest.raises(KktError):
-        solve_kkt(sp.identity(2, format="csr"), np.zeros((2, 3)), np.ones((2, 3)))
+        TangentPlaneAnalysis(sp.identity(2, format="csr")).solve(np.zeros((2, 3)), np.ones((2, 3)))
 
 
 def test_tangent_solve_rejects_mismatched_shapes():
     b = sp.identity(2, format="csr")
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     cases = [(b, directions[:1], np.ones((2, 3))), (b, directions, np.ones(6)), (sp.identity(3), directions, np.ones((2, 3)))]
-    for case in cases:
+    for block, d, rhs in cases:
         with pytest.raises(ValueError):
-            solve_kkt(*case)
+            TangentPlaneAnalysis(block).solve(d, rhs)
 
 
 def test_tangent_solve_without_nodes():
-    sol = solve_kkt(sp.csr_matrix((0, 0)), np.zeros((0, 3)), np.zeros((0, 3)))
+    sol = TangentPlaneAnalysis(sp.csr_matrix((0, 0))).solve(np.zeros((0, 3)), np.zeros((0, 3)))
     assert sol.primal.shape == (0, 3)
     assert sol.multiplier.shape == (0,)
     assert assemble_constraint_rows(np.zeros((4, 3)), np.array([], dtype=int)).shape == (0, 0)
@@ -217,10 +210,18 @@ def test_tangent_solve_without_nodes():
 
 def test_tangent_solve_deterministic_bitwise():
     b, directions, rhs = random_nodal_system(RNG)
-    first = solve_kkt(b, directions, rhs)
-    second = solve_kkt(b, directions, rhs)
+    first = TangentPlaneAnalysis(b).solve(directions, rhs)
+    second = TangentPlaneAnalysis(b).solve(directions, rhs)
     assert np.array_equal(first.primal, second.primal)
     assert np.array_equal(first.multiplier, second.multiplier)
+
+
+def bdf2_block(n, scale=2.0 * 2.0**-4 / 3.0):
+    """Block K_ff + scale K_ff of the h1 flow on the n x n square mesh (by default BDF2 at tau 2^-4)."""
+    mesh = build_square_mesh(n)
+    f = free_nodes(mesh)
+    k_ff = assemble_stiffness(mesh)[f][:, f].tocsr()
+    return k_ff + scale * k_ff
 
 
 def fresh_mmd_solve(b, directions, rhs):
@@ -240,17 +241,17 @@ def test_cached_analysis_matches_fresh_factorization():
     # one analysis of an 8x8 or 16x16 BDF2 block serves every direction set,
     # and agrees with a per-step minimum-degree factorization of the same matrix
     for n in (8, 16):
-        b = harmonic_map_system(build_square_mesh(n), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
+        b = bdf2_block(n)
         k = b.shape[0]
         analysis = TangentPlaneAnalysis(b)
         cases = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(6)]
-        first = [analysis.solve(b, directions, rhs) for directions, rhs in cases]
+        first = [analysis.solve(directions, rhs) for directions, rhs in cases]
         for (directions, rhs), sol in zip(cases, first):
             primal, multiplier = fresh_mmd_solve(b, directions, rhs)
             assert np.linalg.norm(sol.primal - primal) <= 1e-12 * np.linalg.norm(primal)
             assert np.linalg.norm(sol.multiplier - multiplier) <= 1e-12 * np.linalg.norm(multiplier)
         for (directions, rhs), sol in zip(cases, first):
-            again = analysis.solve(b, directions, rhs)
+            again = analysis.solve(directions, rhs)
             assert np.array_equal(again.primal, sol.primal)
             assert np.array_equal(again.multiplier, sol.multiplier)
 
@@ -259,17 +260,16 @@ def test_cached_analysis_matches_fresh_factorization():
 def test_analysis_half_bandwidth_on_square_mesh(n):
     # reverse Cuthill-McKee orders the (n-1)^2 free nodes of the square mesh
     # about row by row: n - 1 nodes apart at most, two unknowns each
-    b = harmonic_map_system(build_square_mesh(n), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
-    assert TangentPlaneAnalysis(b).kd <= 2 * n - 1
+    assert TangentPlaneAnalysis(bdf2_block(n)).kd <= 2 * n - 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_analysis_on_meshes_with_few_free_nodes(n):
     # n = 1 has no free node, n = 2 one: an empty band and a 2x2 one
-    b = harmonic_map_system(build_square_mesh(n), metric="h1").kkt_block(0.5)
+    b = bdf2_block(n, 0.5)
     k = b.shape[0]
     assert k == (n - 1) ** 2
-    sol = TangentPlaneAnalysis(b).solve(b, np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
+    sol = TangentPlaneAnalysis(b).solve(np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
     assert sol.primal.shape == (k, 3)
     assert sol.multiplier.shape == (k,)
     assert np.abs(sol.primal @ [0.0, 0.6, 0.8]).max(initial=0.0) <= 1e-15
@@ -278,14 +278,14 @@ def test_analysis_on_meshes_with_few_free_nodes(n):
 def test_analysis_refill_leaves_no_stale_values():
     # each solve fills a band of its own: solving A, then B, then A again
     # must give A's solution bit for bit, as a fresh analysis does
-    b = harmonic_map_system(build_square_mesh(8), metric="h1").kkt_block(2.0 * 2.0**-4 / 3.0)
+    b = bdf2_block(8)
     k = b.shape[0]
     case_a, case_b = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(2)]
     analysis = TangentPlaneAnalysis(b)
-    first = analysis.solve(b, *case_a)
-    other = analysis.solve(b, *case_b)
-    third = analysis.solve(b, *case_a)
-    fresh = TangentPlaneAnalysis(b).solve(b, *case_a)
+    first = analysis.solve(*case_a)
+    other = analysis.solve(*case_b)
+    third = analysis.solve(*case_a)
+    fresh = TangentPlaneAnalysis(b).solve(*case_a)
     assert not np.array_equal(other.primal, first.primal)
     for sol in (third, fresh):
         assert np.array_equal(sol.primal, first.primal)
@@ -301,14 +301,7 @@ def test_analysis_non_spd_block_raises():
     analysis = TangentPlaneAnalysis(b)
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 1 \(2 nodes\)"):
-        analysis.solve(b, directions, np.ones((2, 3)))
-
-
-def test_analysis_rejects_other_block():
-    analysis = TangentPlaneAnalysis(sp.identity(2, format="csr"))
-    directions = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError):
-        analysis.solve(sp.csr_matrix(np.ones((2, 2))), directions, np.ones((2, 3)))
+        analysis.solve(directions, np.ones((2, 3)))
 
 
 class Perturbation:
@@ -347,11 +340,11 @@ class PerturbedFactor:
 def perturb_solves(monkeypatch, solve, bad):
     """Route the triangular solves of ``solve`` through a :class:`Perturbation` and return it.
 
-    :func:`solve_kkt` solves with ``kkt.dpbtrs`` on its band factor,
-    :func:`solve_saddle` with the factors of ``kkt.splu``.
+    :meth:`TangentPlaneAnalysis.solve` solves with ``kkt.dpbtrs`` on its
+    band factor, :func:`solve_saddle` with the factors of ``kkt.splu``.
     """
     perturbation = Perturbation(bad)
-    if solve is solve_kkt:
+    if solve is not solve_saddle:
 
         def band_solve(*args, **options):
             x, info = dpbtrs(*args, **options)
@@ -370,8 +363,9 @@ def test_refinement_restores_residual_contract(monkeypatch):
     system, _, _, _ = random_kkt(RNG)
     while system[1] is None:
         system, _, _, _ = random_kkt(RNG)
-    exact = (solve_kkt(*nodal), solve_saddle(*system))
-    for solve, args, ref in zip((solve_kkt, solve_saddle), (nodal, system), exact):
+    cases = ((TangentPlaneAnalysis(nodal[0]).solve, nodal[1:]), (solve_saddle, system))
+    exact = [solve(*args) for solve, args in cases]
+    for (solve, args), ref in zip(cases, exact):
         perturbation = perturb_solves(monkeypatch, solve, bad=1)
         sol = solve(*args)
         rhs = args[-1]
@@ -386,7 +380,7 @@ def test_persistent_solve_error_raises(monkeypatch):
     system, _, _, _ = random_kkt(RNG)
     while system[1] is None:
         system, _, _, _ = random_kkt(RNG)
-    for solve, args in ((solve_kkt, nodal), (solve_saddle, system)):
+    for solve, args in ((TangentPlaneAnalysis(nodal[0]).solve, nodal[1:]), (solve_saddle, system)):
         perturbation = perturb_solves(monkeypatch, solve, bad=math.inf)
         with pytest.raises(KktError, match="residuals not reached"):
             solve(*args)

@@ -16,6 +16,7 @@ from .flow import (
     euler_init_step,
     harmonic_map_system,
     run_flow,
+    run_sweep,
 )
 from .initial_data import InitSpec, SplitMix64, inverse_stereographic, make_initial
 from .kkt import KktError, KktSolution, TangentPlaneAnalysis, solve_saddle

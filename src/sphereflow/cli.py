@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple, fields
 
 from .diagnostics import StepRecord, audit_identities, build_sweep_table
-from .flow import METHODS, METRICS, FlowConfig, harmonic_map_system, run_flow
+from .flow import METHODS, METRICS, FlowConfig, harmonic_map_system, run_sweep
 from .initial_data import INIT_KINDS, InitSpec, make_initial
 from .mesh import build_square_mesh
 
@@ -205,7 +205,7 @@ def _run_table(config, taus, trace_out=None):
         # two handles on one file would interleave the table and the trace
         if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
             raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
-        reports = [run_flow(u0, system, cfg, reference_energy=config.ref_energy) for cfg in flow_configs]
+        reports = run_sweep(u0, system, flow_configs, reference_energy=config.ref_energy)
         rows = build_sweep_table(taus, reports)
         (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
         if trace is not None:

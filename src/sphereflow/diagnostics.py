@@ -72,14 +72,8 @@ def relative_residual(lhs, rhs):
     return float(res.max(initial=0.0)) if res.ndim else float(res)
 
 
-def constraint_violation(u, mesh, weights=None):
-    """Lumped L1 norm of the nodal unit-length defect |u|^2 - 1.
-
-    ``u`` is a (nv, 3) nodal field or the (nv,) nodal squared lengths of one.
-    """
-    sq = np.asarray(u, dtype=float)
-    if sq.ndim == 2:
-        sq = np.sum(sq * sq, axis=1)
+def constraint_violation(sq, mesh, weights=None):
+    """Lumped L1 norm of the nodal unit-length defect |u|^2 - 1, from the (nv,) nodal squared lengths of u."""
     return l1_nodal_norm(sq - 1.0, mesh, weights=weights)
 
 

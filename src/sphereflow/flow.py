@@ -5,12 +5,16 @@ constraint: one linearized implicit Euler step initializes the history,
 then two-step (BDF2) steps with an extrapolated constraint direction run
 until the discrete time derivatives fall below the stopping threshold.
 A pure Euler mode repeats initialization-type steps instead, as the first
-order baseline.
+order baseline.  :func:`run_sweep` runs the flows of several step sizes
+side by side in worker processes.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,7 @@ from .diagnostics import (
     relative_residual,
 )
 from .fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
-from .kkt import TangentPlaneAnalysis, solve_saddle
+from .kkt import TangentPlaneAnalysis, set_blas_threads, solve_saddle
 from .mesh import free_nodes
 from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
@@ -374,3 +378,50 @@ def run_flow(u0, sys, cfg, reference_energy=None):
         if converged or n >= cfg.max_steps or n * cfg.tau >= cfg.t_max:
             break
     return audit.report(converged, step[2], reference_energy)
+
+
+# the arguments of the sweep a worker process serves, set by its initializer
+_sweep = None
+
+
+def _init_sweep_worker(*args):
+    global _sweep
+    _sweep = args
+    set_blas_threads(1)
+
+
+def _run_sweep_entry(index):
+    u0, sys, configs, reference_energy = _sweep
+    return run_flow(u0, sys, configs[index], reference_energy)
+
+
+def run_sweep(u0, sys, configs, reference_energy=None):
+    """:func:`run_flow` from ``u0`` for each of ``configs``; one report per config, in config order.
+
+    The flows run side by side in forked worker processes, one per usable
+    CPU (at most one per config), each with one BLAS thread; every report
+    is bitwise the one :func:`run_flow` returns.  The workers inherit the
+    arguments instead of receiving them pickled, so a custom constraint
+    builder may be any callable.  With one worker, without ``fork``, or
+    in a daemonic process the flows run one after another in this
+    process.  An exception of a flow is raised here; no worker outlives
+    the call.
+    """
+    workers = min(len(configs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return [run_flow(u0, sys, cfg, reference_energy) for cfg in configs]
+    # steps grow like 1/tau, so the finest step size starts first
+    order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
+    # fork, not spawn: the workers inherit the system (whose constraint
+    # builder need not pickle) and whatever wraps this module's functions
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_sweep_worker, initargs=(u0, sys, configs, reference_energy))
+    try:
+        futures = {pool.submit(_run_sweep_entry, i): i for i in order}
+        reports = [None] * len(configs)
+        for future in as_completed(futures):
+            reports[futures[future]] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return reports

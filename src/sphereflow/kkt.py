@@ -10,17 +10,22 @@ B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
 is that of B, whatever the directions, so :class:`TangentPlaneAnalysis`
 keeps B and a banded node order found once, and each
 :meth:`~TangentPlaneAnalysis.solve` only fills in the band and factors it
-(LAPACK's banded Cholesky).  General sparse rows G on a 3N system A go
-through :func:`solve_saddle`, which LU-factors the saddle-point matrix
-[[A, G^T], [G, 0]].
+(LAPACK's banded Cholesky) on one BLAS thread.  General sparse rows G on
+a 3N system A go through :func:`solve_saddle`, which LU-factors the
+saddle-point matrix [[A, G^T], [G, 0]].
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -40,6 +45,59 @@ class KktSolution:
     multiplier: np.ndarray
     residual_primal: float
     residual_constraint: float
+
+
+def _find_openblas_threads(libs):
+    """(get, set) for the thread count of the first OpenBLAS in directory ``libs`` with scipy's symbols.
+
+    None when no library there loads or has both symbols.
+    """
+    for path in sorted(Path(libs).glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@functools.cache
+def _openblas_threads():
+    # scipy's wheels bundle the OpenBLAS that its LAPACK wrappers (dpbtrf,
+    # dpbtrs) call; loading it again by path returns the handle already loaded
+    return _find_openblas_threads(Path(scipy.__file__).resolve().parent.parent / "scipy.libs")
+
+
+def set_blas_threads(count):
+    """Set the thread count of scipy's bundled OpenBLAS to ``count``; return the previous count.
+
+    Does nothing and returns None when ``count`` is None or this scipy
+    build bundles no OpenBLAS with the thread-count symbols.
+    """
+    api = _openblas_threads()
+    if api is None or count is None:
+        return None
+    get, set_ = api
+    before = get()
+    if before != count:
+        set_(count)
+    return before
+
+
+@contextlib.contextmanager
+def blas_threads(count):
+    """Run the body with scipy's bundled OpenBLAS on ``count`` threads, then restore the caller's count.
+
+    A no-op where :func:`set_blas_threads` is one.
+    """
+    before = set_blas_threads(count)
+    try:
+        yield
+    finally:
+        set_blas_threads(before)
 
 
 def _norm(v):
@@ -218,7 +276,6 @@ class TangentPlaneAnalysis:
         norms = _check_directions(directions)
         normals = directions / norms[:, None]
         frames = tangent_frames(normals)
-        solve = self._factorize(frames)
 
         def reduce(field):  # F^T field, in band order
             return np.einsum("kcj,kc->kj", frames, field)[self._order].ravel()
@@ -234,4 +291,8 @@ class TangentPlaneAnalysis:
             # F^T rhs - F^T B F x = -F^T r: the band holds the factor, not the matrix
             return KktSolution(p, -normal_part / norms, _norm(tangential), rc), lambda: -reduce(r)
 
-        return _checked_solve(solve, reduce(rhs), finish, TOL * (1.0 + _norm(rhs)), f"{k} nodes")
+        # a band a few hundred wide is too narrow for a second BLAS thread,
+        # which would only spin
+        with blas_threads(1):
+            solve = self._factorize(frames)
+            return _checked_solve(solve, reduce(rhs), finish, TOL * (1.0 + _norm(rhs)), f"{k} nodes")

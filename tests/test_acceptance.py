@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from oracles import constraint_recursion_closed_form
 from sphereflow.cli import main
-from sphereflow.flow import FlowConfig, harmonic_map_system, run_flow
+from sphereflow.flow import FlowConfig, harmonic_map_system, run_flow, run_sweep
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.kkt import solve_saddle
 from sphereflow.mesh import build_square_mesh
@@ -149,13 +149,9 @@ def test_acceptance_4_rate_dichotomy():
     final_eoc = {}
     for method in ("bdf2", "euler"):
         system = harmonic_map_system(mesh, metric="h1")
-        deltas = []
-        for tau in taus:
-            cfg = FlowConfig(method=method, tau=tau, eps_stop=1e-3)
-            report = run_flow(u0, system, cfg)
-            assert report.converged
-            deltas.append(report.delta_uni)
-        final_eoc[method] = np.log2(deltas[-2] / deltas[-1])
+        reports = run_sweep(u0, system, [FlowConfig(method=method, tau=tau, eps_stop=1e-3) for tau in taus])
+        assert all(report.converged for report in reports)
+        final_eoc[method] = np.log2(reports[-2].delta_uni / reports[-1].delta_uni)
     elapsed = time.perf_counter() - start
     ok = 1.6 <= final_eoc["bdf2"] <= 2.2 and 0.85 <= final_eoc["euler"] <= 1.15 and elapsed < 300.0
     detail = f"(bdf2 eoc {final_eoc['bdf2']:.3f}, euler eoc {final_eoc['euler']:.3f}, {elapsed:.0f} s)"

@@ -330,7 +330,7 @@ def test_unwritable_output_fails_before_any_flow(tmp_path, monkeypatch, capsys, 
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran before the output paths were checked")
 
-    monkeypatch.setattr(cli, "run_flow", no_flow)
+    monkeypatch.setattr(cli, "run_sweep", no_flow)
     bad = tmp_path / "missing" / "x.csv"
     assert main([*args, str(bad)]) == 2
     assert f"error: cannot write {bad}" in capsys.readouterr().err

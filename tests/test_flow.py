@@ -1,6 +1,9 @@
 """Driver behavior: initialization identities, stepping, stopping, audits."""
 
+import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,19 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import assemble_constraint_rows
-from sphereflow import flow
+from sphereflow import flow, kkt
 from sphereflow.flow import (
+    METHODS,
     EnergySystem,
     FlowConfig,
     bdf2_step,
     euler_init_step,
     harmonic_map_system,
     run_flow,
+    run_sweep,
 )
 from sphereflow.diagnostics import audit_identities
 from sphereflow.fem import assemble_mass, assemble_stiffness
 from sphereflow.initial_data import InitSpec, make_initial
-from sphereflow.kkt import TangentPlaneAnalysis
+from sphereflow.kkt import KktError, TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 
@@ -413,7 +418,8 @@ def test_u_final_matches_reported_constraint_violation():
 
     mesh, u0, system = unit_square_setup(6, init="perturbed", amplitude=0.5)
     report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.25))
-    assert constraint_violation(report.u_final, mesh) == pytest.approx(report.delta_uni, rel=1e-12)
+    sq = np.sum(report.u_final * report.u_final, axis=1)
+    assert constraint_violation(sq, mesh) == pytest.approx(report.delta_uni, rel=1e-12)
 
 
 def test_h1_stopping_time_roughly_tau_independent():
@@ -423,3 +429,60 @@ def test_h1_stopping_time_roughly_tau_independent():
         for tau in (0.25, 0.125, 0.0625)
     ]
     assert max(times) <= 1.5 * min(times)
+
+
+SWEEP_TAUS = (0.25, 0.125, 0.0625)
+
+
+def sweep_system(kind):
+    mesh, u0, _ = unit_square_setup(6, init="perturbed", amplitude=0.5)
+    stiffness, mass = assemble_stiffness(mesh), assemble_mass(mesh)
+    if kind == "load":
+        load = 0.5 * mass @ np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
+        return u0, EnergySystem(mesh, stiffness, mass, metric="h1", load=load)
+    if kind == "custom builder":
+        # a lambda cannot be pickled: the workers must inherit the system
+        return u0, EnergySystem(mesh, stiffness, mass, metric="h1",
+                                constraint_builder=lambda u_hat, free: assemble_constraint_rows(u_hat, free))
+    return u0, harmonic_map_system(mesh, metric=kind)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["h1", "l2", "load", "custom builder"])
+def test_run_sweep_reports_equal_run_flow_bitwise(kind, method):
+    u0, system = sweep_system(kind)
+    configs = [FlowConfig(method=method, tau=tau, max_steps=60) for tau in SWEEP_TAUS]
+    swept = run_sweep(u0, system, configs, reference_energy=3.0)
+    assert multiprocessing.active_children() == []
+    assert len(swept) == len(configs)
+    for cfg, report in zip(configs, swept):
+        expected = run_flow(u0, system, cfg, reference_energy=3.0)
+        # repr gives every float exactly, NaN audits included
+        assert repr(dataclasses.replace(report, u_final=None)) == repr(dataclasses.replace(expected, u_final=None))
+        assert np.array_equal(report.u_final, expected.u_final)
+
+
+def test_run_sweep_raises_a_workers_error(monkeypatch):
+    def failing_step(*args):
+        raise KktError("injected failure in a two-step step")
+
+    monkeypatch.setattr(flow, "bdf2_step", failing_step)
+    u0, system = sweep_system("h1")
+    configs = [FlowConfig(method="bdf2", tau=tau) for tau in SWEEP_TAUS]
+    with pytest.raises(KktError, match="injected failure in a two-step step"):
+        run_sweep(u0, system, configs)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_workers_run_one_blas_thread(monkeypatch):
+    api = kkt._openblas_threads()
+    if api is None:
+        pytest.skip("this scipy build bundles no OpenBLAS with scipy's thread-count symbols")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: the sweep runs in this process")
+    get, _ = api
+    monkeypatch.setattr(flow, "run_flow", lambda *args: (os.getpid(), get()))
+    u0, system = sweep_system("h1")
+    with kkt.blas_threads(2):
+        seen = run_sweep(u0, system, [FlowConfig(tau=tau) for tau in SWEEP_TAUS])
+    assert all(pid != os.getpid() and threads == 1 for pid, threads in seen)

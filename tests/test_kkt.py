@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from oracles import assemble_constraint_rows
@@ -385,3 +385,51 @@ def test_persistent_solve_error_raises(monkeypatch):
         with pytest.raises(KktError, match="residuals not reached"):
             solve(*args)
         assert perturbation.solves == 2
+
+
+def openblas_threads():
+    """(get, set) of scipy's bundled OpenBLAS thread count; skips the test where this build has none."""
+    api = kkt._openblas_threads()
+    if api is None:
+        pytest.skip("this scipy build bundles no OpenBLAS with scipy's thread-count symbols")
+    return api
+
+
+def test_blas_threads_restores_the_callers_count():
+    get, _ = openblas_threads()
+    before = get()
+    with kkt.blas_threads(2):
+        assert get() == 2
+        with kkt.blas_threads(1):
+            assert get() == 1
+        assert get() == 2
+    assert get() == before
+
+
+def test_band_solve_runs_on_one_blas_thread(monkeypatch):
+    get, _ = openblas_threads()
+    seen = []
+
+    def band_factor(*args, **kwargs):
+        seen.append(get())
+        return dpbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(kkt, "dpbtrf", band_factor)
+    b, directions, rhs = random_nodal_system(RNG)
+    with kkt.blas_threads(2):
+        TangentPlaneAnalysis(b).solve(directions, rhs)
+        assert get() == 2
+    assert seen == [1]
+
+
+def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatch):
+    assert kkt._find_openblas_threads(tmp_path) is None
+    (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
+    assert kkt._find_openblas_threads(tmp_path) is None
+    b, directions, rhs = random_nodal_system(RNG)
+    expected = TangentPlaneAnalysis(b).solve(directions, rhs).primal
+    monkeypatch.setattr(kkt, "_openblas_threads", lambda: None)
+    assert kkt.set_blas_threads(1) is None
+    with kkt.blas_threads(1):
+        pass
+    assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs).primal, expected)

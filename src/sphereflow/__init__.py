@@ -19,7 +19,7 @@ from .flow import (
     run_sweep,
 )
 from .initial_data import InitSpec, SplitMix64, inverse_stereographic, make_initial
-from .kkt import KktError, KktSolution, TangentPlaneAnalysis, solve_saddle
+from .kkt import KktError, KktSolution, TangentPlaneAnalysis
 from .mesh import TriMesh, build_square_mesh, free_nodes
 from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 

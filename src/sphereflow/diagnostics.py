@@ -72,9 +72,9 @@ def relative_residual(lhs, rhs):
     return float(res.max(initial=0.0)) if res.ndim else float(res)
 
 
-def constraint_violation(sq, mesh, weights=None):
-    """Lumped L1 norm of the nodal unit-length defect |u|^2 - 1, from the (nv,) nodal squared lengths of u."""
-    return l1_nodal_norm(sq - 1.0, mesh, weights=weights)
+def constraint_violation(sq, weights):
+    """Lumped L1 norm of the defect |u|^2 - 1 from nodal squared lengths ``sq`` and lumped weights ``weights``."""
+    return l1_nodal_norm(sq - 1.0, weights)
 
 
 def eoc(coarse, fine):

@@ -64,15 +64,13 @@ def lumped_mass_diagonal(mesh):
     return diag
 
 
-def l1_nodal_norm(w, mesh, weights=None):
+def l1_nodal_norm(w, weights):
     """Lumped-quadrature L1 norm sum_z m_z |w(z)| of nodal values.
 
-    Exact L1 norm of the P1 interpolant whenever w has one sign.  Pass
-    ``weights`` (the lumped mass diagonal) to skip reassembly.
+    ``weights`` is the lumped mass diagonal m.  Exact L1 norm of the P1
+    interpolant whenever w has one sign.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape[0] != mesh.n_vertices:
-        raise ValueError(f"expected {mesh.n_vertices} nodal values, got {w.shape[0]}")
-    if weights is None:
-        weights = lumped_mass_diagonal(mesh)
+    if w.shape[0] != weights.shape[0]:
+        raise ValueError(f"expected {weights.shape[0]} nodal values, got {w.shape[0]}")
     return float(weights @ np.abs(w))

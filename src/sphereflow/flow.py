@@ -1,12 +1,13 @@
-"""Projection-free time stepping for constrained gradient flows.
+"""Projection-free time stepping for the harmonic-map flow into the sphere.
 
-The driver minimizes (1/2) a(u,u) - b(u) subject to a linearized nodal
-constraint: one linearized implicit Euler step initializes the history,
-then two-step (BDF2) steps with an extrapolated constraint direction run
-until the discrete time derivatives fall below the stopping threshold.
-A pure Euler mode repeats initialization-type steps instead, as the first
-order baseline.  :func:`run_sweep` runs the flows of several step sizes
-side by side in worker processes.
+The driver decreases the Dirichlet energy (1/2) a(u,u) subject to the
+linearized nodal unit-length constraint: one linearized implicit Euler
+step initializes the history, then two-step (BDF2) steps with an
+extrapolated constraint direction run until the discrete time derivatives
+fall below the stopping threshold.  A pure Euler mode repeats
+initialization-type steps instead, as the first order baseline.
+:func:`run_sweep` runs the flows of several step sizes side by side in
+worker processes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .diagnostics import (
     RunReport,
@@ -28,7 +28,7 @@ from .diagnostics import (
     relative_residual,
 )
 from .fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
-from .kkt import TangentPlaneAnalysis, set_blas_threads, solve_saddle
+from .kkt import TangentPlaneAnalysis, set_blas_threads
 from .mesh import free_nodes
 from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
@@ -58,6 +58,8 @@ class FlowConfig:
             raise ValueError(f"stopping threshold must be positive and finite, got {self.eps_stop}")
         if not self.t_max > 0:
             raise ValueError(f"final time must be positive, got {self.t_max}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"step cap must be at least 1, got {self.max_steps}")
 
 
 def _pair(u, v):
@@ -66,16 +68,15 @@ def _pair(u, v):
 
 
 class EnergySystem:
-    """Bilinear form, flow metric and constraint assembly for one problem.
+    """Dirichlet energy, flow metric and nodal sphere constraint for one mesh.
 
-    Holds the scalar matrices of the quadratic energy (``stiffness``), the
-    L2 pairing (``mass``), the chosen flow metric, an optional load, and
-    the free-node restrictions used by the per-step KKT solves.  The h1
-    metric is the energy form itself and needs a Dirichlet boundary to be
-    definite.
+    Holds the scalar matrices of the energy (``stiffness``), the L2 pairing
+    (``mass``), the chosen flow metric and the free-node restrictions used
+    by the per-step tangent-plane solves.  The h1 metric is the energy form
+    itself and needs a Dirichlet boundary to be definite.
     """
 
-    def __init__(self, mesh, stiffness, mass, metric="h1", load=None, constraint_builder=None):
+    def __init__(self, mesh, stiffness, mass, metric="h1"):
         if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
         if metric == "h1" and mesh.dirichlet_nodes.size == 0:
@@ -84,13 +85,8 @@ class EnergySystem:
         self.stiffness = stiffness.tocsr()
         self.mass = mass.tocsr()
         self.metric = metric
-        self.load = load
         self.free = free_nodes(mesh)
         self.lumped_weights = lumped_mass_diagonal(mesh)
-        # the default builder is the nodal sphere constraint; a custom one
-        # changes the feasibility notion, so the driver skips the unit check
-        self.uses_sphere_constraint = constraint_builder is None
-        self._constraint_builder = constraint_builder
         f = self.free
         self._a_ff = self.stiffness[f][:, f].tocsr()
         self._metric_ff = (self.mass if metric == "l2" else self.stiffness)[f][:, f].tocsr()
@@ -99,42 +95,23 @@ class EnergySystem:
     def solve_increment(self, scale, u_hat, rhs):
         """(K, 3) free-node increment for block metric_ff + scale * a_ff, directions ``u_hat`` and ``rhs``.
 
-        The solver of each scale is built on its first solve and kept: for
-        the nodal sphere constraint a :class:`TangentPlaneAnalysis` of the
-        scalar block, for a custom builder the block acting on each
-        component, kron(block, I3), whose rows go to :func:`solve_saddle`.
+        The :class:`TangentPlaneAnalysis` of each scale's block is built on
+        its first solve and kept.
         """
         solver = self._solvers.get(scale)
         if solver is None:
-            block = self._metric_ff + scale * self._a_ff
-            if self.uses_sphere_constraint:
-                solver = TangentPlaneAnalysis(block)
-            else:
-                solver = sp.kron(block, sp.identity(3), format="csc")
-            self._solvers[scale] = solver
-        if self.uses_sphere_constraint:
-            return solver.solve(u_hat[self.free], rhs).primal
-        return solve_saddle(solver, self._constraint_builder(u_hat, self.free), rhs.ravel()).primal.reshape(-1, 3)
+            solver = self._solvers[scale] = TangentPlaneAnalysis(self._metric_ff + scale * self._a_ff)
+        return solver.solve(u_hat[self.free], rhs).primal
 
     def rhs_from(self, explicit_field, factor):
-        """(K, 3) free-node right-hand side b - factor * a(explicit_field, .)."""
-        rhs = -factor * (self.stiffness @ explicit_field)
-        if self.load is not None:
-            rhs = rhs + self.load
-        return rhs[self.free]
-
-    def load_pairing(self, u):
-        """Load functional b(u) = sum(load * u); only defined with a load."""
-        return _pair(self.load, u)
+        """(K, 3) free-node right-hand side -factor * a(explicit_field, .)."""
+        return (-factor * (self.stiffness @ explicit_field))[self.free]
 
     def energy(self, u, k_u=None):
-        """Energy (1/2) a(u, u) - b(u); ``k_u`` is ``stiffness @ u`` when already formed."""
+        """Dirichlet energy (1/2) a(u, u); ``k_u`` is ``stiffness @ u`` when already formed."""
         if k_u is None:
             k_u = self.stiffness @ u
-        value = 0.5 * _pair(u, k_u)
-        if self.load is not None:
-            value -= self.load_pairing(u)
-        return value
+        return 0.5 * _pair(u, k_u)
 
     def lumped_norm_sq(self, u):
         return float(self.lumped_weights @ np.sum(u * u, axis=1))
@@ -201,9 +178,9 @@ class _Audit:
     """Per-step trace, the regularity sums A^2 and B^2, and the identity audits.
 
     Which identities apply is fixed at construction: the energy law and the
-    nodal recursion belong to the two-step scheme, and the nodal recursion,
-    closed-form and monotonicity audits to the nodal sphere constraint.
-    The others are NaN (skipped) in the report.
+    nodal recursion belong to the two-step scheme and are NaN (skipped) in
+    the report of an Euler run; the initialization, closed-form and
+    monotonicity audits apply to both schemes.
 
     Each step forms three sparse products, K u_next, K dt and M dt, and
     keeps them for the next step; every other pairing comes from these.
@@ -216,7 +193,6 @@ class _Audit:
         self.method = cfg.method
         self.tau = cfg.tau
         self.two_step = cfg.method == "bdf2"
-        self.sphere = sys.uses_sphere_constraint
         self.trace = []
         self.sum_d2_l2 = 0.0
         self.mono_violation = 0.0
@@ -253,12 +229,10 @@ class _Audit:
         a_uu = _pair(u_next, k_u)
         energy = sys.energy(u_next, k_u)
         sq = (u_next * u_next).sum(axis=1)
-        delta_uni = constraint_violation(sq, sys.mesh, weights=sys.lumped_weights)
+        delta_uni = constraint_violation(sq, sys.lumped_weights)
         if self.two_step:
-            # BDF2 energy of the pair: g_a(u_next, u_n) - (1.5 b(u_next) - 0.5 b(u_n))
+            # BDF2 energy of the pair g_a(u_next, u_n)
             g_new = g_form(a_uu, _pair(u_next, self.k_u), self.a_uu)
-            if sys.load is not None:
-                g_new -= 1.5 * sys.load_pairing(u_next) - 0.5 * sys.load_pairing(u_n)
         res_law = res_nodal = math.nan
         if u_prev is None:
             self.b_sq = dt_l2_sq
@@ -277,28 +251,26 @@ class _Audit:
                 self.sum_udot_star += tau * udot_star_sq
                 self.sum_grad_d2 += grad_d2_term
                 self.g_prev = g_new
-            if self.sphere and self.two_step:
                 f = sys.free
                 d2_sq = (d2 * d2).sum(axis=1)
                 res_nodal = nodal_recursion_residual(sq[f], self.sq[f], self.sq_prev[f], d2_sq[f], tau)
                 a_n = float(sys.lumped_weights @ d2_sq)
                 self.s1_lumped += a_n
                 self.c_lumped = a_n + self.c_lumped / 3.0
-            elif self.sphere:
-                self.sum_dt_lumped += sys.lumped_norm_sq(dt)
-        if self.sphere:
-            if self.two_step and u_prev is not None:
-                predicted = 1.5 * gamma(n - 1) * tau**2 * self.b_lumped + 1.5 * tau**4 * (
-                    self.s1_lumped - self.c_lumped / 3.0
-                )
             else:
-                # Euler steps, and the initialization step of a two-step run,
-                # obey the telescoped sum of squared derivatives
-                predicted = tau**2 * self.sum_dt_lumped
-            self.res_closed_form = max(self.res_closed_form, relative_residual(delta_uni, predicted))
-            next_norms = np.sqrt(sq)
-            self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
-            self.node_norms = next_norms
+                self.sum_dt_lumped += sys.lumped_norm_sq(dt)
+        if self.two_step and u_prev is not None:
+            predicted = 1.5 * gamma(n - 1) * tau**2 * self.b_lumped + 1.5 * tau**4 * (
+                self.s1_lumped - self.c_lumped / 3.0
+            )
+        else:
+            # Euler steps, and the initialization step of a two-step run,
+            # obey the telescoped sum of squared derivatives
+            predicted = tau**2 * self.sum_dt_lumped
+        self.res_closed_form = max(self.res_closed_form, relative_residual(delta_uni, predicted))
+        next_norms = np.sqrt(sq)
+        self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
+        self.node_norms = next_norms
         self.k_u, self.a_uu, self.k_dt, self.m_dt, self.metric_dt = k_u, a_uu, k_dt, m_dt, metric_dt
         self.sq_prev, self.sq = self.sq, sq
         rec = StepRecord(
@@ -317,14 +289,10 @@ class _Audit:
     def report(self, converged, u_final, reference_energy):
         tau, final = self.tau, self.trace[-1]
         n_stop = final.n
-        res_energy_law = res_nodal = res_closed_form = mono = math.nan
+        res_energy_law = res_nodal = math.nan
         if self.two_step and n_stop > 1:
             res_energy_law = relative_residual(self.g_prev + self.sum_udot_star + self.sum_grad_d2, self.g_first)
-        if self.sphere:
-            if self.two_step and n_stop > 1:
-                res_nodal = max(rec.res_nodal_recursion for rec in self.trace[1:])
-            res_closed_form = self.res_closed_form
-            mono = self.mono_violation
+            res_nodal = max(rec.res_nodal_recursion for rec in self.trace[1:])
         return RunReport(
             method=self.method,
             metric=self.sys.metric,
@@ -340,8 +308,8 @@ class _Audit:
             res_init=self.res_init,
             res_energy_law=res_energy_law,
             res_nodal_recursion=res_nodal,
-            res_closed_form=res_closed_form,
-            mono_violation=mono,
+            res_closed_form=self.res_closed_form,
+            mono_violation=self.mono_violation,
             u_final=u_final,
         )
 
@@ -352,20 +320,16 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     Records per-step norms, energies and constraint violations, the
     regularity quantities A^2 and B^2, and the identity audits
     (initialization equality, telescoped energy law, nodal recursion,
-    closed-form constraint violation at every step, nodal monotonicity).
-    With a load the energies and the energy law include the -b(u) term.
-
-    The nodal recursion, closed-form and monotonicity audits hold only for
-    the nodal sphere constraint; with a custom constraint builder they are
-    NaN (skipped).
+    closed-form constraint violation at every step, nodal monotonicity);
+    the two-step identities are NaN (skipped) for an Euler run.  ``u0``
+    must have unit length at every node, to ``FEASIBILITY_TOL``.
 
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
     criterion was met before the final time or step cap.
     """
-    if sys.uses_sphere_constraint:
-        defect = np.abs(np.sum(u0 * u0, axis=1) - 1.0).max()
-        if not defect <= FEASIBILITY_TOL:
-            raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
+    defect = np.abs(np.sum(u0 * u0, axis=1) - 1.0).max()
+    if not defect <= FEASIBILITY_TOL:
+        raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
 
     audit = _Audit(u0, sys, cfg)
     converged = False
@@ -401,11 +365,10 @@ def run_sweep(u0, sys, configs, reference_energy=None):
     The flows run side by side in forked worker processes, one per usable
     CPU (at most one per config), each with one BLAS thread; every report
     is bitwise the one :func:`run_flow` returns.  The workers inherit the
-    arguments instead of receiving them pickled, so a custom constraint
-    builder may be any callable.  With one worker, without ``fork``, or
-    in a daemonic process the flows run one after another in this
-    process.  An exception of a flow is raised here; no worker outlives
-    the call.
+    arguments and whatever wraps this module's functions instead of
+    receiving them pickled.  With one worker, without ``fork``, or in a
+    daemonic process the flows run one after another in this process.  An
+    exception of a flow is raised here; no worker outlives the call.
     """
     workers = min(len(configs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
@@ -413,8 +376,8 @@ def run_sweep(u0, sys, configs, reference_energy=None):
         return [run_flow(u0, sys, cfg, reference_energy) for cfg in configs]
     # steps grow like 1/tau, so the finest step size starts first
     order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
-    # fork, not spawn: the workers inherit the system (whose constraint
-    # builder need not pickle) and whatever wraps this module's functions
+    # fork, not spawn: the workers inherit the arguments and whatever wraps
+    # this module's functions
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_sweep_worker, initargs=(u0, sys, configs, reference_energy))
     try:

@@ -1,4 +1,4 @@
-"""Sparse KKT solves for the per-step linearly constrained systems.
+"""Tangent-plane KKT solves for the per-step linearized sphere constraint.
 
 The nodal solve takes a (K, K) scalar SPD block B that acts on each
 component of a (K, 3) field, and one linearized constraint per node,
@@ -10,9 +10,7 @@ B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
 is that of B, whatever the directions, so :class:`TangentPlaneAnalysis`
 keeps B and a banded node order found once, and each
 :meth:`~TangentPlaneAnalysis.solve` only fills in the band and factors it
-(LAPACK's banded Cholesky) on one BLAS thread.  General sparse rows G on
-a 3N system A go through :func:`solve_saddle`, which LU-factors the
-saddle-point matrix [[A, G^T], [G, 0]].
+(LAPACK's banded Cholesky) on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -26,10 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
@@ -140,69 +136,6 @@ def tangent_frames(normals):
     return frames
 
 
-def _checked_solve(solve, rhs, finish, bound_p, what):
-    """Solve with the factor's ``solve`` and enforce the residual contract.
-
-    ``finish`` maps a solution x of the factored system to a :class:`KktSolution`
-    with the residuals of the original system and to a function giving
-    ``rhs - matrix x``.  One step of iterative refinement is applied if the
-    first solve misses.
-    """
-    sol = solve(rhs)
-    if not np.all(np.isfinite(sol)):
-        raise KktError(f"KKT solve produced non-finite values ({what})")
-
-    def missed(out):
-        return out.residual_primal > bound_p or out.residual_constraint > TOL * (1.0 + _norm(out.primal))
-
-    out, residual = finish(sol)
-    if missed(out):
-        sol = sol + solve(residual())
-        out, _ = finish(sol)
-    if missed(out):
-        raise KktError(
-            f"KKT residuals not reached (primal {out.residual_primal:.3e}, "
-            f"constraint {out.residual_constraint:.3e}, tol {TOL:.1e}, {what}); "
-            "system may be ill-conditioned"
-        )
-    return out
-
-
-def solve_saddle(a, g, rhs):
-    """Direct solve of A p + G^T m = rhs, G p = 0 through [[A, G^T], [G, 0]].
-
-    ``a`` is (N, N) sparse, SPD on the kernel of the (M, N) sparse rows
-    ``g`` (None: unconstrained), and ``rhs`` has shape (N,).  The residual
-    contract is ||A p + G^T m - rhs|| <= TOL*(1 + ||rhs||) and
-    ||G p|| <= TOL*(1 + ||p||); one step of iterative refinement is applied
-    if the first solve misses.  Raises :class:`KktError` on a singular
-    matrix or an unmet tolerance.
-    """
-    a = a.tocsc()
-    rhs = np.asarray(rhs, dtype=float)
-    n = a.shape[0]
-    m = 0 if g is None else g.shape[0]
-    if m == 0:
-        kkt = a
-        full_rhs = rhs
-    else:
-        kkt = sp.bmat([[a, g.T], [g, None]], format="csc")
-        full_rhs = np.concatenate([rhs, np.zeros(m)])
-    what = f"n={n}, m={m}"
-    try:
-        lu = splu(kkt)
-    except RuntimeError as exc:
-        raise KktError(f"KKT factorization failed ({what}): {exc}") from exc
-
-    def finish(sol):
-        p = sol[:n]
-        r = kkt @ sol - full_rhs
-        rc = _norm(g @ p) if m else 0.0
-        return KktSolution(p, sol[n:], _norm(r[:n]), rc), lambda: -r
-
-    return _checked_solve(lu.solve, full_rhs, finish, TOL * (1.0 + _norm(full_rhs)), what)
-
-
 class TangentPlaneAnalysis:
     """Tangent-plane solver for one (K, K) scalar block, analysed once.
 
@@ -260,10 +193,10 @@ class TangentPlaneAnalysis:
 
         ``directions`` (u_hat) and ``rhs`` have shape (K, 3); B applies to
         each component.  Returns a :class:`KktSolution` with a (K, 3) primal
-        and (K,) multipliers, equal to those of :func:`solve_saddle` on
-        kron(B, I3) with one row u_hat(z) per node.  The residual contract is
-        ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||) and
-        ||(p_z . u_hat(z))_z|| <= TOL*(1 + ||p||); one step of iterative
+        and (K,) multipliers, those of the saddle-point system
+        [[kron(B, I3), G^T], [G, 0]] with one row u_hat(z) per node in G.
+        The residual contract is ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||)
+        and ||(p_z . u_hat(z))_z|| <= TOL*(1 + ||p||); one step of iterative
         refinement is applied if the first solve misses.  Raises
         :class:`KktError` on a block that is not positive definite on the
         tangent planes, an unmet tolerance or a degenerate direction.
@@ -276,11 +209,13 @@ class TangentPlaneAnalysis:
         norms = _check_directions(directions)
         normals = directions / norms[:, None]
         frames = tangent_frames(normals)
+        bound_p = TOL * (1.0 + _norm(rhs))
 
         def reduce(field):  # F^T field, in band order
             return np.einsum("kcj,kc->kj", frames, field)[self._order].ravel()
 
         def finish(x):
+            """(solution, B p - rhs, whether the contract is missed) for the band unknowns ``x``."""
             tangent = np.empty((k, 2))
             tangent[self._order] = x.reshape(k, 2)
             p = np.einsum("kcj,kj->kc", frames, tangent)
@@ -288,11 +223,26 @@ class TangentPlaneAnalysis:
             normal_part = np.sum(normals * r, axis=1)
             tangential = r - normals * normal_part[:, None]
             rc = _norm(np.sum(directions * p, axis=1))
-            # F^T rhs - F^T B F x = -F^T r: the band holds the factor, not the matrix
-            return KktSolution(p, -normal_part / norms, _norm(tangential), rc), lambda: -reduce(r)
+            out = KktSolution(p, -normal_part / norms, _norm(tangential), rc)
+            missed = out.residual_primal > bound_p or out.residual_constraint > TOL * (1.0 + _norm(p))
+            return out, r, missed
 
         # a band a few hundred wide is too narrow for a second BLAS thread,
         # which would only spin
         with blas_threads(1):
-            solve = self._factorize(frames)
-            return _checked_solve(solve, reduce(rhs), finish, TOL * (1.0 + _norm(rhs)), f"{k} nodes")
+            band_solve = self._factorize(frames)
+            x = band_solve(reduce(rhs))
+            if not np.all(np.isfinite(x)):
+                raise KktError(f"KKT solve produced non-finite values ({k} nodes)")
+            out, r, missed = finish(x)
+            if missed:
+                # one refinement step; F^T rhs - F^T B F x = -F^T r, since
+                # the band holds the factor, not the matrix
+                out, _, missed = finish(x + band_solve(-reduce(r)))
+        if missed:
+            raise KktError(
+                f"KKT residuals not reached (primal {out.residual_primal:.3e}, "
+                f"constraint {out.residual_constraint:.3e}, tol {TOL:.1e}, {k} nodes); "
+                "system may be ill-conditioned"
+            )
+        return out

@@ -53,10 +53,23 @@ def assemble_constraint_rows(u_hat, free):
     Row k carries the three entries u_hat(free[k]) in that node's component
     columns 3k, 3k + 1, 3k + 2, so a (len(free), 3*len(free)) CSR matrix;
     ``free`` fixes the column layout.  Raises ``KktError`` at a degenerate
-    direction, as the tangent-plane solve does.  As an ``EnergySystem``
-    constraint builder it sends the sphere constraint to ``solve_saddle``.
+    direction, as the tangent-plane solve does.
     """
     directions = np.asarray(u_hat, dtype=float)[free]
     _check_directions(directions)
     k = len(directions)
     return sp.csr_matrix((directions.ravel(), np.arange(3 * k), np.arange(0, 3 * k + 1, 3)), shape=(k, 3 * k))
+
+
+def dense_saddle_solve(b, directions, rhs):
+    """(K, 3) primal and (K,) multipliers of B p + u_hat m = rhs, p_z . u_hat(z) = 0, by a dense solve.
+
+    Solves the saddle-point system [[kron(B, I3), G^T], [G, 0]] with ``numpy.linalg.solve``,
+    G the rows of :func:`assemble_constraint_rows` for the (K, 3) ``directions``.
+    """
+    k = len(directions)
+    a = np.kron(b.toarray(), np.eye(3))
+    g = assemble_constraint_rows(directions, np.arange(k)).toarray()
+    matrix = np.block([[a, g.T], [g, np.zeros((k, k))]])
+    sol = np.linalg.solve(matrix, np.concatenate([np.ravel(rhs), np.zeros(k)]))
+    return sol[: 3 * k].reshape(k, 3), sol[3 * k :]

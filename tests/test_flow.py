@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_constraint_rows
+from oracles import dense_saddle_solve
 from sphereflow import flow, kkt
 from sphereflow.flow import (
     METHODS,
@@ -23,7 +23,7 @@ from sphereflow.flow import (
     run_sweep,
 )
 from sphereflow.diagnostics import audit_identities
-from sphereflow.fem import assemble_mass, assemble_stiffness
+from sphereflow.fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.kkt import KktError, TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh, free_nodes
@@ -59,6 +59,11 @@ def test_flow_config_validation():
         with pytest.raises(ValueError):
             FlowConfig(**bad)
     assert FlowConfig(t_max=math.inf).t_max == math.inf
+    # the step cap must allow at least one step; NaN fails the check too
+    for cap in (0, -3, math.nan):
+        with pytest.raises(ValueError, match="step cap"):
+            FlowConfig(max_steps=cap)
+    assert FlowConfig(max_steps=1).max_steps == 1
 
 
 def test_h1_metric_requires_dirichlet_nodes():
@@ -162,13 +167,7 @@ def test_run_flow_rejects_infeasible_start():
 
 def test_run_flow_audit_residuals_both_metrics():
     mesh, u0, _ = unit_square_setup(8, init="perturbed", amplitude=0.5)
-    mass = assemble_mass(mesh)
-    # the load term enters the energies of the initialization identity and
-    # of the energy law
-    load = 0.5 * mass @ np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
-    systems = [harmonic_map_system(mesh, metric=metric) for metric in ("h1", "l2")]
-    systems.append(EnergySystem(mesh, assemble_stiffness(mesh), mass, metric="h1", load=load))
-    for system in systems:
+    for system in [harmonic_map_system(mesh, metric=metric) for metric in ("h1", "l2")]:
         cfg = FlowConfig(method="bdf2", tau=0.125, t_max=50.0)
         report = run_flow(u0, system, cfg)
         assert audit_identities(report)[0]
@@ -187,19 +186,15 @@ def test_run_flow_audit_residuals_both_metrics():
     n=st.integers(1, 8),
     metric=st.sampled_from(["h1", "l2"]),
     method=st.sampled_from(["euler", "bdf2"]),
-    loaded=st.booleans(),
     m=st.integers(1, 6),
     init=st.sampled_from(["perturbed", "random"]),
     seed=st.integers(0, 2**16),
     max_steps=st.integers(2, 15),
 )
-def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, loaded, m, init, seed, max_steps):
+def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, max_steps):
     # every accepted configuration passes its audits to round-off; only the
     # two-step identities of an Euler run read skipped
-    mesh, u0, _ = unit_square_setup(n, init=init, seed=seed)
-    mass = assemble_mass(mesh)
-    load = 0.5 * mass @ np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1)) if loaded else None
-    system = EnergySystem(mesh, assemble_stiffness(mesh), mass, metric=metric, load=load)
+    _, u0, system = unit_square_setup(n, metric=metric, init=init, seed=seed)
     report = run_flow(u0, system, FlowConfig(method=method, tau=2.0**-m, max_steps=max_steps))
     passed, summary = audit_identities(report, tol=1e-10)
     assert passed, summary
@@ -268,42 +263,6 @@ def test_rate_window_bdf2_vs_euler():
     assert 0.85 <= eoc_euler <= 1.15
 
 
-def test_generalized_driver_with_load_and_custom_constraints():
-    # with a load vector and no constraint rows the flow is plain gradient
-    # descent for (1/2) a(u,u) - b(u); it must reach the direct solution
-    mesh = build_square_mesh(4, lower_left=(-0.5, -0.5), side=1.0)
-    stiffness = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh)
-    f_field = np.tile([1.0, -0.5, 0.0], (mesh.n_vertices, 1))
-    load = mass @ f_field
-    system = EnergySystem(
-        mesh,
-        stiffness,
-        mass,
-        metric="h1",
-        load=load,
-        constraint_builder=lambda u_hat, free: None,
-    )
-    u0 = np.zeros((mesh.n_vertices, 3))
-    report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.5, eps_stop=1e-10))
-    assert report.converged
-
-    f = free_nodes(mesh)
-    k_ff = stiffness[f][:, f].toarray()
-    direct = np.linalg.solve(k_ff, load[f])
-    expected = np.zeros_like(u0)
-    expected[f] = direct
-    assert report.u_final is not None
-    assert np.abs(report.u_final - expected).max() <= 1e-8
-    assert report.trace[-1].energy == pytest.approx(system.energy(expected), rel=1e-10)
-    # the nodal sphere identities do not apply to a custom constraint
-    passed, summary = audit_identities(report)
-    assert passed
-    for key in ("res_nodal_recursion", "res_closed_form", "mono_violation"):
-        assert math.isnan(summary[key])
-    assert all(math.isnan(rec.res_nodal_recursion) for rec in report.trace)
-
-
 def test_corrupted_step_trips_nodal_recursion_audit(monkeypatch):
     mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
     cfg = FlowConfig(method="bdf2", tau=0.125)
@@ -342,27 +301,6 @@ def test_run_flow_analyses_each_scale_once(monkeypatch):
         assert len(built) == scales
 
 
-def test_custom_builder_forms_each_block_once(monkeypatch):
-    # the saddle-point path keeps kron(block, I3) per scale instead of
-    # forming it every step
-    calls = []
-    kron = flow.sp.kron
-
-    def counting_kron(*args, **kwargs):
-        calls.append(None)
-        return kron(*args, **kwargs)
-
-    monkeypatch.setattr(flow.sp, "kron", counting_kron)
-    for method, scales in (("bdf2", 2), ("euler", 1)):
-        calls.clear()
-        mesh, u0, _ = unit_square_setup(8, init="perturbed", amplitude=0.5)
-        system = EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric="h1",
-                              constraint_builder=assemble_constraint_rows)
-        report = run_flow(u0, system, FlowConfig(method=method, tau=0.125))
-        assert report.n_stop > 10
-        assert len(calls) == scales
-
-
 class CountingMatrix:
     """A sparse matrix whose products with a field are counted."""
 
@@ -393,20 +331,20 @@ def test_run_flow_forms_few_products_per_step(method):
     assert len(products) <= 4 * report.n_stop + 1
 
 
-def test_tangent_and_saddle_constraint_paths_agree():
-    # the default constraint is solved on the tangent planes; the same rows
-    # given through a constraint builder take the general saddle-point path
-    mesh, u0, default = unit_square_setup(8, init="perturbed", amplitude=0.5)
-    general = EnergySystem(
-        mesh,
-        assemble_stiffness(mesh),
-        assemble_mass(mesh),
-        metric="h1",
-        constraint_builder=assemble_constraint_rows,
-    )
+def test_tangent_and_saddle_constraint_paths_agree(monkeypatch):
+    # the flow's tangent-plane solves against dense solves of the saddle-point
+    # system [[kron(B, I3), G^T], [G, 0]] with one constraint row per free node
+    _, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
     cfg = FlowConfig(method="bdf2", tau=0.125)
-    first = run_flow(u0, default, cfg)
-    second = run_flow(u0, general, cfg)
+    first = run_flow(u0, system, cfg)
+
+    def dense_increment(sys, scale, u_hat, rhs):
+        f = sys.free
+        block = (sys.stiffness + scale * sys.stiffness)[f][:, f]
+        return dense_saddle_solve(block, u_hat[f], rhs)[0]
+
+    monkeypatch.setattr(EnergySystem, "solve_increment", dense_increment)
+    second = run_flow(u0, system, cfg)
     assert first.n_stop == second.n_stop
     for a, b in zip(first.trace, second.trace):
         for key in ("norm_udot_star", "norm_dtu_l2", "energy", "delta_uni"):
@@ -419,7 +357,7 @@ def test_u_final_matches_reported_constraint_violation():
     mesh, u0, system = unit_square_setup(6, init="perturbed", amplitude=0.5)
     report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.25))
     sq = np.sum(report.u_final * report.u_final, axis=1)
-    assert constraint_violation(sq, mesh) == pytest.approx(report.delta_uni, rel=1e-12)
+    assert constraint_violation(sq, lumped_mass_diagonal(mesh)) == pytest.approx(report.delta_uni, rel=1e-12)
 
 
 def test_h1_stopping_time_roughly_tau_independent():
@@ -434,23 +372,15 @@ def test_h1_stopping_time_roughly_tau_independent():
 SWEEP_TAUS = (0.25, 0.125, 0.0625)
 
 
-def sweep_system(kind):
-    mesh, u0, _ = unit_square_setup(6, init="perturbed", amplitude=0.5)
-    stiffness, mass = assemble_stiffness(mesh), assemble_mass(mesh)
-    if kind == "load":
-        load = 0.5 * mass @ np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
-        return u0, EnergySystem(mesh, stiffness, mass, metric="h1", load=load)
-    if kind == "custom builder":
-        # a lambda cannot be pickled: the workers must inherit the system
-        return u0, EnergySystem(mesh, stiffness, mass, metric="h1",
-                                constraint_builder=lambda u_hat, free: assemble_constraint_rows(u_hat, free))
-    return u0, harmonic_map_system(mesh, metric=kind)
+def sweep_system(metric):
+    _, u0, system = unit_square_setup(6, metric=metric, init="perturbed", amplitude=0.5)
+    return u0, system
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("kind", ["h1", "l2", "load", "custom builder"])
-def test_run_sweep_reports_equal_run_flow_bitwise(kind, method):
-    u0, system = sweep_system(kind)
+@pytest.mark.parametrize("metric", ["h1", "l2"])
+def test_run_sweep_reports_equal_run_flow_bitwise(metric, method):
+    u0, system = sweep_system(metric)
     configs = [FlowConfig(method=method, tau=tau, max_steps=60) for tau in SWEEP_TAUS]
     swept = run_sweep(u0, system, configs, reference_energy=3.0)
     assert multiprocessing.active_children() == []

@@ -1,4 +1,4 @@
-"""Constraint-row assembly, saddle-point and tangent-plane solves against references."""
+"""Constraint-row oracle and tangent-plane solves against dense saddle-point references."""
 
 import math
 import re
@@ -10,95 +10,75 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
-from oracles import assemble_constraint_rows
+from oracles import assemble_constraint_rows, dense_saddle_solve
 from sphereflow import kkt
 from sphereflow.fem import assemble_stiffness
-from sphereflow.kkt import TOL, KktError, TangentPlaneAnalysis, solve_saddle, tangent_frames
+from sphereflow.kkt import TOL, KktError, TangentPlaneAnalysis, tangent_frames
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 RNG = np.random.default_rng(2718)
 
 
-def random_kkt(rng, n_max=50, m_max=10):
-    """Random SPD system with full-rank constraints and its dense solution."""
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(0, min(m_max, n - 1) + 1))
-    base = rng.standard_normal((n, n))
-    a = base @ base.T + n * np.eye(n)
-    g = rng.standard_normal((m, n))
-    rhs = rng.standard_normal(n)
-    dense = np.zeros((n + m, n + m))
-    dense[:n, :n] = a
-    dense[:n, n:] = g.T
-    dense[n:, :n] = g
-    ref = np.linalg.solve(dense, np.concatenate([rhs, np.zeros(m)])) if m else np.linalg.solve(a, rhs)
-    system = (sp.csr_matrix(a), sp.csr_matrix(g) if m else None, rhs)
-    return system, ref, n, m
+def random_nodal_system(rng, k_max=30):
+    """Random SPD scalar block with (K, 3) nodal directions and right-hand side."""
+    k = int(rng.integers(1, k_max + 1))
+    base = rng.standard_normal((k, k))
+    b = sp.csr_matrix(base @ base.T + k * np.eye(k))
+    return b, rng.standard_normal((k, 3)), rng.standard_normal((k, 3))
 
 
 def test_hand_solved_system():
-    a = sp.identity(2, format="csr")
-    g = sp.csr_matrix(np.array([[1.0, 0.0]]))
-    sol = solve_saddle(a, g, np.array([1.0, 1.0]))
-    assert np.allclose(sol.primal, [0.0, 1.0], atol=1e-14)
-    assert np.allclose(sol.multiplier, [1.0], atol=1e-14)
+    # B = I and u_hat = e_z at one node: p drops the z-component of rhs,
+    # which the multiplier takes
+    sol = TangentPlaneAnalysis(sp.identity(1, format="csr")).solve(np.array([[0.0, 0.0, 2.0]]), np.ones((1, 3)))
+    assert np.allclose(sol.primal, [[1.0, 1.0, 0.0]], atol=1e-14)
+    assert np.allclose(sol.multiplier, [0.5], atol=1e-14)
 
 
 def test_unconstrained_reduces_to_spd_solve():
+    # with u_hat = e_z at every node the x and y components are unconstrained
+    # solves with B, the z component is zero and the multipliers are rhs_z
     base = RNG.standard_normal((6, 6))
-    a = base @ base.T + 6 * np.eye(6)
-    rhs = RNG.standard_normal(6)
-    sol = solve_saddle(sp.csr_matrix(a), None, rhs)
-    assert sol.multiplier.size == 0
-    assert np.allclose(sol.primal, np.linalg.solve(a, rhs), rtol=1e-12)
+    b = base @ base.T + 6 * np.eye(6)
+    rhs = RNG.standard_normal((6, 3))
+    sol = TangentPlaneAnalysis(sp.csr_matrix(b)).solve(np.tile([0.0, 0.0, 1.0], (6, 1)), rhs)
+    assert np.allclose(sol.primal[:, :2], np.linalg.solve(b, rhs[:, :2]), rtol=1e-12)
+    assert np.abs(sol.primal[:, 2]).max() == 0.0
+    assert np.allclose(sol.multiplier, rhs[:, 2], rtol=1e-12)
 
 
 def test_orthonormal_constraints():
-    n, m = 20, 5
-    base = RNG.standard_normal((n, n))
-    a = sp.csr_matrix(base @ base.T + n * np.eye(n))
-    q, _ = np.linalg.qr(RNG.standard_normal((n, m)))
-    g = sp.csr_matrix(q.T)
-    rhs = RNG.standard_normal(n)
-    sol = solve_saddle(a, g, rhs)
-    assert np.abs(q.T @ sol.primal).max() <= 1e-10
+    b, directions, rhs = random_nodal_system(RNG)
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    sol = TangentPlaneAnalysis(b).solve(directions, rhs)
+    assert np.abs(np.sum(directions * sol.primal, axis=1)).max() <= 1e-10
     assert sol.residual_primal <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
 def test_matches_dense_reference():
-    for _ in range(50):
-        system, ref, n, m = random_kkt(RNG)
-        sol = solve_saddle(*system)
-        scale = np.linalg.norm(ref[:n]) + 1.0
-        assert np.linalg.norm(sol.primal - ref[:n]) <= 1e-9 * scale
+    # blocks of the flow on the square mesh, whose band is narrower than the
+    # block, against dense saddle-point solves
+    for n in (3, 5, 8):
+        b = bdf2_block(n)
+        k = b.shape[0]
+        for _ in range(5):
+            directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
+            primal, _ = dense_saddle_solve(b, directions, rhs)
+            sol = TangentPlaneAnalysis(b).solve(directions, rhs)
+            assert np.linalg.norm(sol.primal - primal) <= 1e-9 * (np.linalg.norm(primal) + 1.0)
 
 
 def test_galerkin_orthogonality():
-    # any feasible direction v (G v = 0) satisfies v.(A p - rhs) = 0
+    # any feasible direction v (v(z) . u_hat(z) = 0 at every node) satisfies
+    # v . (kron(B, I3) p - rhs) = 0
     for _ in range(20):
-        system, _, n, m = random_kkt(RNG)
-        if m == 0:
-            continue
-        a, g, rhs = system
-        sol = solve_saddle(a, g, rhs)
-        _, _, vt = np.linalg.svd(g.toarray())
-        null_basis = vt[m:].T
-        resid = null_basis.T @ (a @ sol.primal - rhs)
+        b, directions, rhs = random_nodal_system(RNG)
+        k = b.shape[0]
+        sol = TangentPlaneAnalysis(b).solve(directions, rhs)
+        _, _, vt = np.linalg.svd(assemble_constraint_rows(directions, np.arange(k)).toarray())
+        null_basis = vt[k:].T
+        resid = null_basis.T @ (b @ sol.primal - rhs).ravel()
         assert np.abs(resid).max() <= 1e-10 * (1.0 + np.linalg.norm(rhs))
-
-
-def test_deterministic_bitwise():
-    system, _, _, _ = random_kkt(RNG)
-    first = solve_saddle(*system)
-    second = solve_saddle(*system)
-    assert np.array_equal(first.primal, second.primal)
-    assert np.array_equal(first.multiplier, second.multiplier)
-
-
-def test_singular_system_raises():
-    a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(KktError):
-        solve_saddle(a, None, np.array([1.0, 1.0]))
 
 
 def test_constraint_rows_single_node():
@@ -147,27 +127,19 @@ def test_constraint_rows_respects_free_subset():
     assert np.allclose(g.toarray()[1, 3:], u_hat[3])
 
 
-def random_nodal_system(rng, k_max=30):
-    """Random SPD scalar block with (K, 3) nodal directions and right-hand side."""
-    k = int(rng.integers(1, k_max + 1))
-    base = rng.standard_normal((k, k))
-    b = sp.csr_matrix(base @ base.T + k * np.eye(k))
-    return b, rng.standard_normal((k, 3)), rng.standard_normal((k, 3))
-
-
 def test_tangent_solve_matches_saddle_solve():
     for _ in range(50):
         b, directions, rhs = random_nodal_system(RNG)
         rows = assemble_constraint_rows(directions, np.arange(len(directions)))
         tangent = TangentPlaneAnalysis(b).solve(directions, rhs)
-        saddle = solve_saddle(sp.kron(b, sp.identity(3)), rows, rhs.ravel())
+        primal, multiplier = dense_saddle_solve(b, directions, rhs)
         assert tangent.primal.shape == rhs.shape
-        scale = 1.0 + np.linalg.norm(saddle.primal)
-        assert np.linalg.norm(tangent.primal.ravel() - saddle.primal) <= 1e-10 * scale
+        scale = 1.0 + np.linalg.norm(primal)
+        assert np.linalg.norm(tangent.primal - primal) <= 1e-10 * scale
         assert np.abs(rows @ tangent.primal.ravel()).max() <= 1e-12 * scale
-        assert tangent.multiplier.shape == saddle.multiplier.shape
-        scale = 1.0 + np.linalg.norm(saddle.multiplier)
-        assert np.linalg.norm(tangent.multiplier - saddle.multiplier) <= 1e-10 * scale
+        assert tangent.multiplier.shape == multiplier.shape
+        scale = 1.0 + np.linalg.norm(multiplier)
+        assert np.linalg.norm(tangent.multiplier - multiplier) <= 1e-10 * scale
 
 
 def test_tangent_frames_are_orthonormal_kernel():
@@ -185,6 +157,13 @@ def test_tangent_solve_singular_raises():
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError):
         TangentPlaneAnalysis(b).solve(directions, np.ones((2, 3)))
+
+
+def test_tangent_solve_non_finite_rhs_raises():
+    b, directions, rhs = random_nodal_system(RNG)
+    rhs[0, 1] = np.nan
+    with pytest.raises(KktError, match=rf"non-finite values \({b.shape[0]} nodes\)"):
+        TangentPlaneAnalysis(b).solve(directions, rhs)
 
 
 def test_tangent_solve_vanishing_directions_raise():
@@ -323,68 +302,38 @@ class Perturbation:
         return x + self.offset if self.solves <= self.bad else x
 
 
-class PerturbedFactor:
-    """SuperLU factor whose solves go through a :class:`Perturbation`."""
-
-    def __init__(self, lu, perturbation):
-        self.lu = lu
-        self.perturbation = perturbation
-
-    def solve(self, rhs):
-        return self.perturbation(self.lu.solve(rhs))
-
-    def __getattr__(self, name):
-        return getattr(self.lu, name)
-
-
-def perturb_solves(monkeypatch, solve, bad):
-    """Route the triangular solves of ``solve`` through a :class:`Perturbation` and return it.
-
-    :meth:`TangentPlaneAnalysis.solve` solves with ``kkt.dpbtrs`` on its
-    band factor, :func:`solve_saddle` with the factors of ``kkt.splu``.
-    """
+def perturb_solves(monkeypatch, bad):
+    """Route the band solves ``kkt.dpbtrs`` of the tangent-plane solve through a :class:`Perturbation`."""
     perturbation = Perturbation(bad)
-    if solve is not solve_saddle:
 
-        def band_solve(*args, **options):
-            x, info = dpbtrs(*args, **options)
-            return perturbation(x), info
+    def band_solve(*args, **options):
+        x, info = dpbtrs(*args, **options)
+        return perturbation(x), info
 
-        monkeypatch.setattr(kkt, "dpbtrs", band_solve)
-    else:
-        monkeypatch.setattr(kkt, "splu", lambda *args, **options: PerturbedFactor(splu(*args, **options), perturbation))
+    monkeypatch.setattr(kkt, "dpbtrs", band_solve)
     return perturbation
 
 
 def test_refinement_restores_residual_contract(monkeypatch):
     # the tangent-plane refinement residual is formed without the matrix,
     # whose band holds the factor by then
-    nodal = random_nodal_system(RNG)
-    system, _, _, _ = random_kkt(RNG)
-    while system[1] is None:
-        system, _, _, _ = random_kkt(RNG)
-    cases = ((TangentPlaneAnalysis(nodal[0]).solve, nodal[1:]), (solve_saddle, system))
-    exact = [solve(*args) for solve, args in cases]
-    for (solve, args), ref in zip(cases, exact):
-        perturbation = perturb_solves(monkeypatch, solve, bad=1)
-        sol = solve(*args)
-        rhs = args[-1]
-        assert perturbation.solves == 2
-        assert sol.residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
-        assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
-        assert np.linalg.norm(sol.primal - ref.primal) <= 1e-10 * (1.0 + np.linalg.norm(ref.primal))
+    b, directions, rhs = random_nodal_system(RNG)
+    solve = TangentPlaneAnalysis(b).solve
+    ref = solve(directions, rhs)
+    perturbation = perturb_solves(monkeypatch, bad=1)
+    sol = solve(directions, rhs)
+    assert perturbation.solves == 2
+    assert sol.residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
+    assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
+    assert np.linalg.norm(sol.primal - ref.primal) <= 1e-10 * (1.0 + np.linalg.norm(ref.primal))
 
 
 def test_persistent_solve_error_raises(monkeypatch):
-    nodal = random_nodal_system(RNG)
-    system, _, _, _ = random_kkt(RNG)
-    while system[1] is None:
-        system, _, _, _ = random_kkt(RNG)
-    for solve, args in ((TangentPlaneAnalysis(nodal[0]).solve, nodal[1:]), (solve_saddle, system)):
-        perturbation = perturb_solves(monkeypatch, solve, bad=math.inf)
-        with pytest.raises(KktError, match="residuals not reached"):
-            solve(*args)
-        assert perturbation.solves == 2
+    b, directions, rhs = random_nodal_system(RNG)
+    perturbation = perturb_solves(monkeypatch, bad=math.inf)
+    with pytest.raises(KktError, match="residuals not reached"):
+        TangentPlaneAnalysis(b).solve(directions, rhs)
+    assert perturbation.solves == 2
 
 
 def openblas_threads():

@@ -205,7 +205,10 @@ def _run_table(config, taus, trace_out=None):
         # two handles on one file would interleave the table and the trace
         if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
             raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
-        reports = run_sweep(u0, system, flow_configs, reference_energy=config.ref_energy)
+        try:
+            reports = run_sweep(u0, system, flow_configs, reference_energy=config.ref_energy)
+        except ValueError as exc:  # a step size the flow cannot resolve
+            raise UsageError(str(exc)) from exc
         rows = build_sweep_table(taus, reports)
         (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
         if trace is not None:

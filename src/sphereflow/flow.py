@@ -226,6 +226,14 @@ class _Audit:
             # 2 udot = 3 dt_n - dt_{n-1} for a two-step step
             udot_star_sq = _pair(u_dot, 1.5 * metric_dt - 0.5 * self.metric_dt)
         dt_l2_sq = _pair(dt, m_dt)
+        # both are squared norms; below zero, the update tau * u_dot is lost
+        # in the round-off of the states
+        for name, value in (("metric norm of u_dot", udot_star_sq), ("L2 norm of d_t u", dt_l2_sq)):
+            if value < 0.0:
+                raise ValueError(
+                    f"step {n}: squared {name} is negative ({value:.3e}); "
+                    f"the step size {tau:g} is below the round-off of the states"
+                )
         a_uu = _pair(u_next, k_u)
         energy = sys.energy(u_next, k_u)
         sq = (u_next * u_next).sum(axis=1)
@@ -322,7 +330,10 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     (initialization equality, telescoped energy law, nodal recursion,
     closed-form constraint violation at every step, nodal monotonicity);
     the two-step identities are NaN (skipped) for an Euler run.  ``u0``
-    must have unit length at every node, to ``FEASIBILITY_TOL``.
+    must have unit length at every node, to ``FEASIBILITY_TOL``.  A step
+    size too small for the update to outlast the round-off of the states,
+    or so large that tau**2 or tau**4 overflows, stops the run with a
+    ``ValueError`` naming the step.
 
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
     criterion was met before the final time or step cap.
@@ -334,7 +345,10 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     audit = _Audit(u0, sys, cfg)
     converged = False
     for n, step in enumerate(_steps(u0, sys, cfg), start=1):
-        rec = audit.record(*step)
+        try:
+            rec = audit.record(*step)
+        except OverflowError:
+            raise ValueError(f"step {n}: the audit's powers of the step size {cfg.tau:g} overflow") from None
         # a two-step run is judged from its first two-step step on; the final
         # time and the step cap hold from step 1 on
         if n > 1 or cfg.method == "euler":

@@ -144,9 +144,11 @@ class TangentPlaneAnalysis:
     - the node order, reverse Cuthill-McKee of B, with each node keeping its
       two tangent unknowns together, so the tangent-plane matrix has a
       narrow band of ``kd`` superdiagonals;
-    - the positions of the upper-triangle entries in the (nnz, 2, 2) blocks
-      b_ij F_i^T F_j, laid out in the CSR order of B, and their places in the
-      Fortran-order (kd + 1, 2K) upper band storage of LAPACK.
+    - the entries b_ij of B with position(i) <= position(j) in that order,
+      whose 2x2 blocks b_ij F_i^T F_j hold the upper triangle of the
+      tangent-plane matrix, the positions of its entries in those (2, 2, n)
+      blocks, and their places in the Fortran-order (kd + 1, 2K) upper band
+      storage of LAPACK.
 
     :meth:`solve` does the numeric part for any directions in a band of its
     own, so solves on one analysis do not share state.
@@ -161,12 +163,15 @@ class TangentPlaneAnalysis:
         # csgraph cannot order an empty graph
         self._order = reverse_cuthill_mckee(b, symmetric_mode=True) if k else np.arange(0)
         position = np.argsort(self._order)
-        self._entry_rows = np.repeat(np.arange(k), np.diff(b.indptr))
+        entry_rows = np.repeat(np.arange(k), np.diff(b.indptr))
+        upper = np.flatnonzero(position[entry_rows] <= position[b.indices])
+        self._rows, self._cols, self._data = entry_rows[upper], b.indices[upper], b.data[upper]
         # unknown 2 position(i) + a of node i, for the rows and columns of
-        # entry (a, c) of each block, in the (nnz, 2, 2) layout of the blocks
+        # entry (a, c) of each block, in the (2, 2, n) layout of the blocks
         unknown = 2 * position[:, None] + np.arange(2)
-        rows = np.broadcast_to(unknown[self._entry_rows][:, :, None], (b.nnz, 2, 2)).ravel()
-        cols = np.broadcast_to(unknown[b.indices][:, None, :], (b.nnz, 2, 2)).ravel()
+        shape = (2, 2, upper.size)
+        rows = np.broadcast_to(unknown[self._rows].T[:, None, :], shape).ravel()
+        cols = np.broadcast_to(unknown[self._cols].T[None, :, :], shape).ravel()
         self._source = np.flatnonzero(rows <= cols)
         rows, cols = rows[self._source], cols[self._source]
         self.kd = int(np.max(cols - rows, initial=0))
@@ -175,10 +180,11 @@ class TangentPlaneAnalysis:
 
     def _factorize(self, frames):
         """Band solve ``v -> x`` of the tangent-plane matrix for ``frames``, by banded Cholesky."""
-        b = self._b
-        # np.take gathers the frames about twice as fast as fancy indexing
-        left = np.take(frames, self._entry_rows, axis=0).transpose(0, 2, 1)
-        blocks = b.data[:, None, None] * (left @ np.take(frames, b.indices, axis=0))
+        # frames as (3, 2, K): each block sum runs over the leading axis;
+        # np.take gathers them about twice as fast as fancy indexing
+        frames = np.ascontiguousarray(frames.transpose(1, 2, 0))
+        left, right = np.take(frames, self._rows, axis=2), np.take(frames, self._cols, axis=2)
+        blocks = (left[:, :, None, :] * right[:, None, :, :]).sum(axis=0) * self._data
         band = np.zeros((self.kd + 1) * 2 * self.k)
         band[self._dest] = np.take(blocks.ravel(), self._source)
         factor, info = dpbtrf(band.reshape((self.kd + 1, 2 * self.k), order="F"), lower=0, overwrite_ab=1)

@@ -69,17 +69,12 @@ def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0, dirichlet="boundary"):
     cols, rows = np.meshgrid(np.arange(m), np.arange(m))  # row-major over (row, col)
     vertices = np.column_stack([x0 + cols.ravel() * h, y0 + rows.ravel() * h])
 
-    cells = np.empty((2 * n * n, 3), dtype=np.int64)
-    k = 0
-    for iy in range(n):
-        for ix in range(n):
-            sw = iy * m + ix
-            se = sw + 1
-            nw = sw + m
-            ne = nw + 1
-            cells[k] = (sw, se, ne)
-            cells[k + 1] = (sw, ne, nw)
-            k += 2
+    # cell (ix, iy), row-major, is split into (sw, se, ne) and (sw, ne, nw)
+    iy, ix = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    sw = iy * m + ix
+    se, nw = sw + 1, sw + m
+    ne = nw + 1
+    cells = np.column_stack([sw, se, ne, sw, ne, nw]).reshape(2 * n * n, 3)
 
     on_boundary = (cols == 0) | (cols == n) | (rows == 0) | (rows == n)
     boundary = np.flatnonzero(on_boundary.ravel())

@@ -2,13 +2,17 @@
 
 The package computes these quantities another way (the two-step derivative
 through its difference operators, the closed-form constraint violation as a
-running update, the nodal constraint on the tangent planes); these are the
-plain formulas.
+running update, the nodal constraint on the tangent planes, the mesh cells
+and the seeded initial fields in array arithmetic); these are the plain
+formulas and per-node loops.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
+from sphereflow.initial_data import SplitMix64, _normalize_rows, inverse_stereographic
 from sphereflow.kkt import _check_directions
 
 
@@ -73,3 +77,50 @@ def dense_saddle_solve(b, directions, rhs):
     matrix = np.block([[a, g.T], [g, np.zeros((k, k))]])
     sol = np.linalg.solve(matrix, np.concatenate([np.ravel(rhs), np.zeros(k)]))
     return sol[: 3 * k].reshape(k, 3), sol[3 * k :]
+
+
+def square_cells(n):
+    """(2 n**2, 3) cells of the n x n square mesh, (sw, se, ne) and (sw, ne, nw) per cell, cell by cell."""
+    m = n + 1
+    cells = np.empty((2 * n * n, 3), dtype=np.int64)
+    k = 0
+    for iy in range(n):
+        for ix in range(n):
+            sw = iy * m + ix
+            se = sw + 1
+            nw = sw + m
+            ne = nw + 1
+            cells[k] = (sw, se, ne)
+            cells[k + 1] = (sw, ne, nw)
+            k += 2
+    return cells
+
+
+def make_initial(mesh, spec, gen=None):
+    """The initial field of ``sphereflow.make_initial``, node by node from ``SplitMix64.uniform``.
+
+    ``gen`` (default ``SplitMix64(spec.seed)``) supplies the draws and is
+    left advanced past the last one used.
+    """
+    values = inverse_stereographic(mesh.vertices)
+    interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_nodes)
+    gen = SplitMix64(spec.seed) if gen is None else gen
+    if spec.kind == "random":
+        for z in interior:
+            a1 = gen.uniform(-0.5 * math.pi, 0.5 * math.pi)
+            a2 = gen.uniform(-math.pi, math.pi)
+            values[z] = (
+                math.cos(a1) * math.cos(a2),
+                math.cos(a1) * math.sin(a2),
+                math.sin(a1),
+            )
+    elif spec.kind == "perturbed":
+        amp = spec.perturb_amplitude
+        for z in interior:
+            while True:
+                xi = np.array([gen.uniform(-1.0, 1.0) for _ in range(3)])
+                v = values[z] + amp * xi
+                if np.linalg.norm(v) > 1e-12:
+                    break
+            values[z] = v
+    return _normalize_rows(values)

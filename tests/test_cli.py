@@ -63,6 +63,28 @@ def test_run_invalid_option_values(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--mesh-n", "4", "--tau", "1e-14"],
+        ["run", "--mesh-n", "4", "--tau", "1e160"],
+        # the flows of a sweep run in worker processes
+        ["sweep", "--mesh-n", "4", "--tau-range", "46:47"],
+    ],
+)
+def test_step_size_the_flow_cannot_resolve_is_usage_error(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ") and "Traceback" not in err
+
+
+def test_huge_perturbation_amplitude_runs(capsys):
+    args = ["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--perturb-amplitude", "1e308"]
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(CSV_HEADER) and "Traceback" not in err
+
+
 def test_run_stdout_when_no_out(capsys):
     code = main(["run", "--mesh-n", "2", "--tau", "0.25", "--audit", "off"])
     assert code == 0

@@ -66,6 +66,30 @@ def test_flow_config_validation():
     assert FlowConfig(max_steps=1).max_steps == 1
 
 
+@pytest.mark.parametrize(
+    "tau, t_max, match",
+    [
+        # the update falls below the round-off of the states
+        (1e-14, 1e6, "step 2: squared metric norm of u_dot is negative"),
+        # tau**2 of the initialization audit overflows
+        (1e160, 1e6, "step 1: the audit's powers of the step size 1e\\+160 overflow"),
+        # tau**4 of the two-step audits overflows
+        (1e80, 1e300, "step 2: the audit's powers"),
+    ],
+)
+def test_extreme_step_size_stops_with_value_error(tau, t_max, match):
+    _, u0, system = unit_square_setup(4)
+    with pytest.raises(ValueError, match=match):
+        run_flow(u0, system, FlowConfig(tau=tau, t_max=t_max))
+
+
+def test_huge_step_size_runs_to_final_time():
+    _, u0, system = unit_square_setup(4)
+    report = run_flow(u0, system, FlowConfig(tau=1e80))
+    assert report.n_stop == 1
+    assert audit_identities(report)[0]
+
+
 def test_h1_metric_requires_dirichlet_nodes():
     mesh = build_square_mesh(3, dirichlet="none")
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import square_cells
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 
@@ -83,3 +84,11 @@ def test_mesh_is_immutable():
     m = build_square_mesh(2)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+def test_cells_match_loop_oracle(n):
+    cells = build_square_mesh(n).cells
+    assert cells.dtype == np.int64
+    assert np.array_equal(cells, square_cells(n))
+    assert not cells.flags.writeable

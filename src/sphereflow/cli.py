@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple, fields
 
 from .diagnostics import StepRecord, audit_identities, build_sweep_table
-from .flow import METHODS, METRICS, FlowConfig, harmonic_map_system, run_sweep
+from .flow import METHODS, METRICS, EnergySystem, FlowConfig, run_sweep
 from .initial_data import INIT_KINDS, InitSpec, make_initial
 from .mesh import build_square_mesh
 
@@ -174,9 +174,9 @@ def resolve_config(args):
 
 
 def _setup(config):
-    mesh = build_square_mesh(config.mesh_n, lower_left=(-0.5, -0.5), side=1.0, dirichlet="boundary")
+    mesh = build_square_mesh(config.mesh_n, lower_left=(-0.5, -0.5), side=1.0)
     u0 = make_initial(mesh, InitSpec(config.init, config.seed, config.perturb_amplitude))
-    system = harmonic_map_system(mesh, metric=config.metric)
+    system = EnergySystem(mesh, metric=config.metric)
     return mesh, u0, system
 
 

@@ -1,4 +1,4 @@
-"""P1 finite elements on triangle meshes: assembly and nodal norms.
+"""P1 finite elements on triangle meshes: stiffness, mass and lumped mass assembly.
 
 Vector-valued nodal fields are plain (n_vertices, 3) float arrays; scalar
 matrices act blockwise on the component columns, so a single N x N matrix
@@ -63,14 +63,3 @@ def lumped_mass_diagonal(mesh):
     np.add.at(diag, mesh.cells.ravel(), np.repeat(area / 3.0, 3))
     return diag
 
-
-def l1_nodal_norm(w, weights):
-    """Lumped-quadrature L1 norm sum_z m_z |w(z)| of nodal values.
-
-    ``weights`` is the lumped mass diagonal m.  Exact L1 norm of the P1
-    interpolant whenever w has one sign.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != weights.shape[0]:
-        raise ValueError(f"expected {weights.shape[0]} nodal values, got {w.shape[0]}")
-    return float(weights @ np.abs(w))

@@ -54,6 +54,10 @@ class FlowConfig:
         # written so that NaN fails every check
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"step size must be positive and finite, got {self.tau}")
+        # the audits scale by tau**4, which must not underflow to 0; a
+        # product, since tau**4 raises OverflowError for a huge tau
+        if self.tau * self.tau * self.tau * self.tau == 0.0:
+            raise ValueError(f"step size {self.tau:g} is too small: its fourth power underflows to 0")
         if not (math.isfinite(self.eps_stop) and self.eps_stop > 0):
             raise ValueError(f"stopping threshold must be positive and finite, got {self.eps_stop}")
         if not self.t_max > 0:
@@ -70,20 +74,18 @@ def _pair(u, v):
 class EnergySystem:
     """Dirichlet energy, flow metric and nodal sphere constraint for one mesh.
 
-    Holds the scalar matrices of the energy (``stiffness``), the L2 pairing
-    (``mass``), the chosen flow metric and the free-node restrictions used
-    by the per-step tangent-plane solves.  The h1 metric is the energy form
-    itself and needs a Dirichlet boundary to be definite.
+    Assembles the scalar matrices of the energy (``stiffness``) and the L2
+    pairing (``mass``) on ``mesh``; holds the flow metric and the free-node
+    restrictions of the per-step tangent-plane solves.  The h1 metric is
+    the energy form, definite since the boundary carries Dirichlet data.
     """
 
-    def __init__(self, mesh, stiffness, mass, metric="h1"):
+    def __init__(self, mesh, metric="h1"):
         if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-        if metric == "h1" and mesh.dirichlet_nodes.size == 0:
-            raise ValueError("h1 metric is singular without Dirichlet nodes")
         self.mesh = mesh
-        self.stiffness = stiffness.tocsr()
-        self.mass = mass.tocsr()
+        self.stiffness = assemble_stiffness(mesh)
+        self.mass = assemble_mass(mesh)
         self.metric = metric
         self.free = free_nodes(mesh)
         self.lumped_weights = lumped_mass_diagonal(mesh)
@@ -115,11 +117,6 @@ class EnergySystem:
 
     def lumped_norm_sq(self, u):
         return float(self.lumped_weights @ np.sum(u * u, axis=1))
-
-
-def harmonic_map_system(mesh, metric="h1"):
-    """Assemble the Dirichlet-energy system with the nodal sphere constraint."""
-    return EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric=metric)
 
 
 def _scatter(sys, increment):
@@ -196,11 +193,11 @@ class _Audit:
         self.trace = []
         self.sum_d2_l2 = 0.0
         self.mono_violation = 0.0
-        # kept between steps: K u_n, a(u_n, u_n) and the nodal squared
-        # lengths and lengths of the newest state u_n; the previous step's
-        # K dt, M dt and metric dt; the nodal squared lengths before u_n
+        # kept between steps: K u_n, the energy and the nodal squared lengths
+        # and lengths of the newest state u_n; the previous step's K dt, M dt
+        # and metric dt; the nodal squared lengths before u_n
         self.k_u = sys.stiffness @ u0
-        self.a_uu = _pair(u0, self.k_u)
+        self.energy = sys.energy(u0, self.k_u)
         self.sq = (u0 * u0).sum(axis=1)
         self.node_norms = np.sqrt(self.sq)
         self.k_dt = self.m_dt = self.metric_dt = self.sq_prev = None
@@ -234,20 +231,18 @@ class _Audit:
                     f"step {n}: squared {name} is negative ({value:.3e}); "
                     f"the step size {tau:g} is below the round-off of the states"
                 )
-        a_uu = _pair(u_next, k_u)
         energy = sys.energy(u_next, k_u)
         sq = (u_next * u_next).sum(axis=1)
         delta_uni = constraint_violation(sq, sys.lumped_weights)
         if self.two_step:
             # BDF2 energy of the pair g_a(u_next, u_n)
-            g_new = g_form(a_uu, _pair(u_next, self.k_u), self.a_uu)
+            g_new = g_form(2.0 * energy, _pair(u_next, self.k_u), 2.0 * self.energy)
         res_law = res_nodal = math.nan
         if u_prev is None:
             self.b_sq = dt_l2_sq
-            self.b_lumped = self.sum_dt_lumped = sys.lumped_norm_sq(dt)
-            self.res_init = relative_residual(
-                energy + tau * udot_star_sq + 0.5 * tau**2 * _pair(dt, k_dt), sys.energy(u_n, self.k_u)
-            )
+            self.sum_dt_lumped = sys.lumped_norm_sq(dt)
+            self.res_init = relative_residual(energy + tau * udot_star_sq + 0.5 * tau**2 * _pair(dt, k_dt),
+                                              self.energy)
             if self.two_step:
                 self.g_first = self.g_prev = g_new
         else:
@@ -268,7 +263,8 @@ class _Audit:
             else:
                 self.sum_dt_lumped += sys.lumped_norm_sq(dt)
         if self.two_step and u_prev is not None:
-            predicted = 1.5 * gamma(n - 1) * tau**2 * self.b_lumped + 1.5 * tau**4 * (
+            # only Euler steps add to sum_dt_lumped: here it is the first step's term
+            predicted = 1.5 * gamma(n - 1) * tau**2 * self.sum_dt_lumped + 1.5 * tau**4 * (
                 self.s1_lumped - self.c_lumped / 3.0
             )
         else:
@@ -279,7 +275,7 @@ class _Audit:
         next_norms = np.sqrt(sq)
         self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
         self.node_norms = next_norms
-        self.k_u, self.a_uu, self.k_dt, self.m_dt, self.metric_dt = k_u, a_uu, k_dt, m_dt, metric_dt
+        self.k_u, self.energy, self.k_dt, self.m_dt, self.metric_dt = k_u, energy, k_dt, m_dt, metric_dt
         self.sq_prev, self.sq = self.sq, sq
         rec = StepRecord(
             n=n,

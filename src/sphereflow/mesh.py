@@ -1,4 +1,4 @@
-"""Structured triangulations of axis-aligned squares with boundary marking."""
+"""Structured triangulations of axis-aligned squares; the boundary carries the Dirichlet data."""
 
 from __future__ import annotations
 
@@ -6,25 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Accepted values for the Dirichlet boundary selector.
-DIRICHLET_SELECTORS = ("boundary", "none")
-
-
 @dataclass(frozen=True)
 class TriMesh:
     """Uniform right-triangle mesh of a square.
 
     vertices : (nv, 2) float array, lexicographic by (row, column)
     cells : (nc, 3) int array, counterclockwise vertex triples
-    boundary_nodes : sorted indices of vertices on the geometric boundary
-    dirichlet_nodes : sorted indices of essentially constrained vertices
+    boundary_nodes : sorted indices of vertices on the geometric boundary,
+        where the field is fixed (Dirichlet data)
     h : lattice spacing
     """
 
     vertices: np.ndarray
     cells: np.ndarray
     boundary_nodes: np.ndarray
-    dirichlet_nodes: np.ndarray
     h: float
 
     @property
@@ -36,20 +31,19 @@ class TriMesh:
         return self.cells.shape[0]
 
 
-def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0, dirichlet="boundary"):
+def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0):
     """Triangulate a square into 2*n*n right triangles.
 
     The square with corner ``lower_left`` and edge length ``side`` is cut
     into an n-by-n lattice of cells, each split along its southwest-to-
     northeast diagonal.  Vertex k sits at column k % (n+1), row k // (n+1).
+    The boundary vertices carry the Dirichlet data; :func:`free_nodes`
+    lists the others.
 
     Parameters
     ----------
     n : int
         Cells per side, at least 1.
-    dirichlet : str
-        "boundary" marks every boundary vertex as Dirichlet, "none" marks
-        no vertex.
 
     Returns
     -------
@@ -57,8 +51,6 @@ def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0, dirichlet="boundary"):
     """
     if n < 1:
         raise ValueError(f"need at least one cell per side, got n={n}")
-    if dirichlet not in DIRICHLET_SELECTORS:
-        raise ValueError(f"dirichlet must be one of {DIRICHLET_SELECTORS}, got {dirichlet!r}")
     x0, y0 = float(lower_left[0]), float(lower_left[1])
     side = float(side)
     if side <= 0:
@@ -78,13 +70,11 @@ def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0, dirichlet="boundary"):
 
     on_boundary = (cols == 0) | (cols == n) | (rows == 0) | (rows == n)
     boundary = np.flatnonzero(on_boundary.ravel())
-    dirichlet_nodes = boundary.copy() if dirichlet == "boundary" else np.empty(0, dtype=np.int64)
-
-    for arr in (vertices, cells, boundary, dirichlet_nodes):
+    for arr in (vertices, cells, boundary):
         arr.setflags(write=False)
-    return TriMesh(vertices, cells, boundary, dirichlet_nodes, h)
+    return TriMesh(vertices, cells, boundary, h)
 
 
 def free_nodes(mesh):
-    """Sorted indices of vertices not marked Dirichlet."""
-    return np.setdiff1d(np.arange(mesh.n_vertices), mesh.dirichlet_nodes)
+    """Sorted indices of the interior vertices, the ones not fixed by the Dirichlet data."""
+    return np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_nodes)

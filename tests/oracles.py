@@ -4,7 +4,7 @@ The package computes these quantities another way (the two-step derivative
 through its difference operators, the closed-form constraint violation as a
 running update, the nodal constraint on the tangent planes, the mesh cells
 and the seeded initial fields in array arithmetic); these are the plain
-formulas and per-node loops.
+formulas, the scalar splitmix64 generator and per-node loops.
 """
 
 import math
@@ -12,8 +12,35 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from sphereflow.initial_data import SplitMix64, _normalize_rows, inverse_stereographic
+from sphereflow.initial_data import _GOLDEN, _MASK64, _MIX1, _MIX2, _normalize_rows, inverse_stereographic
 from sphereflow.kkt import _check_directions
+from sphereflow.mesh import free_nodes
+
+
+class SplitMix64:
+    """Deterministic 64-bit generator (splitmix state advance), one draw at a time.
+
+    The state advances by the odd constant gamma and the output is a
+    two-round xor-multiply mix of the state.  Uniform doubles use the top
+    53 bits.
+    """
+
+    def __init__(self, seed):
+        self.state = int(seed) & _MASK64
+
+    def next_u64(self):
+        self.state = (self.state + _GOLDEN) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self):
+        """Uniform double in [0, 1)."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.next_float()
 
 
 def bdf2_derivative(u_n, u_prev, u_prev2, tau):
@@ -96,15 +123,11 @@ def square_cells(n):
     return cells
 
 
-def make_initial(mesh, spec, gen=None):
-    """The initial field of ``sphereflow.make_initial``, node by node from ``SplitMix64.uniform``.
-
-    ``gen`` (default ``SplitMix64(spec.seed)``) supplies the draws and is
-    left advanced past the last one used.
-    """
+def make_initial(mesh, spec):
+    """The initial field of ``sphereflow.make_initial``, node by node from ``SplitMix64(spec.seed).uniform``."""
     values = inverse_stereographic(mesh.vertices)
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_nodes)
-    gen = SplitMix64(spec.seed) if gen is None else gen
+    interior = free_nodes(mesh)
+    gen = SplitMix64(spec.seed)
     if spec.kind == "random":
         for z in interior:
             a1 = gen.uniform(-0.5 * math.pi, 0.5 * math.pi)
@@ -117,10 +140,5 @@ def make_initial(mesh, spec, gen=None):
     elif spec.kind == "perturbed":
         amp = spec.perturb_amplitude
         for z in interior:
-            while True:
-                xi = np.array([gen.uniform(-1.0, 1.0) for _ in range(3)])
-                v = values[z] + amp * xi
-                if np.linalg.norm(v) > 1e-12:
-                    break
-            values[z] = v
+            values[z] = values[z] + amp * np.array([gen.uniform(-1.0, 1.0) for _ in range(3)])
     return _normalize_rows(values)

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from oracles import assemble_constraint_rows, constraint_recursion_closed_form, dense_saddle_solve
 from sphereflow.cli import main
-from sphereflow.flow import FlowConfig, harmonic_map_system, run_flow, run_sweep
+from sphereflow.flow import EnergySystem, FlowConfig, run_flow, run_sweep
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.kkt import TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh
@@ -114,7 +114,7 @@ def audit_runs():
     for init, amplitude in (("exact", 0.0), ("perturbed", 0.5)):
         u0 = make_initial(mesh, InitSpec(init, seed=SEED, perturb_amplitude=amplitude))
         for metric in ("l2", "h1"):
-            system = harmonic_map_system(mesh, metric=metric)
+            system = EnergySystem(mesh, metric=metric)
             for tau in (2.0**-2, 2.0**-4):
                 cfg = FlowConfig(method="bdf2", tau=tau, eps_stop=1e-3)
                 reports.append(run_flow(u0, system, cfg))
@@ -148,7 +148,7 @@ def test_acceptance_4_rate_dichotomy():
     taus = [2.0**-m for m in range(2, 7)]
     final_eoc = {}
     for method in ("bdf2", "euler"):
-        system = harmonic_map_system(mesh, metric="h1")
+        system = EnergySystem(mesh, metric="h1")
         reports = run_sweep(u0, system, [FlowConfig(method=method, tau=tau, eps_stop=1e-3) for tau in taus])
         assert all(report.converged for report in reports)
         final_eoc[method] = np.log2(reports[-2].delta_uni / reports[-1].delta_uni)
@@ -164,7 +164,7 @@ def test_acceptance_4_rate_dichotomy():
 def test_acceptance_5_reference_energy():
     start = time.perf_counter()
     mesh = benchmark_mesh(64)
-    energy = harmonic_map_system(mesh).energy(inverse_stereographic(mesh.vertices))
+    energy = EnergySystem(mesh).energy(inverse_stereographic(mesh.vertices))
     elapsed = time.perf_counter() - start
     ok = 2.95 <= energy <= 3.07 and elapsed < 5.0
     assert announce(5, "reference energy", ok, f"(energy {energy:.4f}, {elapsed:.1f} s)")
@@ -180,7 +180,7 @@ def test_acceptance_6_regularity_breakdown():
     taus = [2.0**-m for m in range(3, 7)]  # halved three times
     b_sq = {}
     for metric in ("l2", "h1"):
-        system = harmonic_map_system(mesh, metric=metric)
+        system = EnergySystem(mesh, metric=metric)
         values = []
         for tau in taus:
             cfg = FlowConfig(method="bdf2", tau=tau, t_max=4 * tau)
@@ -229,19 +229,26 @@ def test_acceptance_7_kkt_oracle():
 # --- criterion 8: determinism -------------------------------------------------
 
 
-# the exact sweep tables a fixed configuration and seed must reproduce
+# the exact sweep tables a fixed configuration and seed must reproduce, by
+# (method, metric, init)
 PINNED_SWEEP_CSV = {
-    "bdf2": (
+    ("bdf2", "h1", "perturbed"): (
         "tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged\n"
         "0.25,37,0.00836993,,0.00616106,0.0450013,3.01485,0.00585108,,true\n"
         "0.125,74,0.0024498,1.77255,0.00407481,0.0555572,2.99447,0.0145294,-1.31221,true\n"
         "0.0625,148,0.000665567,1.88001,0.00234167,0.0622856,2.98863,0.0203739,-0.487744,true\n"
     ),
-    "euler": (
+    ("euler", "h1", "perturbed"): (
         "tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged\n"
         "0.25,43,0.0142392,,0.00600001,0.0450013,3.03725,0.0282499,,true\n"
         "0.125,80,0.00751462,0.922092,0.00395604,0.0555572,3.01205,0.00304905,3.21181,true\n"
         "0.0625,153,0.00386425,0.95951,0.00229322,0.0622856,2.99928,0.00972347,-1.67311,true\n"
+    ),
+    ("bdf2", "l2", "random"): (
+        "tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged\n"
+        "0.25,100,2.73447,,15.4724,3.94662,38.0285,35.0195,,true\n"
+        "0.125,99,2.46537,0.149459,54.2118,14.8881,35.9493,32.9403,0.088304,true\n"
+        "0.0625,50,2.11286,0.222608,180.149,53.3775,32.0378,29.0288,0.182371,true\n"
     ),
 }
 
@@ -249,22 +256,23 @@ PINNED_SWEEP_CSV = {
 def test_acceptance_8_determinism(tmp_path):
     ok = True
     sizes = []
-    for method, pinned in PINNED_SWEEP_CSV.items():
+    for (method, metric, init), pinned in PINNED_SWEEP_CSV.items():
         args = [
             "sweep",
             "--mesh-n", "8",
             "--method", method,
-            "--metric", "h1",
+            "--metric", metric,
             "--tau-range", "2:4",
-            "--init", "perturbed",
+            "--init", init,
             "--seed", "7",
             "--perturb-amplitude", "0.5",
         ]
-        first = tmp_path / f"{method}-first.csv"
-        second = tmp_path / f"{method}-second.csv"
+        label = f"{method} {metric} {init}"
+        first = tmp_path / f"{method}-{metric}-{init}-first.csv"
+        second = tmp_path / f"{method}-{metric}-{init}-second.csv"
         code_a = main(args + ["--out", str(first)])
         code_b = main(args + ["--out", str(second)])
         identical = first.read_bytes() == second.read_bytes() == pinned.encode()
         ok = ok and identical and code_a == 0 and code_b == 0
-        sizes.append(f"{method} {first.stat().st_size} bytes")
+        sizes.append(f"{label} {first.stat().st_size} bytes")
     assert announce(8, "determinism", ok, f"({', '.join(sizes)}, pinned)")

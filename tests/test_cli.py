@@ -1,8 +1,9 @@
 """Command-line interface: subcommands, files, exit codes, determinism."""
 
+import numpy as np
 import pytest
 
-from sphereflow import cli
+from sphereflow import cli, initial_data
 from sphereflow.cli import CSV_HEADER, TRACE_HEADER, main
 
 
@@ -55,6 +56,9 @@ def test_run_requires_tau(capsys):
         ["--mesh-n", "2", "--tau", "0.25", "--t-max", "nan"],
         ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "nan"],
         ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "-1"],
+        # tau**4 underflows to 0: rejected before any flow can warn or run on
+        ["--mesh-n", "4", "--tau", "1e-200"],
+        ["--mesh-n", "4", "--tau", "1e-200", "--method", "euler"],
     ],
 )
 def test_run_invalid_option_values(args, capsys):
@@ -76,6 +80,14 @@ def test_step_size_the_flow_cannot_resolve_is_usage_error(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: step ") and "Traceback" not in err
+
+
+def test_degenerate_perturbed_node_is_usage_error(monkeypatch, capsys):
+    # the draws of the one interior node (the center, exact value e_z) give xi = -e_z
+    monkeypatch.setattr(initial_data, "_draws", lambda seed, count: np.array([0.5, 0.5, 0.0]))
+    args = ["run", "--mesh-n", "2", "--tau", "0.25", "--init", "perturbed", "--perturb-amplitude", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: cannot normalize the value at node 4:")
 
 
 def test_huge_perturbation_amplitude_runs(capsys):

@@ -16,7 +16,7 @@ from sphereflow.diagnostics import (
     relative_residual,
 )
 from sphereflow.fem import lumped_mass_diagonal
-from sphereflow.flow import FlowConfig, bdf2_step, euler_init_step, harmonic_map_system
+from sphereflow.flow import EnergySystem, FlowConfig, bdf2_step, euler_init_step
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.mesh import build_square_mesh
 from sphereflow.seqcalc import second_difference
@@ -65,6 +65,12 @@ def test_constraint_violation_values():
     assert constraint_violation(sq, weights) == 0.0
     c = 0.3
     assert constraint_violation((1.0 + c) * sq, weights) == pytest.approx(c, rel=1e-12)
+    assert constraint_violation(np.full(mesh.n_vertices, 0.75), weights) == pytest.approx(0.25, rel=1e-13)
+    # a defect of both signs counts its absolute value: |u|^2 = 2 and 0 in turn
+    alternating = np.where(np.arange(mesh.n_vertices) % 2 == 0, 2.0, 0.0)
+    assert constraint_violation(alternating, weights) == pytest.approx(weights.sum(), rel=1e-13)
+    with pytest.raises(ValueError):
+        constraint_violation(np.ones(3), weights)
 
 
 def test_relative_residual_scaling():
@@ -78,7 +84,7 @@ def test_nodal_recursion_negative_control():
     # a corrupted state must blow the recursion audit far past tolerance
     mesh = build_square_mesh(6, lower_left=(-0.5, -0.5), side=1.0)
     u0 = make_initial(mesh, InitSpec("perturbed", seed=3, perturb_amplitude=0.5))
-    system = harmonic_map_system(mesh, metric="h1")
+    system = EnergySystem(mesh, metric="h1")
     cfg = FlowConfig(method="bdf2", tau=0.125)
     u1, dt_u1 = euler_init_step(u0, system, cfg)
     u2, _ = bdf2_step(u1, u0, system, cfg)

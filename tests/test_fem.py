@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sphereflow.fem import assemble_mass, assemble_stiffness, l1_nodal_norm, lumped_mass_diagonal
-from sphereflow.flow import harmonic_map_system
+from sphereflow.fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
+from sphereflow.flow import EnergySystem
 from sphereflow.initial_data import inverse_stereographic
 from sphereflow.mesh import build_square_mesh
 
@@ -75,7 +75,7 @@ def test_stiffness_energy_exact_on_affine():
 
 
 def test_stiffness_kernel_is_constants():
-    mesh = build_square_mesh(3, dirichlet="none")
+    mesh = build_square_mesh(3)
     K = assemble_stiffness(mesh)
     const = np.ones((mesh.n_vertices, 1))
     assert np.abs(K @ const).max() <= 1e-13
@@ -121,23 +121,11 @@ def test_interpolate_stereographic_unit_nodes():
 def test_reference_energy_on_paper_mesh():
     mesh = build_square_mesh(64, lower_left=(-0.5, -0.5), side=1.0)
     u = inverse_stereographic(mesh.vertices)
-    energy = harmonic_map_system(mesh).energy(u)
+    energy = EnergySystem(mesh).energy(u)
     assert energy == pytest.approx(3.009, rel=0.02)
-
-
-def test_l1_nodal_norm():
-    mesh = build_square_mesh(4, side=1.0)
-    nv = mesh.n_vertices
-    diag = lumped_mass_diagonal(mesh)
-    assert l1_nodal_norm(np.zeros(nv), diag) == 0.0
-    assert l1_nodal_norm(np.full(nv, -0.25), diag) == pytest.approx(0.25, rel=1e-13)
-    w = np.where(np.arange(nv) % 2 == 0, 1.0, -1.0)
-    assert l1_nodal_norm(w, diag) == pytest.approx(diag.sum(), rel=1e-13)
-    with pytest.raises(ValueError):
-        l1_nodal_norm(np.zeros(3), diag)
 
 
 def test_dirichlet_energy_constant_field():
     mesh = build_square_mesh(3)
     u = np.tile([1.0, 2.0, 3.0], (mesh.n_vertices, 1))
-    assert harmonic_map_system(mesh).energy(u) == pytest.approx(0.0, abs=1e-13)
+    assert EnergySystem(mesh).energy(u) == pytest.approx(0.0, abs=1e-13)

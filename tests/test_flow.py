@@ -18,12 +18,11 @@ from sphereflow.flow import (
     FlowConfig,
     bdf2_step,
     euler_init_step,
-    harmonic_map_system,
     run_flow,
     run_sweep,
 )
 from sphereflow.diagnostics import audit_identities
-from sphereflow.fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
+from sphereflow.fem import lumped_mass_diagonal
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.kkt import KktError, TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh, free_nodes
@@ -32,14 +31,14 @@ from sphereflow.mesh import build_square_mesh, free_nodes
 def unit_square_setup(n, metric="h1", init="exact", seed=1, amplitude=0.5):
     mesh = build_square_mesh(n, lower_left=(-0.5, -0.5), side=1.0)
     u0 = make_initial(mesh, InitSpec(init, seed=seed, perturb_amplitude=amplitude))
-    return mesh, u0, harmonic_map_system(mesh, metric=metric)
+    return mesh, u0, EnergySystem(mesh, metric=metric)
 
 
 def constant_state_setup():
-    """A feasible stationary state: constant field, no essential boundary."""
-    mesh = build_square_mesh(3, dirichlet="none")
+    """A feasible stationary state: a constant field, boundary values included."""
+    mesh = build_square_mesh(3)
     u0 = np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
-    system = EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric="l2")
+    system = EnergySystem(mesh, metric="l2")
     return mesh, u0, system
 
 
@@ -48,9 +47,14 @@ def test_flow_config_validation():
         FlowConfig(method="rk4")
     mesh = build_square_mesh(3)
     with pytest.raises(ValueError):
-        EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric="linf")
+        EnergySystem(mesh, metric="linf")
     with pytest.raises(ValueError):
         FlowConfig(tau=0.0)
+    # tau**4 underflows to 0 below about 1e-81; 1e-80 still has a fourth power
+    for tiny in (1e-200, 1e-82, 5e-324):
+        with pytest.raises(ValueError, match="fourth power underflows"):
+            FlowConfig(tau=tiny)
+    assert FlowConfig(tau=1e-80).tau == 1e-80
     with pytest.raises(ValueError):
         FlowConfig(eps_stop=-1.0)
     # NaN fails every check; an infinite step or threshold is no flow either
@@ -88,12 +92,6 @@ def test_huge_step_size_runs_to_final_time():
     report = run_flow(u0, system, FlowConfig(tau=1e80))
     assert report.n_stop == 1
     assert audit_identities(report)[0]
-
-
-def test_h1_metric_requires_dirichlet_nodes():
-    mesh = build_square_mesh(3, dirichlet="none")
-    with pytest.raises(ValueError):
-        EnergySystem(mesh, assemble_stiffness(mesh), assemble_mass(mesh), metric="h1")
 
 
 def test_init_step_stationary_state():
@@ -191,7 +189,7 @@ def test_run_flow_rejects_infeasible_start():
 
 def test_run_flow_audit_residuals_both_metrics():
     mesh, u0, _ = unit_square_setup(8, init="perturbed", amplitude=0.5)
-    for system in [harmonic_map_system(mesh, metric=metric) for metric in ("h1", "l2")]:
+    for system in [EnergySystem(mesh, metric=metric) for metric in ("h1", "l2")]:
         cfg = FlowConfig(method="bdf2", tau=0.125, t_max=50.0)
         report = run_flow(u0, system, cfg)
         assert audit_identities(report)[0]

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import SplitMix64
 from sphereflow import initial_data
 from sphereflow.fem import assemble_stiffness
-from sphereflow.initial_data import (
-    InitSpec,
-    SplitMix64,
-    inverse_stereographic,
-    make_initial,
-)
-from sphereflow.mesh import build_square_mesh
+from sphereflow.initial_data import InitSpec, _draws, inverse_stereographic, make_initial
+from sphereflow.mesh import build_square_mesh, free_nodes
 
 
 def test_inverse_stereographic_values():
@@ -119,76 +115,33 @@ SEEDS = (0, 1, 7, -3, 2**64 - 1)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_floats_match_next_float(seed):
-    # counts 0, 1 and 5 in a row: each call starts where the last one ended
-    arrays, scalars = SplitMix64(seed), SplitMix64(seed)
-    for count in (0, 1, 5, 5):
-        drawn = arrays.floats(count)
+    for count in (0, 1, 5):
+        drawn = _draws(seed, count)
         assert drawn.dtype == np.float64 and drawn.shape == (count,)
+        scalars = SplitMix64(seed)
         assert drawn.tolist() == [scalars.next_float() for _ in range(count)]
-        assert arrays.state == scalars.state
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64])
 @pytest.mark.parametrize("kind", ["exact", "perturbed", "random"])
 def test_make_initial_matches_loop_oracle(kind, n):
     mesh = build_square_mesh(n, lower_left=(-0.5, -0.5), side=1.0)
-    for seed in SEEDS:
+    for seed in (*SEEDS, 12345):
         for amplitude in (0.0, 0.5, 3.0):
             spec = InitSpec(kind, seed=seed, perturb_amplitude=amplitude)
             assert np.array_equal(make_initial(mesh, spec), oracles.make_initial(mesh, spec))
 
 
-class RiggedSplitMix64(SplitMix64):
-    """SplitMix64 whose draws with the given 1-based indices are replaced by the given floats."""
-
-    def __init__(self, seed, replaced):
-        super().__init__(seed)
-        self.origin, self.replaced = self.state, replaced
-
-    def _drawn(self):
-        # the state after k draws is origin + k * gamma mod 2**64
-        return ((self.state - self.origin) * pow(initial_data._GOLDEN, -1, 2**64)) % 2**64
-
-    def next_float(self):
-        k = self._drawn() + 1
-        return self.replaced.get(k, super().next_float())
-
-    def floats(self, count):
-        first = self._drawn() + 1
-        out = super().floats(count)
-        for k, value in self.replaced.items():
-            if first <= k < first + count:
-                out[k - first] = value
-        return out
-
-
-def test_perturbed_retry_matches_oracle(monkeypatch):
-    # interior node 1 cancels its exact value on its first two tries, and
-    # interior node 4 on its first; every later node shifts by three draws
-    # per failed try
+def test_degenerate_perturbed_node_raises(monkeypatch):
+    # the draws of interior node 4 cancel its exact value: -1 + 2 f = -exact
     mesh = build_square_mesh(4, lower_left=(-0.5, -0.5), side=1.0)
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_nodes)
+    interior = free_nodes(mesh)
     exact = inverse_stereographic(mesh.vertices)[interior]
-    replaced = {}
-    for node, first_draw in ((1, 4), (1, 7), (4, 19)):
-        for c in range(3):
-            replaced[first_draw + c] = (1.0 - exact[node, c]) / 2.0  # -1 + 2 f = -exact
-    spec = InitSpec("perturbed", seed=7, perturb_amplitude=1.0)
-    made = []
-
-    def rigged(seed):
-        made.append(RiggedSplitMix64(seed, replaced))
-        return made[-1]
-
-    monkeypatch.setattr(initial_data, "SplitMix64", rigged)
-    field = make_initial(mesh, spec)
-    assert len(made) == 1
-    reference_gen = RiggedSplitMix64(7, replaced)
-    reference = oracles.make_initial(mesh, spec, reference_gen)
-    assert np.array_equal(field, reference)
-    assert made[0].state == reference_gen.state
-    assert reference_gen._drawn() == 3 * (len(interior) + 3)
-    assert not np.array_equal(field, oracles.make_initial(mesh, spec))
+    draws = _draws(7, 3 * len(interior)).reshape(-1, 3)
+    draws[4] = (1.0 - exact[4]) / 2.0
+    monkeypatch.setattr(initial_data, "_draws", lambda seed, count: draws.ravel())
+    with pytest.raises(ValueError, match=f"node {interior[4]}: its length 0.000e\\+00 is at most 1e-12"):
+        make_initial(mesh, InitSpec("perturbed", seed=7, perturb_amplitude=1.0))
 
 
 def test_huge_amplitude_normalizes_without_overflow():

@@ -19,7 +19,7 @@ def test_smallest_mesh():
     m = build_square_mesh(1)
     assert m.n_vertices == 4
     assert m.n_cells == 2
-    assert len(m.dirichlet_nodes) == 4
+    assert len(m.boundary_nodes) == 4
 
 
 def test_paper_scale_mesh():
@@ -49,8 +49,7 @@ def test_boundary_nodes_lie_on_boundary():
         x, y = m.vertices[z]
         assert min(abs(x + 0.5), abs(x - 0.5), abs(y + 0.5), abs(y - 0.5)) == 0.0
     # and no interior node is flagged
-    interior = np.setdiff1d(np.arange(m.n_vertices), m.boundary_nodes)
-    for z in interior:
+    for z in free_nodes(m):
         x, y = m.vertices[z]
         assert min(abs(x + 0.5), abs(x - 0.5), abs(y + 0.5), abs(y - 0.5)) > 0.0
 
@@ -67,15 +66,12 @@ def test_free_nodes():
     assert free_nodes(build_square_mesh(1)).size == 0
     m2 = build_square_mesh(2)
     assert list(free_nodes(m2)) == [4]  # the center of the 3x3 lattice
-    m_none = build_square_mesh(3, dirichlet="none")
-    assert free_nodes(m_none).size == 16
+    assert list(free_nodes(build_square_mesh(3))) == [5, 6, 9, 10]
 
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_square_mesh(0)
-    with pytest.raises(ValueError):
-        build_square_mesh(2, dirichlet="left")
     with pytest.raises(ValueError):
         build_square_mesh(2, side=-1.0)
 

@@ -11,7 +11,7 @@ import pytest
 
 from sphereflow import flow, seqcalc
 from sphereflow.diagnostics import MONO_SLACK, audit_identities
-from sphereflow.flow import FlowConfig, harmonic_map_system, run_flow
+from sphereflow.flow import EnergySystem, FlowConfig, run_flow
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.mesh import build_square_mesh
 
@@ -60,7 +60,7 @@ SEEDED_BUGS = {
 def _run():
     mesh = build_square_mesh(8, lower_left=(-0.5, -0.5), side=1.0)
     u0 = make_initial(mesh, InitSpec("perturbed", seed=1, perturb_amplitude=0.5))
-    return run_flow(u0, harmonic_map_system(mesh, metric="h1"), CFG)
+    return run_flow(u0, EnergySystem(mesh, metric="h1"), CFG)
 
 
 def _threshold(key):

@@ -65,12 +65,6 @@ def test_constraint_violation_values():
     assert constraint_violation(sq, weights) == 0.0
     c = 0.3
     assert constraint_violation((1.0 + c) * sq, weights) == pytest.approx(c, rel=1e-12)
-    assert constraint_violation(np.full(mesh.n_vertices, 0.75), weights) == pytest.approx(0.25, rel=1e-13)
-    # a defect of both signs counts its absolute value: |u|^2 = 2 and 0 in turn
-    alternating = np.where(np.arange(mesh.n_vertices) % 2 == 0, 2.0, 0.0)
-    assert constraint_violation(alternating, weights) == pytest.approx(weights.sum(), rel=1e-13)
-    with pytest.raises(ValueError):
-        constraint_violation(np.ones(3), weights)
 
 
 def test_relative_residual_scaling():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sphereflow.diagnostics import constraint_violation
 from sphereflow.fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
 from sphereflow.flow import EnergySystem
 from sphereflow.initial_data import inverse_stereographic
@@ -123,6 +124,19 @@ def test_reference_energy_on_paper_mesh():
     u = inverse_stereographic(mesh.vertices)
     energy = EnergySystem(mesh).energy(u)
     assert energy == pytest.approx(3.009, rel=0.02)
+
+
+def test_l1_nodal_norm():
+    # the lumped L1 norm sum_z m_z |w(z)| lives in constraint_violation, with w = |u|^2 - 1
+    mesh = build_square_mesh(4, side=1.0)
+    nv = mesh.n_vertices
+    diag = lumped_mass_diagonal(mesh)
+    assert constraint_violation(1.0 + np.zeros(nv), diag) == 0.0
+    assert constraint_violation(1.0 + np.full(nv, -0.25), diag) == pytest.approx(0.25, rel=1e-13)
+    w = np.where(np.arange(nv) % 2 == 0, 1.0, -1.0)
+    assert constraint_violation(1.0 + w, diag) == pytest.approx(diag.sum(), rel=1e-13)
+    with pytest.raises(ValueError):
+        constraint_violation(np.zeros(3), diag)
 
 
 def test_dirichlet_energy_constant_field():

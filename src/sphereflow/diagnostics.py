@@ -64,6 +64,9 @@ class SweepRow:
 
 def relative_residual(lhs, rhs):
     """|lhs - rhs| / (1 + |lhs| + |rhs|), elementwise maximum for arrays (0 if empty)."""
+    if type(lhs) is float and type(rhs) is float:
+        # the same IEEE arithmetic without numpy's per-call cost
+        return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     res = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
@@ -72,7 +75,7 @@ def relative_residual(lhs, rhs):
 
 def constraint_violation(sq, weights):
     """Lumped L1 norm sum_z m_z | |u(z)|^2 - 1 | from nodal squared lengths ``sq`` and lumped weights ``weights``."""
-    return float(weights @ np.abs(sq - 1.0))
+    return float(weights.dot(np.abs(sq - 1.0)))
 
 
 def eoc(coarse, fine):

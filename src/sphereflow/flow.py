@@ -28,7 +28,7 @@ from .diagnostics import (
     relative_residual,
 )
 from .fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
-from .kkt import TangentPlaneAnalysis, set_blas_threads
+from .kkt import TangentPlaneAnalysis, _nodal_dot, set_blas_threads
 from .mesh import free_nodes
 from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
@@ -67,8 +67,8 @@ class FlowConfig:
 
 
 def _pair(u, v):
-    """Euclidean pairing sum(u * v) of two nodal fields."""
-    return float((u * v).sum())
+    """Euclidean pairing sum(u * v) of two nodal fields, as one dot product."""
+    return float(u.ravel().dot(v.ravel()))
 
 
 class EnergySystem:
@@ -116,7 +116,7 @@ class EnergySystem:
         return 0.5 * _pair(u, k_u)
 
     def lumped_norm_sq(self, u):
-        return float(self.lumped_weights @ np.sum(u * u, axis=1))
+        return float(self.lumped_weights.dot(_nodal_dot(u, u)))
 
 
 def _scatter(sys, increment):
@@ -180,9 +180,11 @@ class _Audit:
     monotonicity audits apply to both schemes.
 
     Each step forms three sparse products, K u_next, K dt and M dt, and
-    keeps them for the next step; every other pairing comes from these.
-    Differences are paired through products of differences, never of
-    states, which would cancel near convergence.
+    keeps them for the next step; every other pairing is one dot product of
+    two of the fields at hand, and every scalar residual is taken in Python
+    floats.  Differences are paired through products of differences, never
+    of states, which would cancel near convergence.  The worst per-step
+    audits are kept as running maxima, so the report reads no trace.
     """
 
     def __init__(self, u0, sys, cfg):
@@ -190,20 +192,23 @@ class _Audit:
         self.method = cfg.method
         self.tau = cfg.tau
         self.two_step = cfg.method == "bdf2"
+        self.n = 0
         self.trace = []
         self.sum_d2_l2 = 0.0
         self.mono_violation = 0.0
-        # kept between steps: K u_n, the energy and the nodal squared lengths
-        # and lengths of the newest state u_n; the previous step's K dt, M dt
-        # and metric dt; the nodal squared lengths before u_n
+        # kept between steps: K u_n, the energy and the nodal lengths of the
+        # newest state u_n; the previous step's K dt, M dt and metric dt; the
+        # free-node squared lengths of the last two states
         self.k_u = sys.stiffness @ u0
         self.energy = sys.energy(u0, self.k_u)
-        self.sq = (u0 * u0).sum(axis=1)
-        self.node_norms = np.sqrt(self.sq)
-        self.k_dt = self.m_dt = self.metric_dt = self.sq_prev = None
-        # telescoped energy law (two-step only)
+        sq = _nodal_dot(u0, u0)
+        self.node_norms = np.sqrt(sq)
+        self.sq_free = sq[sys.free]
+        self.k_dt = self.m_dt = self.metric_dt = self.sq_free_prev = None
+        # telescoped energy law and worst nodal recursion (two-step only)
         self.sum_udot_star = 0.0
         self.sum_grad_d2 = 0.0
+        self.res_nodal = math.nan
         # closed-form constraint violation, predicted in O(1) per step from
         # lumped sums of squared second differences (two-step) or of squared
         # derivatives (Euler) and audited at every step
@@ -214,25 +219,27 @@ class _Audit:
     def record(self, u_prev, u_n, u_next, u_dot, dt):
         """Audit one step of :func:`_steps` and return its trace record."""
         sys, tau = self.sys, self.tau
-        n = len(self.trace) + 1
+        self.n = n = self.n + 1
         k_u, k_dt, m_dt = sys.stiffness @ u_next, sys.stiffness @ dt, sys.mass @ dt
         metric_dt = k_dt if sys.metric == "h1" else m_dt
         if u_prev is None or not self.two_step:
             udot_star_sq = _pair(u_dot, metric_dt)
         else:
             # 2 udot = 3 dt_n - dt_{n-1} for a two-step step
-            udot_star_sq = _pair(u_dot, 1.5 * metric_dt - 0.5 * self.metric_dt)
+            udot_star_sq = 1.5 * _pair(u_dot, metric_dt) - 0.5 * _pair(u_dot, self.metric_dt)
         dt_l2_sq = _pair(dt, m_dt)
         # both are squared norms; below zero, the update tau * u_dot is lost
         # in the round-off of the states
-        for name, value in (("metric norm of u_dot", udot_star_sq), ("L2 norm of d_t u", dt_l2_sq)):
-            if value < 0.0:
-                raise ValueError(
-                    f"step {n}: squared {name} is negative ({value:.3e}); "
-                    f"the step size {tau:g} is below the round-off of the states"
-                )
+        if udot_star_sq < 0.0 or dt_l2_sq < 0.0:
+            name, value = (("metric norm of u_dot", udot_star_sq) if udot_star_sq < 0.0
+                           else ("L2 norm of d_t u", dt_l2_sq))
+            raise ValueError(
+                f"step {n}: squared {name} is negative ({value:.3e}); "
+                f"the step size {tau:g} is below the round-off of the states"
+            )
         energy = sys.energy(u_next, k_u)
-        sq = (u_next * u_next).sum(axis=1)
+        sq = _nodal_dot(u_next, u_next)
+        sq_free = sq[sys.free]
         delta_uni = constraint_violation(sq, sys.lumped_weights)
         if self.two_step:
             # BDF2 energy of the pair g_a(u_next, u_n)
@@ -247,17 +254,19 @@ class _Audit:
                 self.g_first = self.g_prev = g_new
         else:
             d2 = second_difference(u_next, u_n, u_prev, tau)
-            self.sum_d2_l2 += _pair(d2, backward_difference(m_dt, self.m_dt, tau))
+            self.sum_d2_l2 += _pair(d2, m_dt - self.m_dt) / tau
             if self.two_step:
-                grad_d2_term = 0.25 * tau**4 * _pair(d2, backward_difference(k_dt, self.k_dt, tau))
+                grad_d2_term = 0.25 * tau**4 * (_pair(d2, k_dt - self.k_dt) / tau)
                 res_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, self.g_prev)
                 self.sum_udot_star += tau * udot_star_sq
                 self.sum_grad_d2 += grad_d2_term
                 self.g_prev = g_new
-                f = sys.free
-                d2_sq = (d2 * d2).sum(axis=1)
-                res_nodal = nodal_recursion_residual(sq[f], self.sq[f], self.sq_prev[f], d2_sq[f], tau)
-                a_n = float(sys.lumped_weights @ d2_sq)
+                d2_sq = _nodal_dot(d2, d2)
+                res_nodal = nodal_recursion_residual(sq_free, self.sq_free, self.sq_free_prev,
+                                                     d2_sq[sys.free], tau)
+                # Python's max over the per-step values, NaN handling included
+                self.res_nodal = res_nodal if n == 2 else max(self.res_nodal, res_nodal)
+                a_n = float(sys.lumped_weights.dot(d2_sq))
                 self.s1_lumped += a_n
                 self.c_lumped = a_n + self.c_lumped / 3.0
             else:
@@ -276,7 +285,7 @@ class _Audit:
         self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
         self.node_norms = next_norms
         self.k_u, self.energy, self.k_dt, self.m_dt, self.metric_dt = k_u, energy, k_dt, m_dt, metric_dt
-        self.sq_prev, self.sq = self.sq, sq
+        self.sq_free_prev, self.sq_free = self.sq_free, sq_free
         rec = StepRecord(
             n=n,
             time=n * tau,
@@ -292,16 +301,14 @@ class _Audit:
 
     def report(self, converged, u_final, reference_energy):
         tau, final = self.tau, self.trace[-1]
-        n_stop = final.n
-        res_energy_law = res_nodal = math.nan
-        if self.two_step and n_stop > 1:
+        res_energy_law = math.nan
+        if self.two_step and self.n > 1:
             res_energy_law = relative_residual(self.g_prev + self.sum_udot_star + self.sum_grad_d2, self.g_first)
-            res_nodal = max(rec.res_nodal_recursion for rec in self.trace[1:])
         return RunReport(
             method=self.method,
             metric=self.sys.metric,
             tau=tau,
-            n_stop=n_stop,
+            n_stop=self.n,
             converged=converged,
             energy_final=final.energy,
             delta_uni=final.delta_uni,
@@ -311,7 +318,7 @@ class _Audit:
             trace=self.trace,
             res_init=self.res_init,
             res_energy_law=res_energy_law,
-            res_nodal_recursion=res_nodal,
+            res_nodal_recursion=self.res_nodal,
             res_closed_form=self.res_closed_form,
             mono_violation=self.mono_violation,
             u_final=u_final,

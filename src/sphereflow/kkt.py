@@ -15,7 +15,6 @@ keeps B and a banded node order found once, and each
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -29,6 +28,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
+_ONES3 = np.ones(3)
 
 
 class KktError(Exception):
@@ -83,17 +83,22 @@ def set_blas_threads(count):
     return before
 
 
-@contextlib.contextmanager
-def blas_threads(count):
+class blas_threads:
     """Run the body with scipy's bundled OpenBLAS on ``count`` threads, then restore the caller's count.
 
-    A no-op where :func:`set_blas_threads` is one.
+    A no-op where :func:`set_blas_threads` is one.  A class rather than a
+    generator-based context manager: every tangent-plane solve enters one,
+    and this costs half as much.
     """
-    before = set_blas_threads(count)
-    try:
-        yield
-    finally:
-        set_blas_threads(before)
+
+    def __init__(self, count):
+        self._count = count
+
+    def __enter__(self):
+        self._before = set_blas_threads(self._count)
+
+    def __exit__(self, *exc_info):
+        set_blas_threads(self._before)
 
 
 def _norm(v):
@@ -102,10 +107,24 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _nodal_dot(u, v):
+    """Per-node pairings u(z) . v(z) of two (K, 3) fields.
+
+    A matrix-vector product with ones sums the three products in order, the
+    bits of ``(u * v).sum(axis=1)`` at a fraction of its cost.
+    """
+    return (u * v).dot(_ONES3)
+
+
 def _check_directions(directions):
     """Norms of the nodal ``directions``; raises :class:`KktError` at a degenerate one."""
-    norms = np.linalg.norm(directions, axis=1)
+    norms = np.sqrt(_nodal_dot(directions, directions))
     largest = norms.max(initial=0.0)
+    smallest = norms.min(initial=math.inf)
+    # two reductions settle the common case; a NaN norm fails this test and
+    # is flagged by neither comparison below, as the solve rejects it later
+    if smallest > 0.0 and smallest >= DEGENERATE_REL_TOL * largest:
+        return norms
     bad = np.flatnonzero((norms < DEGENERATE_REL_TOL * largest) | (norms == 0.0))
     if bad.size:
         z = bad[0]
@@ -120,20 +139,25 @@ def tangent_frames(normals):
     """(K, 3, 2) orthonormal frames of the planes normal to the unit ``normals``.
 
     ``frames[k]`` has the two frame vectors of node k as columns (the
-    branch-free frame of Duff et al. 2017).
+    branch-free frame of Duff et al. 2017).  The array is a view of a
+    C-ordered (3, K, 2) buffer, so ``frames.transpose(1, 0, 2)`` holds
+    component c of frame vector a of node k at flat column 2 k + a of a
+    (3, 2K) reshape, without a copy.
     """
     x, y, z = normals.T
-    sign = np.where(z >= 0.0, 1.0, -1.0)
+    # +1 where z >= 0, -0.0 included (adding 0.0 clears its sign bit)
+    sign = np.copysign(1.0, z + 0.0)
     a = -1.0 / (sign + z)
     b = x * y * a
-    frames = np.empty((len(normals), 3, 2))
-    frames[:, 0, 0] = 1.0 + sign * x * x * a
-    frames[:, 1, 0] = sign * b
-    frames[:, 2, 0] = -sign * x
-    frames[:, 0, 1] = b
-    frames[:, 1, 1] = sign + y * y * a
-    frames[:, 2, 1] = -y
-    return frames
+    sx = sign * x
+    frames = np.empty((3, len(normals), 2))
+    frames[0, :, 0] = 1.0 + sx * x * a
+    frames[1, :, 0] = sign * b
+    frames[2, :, 0] = -sx
+    frames[0, :, 1] = b
+    frames[1, :, 1] = sign + y * y * a
+    frames[2, :, 1] = -y
+    return frames.transpose(1, 0, 2)
 
 
 class TangentPlaneAnalysis:
@@ -144,10 +168,10 @@ class TangentPlaneAnalysis:
     - the node order, reverse Cuthill-McKee of B, with each node keeping its
       two tangent unknowns together, so the tangent-plane matrix has a
       narrow band of ``kd`` superdiagonals;
-    - the entries b_ij of B with position(i) <= position(j) in that order,
-      whose 2x2 blocks b_ij F_i^T F_j hold the upper triangle of the
-      tangent-plane matrix, the positions of its entries in those (2, 2, n)
-      blocks, and their places in the Fortran-order (kd + 1, 2K) upper band
+    - one gather per entry of the upper band: the entry (a, c) of the 2x2
+      block b_ij F_i^T F_j, position(i) <= position(j) in that order, is
+      b_ij times the pairing of frame columns 2 i + a and 2 j + c, and it
+      sits at a fixed place of the Fortran-order (kd + 1, 2K) upper band
       storage of LAPACK.
 
     :meth:`solve` does the numeric part for any directions in a band of its
@@ -162,31 +186,30 @@ class TangentPlaneAnalysis:
         self.k = k
         # csgraph cannot order an empty graph
         self._order = reverse_cuthill_mckee(b, symmetric_mode=True) if k else np.arange(0)
-        position = np.argsort(self._order)
+        self._position = position = np.argsort(self._order)
         entry_rows = np.repeat(np.arange(k), np.diff(b.indptr))
         upper = np.flatnonzero(position[entry_rows] <= position[b.indices])
-        self._rows, self._cols, self._data = entry_rows[upper], b.indices[upper], b.data[upper]
-        # unknown 2 position(i) + a of node i, for the rows and columns of
-        # entry (a, c) of each block, in the (2, 2, n) layout of the blocks
-        unknown = 2 * position[:, None] + np.arange(2)
-        shape = (2, 2, upper.size)
-        rows = np.broadcast_to(unknown[self._rows].T[:, None, :], shape).ravel()
-        cols = np.broadcast_to(unknown[self._cols].T[None, :, :], shape).ravel()
-        self._source = np.flatnonzero(rows <= cols)
-        rows, cols = rows[self._source], cols[self._source]
-        self.kd = int(np.max(cols - rows, initial=0))
+        rows, cols = entry_rows[upper], b.indices[upper]
+        # entry (a, c) of each block: frame columns 2 i + a and 2 j + c, band
+        # unknowns 2 position(i) + a and 2 position(j) + c
+        a, c = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        band_rows = (2 * position[rows])[:, None] + a
+        band_cols = (2 * position[cols])[:, None] + c
+        keep = band_rows <= band_cols
+        self._left = ((2 * rows)[:, None] + a)[keep]
+        self._right = ((2 * cols)[:, None] + c)[keep]
+        self._coef = np.broadcast_to(b.data[upper][:, None], keep.shape)[keep]
+        band_rows, band_cols = band_rows[keep], band_cols[keep]
+        self.kd = int(np.max(band_cols - band_rows, initial=0))
         # entry (i, j), i <= j, sits at ab[kd + i - j, j]
-        self._dest = self.kd + rows - cols + (self.kd + 1) * cols
+        self._dest = self.kd + band_rows - band_cols + (self.kd + 1) * band_cols
 
     def _factorize(self, frames):
-        """Band solve ``v -> x`` of the tangent-plane matrix for ``frames``, by banded Cholesky."""
-        # frames as (3, 2, K): each block sum runs over the leading axis;
-        # np.take gathers them about twice as fast as fancy indexing
-        frames = np.ascontiguousarray(frames.transpose(1, 2, 0))
-        left, right = np.take(frames, self._rows, axis=2), np.take(frames, self._cols, axis=2)
-        blocks = (left[:, :, None, :] * right[:, None, :, :]).sum(axis=0) * self._data
+        """Band solve ``v -> x`` of the tangent-plane matrix for the (3, 2K) ``frames``, by banded Cholesky."""
+        # the product with ones sums the three components in order, as sum(axis=0) does
+        values = _ONES3.dot(frames.take(self._left, axis=1) * frames.take(self._right, axis=1)) * self._coef
         band = np.zeros((self.kd + 1) * 2 * self.k)
-        band[self._dest] = np.take(blocks.ravel(), self._source)
+        band[self._dest] = values
         factor, info = dpbtrf(band.reshape((self.kd + 1, 2 * self.k), order="F"), lower=0, overwrite_ab=1)
         if info > 0:
             node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
@@ -214,37 +237,37 @@ class TangentPlaneAnalysis:
             raise ValueError(f"need ({k}, 3) directions and rhs, got {directions.shape}, {rhs.shape}")
         norms = _check_directions(directions)
         normals = directions / norms[:, None]
-        frames = tangent_frames(normals)
+        # (3, K, 2): component, node, frame vector
+        frames = tangent_frames(normals).transpose(1, 0, 2)
         bound_p = TOL * (1.0 + _norm(rhs))
 
-        def reduce(field):  # F^T field, in band order
-            return np.einsum("kcj,kc->kj", frames, field)[self._order].ravel()
+        def reduce(field):  # F^T field, node by node
+            return np.einsum("ckj,kc->kj", frames, field)
 
         def finish(x):
-            """(solution, B p - rhs, whether the contract is missed) for the band unknowns ``x``."""
-            tangent = np.empty((k, 2))
-            tangent[self._order] = x.reshape(k, 2)
-            p = np.einsum("kcj,kj->kc", frames, tangent)
+            """(solution, F^T (B p - rhs), whether the contract is missed) for the band unknowns ``x``."""
+            p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))
             r = b @ p - rhs
-            normal_part = np.sum(normals * r, axis=1)
-            tangential = r - normals * normal_part[:, None]
-            rc = _norm(np.sum(directions * p, axis=1))
-            out = KktSolution(p, -normal_part / norms, _norm(tangential), rc)
+            # the frames are orthonormal, so F^T r has the norm of the
+            # tangential part r + u_hat m of the residual
+            reduced = reduce(r)
+            rc = _norm(_nodal_dot(directions, p))
+            out = KktSolution(p, -_nodal_dot(normals, r) / norms, _norm(reduced), rc)
             missed = out.residual_primal > bound_p or out.residual_constraint > TOL * (1.0 + _norm(p))
-            return out, r, missed
+            return out, reduced, missed
 
         # a band a few hundred wide is too narrow for a second BLAS thread,
         # which would only spin
         with blas_threads(1):
-            band_solve = self._factorize(frames)
-            x = band_solve(reduce(rhs))
-            if not np.all(np.isfinite(x)):
+            band_solve = self._factorize(frames.reshape(3, 2 * k))
+            x = band_solve(reduce(rhs).take(self._order, axis=0).ravel())
+            if not np.isfinite(x).all():
                 raise KktError(f"KKT solve produced non-finite values ({k} nodes)")
-            out, r, missed = finish(x)
+            out, reduced, missed = finish(x)
             if missed:
                 # one refinement step; F^T rhs - F^T B F x = -F^T r, since
                 # the band holds the factor, not the matrix
-                out, _, missed = finish(x + band_solve(-reduce(r)))
+                out, _, missed = finish(x - band_solve(reduced.take(self._order, axis=0).ravel()))
         if missed:
             raise KktError(
                 f"KKT residuals not reached (primal {out.residual_primal:.3e}, "

@@ -26,10 +26,6 @@ class TriMesh:
     def n_vertices(self):
         return self.vertices.shape[0]
 
-    @property
-    def n_cells(self):
-        return self.cells.shape[0]
-
 
 def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0):
     """Triangulate a square into 2*n*n right triangles.

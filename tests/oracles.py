@@ -2,9 +2,10 @@
 
 The package computes these quantities another way (the two-step derivative
 through its difference operators, the closed-form constraint violation as a
-running update, the nodal constraint on the tangent planes, the mesh cells
-and the seeded initial fields in array arithmetic); these are the plain
-formulas, the scalar splitmix64 generator and per-node loops.
+running update, the per-step audits from products kept between steps, the
+nodal constraint on the tangent planes, the mesh cells and the seeded
+initial fields in array arithmetic); these are the plain formulas, the
+scalar splitmix64 generator and per-node loops.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from sphereflow.diagnostics import StepRecord
 from sphereflow.initial_data import _GOLDEN, _MASK64, _MIX1, _MIX2, _normalize_rows, inverse_stereographic
 from sphereflow.kkt import _check_directions
 from sphereflow.mesh import free_nodes
@@ -142,3 +144,85 @@ def make_initial(mesh, spec):
         for z in interior:
             values[z] = values[z] + amp * np.array([gen.uniform(-1.0, 1.0) for _ in range(3)])
     return _normalize_rows(values)
+
+
+def _residual(lhs, rhs):
+    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+
+
+def audit_steps(steps, system, tau, two_step):
+    """Trace and report audit values of a flow, by the plain per-step formulas.
+
+    ``steps`` are the (u_prev, u_n, u_next, u_dot, dt) tuples of
+    ``sphereflow.flow._steps``.  Every product is formed afresh from the
+    states, every pairing is ``np.sum`` of a product, the nodal recursion
+    runs node by node and the closed-form prediction sums its series.
+    Returns (list of StepRecord, dict of the RunReport fields ``res_init``,
+    ``res_energy_law``, ``res_nodal_recursion``, ``res_closed_form``,
+    ``mono_violation``, ``a_sq`` and ``b_sq``).
+    """
+    k, m, w = system.stiffness, system.mass, system.lumped_weights
+    metric = k if system.metric == "h1" else m
+
+    def energy(u):
+        return 0.5 * np.sum(u * (k @ u))
+
+    def g_value(x, y):  # BDF2 energy (5/4)|x|^2 - x.y + (1/4)|y|^2 in the energy form
+        return 1.25 * np.sum(x * (k @ x)) - np.sum(x * (k @ y)) + 0.25 * np.sum(y * (k @ y))
+
+    records, lumped_d2, law_terms = [], [], []
+    a_sum = 0.0
+    mono = res_closed_form = 0.0
+    dt_prev = None
+    for n, (u_prev, u_n, u_next, u_dot, dt) in enumerate(steps, start=1):
+        if two_step and u_prev is not None:
+            udot_sq = np.sum(u_dot * (1.5 * (metric @ dt) - 0.5 * (metric @ dt_prev)))
+        else:
+            udot_sq = np.sum(u_dot * (metric @ dt))
+        dt_l2_sq = np.sum(dt * (m @ dt))
+        sq = np.sum(u_next * u_next, axis=1)
+        delta_uni = float(np.sum(w * np.abs(sq - 1.0)))
+        res_law = res_nodal = math.nan
+        if u_prev is None:
+            b_sq = dt_l2_sq
+            lumped_dt = [np.sum(w * np.sum(dt * dt, axis=1))]
+            res_init = _residual(energy(u_next) + tau * udot_sq + 0.5 * tau**2 * np.sum(dt * (k @ dt)), energy(u_n))
+            g_first = g_value(u_next, u_n)
+        else:
+            d2 = (u_next - 2.0 * u_n + u_prev) / tau**2
+            a_sum += np.sum(d2 * (m @ dt - m @ dt_prev) / tau)
+            if two_step:
+                grad_d2 = 0.25 * tau**4 * np.sum(d2 * (k @ dt - k @ dt_prev) / tau)
+                law_terms.append(tau * udot_sq + grad_d2)
+                res_law = _residual(tau * udot_sq + g_value(u_next, u_n) + grad_d2, g_value(u_n, u_prev))
+                res_nodal = 0.0
+                for z in free_nodes(system.mesh):
+                    lhs = 1.5 * u_next[z] @ u_next[z] - 2.0 * u_n[z] @ u_n[z] + 0.5 * u_prev[z] @ u_prev[z]
+                    res_nodal = max(res_nodal, _residual(lhs, 1.5 * tau**4 * (d2[z] @ d2[z])))
+                lumped_d2.append(np.sum(w * np.sum(d2 * d2, axis=1)))
+            else:
+                lumped_dt.append(np.sum(w * np.sum(dt * dt, axis=1)))
+        if two_step and u_prev is not None:
+            # s_n - 1 of the nodal recursion from s_0 = 1 and s_1 - 1 = tau^2 |dt_1|^2, lumped
+            predicted = 1.5 * (1.0 - 3.0**-n) * tau**2 * lumped_dt[0] + 1.5 * tau**4 * sum(
+                (1.0 - 3.0 ** -(n + 1 - i)) * a_i for i, a_i in enumerate(lumped_d2, start=2)
+            )
+        else:
+            predicted = tau**2 * sum(lumped_dt)
+        res_closed_form = max(res_closed_form, _residual(delta_uni, predicted))
+        mono = max(mono, np.max(np.sqrt(np.sum(u_n * u_n, axis=1)) - np.sqrt(sq)))
+        records.append(StepRecord(n, n * tau, math.sqrt(udot_sq), math.sqrt(dt_l2_sq), energy(u_next), delta_uni,
+                                  res_law, res_nodal))
+        dt_prev = dt
+    two_step_audits = two_step and len(records) > 1
+    audits = {
+        "res_init": res_init,
+        "res_energy_law": _residual(g_value(steps[-1][2], steps[-1][1]) + sum(law_terms), g_first)
+        if two_step_audits else math.nan,
+        "res_nodal_recursion": max(rec.res_nodal_recursion for rec in records[1:]) if two_step_audits else math.nan,
+        "res_closed_form": res_closed_form,
+        "mono_violation": mono,
+        "a_sq": tau**2 * a_sum,
+        "b_sq": b_sq,
+    }
+    return records, audits

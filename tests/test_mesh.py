@@ -18,13 +18,13 @@ def signed_areas(mesh):
 def test_smallest_mesh():
     m = build_square_mesh(1)
     assert m.n_vertices == 4
-    assert m.n_cells == 2
+    assert len(m.cells) == 2
     assert len(m.boundary_nodes) == 4
 
 
 def test_paper_scale_mesh():
     m = build_square_mesh(64, lower_left=(-0.5, -0.5), side=1.0)
-    assert m.n_cells == 8192
+    assert len(m.cells) == 8192
     assert m.n_vertices == 4225
     assert m.h == pytest.approx(1.0 / 64.0)
 

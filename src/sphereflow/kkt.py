@@ -8,9 +8,13 @@ solves on the tangent planes (Alouges 2008; Bartels 2016): with F_z an
 orthonormal 3x2 frame of u_hat(z)^perp, the SPD system with 2x2 blocks
 B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
 is that of B, whatever the directions, so :class:`TangentPlaneAnalysis`
-keeps B and a banded node order found once, and each
-:meth:`~TangentPlaneAnalysis.solve` only fills in the band and factors it
-(LAPACK's banded Cholesky) on one BLAS thread.
+keeps B, a banded node order and one gather index and coefficient per band
+entry, all found once; each :meth:`~TangentPlaneAnalysis.solve` only fills
+the band from the frames, held in a (3, 2K) layout, by two gathers, one
+product-sum and one scatter, and factors it (LAPACK's banded Cholesky) on
+one BLAS thread.  At a few dozen nodes numpy's per-call cost outweighs the
+arithmetic, so the solve keeps its calls few: the direction norms are
+taken once, and per-node pairings are products with a vector of ones.
 """
 
 from __future__ import annotations
@@ -110,8 +114,8 @@ def _norm(v):
 def _nodal_dot(u, v):
     """Per-node pairings u(z) . v(z) of two (K, 3) fields.
 
-    A matrix-vector product with ones sums the three products in order, the
-    bits of ``(u * v).sum(axis=1)`` at a fraction of its cost.
+    A matrix-vector product with ones adds the three products one after
+    another, as ``(u * v).sum(axis=1)`` does, at a fraction of its cost.
     """
     return (u * v).dot(_ONES3)
 

@@ -174,7 +174,7 @@ def resolve_config(args):
 
 
 def _setup(config):
-    mesh = build_square_mesh(config.mesh_n, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(config.mesh_n)
     u0 = make_initial(mesh, InitSpec(config.init, config.seed, config.perturb_amplitude))
     system = EnergySystem(mesh, metric=config.metric)
     return mesh, u0, system

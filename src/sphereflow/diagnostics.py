@@ -63,14 +63,8 @@ class SweepRow:
 
 
 def relative_residual(lhs, rhs):
-    """|lhs - rhs| / (1 + |lhs| + |rhs|), elementwise maximum for arrays (0 if empty)."""
-    if type(lhs) is float and type(rhs) is float:
-        # the same IEEE arithmetic without numpy's per-call cost
-        return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    res = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
-    return float(res.max(initial=0.0)) if res.ndim else float(res)
+    """|lhs - rhs| / (1 + |lhs| + |rhs|) of two floats."""
+    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
 def constraint_violation(sq, weights):
@@ -95,11 +89,13 @@ def nodal_recursion_residual(sq_n, sq_prev, sq_prev2, d2_sq, tau):
     forces (3/2)|u_n|^2 - 2|u_prev|^2 + (1/2)|u_prev2|^2 to equal
     (3/2) tau^4 |second difference|^2 node by node.  Takes the nodal
     squared lengths of the three states and of their second difference;
-    returns the worst scaled residual.
+    returns the worst scaled residual, NaN (skipped) over no node.
     """
     lhs = 1.5 * sq_n - 2.0 * sq_prev + 0.5 * sq_prev2
     rhs = 1.5 * tau**4 * d2_sq
-    return relative_residual(lhs, rhs)
+    if not lhs.size:
+        return math.nan
+    return float((np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))).max())
 
 
 def audit_identities(report, tol=1e-8):

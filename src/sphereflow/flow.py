@@ -95,15 +95,18 @@ class EnergySystem:
         self._solvers = {}
 
     def solve_increment(self, scale, u_hat, rhs):
-        """(K, 3) free-node increment for block metric_ff + scale * a_ff, directions ``u_hat`` and ``rhs``.
+        """(n_vertices, 3) increment, zero on the boundary, for block metric_ff + scale * a_ff.
 
-        The :class:`TangentPlaneAnalysis` of each scale's block is built on
-        its first solve and kept.
+        ``u_hat`` holds the constraint directions at every vertex, ``rhs``
+        the free-node right-hand side.  The :class:`TangentPlaneAnalysis` of
+        each scale's block is built on its first solve and kept.
         """
         solver = self._solvers.get(scale)
         if solver is None:
             solver = self._solvers[scale] = TangentPlaneAnalysis(self._metric_ff + scale * self._a_ff)
-        return solver.solve(u_hat[self.free], rhs).primal
+        increment = np.zeros((self.mesh.n_vertices, 3))
+        increment[self.free] = solver.solve(u_hat[self.free], rhs).primal
+        return increment
 
     def rhs_from(self, explicit_field, factor):
         """(K, 3) free-node right-hand side -factor * a(explicit_field, .)."""
@@ -119,12 +122,6 @@ class EnergySystem:
         return float(self.lumped_weights.dot(_nodal_dot(u, u)))
 
 
-def _scatter(sys, increment):
-    out = np.zeros((sys.mesh.n_vertices, 3))
-    out[sys.free] = increment
-    return out
-
-
 def euler_init_step(u0, sys, cfg):
     """One linearized implicit Euler step with constraint directions u0.
 
@@ -133,7 +130,7 @@ def euler_init_step(u0, sys, cfg):
     u1 = u0 + tau * dt_u1.
     """
     tau = cfg.tau
-    dt_u1 = _scatter(sys, sys.solve_increment(tau, u0, sys.rhs_from(u0, 1.0)))
+    dt_u1 = sys.solve_increment(tau, u0, sys.rhs_from(u0, 1.0))
     return u0 + tau * dt_u1, dt_u1
 
 
@@ -146,28 +143,24 @@ def bdf2_step(u_n, u_prev, sys, cfg):
     """
     tau = cfg.tau
     explicit = 4.0 * u_n - u_prev
-    increment = sys.solve_increment(2.0 * tau / 3.0, extrapolate(u_n, u_prev), sys.rhs_from(explicit, 1.0 / 3.0))
-    u_dot = _scatter(sys, increment)
+    u_dot = sys.solve_increment(2.0 * tau / 3.0, extrapolate(u_n, u_prev), sys.rhs_from(explicit, 1.0 / 3.0))
     u_next = (explicit + 2.0 * tau * u_dot) / 3.0
     return u_next, u_dot
 
 
 def _steps(u0, sys, cfg):
-    """Yield (u_prev, u_n, u_next, u_dot, dt) for steps 1, 2, ... of the flow.
+    """Yield (u_prev, u_n, u_next, u_dot) for steps 1, 2, ... of the flow.
 
     Step 1 is the Euler initialization and has u_prev None; later steps
-    repeat it or take two-step updates, by ``cfg.method``.  ``dt`` is the
-    backward difference (u_next - u_n) / tau, which an Euler step solves for.
+    repeat it or take two-step updates, by ``cfg.method``.
     """
     u_prev, u_n = None, u0
     while True:
         if cfg.method == "bdf2" and u_prev is not None:
             u_next, u_dot = bdf2_step(u_n, u_prev, sys, cfg)
-            dt = backward_difference(u_next, u_n, cfg.tau)
         else:
             u_next, u_dot = euler_init_step(u_n, sys, cfg)
-            dt = u_dot
-        yield u_prev, u_n, u_next, u_dot, dt
+        yield u_prev, u_n, u_next, u_dot
         u_prev, u_n = u_n, u_next
 
 
@@ -216,13 +209,16 @@ class _Audit:
         self.c_lumped = 0.0
         self.res_closed_form = 0.0
 
-    def record(self, u_prev, u_n, u_next, u_dot, dt):
+    def record(self, u_prev, u_n, u_next, u_dot):
         """Audit one step of :func:`_steps` and return its trace record."""
         sys, tau = self.sys, self.tau
         self.n = n = self.n + 1
+        # an Euler step solves for d_t u = (u_next - u_n) / tau; a two-step step for u_dot
+        euler = u_prev is None or not self.two_step
+        dt = u_dot if euler else backward_difference(u_next, u_n, tau)
         k_u, k_dt, m_dt = sys.stiffness @ u_next, sys.stiffness @ dt, sys.mass @ dt
         metric_dt = k_dt if sys.metric == "h1" else m_dt
-        if u_prev is None or not self.two_step:
+        if euler:
             udot_star_sq = _pair(u_dot, metric_dt)
         else:
             # 2 udot = 3 dt_n - dt_{n-1} for a two-step step
@@ -361,31 +357,16 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     return audit.report(converged, step[2], reference_energy)
 
 
-# the arguments of the sweep a worker process serves, set by its initializer
-_sweep = None
-
-
-def _init_sweep_worker(*args):
-    global _sweep
-    _sweep = args
-    set_blas_threads(1)
-
-
-def _run_sweep_entry(index):
-    u0, sys, configs, reference_energy = _sweep
-    return run_flow(u0, sys, configs[index], reference_energy)
-
-
 def run_sweep(u0, sys, configs, reference_energy=None):
     """:func:`run_flow` from ``u0`` for each of ``configs``; one report per config, in config order.
 
     The flows run side by side in forked worker processes, one per usable
     CPU (at most one per config), each with one BLAS thread; every report
-    is bitwise the one :func:`run_flow` returns.  The workers inherit the
-    arguments and whatever wraps this module's functions instead of
-    receiving them pickled.  With one worker, without ``fork``, or in a
-    daemonic process the flows run one after another in this process.  An
-    exception of a flow is raised here; no worker outlives the call.
+    is bitwise the one :func:`run_flow` returns.  Each task receives its
+    arguments pickled; the workers inherit whatever wraps this module's
+    functions.  With one worker, without ``fork``, or in a daemonic process
+    the flows run one after another in this process.  An exception of a
+    flow is raised here; no worker outlives the call.
     """
     workers = min(len(configs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
@@ -393,12 +374,11 @@ def run_sweep(u0, sys, configs, reference_energy=None):
         return [run_flow(u0, sys, cfg, reference_energy) for cfg in configs]
     # steps grow like 1/tau, so the finest step size starts first
     order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
-    # fork, not spawn: the workers inherit the arguments and whatever wraps
-    # this module's functions
+    # fork, not spawn: the workers inherit whatever wraps this module's functions
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_sweep_worker, initargs=(u0, sys, configs, reference_energy))
+                               initializer=set_blas_threads, initargs=(1,))
     try:
-        futures = {pool.submit(_run_sweep_entry, i): i for i in order}
+        futures = {pool.submit(run_flow, u0, sys, configs[i], reference_energy): i for i in order}
         reports = [None] * len(configs)
         for future in as_completed(futures):
             reports[futures[future]] = future.result()

@@ -1,4 +1,4 @@
-"""Structured triangulations of axis-aligned squares; the boundary carries the Dirichlet data."""
+"""Structured triangulations of the square [-1/2, 1/2]^2; the boundary carries the Dirichlet data."""
 
 from __future__ import annotations
 
@@ -14,27 +14,24 @@ class TriMesh:
     cells : (nc, 3) int array, counterclockwise vertex triples
     boundary_nodes : sorted indices of vertices on the geometric boundary,
         where the field is fixed (Dirichlet data)
-    h : lattice spacing
     """
 
     vertices: np.ndarray
     cells: np.ndarray
     boundary_nodes: np.ndarray
-    h: float
 
     @property
     def n_vertices(self):
         return self.vertices.shape[0]
 
 
-def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0):
-    """Triangulate a square into 2*n*n right triangles.
+def build_square_mesh(n):
+    """Triangulate the square [-1/2, 1/2]^2 into 2*n*n right triangles.
 
-    The square with corner ``lower_left`` and edge length ``side`` is cut
-    into an n-by-n lattice of cells, each split along its southwest-to-
-    northeast diagonal.  Vertex k sits at column k % (n+1), row k // (n+1).
-    The boundary vertices carry the Dirichlet data; :func:`free_nodes`
-    lists the others.
+    The square is cut into an n-by-n lattice of cells, each split along
+    its southwest-to-northeast diagonal.  Vertex k sits at column
+    k % (n+1), row k // (n+1).  The boundary vertices carry the Dirichlet
+    data; :func:`free_nodes` lists the others.
 
     Parameters
     ----------
@@ -47,15 +44,10 @@ def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0):
     """
     if n < 1:
         raise ValueError(f"need at least one cell per side, got n={n}")
-    x0, y0 = float(lower_left[0]), float(lower_left[1])
-    side = float(side)
-    if side <= 0:
-        raise ValueError(f"side length must be positive, got {side}")
-    h = side / n
-
+    h = 1.0 / n
     m = n + 1
     cols, rows = np.meshgrid(np.arange(m), np.arange(m))  # row-major over (row, col)
-    vertices = np.column_stack([x0 + cols.ravel() * h, y0 + rows.ravel() * h])
+    vertices = np.column_stack([-0.5 + cols.ravel() * h, -0.5 + rows.ravel() * h])
 
     # cell (ix, iy), row-major, is split into (sw, se, ne) and (sw, ne, nw)
     iy, ix = np.divmod(np.arange(n * n, dtype=np.int64), n)
@@ -68,7 +60,7 @@ def build_square_mesh(n, lower_left=(0.0, 0.0), side=1.0):
     boundary = np.flatnonzero(on_boundary.ravel())
     for arr in (vertices, cells, boundary):
         arr.setflags(write=False)
-    return TriMesh(vertices, cells, boundary, h)
+    return TriMesh(vertices, cells, boundary)
 
 
 def free_nodes(mesh):

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from sphereflow.diagnostics import StepRecord
 from sphereflow.initial_data import _GOLDEN, _MASK64, _MIX1, _MIX2, _normalize_rows, inverse_stereographic
 from sphereflow.kkt import _check_directions
-from sphereflow.mesh import free_nodes
+from sphereflow.mesh import TriMesh, build_square_mesh, free_nodes
 
 
 class SplitMix64:
@@ -125,6 +125,13 @@ def square_cells(n):
     return cells
 
 
+def scaled_square_mesh(n, lower_left, side):
+    """The n x n mesh of ``build_square_mesh``, moved onto the square with corner ``lower_left`` and edge ``side``."""
+    mesh = build_square_mesh(n)
+    vertices = (mesh.vertices + 0.5) * side + np.asarray(lower_left, dtype=float)
+    return TriMesh(vertices, mesh.cells, mesh.boundary_nodes)
+
+
 def make_initial(mesh, spec):
     """The initial field of ``sphereflow.make_initial``, node by node from ``SplitMix64(spec.seed).uniform``."""
     values = inverse_stereographic(mesh.vertices)
@@ -153,10 +160,11 @@ def _residual(lhs, rhs):
 def audit_steps(steps, system, tau, two_step):
     """Trace and report audit values of a flow, by the plain per-step formulas.
 
-    ``steps`` are the (u_prev, u_n, u_next, u_dot, dt) tuples of
-    ``sphereflow.flow._steps``.  Every product is formed afresh from the
-    states, every pairing is ``np.sum`` of a product, the nodal recursion
-    runs node by node and the closed-form prediction sums its series.
+    ``steps`` are the (u_prev, u_n, u_next, u_dot) tuples of
+    ``sphereflow.flow._steps``.  d_t u is (u_next - u_n) / tau at every
+    step, every product is formed afresh from the states, every pairing
+    is ``np.sum`` of a product, the nodal recursion runs node by node and
+    the closed-form prediction sums its series.
     Returns (list of StepRecord, dict of the RunReport fields ``res_init``,
     ``res_energy_law``, ``res_nodal_recursion``, ``res_closed_form``,
     ``mono_violation``, ``a_sq`` and ``b_sq``).
@@ -174,7 +182,8 @@ def audit_steps(steps, system, tau, two_step):
     a_sum = 0.0
     mono = res_closed_form = 0.0
     dt_prev = None
-    for n, (u_prev, u_n, u_next, u_dot, dt) in enumerate(steps, start=1):
+    for n, (u_prev, u_n, u_next, u_dot) in enumerate(steps, start=1):
+        dt = (u_next - u_n) / tau
         if two_step and u_prev is not None:
             udot_sq = np.sum(u_dot * (1.5 * (metric @ dt) - 0.5 * (metric @ dt_prev)))
         else:
@@ -195,8 +204,9 @@ def audit_steps(steps, system, tau, two_step):
                 grad_d2 = 0.25 * tau**4 * np.sum(d2 * (k @ dt - k @ dt_prev) / tau)
                 law_terms.append(tau * udot_sq + grad_d2)
                 res_law = _residual(tau * udot_sq + g_value(u_next, u_n) + grad_d2, g_value(u_n, u_prev))
-                res_nodal = 0.0
-                for z in free_nodes(system.mesh):
+                free = free_nodes(system.mesh)
+                res_nodal = 0.0 if free.size else math.nan  # skipped over no node
+                for z in free:
                     lhs = 1.5 * u_next[z] @ u_next[z] - 2.0 * u_n[z] @ u_n[z] + 0.5 * u_prev[z] @ u_prev[z]
                     res_nodal = max(res_nodal, _residual(lhs, 1.5 * tau**4 * (d2[z] @ d2[z])))
                 lumped_d2.append(np.sum(w * np.sum(d2 * d2, axis=1)))

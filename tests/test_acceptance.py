@@ -29,7 +29,7 @@ def announce(number, name, ok, detail=""):
 
 
 def benchmark_mesh(n=32):
-    return build_square_mesh(n, lower_left=(-0.5, -0.5), side=1.0)
+    return build_square_mesh(n)
 
 
 # --- criterion 1: algebraic identity suite ---------------------------------

@@ -299,9 +299,13 @@ def test_usage_error_from_argparse():
     ],
 )
 def test_mesh_without_free_nodes_runs(tmp_path, capsys, args):
-    # a 1x1 mesh with a Dirichlet boundary has no free node; audits must pass
+    # a 1x1 mesh with a Dirichlet boundary has no free node; audits must pass,
+    # and the nodal recursion over no node is skipped, not passed
     assert main([*args, "--mesh-n", "1", "--out", str(tmp_path / "o.csv")]) == 0
-    assert "error" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" not in err
+    if args[0] == "run":
+        assert "res_nodal_recursion = skipped" in err.splitlines()
 
 
 def test_euler_run_works(tmp_path):

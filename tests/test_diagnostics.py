@@ -59,7 +59,7 @@ def test_eoc_scale_invariant():
 
 
 def test_constraint_violation_values():
-    mesh = build_square_mesh(4, side=1.0)
+    mesh = build_square_mesh(4)
     weights = lumped_mass_diagonal(mesh)
     sq = np.ones(mesh.n_vertices)
     assert constraint_violation(sq, weights) == 0.0
@@ -70,13 +70,18 @@ def test_constraint_violation_values():
 def test_relative_residual_scaling():
     assert relative_residual(1.0, 1.0) == 0.0
     assert relative_residual(0.0, 3.0) == pytest.approx(0.75)
-    arr = relative_residual(np.array([1.0, 2.0]), np.array([1.0, 2.5]))
-    assert arr == pytest.approx(0.5 / 5.5)
+    # the nodal recursion takes the worst node of the same scaled residual:
+    # here lhs = (1/2) sq_prev2 = (1, 2) against rhs = (3/2) d2_sq = (1, 2.5)
+    zero = np.zeros(2)
+    worst = nodal_recursion_residual(zero, zero, np.array([2.0, 4.0]), np.array([2.0, 5.0]) / 3.0, 1.0)
+    assert worst == pytest.approx(0.5 / 5.5)
+    # over no node it is skipped, not passed
+    assert math.isnan(nodal_recursion_residual(*[np.zeros(0)] * 4, 1.0))
 
 
 def test_nodal_recursion_negative_control():
     # a corrupted state must blow the recursion audit far past tolerance
-    mesh = build_square_mesh(6, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(6)
     u0 = make_initial(mesh, InitSpec("perturbed", seed=3, perturb_amplitude=0.5))
     system = EnergySystem(mesh, metric="h1")
     cfg = FlowConfig(method="bdf2", tau=0.125)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import scaled_square_mesh
 from sphereflow.diagnostics import constraint_violation
 from sphereflow.fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
 from sphereflow.flow import EnergySystem
@@ -36,7 +37,7 @@ def assemble_by_hand(mesh):
 
 
 def test_assembly_matches_hand_assembly():
-    mesh = build_square_mesh(3, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(3)
     K_hand, M_hand = assemble_by_hand(mesh)
     assert np.allclose(assemble_stiffness(mesh).toarray(), K_hand, atol=1e-14)
     assert np.allclose(assemble_mass(mesh).toarray(), M_hand, atol=1e-16)
@@ -67,7 +68,7 @@ def test_interior_five_point_stencil():
 
 def test_stiffness_energy_exact_on_affine():
     for n, side in ((2, 1.0), (5, 2.5)):
-        mesh = build_square_mesh(n, lower_left=(0.25, -1.0), side=side)
+        mesh = scaled_square_mesh(n, lower_left=(0.25, -1.0), side=side)
         K = assemble_stiffness(mesh)
         u = np.column_stack([mesh.vertices[:, 0], np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices)])
         assert 0.5 * np.sum(u * (K @ u)) == pytest.approx(0.5 * side**2, rel=1e-12)
@@ -84,16 +85,15 @@ def test_stiffness_kernel_is_constants():
 
 
 def test_mass_total_and_lumped_diagonal():
-    side = 1.0
-    mesh = build_square_mesh(4, side=side)
+    mesh = build_square_mesh(4)
     M = assemble_mass(mesh)
     ones = np.ones(mesh.n_vertices)
-    assert ones @ (M @ ones) == pytest.approx(side**2, rel=1e-13)
+    assert ones @ (M @ ones) == pytest.approx(1.0, rel=1e-13)
     diag = lumped_mass_diagonal(mesh)
-    assert diag.sum() == pytest.approx(side**2, rel=1e-13)
+    assert diag.sum() == pytest.approx(1.0, rel=1e-13)
     # interior node: six adjacent triangles of area h^2/2, a third each
     center = 2 * 5 + 2
-    assert diag[center] == pytest.approx(mesh.h**2, rel=1e-13)
+    assert diag[center] == pytest.approx(0.25**2, rel=1e-13)
 
 
 def test_consistent_mass_positive_definite():
@@ -106,7 +106,7 @@ def test_consistent_mass_positive_definite():
 
 def test_interpolate_constant_and_affine():
     # the nodal interpolant reproduces an affine map exactly, so its energy is exact
-    mesh = build_square_mesh(3, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(3)
     K = assemble_stiffness(mesh)
     A = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
     v = mesh.vertices @ A.T
@@ -114,13 +114,13 @@ def test_interpolate_constant_and_affine():
 
 
 def test_interpolate_stereographic_unit_nodes():
-    mesh = build_square_mesh(16, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(16)
     u = inverse_stereographic(mesh.vertices)
     assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-14
 
 
 def test_reference_energy_on_paper_mesh():
-    mesh = build_square_mesh(64, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(64)
     u = inverse_stereographic(mesh.vertices)
     energy = EnergySystem(mesh).energy(u)
     assert energy == pytest.approx(3.009, rel=0.02)
@@ -128,7 +128,7 @@ def test_reference_energy_on_paper_mesh():
 
 def test_l1_nodal_norm():
     # the lumped L1 norm sum_z m_z |w(z)| lives in constraint_violation, with w = |u|^2 - 1
-    mesh = build_square_mesh(4, side=1.0)
+    mesh = build_square_mesh(4)
     nv = mesh.n_vertices
     diag = lumped_mass_diagonal(mesh)
     assert constraint_violation(1.0 + np.zeros(nv), diag) == 0.0

@@ -30,7 +30,7 @@ from sphereflow.mesh import build_square_mesh, free_nodes
 
 
 def unit_square_setup(n, metric="h1", init="exact", seed=1, amplitude=0.5):
-    mesh = build_square_mesh(n, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(n)
     u0 = make_initial(mesh, InitSpec(init, seed=seed, perturb_amplitude=amplitude))
     return mesh, u0, EnergySystem(mesh, metric=metric)
 
@@ -216,13 +216,15 @@ def test_run_flow_audit_residuals_both_metrics():
 )
 def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, max_steps):
     # every accepted configuration passes its audits to round-off; only the
-    # two-step identities of an Euler run read skipped
+    # two-step identities of an Euler run, and the nodal recursion of a mesh
+    # without free nodes (n = 1), read skipped
     _, u0, system = unit_square_setup(n, metric=metric, init=init, seed=seed)
     report = run_flow(u0, system, FlowConfig(method=method, tau=2.0**-m, max_steps=max_steps))
     passed, summary = audit_identities(report, tol=1e-10)
     assert passed, summary
     skipped = {key for key, value in summary.items() if math.isnan(value)}
-    assert skipped == ({"res_energy_law", "res_nodal_recursion"} if method == "euler" else set())
+    expected = {"res_energy_law", "res_nodal_recursion"} if method == "euler" else set()
+    assert skipped == (expected | {"res_nodal_recursion"} if n == 1 else expected)
 
 
 # audit values that are residuals, already scaled by 1 + the size of what
@@ -250,10 +252,13 @@ def test_run_flow_audit_matches_plain_formulas(n, init, metric, method):
     assert len(report.trace) == len(records) == report.n_stop
     for got, expected in zip(report.trace, records):
         assert (got.n, got.time) == (expected.n, expected.time)
+        # the audit's scalar residuals take Python floats only
+        assert all(type(value) is float for value in dataclasses.astuple(got)[1:]), got
         for field in dataclasses.fields(StepRecord)[2:]:
             key = field.name
             assert _matches_oracle(key, getattr(got, key), getattr(expected, key)), (got.n, key)
     for key, expected in audits.items():
+        assert type(getattr(report, key)) is float, key
         assert _matches_oracle(key, getattr(report, key), expected), key
     assert report.energy_final == report.trace[-1].energy
     assert report.delta_uni == report.trace[-1].delta_uni
@@ -409,7 +414,9 @@ def test_tangent_and_saddle_constraint_paths_agree(monkeypatch):
     def dense_increment(sys, scale, u_hat, rhs):
         f = sys.free
         block = (sys.stiffness + scale * sys.stiffness)[f][:, f]
-        return dense_saddle_solve(block, u_hat[f], rhs)[0]
+        increment = np.zeros_like(u_hat)
+        increment[f] = dense_saddle_solve(block, u_hat[f], rhs)[0]
+        return increment
 
     monkeypatch.setattr(EnergySystem, "solve_increment", dense_increment)
     second = run_flow(u0, system, cfg)
@@ -472,14 +479,19 @@ def test_run_sweep_raises_a_workers_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def pid_and_blas_threads(*args):
+    """Stand-in for ``run_flow``: the process id and its BLAS thread count (a module-level function pickles)."""
+    get, _ = kkt._openblas_threads()
+    return os.getpid(), get()
+
+
 def test_run_sweep_workers_run_one_blas_thread(monkeypatch):
     api = kkt._openblas_threads()
     if api is None:
         pytest.skip("this scipy build bundles no OpenBLAS with scipy's thread-count symbols")
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one usable CPU: the sweep runs in this process")
-    get, _ = api
-    monkeypatch.setattr(flow, "run_flow", lambda *args: (os.getpid(), get()))
+    monkeypatch.setattr(flow, "run_flow", pid_and_blas_threads)
     u0, system = sweep_system("h1")
     with kkt.blas_threads(2):
         seen = run_sweep(u0, system, [FlowConfig(tau=tau) for tau in SWEEP_TAUS])

@@ -53,13 +53,13 @@ def test_splitmix_determinism():
 
 @pytest.mark.parametrize("kind,amp", [("exact", 0.0), ("perturbed", 0.7), ("random", 0.0)])
 def test_all_kinds_are_unit(kind, amp):
-    mesh = build_square_mesh(6, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(6)
     u = make_initial(mesh, InitSpec(kind, seed=5, perturb_amplitude=amp))
     assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-15
 
 
 def test_exact_matches_stereographic():
-    mesh = build_square_mesh(4, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(4)
     u = make_initial(mesh, InitSpec("exact"))
     expected = inverse_stereographic(mesh.vertices)
     expected /= np.linalg.norm(expected, axis=1)[:, None]
@@ -67,7 +67,7 @@ def test_exact_matches_stereographic():
 
 
 def test_random_is_seed_deterministic():
-    mesh = build_square_mesh(5, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(5)
     spec = InitSpec("random", seed=99)
     assert np.array_equal(make_initial(mesh, spec), make_initial(mesh, spec))
     other = make_initial(mesh, InitSpec("random", seed=100))
@@ -75,7 +75,7 @@ def test_random_is_seed_deterministic():
 
 
 def test_boundary_values_independent_of_kind_and_seed():
-    mesh = build_square_mesh(5, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(5)
     fields = [
         make_initial(mesh, InitSpec("exact")),
         make_initial(mesh, InitSpec("random", seed=1)),
@@ -88,14 +88,14 @@ def test_boundary_values_independent_of_kind_and_seed():
 
 
 def test_perturbed_zero_amplitude_equals_exact():
-    mesh = build_square_mesh(4, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(4)
     exact = make_initial(mesh, InitSpec("exact"))
     perturbed = make_initial(mesh, InitSpec("perturbed", seed=11, perturb_amplitude=0.0))
     assert np.array_equal(exact, perturbed)
 
 
 def test_large_perturbation_raises_energy():
-    mesh = build_square_mesh(64, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(64)
     u = make_initial(mesh, InitSpec("perturbed", seed=1, perturb_amplitude=2.0))
     assert 0.5 * np.sum(u * (assemble_stiffness(mesh) @ u)) > 15.0
 
@@ -125,7 +125,7 @@ def test_floats_match_next_float(seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64])
 @pytest.mark.parametrize("kind", ["exact", "perturbed", "random"])
 def test_make_initial_matches_loop_oracle(kind, n):
-    mesh = build_square_mesh(n, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(n)
     for seed in (*SEEDS, 12345):
         for amplitude in (0.0, 0.5, 3.0):
             spec = InitSpec(kind, seed=seed, perturb_amplitude=amplitude)
@@ -134,7 +134,7 @@ def test_make_initial_matches_loop_oracle(kind, n):
 
 def test_degenerate_perturbed_node_raises(monkeypatch):
     # the draws of interior node 4 cancel its exact value: -1 + 2 f = -exact
-    mesh = build_square_mesh(4, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(4)
     interior = free_nodes(mesh)
     exact = inverse_stereographic(mesh.vertices)[interior]
     draws = _draws(7, 3 * len(interior)).reshape(-1, 3)
@@ -146,7 +146,7 @@ def test_degenerate_perturbed_node_raises(monkeypatch):
 
 def test_huge_amplitude_normalizes_without_overflow():
     # |exact + amplitude * xi| overflows; the direction of xi survives
-    mesh = build_square_mesh(4, lower_left=(-0.5, -0.5), side=1.0)
+    mesh = build_square_mesh(4)
     huge = make_initial(mesh, InitSpec("perturbed", seed=3, perturb_amplitude=1e308))
     large = make_initial(mesh, InitSpec("perturbed", seed=3, perturb_amplitude=1e150))
     assert np.all(np.isfinite(huge))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import square_cells
+from oracles import scaled_square_mesh, square_cells
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 
@@ -23,28 +23,26 @@ def test_smallest_mesh():
 
 
 def test_paper_scale_mesh():
-    m = build_square_mesh(64, lower_left=(-0.5, -0.5), side=1.0)
+    m = build_square_mesh(64)
     assert len(m.cells) == 8192
     assert m.n_vertices == 4225
-    assert m.h == pytest.approx(1.0 / 64.0)
+    assert np.allclose(np.diff(np.unique(m.vertices[:, 0])), 1.0 / 64.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 64])
 def test_area_partition(n):
-    side = 1.0
-    m = build_square_mesh(n, side=side)
-    areas = signed_areas(m)
-    assert np.allclose(areas, m.h**2 / 2.0, rtol=1e-12)
-    assert areas.sum() == pytest.approx(side**2, rel=1e-12)
+    areas = signed_areas(build_square_mesh(n))
+    assert np.allclose(areas, 0.5 / n**2, rtol=1e-12)
+    assert areas.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_area_partition_scaled_domain():
-    m = build_square_mesh(6, lower_left=(-2.0, 1.0), side=3.0)
+    m = scaled_square_mesh(6, lower_left=(-2.0, 1.0), side=3.0)
     assert signed_areas(m).sum() == pytest.approx(9.0, rel=1e-12)
 
 
 def test_boundary_nodes_lie_on_boundary():
-    m = build_square_mesh(7, lower_left=(-0.5, -0.5), side=1.0)
+    m = build_square_mesh(7)
     for z in m.boundary_nodes:
         x, y = m.vertices[z]
         assert min(abs(x + 0.5), abs(x - 0.5), abs(y + 0.5), abs(y - 0.5)) == 0.0
@@ -58,8 +56,8 @@ def test_vertex_ordering_is_lexicographic():
     m = build_square_mesh(3)
     # index = row * (n+1) + col
     for idx, (x, y) in enumerate(m.vertices):
-        assert x == pytest.approx((idx % 4) * m.h)
-        assert y == pytest.approx((idx // 4) * m.h)
+        assert x == pytest.approx(-0.5 + (idx % 4) / 3.0)
+        assert y == pytest.approx(-0.5 + (idx // 4) / 3.0)
 
 
 def test_free_nodes():
@@ -72,8 +70,6 @@ def test_free_nodes():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_square_mesh(0)
-    with pytest.raises(ValueError):
-        build_square_mesh(2, side=-1.0)
 
 
 def test_mesh_is_immutable():

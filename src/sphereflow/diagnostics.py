@@ -91,10 +91,10 @@ def nodal_recursion_residual(sq_n, sq_prev, sq_prev2, d2_sq, tau):
     squared lengths of the three states and of their second difference;
     returns the worst scaled residual, NaN (skipped) over no node.
     """
+    if not sq_n.size:
+        return math.nan
     lhs = 1.5 * sq_n - 2.0 * sq_prev + 0.5 * sq_prev2
     rhs = 1.5 * tau**4 * d2_sq
-    if not lhs.size:
-        return math.nan
     return float((np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))).max())
 
 

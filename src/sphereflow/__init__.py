@@ -1,5 +1,7 @@
 """Projection-free implicit Euler / BDF2 solvers for sphere-constrained gradient flows."""
 
+from types import ModuleType as _ModuleType
+
 from .diagnostics import (
     RunReport,
     StepRecord,
@@ -22,4 +24,5 @@ from .kkt import KktError, KktSolution, TangentPlaneAnalysis
 from .mesh import TriMesh, build_square_mesh, free_nodes
 from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports also bind the submodules, which are not exported
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -66,7 +66,7 @@ def _report_row(row):
         _fmt(report.a_sq),
         _fmt(report.b_sq),
         _fmt(report.energy_final),
-        _fmt(report.delta_ener),
+        _fmt(row.delta_ener),
         _fmt(row.eoc_ener),
         "true" if report.converged else "false",
     ]
@@ -206,10 +206,10 @@ def _run_table(config, taus, trace_out=None):
         if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
             raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
         try:
-            reports = run_sweep(u0, system, flow_configs, reference_energy=config.ref_energy)
+            reports = run_sweep(u0, system, flow_configs)
         except ValueError as exc:  # a step size the flow cannot resolve
             raise UsageError(str(exc)) from exc
-        rows = build_sweep_table(taus, reports)
+        rows = build_sweep_table(taus, reports, config.ref_energy)
         (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
         if trace is not None:
             trace.write("\n".join(_trace_lines(reports[0])) + "\n")

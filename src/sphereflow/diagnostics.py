@@ -42,7 +42,6 @@ class RunReport:
     converged: bool
     energy_final: float
     delta_uni: float
-    delta_ener: float
     a_sq: float
     b_sq: float
     trace: list[StepRecord] = field(default_factory=list)
@@ -58,12 +57,13 @@ class RunReport:
 class SweepRow:
     tau: float
     report: RunReport
+    delta_ener: float
     eoc_uni: float | None = None
     eoc_ener: float | None = None
 
 
 def relative_residual(lhs, rhs):
-    """|lhs - rhs| / (1 + |lhs| + |rhs|) of two floats."""
+    """|lhs - rhs| / (1 + |lhs| + |rhs|) of two floats, or elementwise of two arrays."""
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
@@ -94,8 +94,7 @@ def nodal_recursion_residual(sq_n, sq_prev, sq_prev2, d2_sq, tau):
     if not sq_n.size:
         return math.nan
     lhs = 1.5 * sq_n - 2.0 * sq_prev + 0.5 * sq_prev2
-    rhs = 1.5 * tau**4 * d2_sq
-    return float((np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))).max())
+    return float(relative_residual(lhs, 1.5 * tau**4 * d2_sq).max())
 
 
 def audit_identities(report, tol=1e-8):
@@ -114,20 +113,22 @@ def audit_identities(report, tol=1e-8):
     return passed, summary
 
 
-def build_sweep_table(taus, reports):
+def build_sweep_table(taus, reports, reference_energy):
     """Pair sweep runs with experimental orders between consecutive rows.
 
-    Orders are defined only across a halving step and are suppressed when
-    either participating run failed to converge.
+    A row's ``delta_ener`` is |final energy - ``reference_energy``|.  Orders
+    are defined only across a halving step and are suppressed when either
+    participating run failed to converge.
     """
     rows = []
     for i, (tau, report) in enumerate(zip(taus, reports)):
+        delta_ener = abs(report.energy_final - reference_energy)
         eoc_uni = eoc_ener = None
         if i > 0:
             prev = rows[i - 1]
             halved = abs(tau - 0.5 * prev.tau) <= 1e-12 * prev.tau
             if halved and report.converged and prev.report.converged:
                 eoc_uni = eoc(prev.report.delta_uni, report.delta_uni)
-                eoc_ener = eoc(prev.report.delta_ener, report.delta_ener)
-        rows.append(SweepRow(tau, report, eoc_uni, eoc_ener))
+                eoc_ener = eoc(prev.delta_ener, delta_ener)
+        rows.append(SweepRow(tau, report, delta_ener, eoc_uni, eoc_ener))
     return rows

@@ -28,7 +28,7 @@ from .diagnostics import (
     relative_residual,
 )
 from .fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
-from .kkt import TangentPlaneAnalysis, _nodal_dot, set_blas_threads
+from .kkt import TangentPlaneAnalysis, _nodal_dot, _pair, set_blas_threads
 from .mesh import free_nodes
 from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
@@ -64,11 +64,6 @@ class FlowConfig:
             raise ValueError(f"final time must be positive, got {self.t_max}")
         if not self.max_steps >= 1:
             raise ValueError(f"step cap must be at least 1, got {self.max_steps}")
-
-
-def _pair(u, v):
-    """Euclidean pairing sum(u * v) of two nodal fields, as one dot product."""
-    return float(u.ravel().dot(v.ravel()))
 
 
 class EnergySystem:
@@ -176,15 +171,19 @@ class _Audit:
     keeps them for the next step; every other pairing is one dot product of
     two of the fields at hand, and every scalar residual is taken in Python
     floats.  Differences are paired through products of differences, never
-    of states, which would cancel near convergence.  The worst per-step
-    audits are kept as running maxima, so the report reads no trace.
+    of states, which would cancel near convergence.  The newest energy and
+    constraint violation are kept, and the worst per-step audits as running
+    maxima, so the report reads no trace.
     """
 
     def __init__(self, u0, sys, cfg):
+        sq = _nodal_dot(u0, u0)
+        defect = np.abs(sq - 1.0).max()
+        if not defect <= FEASIBILITY_TOL:
+            raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
         self.sys = sys
         self.method = cfg.method
         self.tau = cfg.tau
-        self.two_step = cfg.method == "bdf2"
         self.n = 0
         self.trace = []
         self.sum_d2_l2 = 0.0
@@ -194,7 +193,6 @@ class _Audit:
         # free-node squared lengths of the last two states
         self.k_u = sys.stiffness @ u0
         self.energy = sys.energy(u0, self.k_u)
-        sq = _nodal_dot(u0, u0)
         self.node_norms = np.sqrt(sq)
         self.sq_free = sq[sys.free]
         self.k_dt = self.m_dt = self.metric_dt = self.sq_free_prev = None
@@ -203,8 +201,9 @@ class _Audit:
         self.sum_grad_d2 = 0.0
         self.res_nodal = math.nan
         # closed-form constraint violation, predicted in O(1) per step from
-        # lumped sums of squared second differences (two-step) or of squared
-        # derivatives (Euler) and audited at every step
+        # lumped sums of squared derivatives (Euler-type steps) and of squared
+        # second differences (two-step steps) and audited at every step
+        self.sum_dt_lumped = 0.0
         self.s1_lumped = 0.0
         self.c_lumped = 0.0
         self.res_closed_form = 0.0
@@ -213,16 +212,15 @@ class _Audit:
         """Audit one step of :func:`_steps` and return its trace record."""
         sys, tau = self.sys, self.tau
         self.n = n = self.n + 1
-        # an Euler step solves for d_t u = (u_next - u_n) / tau; a two-step step for u_dot
-        euler = u_prev is None or not self.two_step
+        # an Euler-type step (the initialization, or any step of an Euler run)
+        # solves for d_t u = (u_next - u_n) / tau; a two-step step for u_dot
+        euler = u_prev is None or self.method == "euler"
         dt = u_dot if euler else backward_difference(u_next, u_n, tau)
         k_u, k_dt, m_dt = sys.stiffness @ u_next, sys.stiffness @ dt, sys.mass @ dt
         metric_dt = k_dt if sys.metric == "h1" else m_dt
-        if euler:
-            udot_star_sq = _pair(u_dot, metric_dt)
-        else:
-            # 2 udot = 3 dt_n - dt_{n-1} for a two-step step
-            udot_star_sq = 1.5 * _pair(u_dot, metric_dt) - 0.5 * _pair(u_dot, self.metric_dt)
+        # 2 udot = 3 dt_n - dt_{n-1} for a two-step step
+        udot_star_sq = (_pair(u_dot, metric_dt) if euler
+                        else 1.5 * _pair(u_dot, metric_dt) - 0.5 * _pair(u_dot, self.metric_dt))
         dt_l2_sq = _pair(dt, m_dt)
         # both are squared norms; below zero, the update tau * u_dot is lost
         # in the round-off of the states
@@ -237,50 +235,45 @@ class _Audit:
         sq = _nodal_dot(u_next, u_next)
         sq_free = sq[sys.free]
         delta_uni = constraint_violation(sq, sys.lumped_weights)
-        if self.two_step:
-            # BDF2 energy of the pair g_a(u_next, u_n)
-            g_new = g_form(2.0 * energy, _pair(u_next, self.k_u), 2.0 * self.energy)
-        res_law = res_nodal = math.nan
         if u_prev is None:
             self.b_sq = dt_l2_sq
-            self.sum_dt_lumped = sys.lumped_norm_sq(dt)
             self.res_init = relative_residual(energy + tau * udot_star_sq + 0.5 * tau**2 * _pair(dt, k_dt),
                                               self.energy)
-            if self.two_step:
-                self.g_first = self.g_prev = g_new
+            # the energy law of a two-step run starts from g_a(u_1, u_0)
+            self.g_first = self.g_prev = g_form(2.0 * energy, _pair(u_next, self.k_u), 2.0 * self.energy)
         else:
             d2 = second_difference(u_next, u_n, u_prev, tau)
             self.sum_d2_l2 += _pair(d2, m_dt - self.m_dt) / tau
-            if self.two_step:
-                grad_d2_term = 0.25 * tau**4 * (_pair(d2, k_dt - self.k_dt) / tau)
-                res_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, self.g_prev)
-                self.sum_udot_star += tau * udot_star_sq
-                self.sum_grad_d2 += grad_d2_term
-                self.g_prev = g_new
-                d2_sq = _nodal_dot(d2, d2)
-                res_nodal = nodal_recursion_residual(sq_free, self.sq_free, self.sq_free_prev,
-                                                     d2_sq[sys.free], tau)
-                # Python's max over the per-step values, NaN handling included
-                self.res_nodal = res_nodal if n == 2 else max(self.res_nodal, res_nodal)
-                a_n = float(sys.lumped_weights.dot(d2_sq))
-                self.s1_lumped += a_n
-                self.c_lumped = a_n + self.c_lumped / 3.0
-            else:
-                self.sum_dt_lumped += sys.lumped_norm_sq(dt)
-        if self.two_step and u_prev is not None:
-            # only Euler steps add to sum_dt_lumped: here it is the first step's term
+        res_law = res_nodal = math.nan
+        if euler:
+            # Euler-type steps obey the telescoped sum of squared derivatives
+            self.sum_dt_lumped += sys.lumped_norm_sq(dt)
+            predicted = tau**2 * self.sum_dt_lumped
+        else:
+            # BDF2 energy of the pair g_a(u_next, u_n)
+            g_new = g_form(2.0 * energy, _pair(u_next, self.k_u), 2.0 * self.energy)
+            grad_d2_term = 0.25 * tau**4 * (_pair(d2, k_dt - self.k_dt) / tau)
+            res_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, self.g_prev)
+            self.sum_udot_star += tau * udot_star_sq
+            self.sum_grad_d2 += grad_d2_term
+            self.g_prev = g_new
+            d2_sq = _nodal_dot(d2, d2)
+            res_nodal = nodal_recursion_residual(sq_free, self.sq_free, self.sq_free_prev, d2_sq[sys.free], tau)
+            # Python's max over the per-step values, NaN handling included
+            self.res_nodal = res_nodal if n == 2 else max(self.res_nodal, res_nodal)
+            a_n = float(sys.lumped_weights.dot(d2_sq))
+            self.s1_lumped += a_n
+            self.c_lumped = a_n + self.c_lumped / 3.0
+            # here sum_dt_lumped holds the initialization step's term alone
             predicted = 1.5 * gamma(n - 1) * tau**2 * self.sum_dt_lumped + 1.5 * tau**4 * (
                 self.s1_lumped - self.c_lumped / 3.0
             )
-        else:
-            # Euler steps, and the initialization step of a two-step run,
-            # obey the telescoped sum of squared derivatives
-            predicted = tau**2 * self.sum_dt_lumped
         self.res_closed_form = max(self.res_closed_form, relative_residual(delta_uni, predicted))
         next_norms = np.sqrt(sq)
         self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
         self.node_norms = next_norms
-        self.k_u, self.energy, self.k_dt, self.m_dt, self.metric_dt = k_u, energy, k_dt, m_dt, metric_dt
+        self.k_u, self.energy, self.delta_uni = k_u, energy, delta_uni
+        self.k_dt, self.m_dt, self.metric_dt = k_dt, m_dt, metric_dt
         self.sq_free_prev, self.sq_free = self.sq_free, sq_free
         rec = StepRecord(
             n=n,
@@ -295,10 +288,10 @@ class _Audit:
         self.trace.append(rec)
         return rec
 
-    def report(self, converged, u_final, reference_energy):
-        tau, final = self.tau, self.trace[-1]
+    def report(self, converged, u_final):
+        tau = self.tau
         res_energy_law = math.nan
-        if self.two_step and self.n > 1:
+        if self.method == "bdf2" and self.n > 1:
             res_energy_law = relative_residual(self.g_prev + self.sum_udot_star + self.sum_grad_d2, self.g_first)
         return RunReport(
             method=self.method,
@@ -306,9 +299,8 @@ class _Audit:
             tau=tau,
             n_stop=self.n,
             converged=converged,
-            energy_final=final.energy,
-            delta_uni=final.delta_uni,
-            delta_ener=abs(final.energy - reference_energy) if reference_energy is not None else math.nan,
+            energy_final=self.energy,
+            delta_uni=self.delta_uni,
             a_sq=tau**2 * self.sum_d2_l2,
             b_sq=self.b_sq,
             trace=self.trace,
@@ -321,7 +313,7 @@ class _Audit:
         )
 
 
-def run_flow(u0, sys, cfg, reference_energy=None):
+def run_flow(u0, sys, cfg):
     """Drive the flow from ``u0`` until the stopping rule fires.
 
     Records per-step norms, energies and constraint violations, the
@@ -337,10 +329,6 @@ def run_flow(u0, sys, cfg, reference_energy=None):
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
     criterion was met before the final time or step cap.
     """
-    defect = np.abs(np.sum(u0 * u0, axis=1) - 1.0).max()
-    if not defect <= FEASIBILITY_TOL:
-        raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
-
     audit = _Audit(u0, sys, cfg)
     converged = False
     for n, step in enumerate(_steps(u0, sys, cfg), start=1):
@@ -354,10 +342,10 @@ def run_flow(u0, sys, cfg, reference_energy=None):
             converged = rec.norm_udot_star + rec.norm_dtu_l2 <= cfg.eps_stop
         if converged or n >= cfg.max_steps or n * cfg.tau >= cfg.t_max:
             break
-    return audit.report(converged, step[2], reference_energy)
+    return audit.report(converged, step[2])
 
 
-def run_sweep(u0, sys, configs, reference_energy=None):
+def run_sweep(u0, sys, configs):
     """:func:`run_flow` from ``u0`` for each of ``configs``; one report per config, in config order.
 
     The flows run side by side in forked worker processes, one per usable
@@ -371,14 +359,14 @@ def run_sweep(u0, sys, configs, reference_energy=None):
     workers = min(len(configs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return [run_flow(u0, sys, cfg, reference_energy) for cfg in configs]
+        return [run_flow(u0, sys, cfg) for cfg in configs]
     # steps grow like 1/tau, so the finest step size starts first
     order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
     # fork, not spawn: the workers inherit whatever wraps this module's functions
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=set_blas_threads, initargs=(1,))
     try:
-        futures = {pool.submit(run_flow, u0, sys, configs[i], reference_energy): i for i in order}
+        futures = {pool.submit(run_flow, u0, sys, configs[i]): i for i in order}
         reports = [None] * len(configs)
         for future in as_completed(futures):
             reports[futures[future]] = future.result()

@@ -105,10 +105,14 @@ class blas_threads:
         set_blas_threads(self._before)
 
 
+def _pair(u, v):
+    """Euclidean pairing sum(u * v) of two arrays raveled, as one dot product."""
+    return float(u.ravel().dot(v.ravel()))
+
+
 def _norm(v):
     """Euclidean norm of ``v`` raveled; the same value as ``np.linalg.norm(v)``, with less overhead."""
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
+    return math.sqrt(_pair(v, v))
 
 
 def _nodal_dot(u, v):

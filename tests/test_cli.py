@@ -174,6 +174,20 @@ def test_sweep_same_initial_data_for_all_taus(tmp_path):
     assert taus[1] == pytest.approx(taus[0] / 2)
 
 
+def test_sweep_ref_energy_changes_only_the_energy_error_columns(tmp_path):
+    args = ["sweep", "--mesh-n", "4", "--tau-range", "2:4", "--init", "perturbed"]
+    default, shifted = tmp_path / "default.csv", tmp_path / "shifted.csv"
+    assert main([*args, "--out", str(default)]) == 0
+    assert main([*args, "--ref-energy", "2.5", "--out", str(shifted)]) == 0
+    columns = CSV_HEADER.split(",")
+    rows = [[line.split(",") for line in read(path).splitlines()[1:]] for path in (default, shifted)]
+    assert len(rows[0]) == len(rows[1]) == 3
+    for i, (a, b) in enumerate(zip(*rows)):
+        changed = {name for name, x, y in zip(columns, a, b) if x != y}
+        # the first row has no order to compare
+        assert changed == ({"delta_ener"} if i == 0 else {"delta_ener", "eoc_ener"})
+
+
 def test_audit_subcommand(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",

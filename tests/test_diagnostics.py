@@ -31,7 +31,6 @@ def _report(**overrides):
         converged=True,
         energy_final=3.0,
         delta_uni=1e-3,
-        delta_ener=1e-2,
         a_sq=0.1,
         b_sq=0.2,
         trace=[],
@@ -130,11 +129,12 @@ def test_audit_identities_summary_keys():
 def test_build_sweep_table_eocs():
     taus = [0.25, 0.125, 0.0625]
     reports = [
-        _report(tau=0.25, delta_uni=4.0, delta_ener=8.0),
-        _report(tau=0.125, delta_uni=1.0, delta_ener=4.0),
-        _report(tau=0.0625, delta_uni=0.25, delta_ener=2.0),
+        _report(tau=0.25, delta_uni=4.0, energy_final=11.0),
+        _report(tau=0.125, delta_uni=1.0, energy_final=7.0),
+        _report(tau=0.0625, delta_uni=0.25, energy_final=1.0),
     ]
-    rows = build_sweep_table(taus, reports)
+    rows = build_sweep_table(taus, reports, 3.0)
+    assert [row.delta_ener for row in rows] == [8.0, 4.0, 2.0]
     assert rows[0].eoc_uni is None
     assert rows[1].eoc_uni == pytest.approx(2.0)
     assert rows[1].eoc_ener == pytest.approx(1.0)
@@ -148,14 +148,14 @@ def test_build_sweep_table_suppresses_nonconverged():
         _report(tau=0.125, delta_uni=1.0, converged=False),
         _report(tau=0.0625, delta_uni=0.25),
     ]
-    rows = build_sweep_table(taus, reports)
-    assert rows[1].eoc_uni is None
-    assert rows[2].eoc_uni is None
+    rows = build_sweep_table(taus, reports, 3.009)
+    assert rows[1].eoc_uni is None and rows[1].eoc_ener is None
+    assert rows[2].eoc_uni is None and rows[2].eoc_ener is None
 
 
 def test_build_sweep_table_requires_halving():
-    rows = build_sweep_table([0.25, 0.1], [_report(tau=0.25), _report(tau=0.1)])
-    assert rows[1].eoc_uni is None
+    rows = build_sweep_table([0.25, 0.1], [_report(tau=0.25), _report(tau=0.1)], 3.009)
+    assert rows[1].eoc_uni is None and rows[1].eoc_ener is None
 
 
 def test_step_record_defaults():

@@ -22,7 +22,7 @@ from sphereflow.flow import (
     run_flow,
     run_sweep,
 )
-from sphereflow.diagnostics import StepRecord, audit_identities
+from sphereflow.diagnostics import RunReport, StepRecord, audit_identities, build_sweep_table, eoc
 from sphereflow.fem import lumped_mass_diagonal
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.kkt import KktError, TangentPlaneAnalysis
@@ -302,12 +302,21 @@ def test_run_flow_non_convergence_flags():
         assert audit_identities(short)[0]
 
 
-def test_run_flow_reference_energy_wiring():
-    _, u0, system = unit_square_setup(4)
-    report = run_flow(u0, system, FlowConfig(tau=0.25), reference_energy=3.009)
-    assert report.delta_ener == pytest.approx(abs(report.energy_final - 3.009), rel=1e-12)
-    bare = run_flow(u0, system, FlowConfig(tau=0.25))
-    assert math.isnan(bare.delta_ener)
+def test_build_sweep_table_reference_energy_wiring():
+    # the flow knows no reference energy; the sweep table measures against it
+    _, u0, system = unit_square_setup(4, init="perturbed", amplitude=0.5)
+    assert "delta_ener" not in {f.name for f in dataclasses.fields(RunReport)}
+    with pytest.raises(TypeError):
+        run_flow(u0, system, FlowConfig(tau=0.25), 3.009)
+    taus = [0.25, 0.125]
+    reports = [run_flow(u0, system, FlowConfig(tau=tau)) for tau in taus]
+    assert all(report.converged for report in reports)
+    rows = build_sweep_table(taus, reports, 3.009)
+    for row, report in zip(rows, reports):
+        assert row.report is report
+        assert row.delta_ener == abs(report.energy_final - 3.009)
+    assert rows[0].eoc_ener is None
+    assert rows[1].eoc_ener == eoc(rows[0].delta_ener, rows[1].delta_ener)
 
 
 def test_constraint_violation_linear_in_tau_unconditionally():
@@ -457,11 +466,11 @@ def sweep_system(metric):
 def test_run_sweep_reports_equal_run_flow_bitwise(metric, method):
     u0, system = sweep_system(metric)
     configs = [FlowConfig(method=method, tau=tau, max_steps=60) for tau in SWEEP_TAUS]
-    swept = run_sweep(u0, system, configs, reference_energy=3.0)
+    swept = run_sweep(u0, system, configs)
     assert multiprocessing.active_children() == []
     assert len(swept) == len(configs)
     for cfg, report in zip(configs, swept):
-        expected = run_flow(u0, system, cfg, reference_energy=3.0)
+        expected = run_flow(u0, system, cfg)
         # repr gives every float exactly, NaN audits included
         assert repr(dataclasses.replace(report, u_final=None)) == repr(dataclasses.replace(expected, u_final=None))
         assert np.array_equal(report.u_final, expected.u_final)

@@ -10,7 +10,7 @@ from .diagnostics import (
     constraint_violation,
     eoc,
 )
-from .fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
+from .fem import assemble_p1
 from .flow import (
     EnergySystem,
     FlowConfig,

@@ -170,6 +170,9 @@ def resolve_config(args):
     # NaN would make every audit comparison false, so every audit would pass
     if not config.audit_tol >= 0:
         raise UsageError(f"--audit-tol must be nonnegative, got {config.audit_tol}")
+    # a non-finite reference would blank or fill with inf the energy-error columns
+    if not math.isfinite(config.ref_energy):
+        raise UsageError(f"--ref-energy must be finite, got {config.ref_energy}")
     return config
 
 

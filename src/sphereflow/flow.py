@@ -27,7 +27,7 @@ from .diagnostics import (
     nodal_recursion_residual,
     relative_residual,
 )
-from .fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
+from .fem import assemble_p1
 from .kkt import TangentPlaneAnalysis, _nodal_dot, _pair, set_blas_threads
 from .mesh import free_nodes
 from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
@@ -79,14 +79,18 @@ class EnergySystem:
         if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
         self.mesh = mesh
-        self.stiffness = assemble_stiffness(mesh)
-        self.mass = assemble_mass(mesh)
+        self.stiffness, self.mass, self.lumped_weights = assemble_p1(mesh)
         self.metric = metric
-        self.free = free_nodes(mesh)
-        self.lumped_weights = lumped_mass_diagonal(mesh)
-        f = self.free
-        self._a_ff = self.stiffness[f][:, f].tocsr()
-        self._metric_ff = (self.mass if metric == "l2" else self.stiffness)[f][:, f].tocsr()
+        self.free = f = free_nodes(mesh)
+        # the free rows of K serve the right-hand side and the block; the
+        # block keeps the exact zeros of the mesh's edge pattern, by which
+        # the tangent-plane analysis orders the nodes
+        self._a_f = self.stiffness[f]
+        self._a_ff = self._a_f[:, f]
+        self._metric_ff = self.mass[f][:, f] if metric == "l2" else self._a_ff
+        # the products skip the zeros (the hypotenuse weights of right-angle cells)
+        self.stiffness.eliminate_zeros()
+        self._a_f.eliminate_zeros()
         self._solvers = {}
 
     def solve_increment(self, scale, u_hat, rhs):
@@ -105,7 +109,7 @@ class EnergySystem:
 
     def rhs_from(self, explicit_field, factor):
         """(K, 3) free-node right-hand side -factor * a(explicit_field, .)."""
-        return (-factor * (self.stiffness @ explicit_field))[self.free]
+        return -factor * (self._a_f @ explicit_field)
 
     def energy(self, u, k_u=None):
         """Dirichlet energy (1/2) a(u, u); ``k_u`` is ``stiffness @ u`` when already formed."""

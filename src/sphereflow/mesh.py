@@ -65,4 +65,6 @@ def build_square_mesh(n):
 
 def free_nodes(mesh):
     """Sorted indices of the interior vertices, the ones not fixed by the Dirichlet data."""
-    return np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_nodes)
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[mesh.boundary_nodes] = False
+    return np.flatnonzero(free)

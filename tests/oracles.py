@@ -4,8 +4,9 @@ The package computes these quantities another way (the two-step derivative
 through its difference operators, the closed-form constraint violation as a
 running update, the per-step audits from products kept between steps, the
 nodal constraint on the tangent planes, the mesh cells and the seeded
-initial fields in array arithmetic); these are the plain formulas, the
-scalar splitmix64 generator and per-node loops.
+initial fields in array arithmetic, the P1 matrices and the free nodes in
+one pass over the mesh); these are the plain formulas, the scalar
+splitmix64 generator, per-node loops and one assembly per matrix.
 """
 
 import math
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 from sphereflow.diagnostics import StepRecord
 from sphereflow.initial_data import _GOLDEN, _MASK64, _MIX1, _MIX2, _normalize_rows, inverse_stereographic
 from sphereflow.kkt import _check_directions
-from sphereflow.mesh import TriMesh, build_square_mesh, free_nodes
+from sphereflow.mesh import TriMesh, build_square_mesh
 
 
 class SplitMix64:
@@ -106,6 +107,58 @@ def dense_saddle_solve(b, directions, rhs):
     matrix = np.block([[a, g.T], [g, np.zeros((k, k))]])
     sol = np.linalg.solve(matrix, np.concatenate([np.ravel(rhs), np.zeros(k)]))
     return sol[: 3 * k].reshape(k, 3), sol[3 * k :]
+
+
+def free_nodes(mesh):
+    """Sorted indices of the vertices not on the boundary, by a sort-based set difference."""
+    return np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_nodes)
+
+
+def _cell_geometry(mesh):
+    """Per-cell (b, c, area): the P1 gradient of hat function i is (b_i, c_i) / (2 area)."""
+    pts = mesh.vertices[mesh.cells]  # (nc, 3, 2)
+    x = pts[:, :, 0]
+    y = pts[:, :, 1]
+    j = [1, 2, 0]
+    k = [2, 0, 1]
+    b = y[:, j] - y[:, k]
+    c = x[:, k] - x[:, j]
+    area = 0.5 * (
+        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+        - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    )
+    return b, c, area
+
+
+def _accumulate(mesh, local):
+    """Sum (nc, 3, 3) local matrices into a global CSR matrix."""
+    nv = mesh.n_vertices
+    rows = np.repeat(mesh.cells, 3, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def assemble_stiffness(mesh):
+    """Scalar P1 stiffness matrix, stored zeros included, from its own pass over the cells."""
+    b, c, area = _cell_geometry(mesh)
+    scale = 1.0 / (4.0 * area)
+    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * scale[:, None, None]
+    return _accumulate(mesh, local)
+
+
+def assemble_mass(mesh):
+    """Scalar P1 mass matrix, from its own pass over the cells."""
+    _, _, area = _cell_geometry(mesh)
+    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return _accumulate(mesh, base[None, :, :] * area[:, None, None])
+
+
+def lumped_mass_diagonal(mesh):
+    """Lumped mass diagonal: area/3 from each adjacent triangle, summed by ``np.add.at``."""
+    _, _, area = _cell_geometry(mesh)
+    diag = np.zeros(mesh.n_vertices)
+    np.add.at(diag, mesh.cells.ravel(), np.repeat(area / 3.0, 3))
+    return diag
 
 
 def square_cells(n):

@@ -59,6 +59,9 @@ def test_run_requires_tau(capsys):
         # tau**4 underflows to 0: rejected before any flow can warn or run on
         ["--mesh-n", "4", "--tau", "1e-200"],
         ["--mesh-n", "4", "--tau", "1e-200", "--method", "euler"],
+        ["--mesh-n", "2", "--tau", "0.25", "--ref-energy", "nan"],
+        ["--mesh-n", "2", "--tau", "0.25", "--ref-energy", "inf"],
+        ["--mesh-n", "2", "--tau", "0.25", "--ref-energy=-inf"],
     ],
 )
 def test_run_invalid_option_values(args, capsys):
@@ -186,6 +189,19 @@ def test_sweep_ref_energy_changes_only_the_energy_error_columns(tmp_path):
         changed = {name for name, x, y in zip(columns, a, b) if x != y}
         # the first row has no order to compare
         assert changed == ({"delta_ener"} if i == 0 else {"delta_ener", "eoc_ener"})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_reference_energy_is_usage_error(tmp_path, capsys, value):
+    # a NaN reference blanks the energy-error columns and inf fills them with inf
+    args = ["sweep", "--mesh-n", "4", "--tau-range", "2:3", "--out", str(tmp_path / "s.csv")]
+    assert main([*args, "--ref-energy", value]) == 2
+    assert capsys.readouterr().err.startswith("error: --ref-energy must be finite")
+    config = tmp_path / "flow.cfg"
+    config.write_text(f"ref_energy = {value}\n")
+    assert main([*args, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: --ref-energy must be finite")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_audit_subcommand(tmp_path, capsys):

@@ -15,7 +15,7 @@ from sphereflow.diagnostics import (
     nodal_recursion_residual,
     relative_residual,
 )
-from sphereflow.fem import lumped_mass_diagonal
+from sphereflow.fem import assemble_p1
 from sphereflow.flow import EnergySystem, FlowConfig, bdf2_step, euler_init_step
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.mesh import build_square_mesh
@@ -59,7 +59,7 @@ def test_eoc_scale_invariant():
 
 def test_constraint_violation_values():
     mesh = build_square_mesh(4)
-    weights = lumped_mass_diagonal(mesh)
+    weights = assemble_p1(mesh)[2]
     sq = np.ones(mesh.n_vertices)
     assert constraint_violation(sq, weights) == 0.0
     c = 0.3

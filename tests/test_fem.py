@@ -1,13 +1,14 @@
-"""P1 assembly against hand-computed local matrices and exact energies."""
+"""P1 assembly against hand-computed local matrices, exact energies and the per-matrix oracle."""
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import scaled_square_mesh
 from sphereflow.diagnostics import constraint_violation
-from sphereflow.fem import assemble_mass, assemble_stiffness, lumped_mass_diagonal
+from sphereflow.fem import assemble_p1
 from sphereflow.flow import EnergySystem
-from sphereflow.initial_data import inverse_stereographic
+from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.mesh import build_square_mesh
 
 RNG = np.random.default_rng(7)
@@ -39,13 +40,14 @@ def assemble_by_hand(mesh):
 def test_assembly_matches_hand_assembly():
     mesh = build_square_mesh(3)
     K_hand, M_hand = assemble_by_hand(mesh)
-    assert np.allclose(assemble_stiffness(mesh).toarray(), K_hand, atol=1e-14)
-    assert np.allclose(assemble_mass(mesh).toarray(), M_hand, atol=1e-16)
+    K, M, _ = assemble_p1(mesh)
+    assert np.allclose(K.toarray(), K_hand, atol=1e-14)
+    assert np.allclose(M.toarray(), M_hand, atol=1e-16)
 
 
 def test_stiffness_row_sums_vanish():
     for n in (1, 4):
-        K = assemble_stiffness(build_square_mesh(n))
+        K = assemble_p1(build_square_mesh(n))[0]
         assert np.abs(np.asarray(K.sum(axis=1))).max() <= 1e-13
 
 
@@ -53,7 +55,7 @@ def test_interior_five_point_stencil():
     # the six-triangle patch around an interior node gives diagonal 4,
     # axis neighbors -1, and zero on the split-diagonal neighbors
     n = 4
-    K = assemble_stiffness(build_square_mesh(n)).toarray()
+    K = assemble_p1(build_square_mesh(n))[0].toarray()
     m = n + 1
     center = 2 * m + 2
     row = K[center]
@@ -69,7 +71,7 @@ def test_interior_five_point_stencil():
 def test_stiffness_energy_exact_on_affine():
     for n, side in ((2, 1.0), (5, 2.5)):
         mesh = scaled_square_mesh(n, lower_left=(0.25, -1.0), side=side)
-        K = assemble_stiffness(mesh)
+        K = assemble_p1(mesh)[0]
         u = np.column_stack([mesh.vertices[:, 0], np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices)])
         assert 0.5 * np.sum(u * (K @ u)) == pytest.approx(0.5 * side**2, rel=1e-12)
         v = np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1], np.zeros(mesh.n_vertices)])
@@ -78,7 +80,7 @@ def test_stiffness_energy_exact_on_affine():
 
 def test_stiffness_kernel_is_constants():
     mesh = build_square_mesh(3)
-    K = assemble_stiffness(mesh)
+    K = assemble_p1(mesh)[0]
     const = np.ones((mesh.n_vertices, 1))
     assert np.abs(K @ const).max() <= 1e-13
     assert np.linalg.matrix_rank(K.toarray(), tol=1e-10) == mesh.n_vertices - 1
@@ -86,10 +88,9 @@ def test_stiffness_kernel_is_constants():
 
 def test_mass_total_and_lumped_diagonal():
     mesh = build_square_mesh(4)
-    M = assemble_mass(mesh)
+    _, M, diag = assemble_p1(mesh)
     ones = np.ones(mesh.n_vertices)
     assert ones @ (M @ ones) == pytest.approx(1.0, rel=1e-13)
-    diag = lumped_mass_diagonal(mesh)
     assert diag.sum() == pytest.approx(1.0, rel=1e-13)
     # interior node: six adjacent triangles of area h^2/2, a third each
     center = 2 * 5 + 2
@@ -98,7 +99,7 @@ def test_mass_total_and_lumped_diagonal():
 
 def test_consistent_mass_positive_definite():
     mesh = build_square_mesh(3)
-    M = assemble_mass(mesh)
+    M = assemble_p1(mesh)[1]
     for _ in range(100):
         v = RNG.standard_normal(mesh.n_vertices)
         assert v @ (M @ v) > 0.0
@@ -107,7 +108,7 @@ def test_consistent_mass_positive_definite():
 def test_interpolate_constant_and_affine():
     # the nodal interpolant reproduces an affine map exactly, so its energy is exact
     mesh = build_square_mesh(3)
-    K = assemble_stiffness(mesh)
+    K = assemble_p1(mesh)[0]
     A = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
     v = mesh.vertices @ A.T
     assert 0.5 * np.sum(v * (K @ v)) == pytest.approx(0.5 * np.sum(A * A), rel=1e-12)
@@ -130,7 +131,7 @@ def test_l1_nodal_norm():
     # the lumped L1 norm sum_z m_z |w(z)| lives in constraint_violation, with w = |u|^2 - 1
     mesh = build_square_mesh(4)
     nv = mesh.n_vertices
-    diag = lumped_mass_diagonal(mesh)
+    diag = assemble_p1(mesh)[2]
     assert constraint_violation(1.0 + np.zeros(nv), diag) == 0.0
     assert constraint_violation(1.0 + np.full(nv, -0.25), diag) == pytest.approx(0.25, rel=1e-13)
     w = np.where(np.arange(nv) % 2 == 0, 1.0, -1.0)
@@ -143,3 +144,56 @@ def test_dirichlet_energy_constant_field():
     mesh = build_square_mesh(3)
     u = np.tile([1.0, 2.0, 3.0], (mesh.n_vertices, 1))
     assert EnergySystem(mesh).energy(u) == pytest.approx(0.0, abs=1e-13)
+
+
+def same_bits(a, b):
+    """Whether two arrays, or two CSR matrices part by part, are bitwise equal, dtypes included."""
+    if hasattr(a, "indptr"):
+        return all(same_bits(getattr(a, part), getattr(b, part)) for part in ("data", "indices", "indptr"))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SETUP_MESHES = {f"unit-{n}": (lambda n=n: build_square_mesh(n)) for n in (1, 2, 3, 8, 16, 32, 64)}
+SETUP_MESHES["scaled-5"] = lambda: scaled_square_mesh(5, lower_left=(0.25, -1.0), side=2.5)
+
+
+@pytest.mark.parametrize("metric", ["h1", "l2"])
+@pytest.mark.parametrize("mesh_name", SETUP_MESHES)
+def test_setup_matches_per_matrix_oracle_bitwise(mesh_name, metric):
+    # one pass over the mesh gives the bits of one assembly per matrix,
+    # add.at for the lumped weights and a set difference for the free nodes
+    mesh = SETUP_MESHES[mesh_name]()
+    system = EnergySystem(mesh, metric)
+    k_full, mass = oracles.assemble_stiffness(mesh), oracles.assemble_mass(mesh)
+    free = oracles.free_nodes(mesh)
+    stiffness = k_full.copy()
+    stiffness.eliminate_zeros()
+    assert same_bits(system.stiffness, stiffness)
+    assert same_bits(system.mass, mass)
+    assert same_bits(system.lumped_weights, oracles.lumped_mass_diagonal(mesh))
+    assert same_bits(system.free, free)
+    # the block keeps the zeros of the mesh's pattern, which order the tangent-plane solve
+    assert same_bits(system._a_ff, k_full[free][:, free])
+    assert same_bits(system._metric_ff, (mass if metric == "l2" else k_full)[free][:, free])
+    # the h1 metric block is the energy block itself, cut once
+    assert (system._metric_ff is system._a_ff) == (metric == "h1")
+    for kind in ("exact", "perturbed", "random"):
+        spec = InitSpec(kind, seed=3, perturb_amplitude=0.5)
+        assert same_bits(make_initial(mesh, spec), oracles.make_initial(mesh, spec))
+
+
+@pytest.mark.parametrize("n", [4, 8, 32])
+def test_stiffness_stores_no_zero_and_products_keep_their_bits(n):
+    # the right-angle cells' hypotenuse weights are exactly 0 and are not
+    # stored; K u and the right-hand side keep the oracle's bits
+    mesh = build_square_mesh(n)
+    system = EnergySystem(mesh)
+    k_full = oracles.assemble_stiffness(mesh)
+    assert np.count_nonzero(k_full.data == 0.0) > 0
+    assert np.all(system.stiffness.data != 0.0)
+    free = oracles.free_nodes(mesh)
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1e-300, 1e300):
+        u = scale * rng.standard_normal((mesh.n_vertices, 3))
+        assert same_bits(system.stiffness @ u, k_full @ u)
+        assert same_bits(system.rhs_from(u, 1.0 / 3.0), (-(1.0 / 3.0) * (k_full @ u))[free])

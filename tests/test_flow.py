@@ -23,7 +23,7 @@ from sphereflow.flow import (
     run_sweep,
 )
 from sphereflow.diagnostics import RunReport, StepRecord, audit_identities, build_sweep_table, eoc
-from sphereflow.fem import lumped_mass_diagonal
+from sphereflow.fem import assemble_p1
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.kkt import KktError, TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh, free_nodes
@@ -397,13 +397,13 @@ class CountingMatrix:
 @pytest.mark.parametrize("method", ["bdf2", "euler"])
 def test_run_flow_forms_few_products_per_step(method):
     # the audit forms K u_next, K dt and M dt once per step and the step
-    # forms its right-hand side: one product of the initial state, then 4
-    # per step; an exact count, so a product routed around the counting
-    # wrapper (a stacked [K; M], say) fails here
+    # forms its right-hand side from the free rows of K: one product of the
+    # initial state, then 4 per step; an exact count, so a product routed
+    # around the counting wrapper (a stacked [K; M], say) fails here
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
     products = []
-    counting = {id(m): CountingMatrix(m, products) for m in (system.stiffness, system.mass)}
-    # every attribute that holds either matrix, the metric included
+    counting = {id(m): CountingMatrix(m, products) for m in (system.stiffness, system.mass, system._a_f)}
+    # every attribute that holds one of the matrices, the metric included
     for name, value in list(vars(system).items()):
         if id(value) in counting:
             setattr(system, name, counting[id(value)])
@@ -441,7 +441,7 @@ def test_u_final_matches_reported_constraint_violation():
     mesh, u0, system = unit_square_setup(6, init="perturbed", amplitude=0.5)
     report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.25))
     sq = np.sum(report.u_final * report.u_final, axis=1)
-    assert constraint_violation(sq, lumped_mass_diagonal(mesh)) == pytest.approx(report.delta_uni, rel=1e-12)
+    assert constraint_violation(sq, assemble_p1(mesh)[2]) == pytest.approx(report.delta_uni, rel=1e-12)
 
 
 def test_h1_stopping_time_roughly_tau_independent():

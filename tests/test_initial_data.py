@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import SplitMix64
 from sphereflow import initial_data
-from sphereflow.fem import assemble_stiffness
+from sphereflow.fem import assemble_p1
 from sphereflow.initial_data import InitSpec, _draws, inverse_stereographic, make_initial
 from sphereflow.mesh import build_square_mesh, free_nodes
 
@@ -97,7 +97,7 @@ def test_perturbed_zero_amplitude_equals_exact():
 def test_large_perturbation_raises_energy():
     mesh = build_square_mesh(64)
     u = make_initial(mesh, InitSpec("perturbed", seed=1, perturb_amplitude=2.0))
-    assert 0.5 * np.sum(u * (assemble_stiffness(mesh) @ u)) > 15.0
+    assert 0.5 * np.sum(u * (assemble_p1(mesh)[0] @ u)) > 15.0
 
 
 def test_invalid_spec():

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu
 
 from oracles import assemble_constraint_rows, dense_saddle_solve
 from sphereflow import kkt
-from sphereflow.fem import assemble_stiffness
+from sphereflow.fem import assemble_p1
 from sphereflow.kkt import TOL, KktError, TangentPlaneAnalysis, tangent_frames
 from sphereflow.mesh import build_square_mesh, free_nodes
 
@@ -199,7 +199,7 @@ def bdf2_block(n, scale=2.0 * 2.0**-4 / 3.0):
     """Block K_ff + scale K_ff of the h1 flow on the n x n square mesh (by default BDF2 at tau 2^-4)."""
     mesh = build_square_mesh(n)
     f = free_nodes(mesh)
-    k_ff = assemble_stiffness(mesh)[f][:, f].tocsr()
+    k_ff = assemble_p1(mesh)[0][f][:, f].tocsr()
     return k_ff + scale * k_ff
 
 

@@ -183,39 +183,31 @@ def _setup(config):
     return mesh, u0, system
 
 
-def _prepare(config, taus):
-    """Initial field, system and one FlowConfig per step size; bad values are usage errors."""
+def _run_table(config, taus, trace_out=None):
+    """Run each step size from one initial field; write the CSV table and, for one run, its trace.
+
+    Both outputs are opened before the first flow, so an unwritable path
+    costs no computation.  A ``ValueError`` of the configs, the set-up or
+    the flows is a usage error.  Returns the audit results (none with
+    ``--audit off``) and the exit status.
+    """
     try:
         flow_configs = [
             FlowConfig(method=config.method, tau=tau, eps_stop=config.eps_stop, t_max=config.t_max)
             for tau in taus
         ]
         _, u0, system = _setup(config)
+        with _opened(config.out) as out, _opened(trace_out) as trace:
+            # two handles on one file would interleave the table and the trace
+            if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
+                raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
+            reports = run_sweep(u0, system, flow_configs)
+            rows = build_sweep_table(taus, reports, config.ref_energy)
+            (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
+            if trace is not None:
+                trace.write("\n".join(_trace_lines(reports[0])) + "\n")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return u0, system, flow_configs
-
-
-def _run_table(config, taus, trace_out=None):
-    """Run each step size from one initial field; write the CSV table and, for one run, its trace.
-
-    Both outputs are opened before the first flow, so an unwritable path
-    costs no computation.  Returns the audit results (none with
-    ``--audit off``) and the exit status.
-    """
-    u0, system, flow_configs = _prepare(config, taus)
-    with _opened(config.out) as out, _opened(trace_out) as trace:
-        # two handles on one file would interleave the table and the trace
-        if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
-            raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
-        try:
-            reports = run_sweep(u0, system, flow_configs)
-        except ValueError as exc:  # a step size the flow cannot resolve
-            raise UsageError(str(exc)) from exc
-        rows = build_sweep_table(taus, reports, config.ref_energy)
-        (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
-        if trace is not None:
-            trace.write("\n".join(_trace_lines(reports[0])) + "\n")
     audits = [audit_identities(r, tol=config.audit_tol) for r in reports] if config.audit == "on" else []
     ok = all(r.converged for r in reports) and all(passed for passed, _ in audits)
     return audits, 0 if ok else 1

@@ -19,7 +19,8 @@ def assemble_p1(mesh):
     each adjacent triangle.  For the triangle (p0, p1, p2) the P1 gradient
     of hat function i is (b_i, c_i) / (2 A) with b_i = y_j - y_k,
     c_i = x_k - x_j (cyclic).  Both matrices are CSR on the pattern of the
-    mesh's edges, exact zeros included, from the same (row, col) entries.
+    mesh's edges, from the same (row, col) entries; the stiffness stores no
+    exact zero (the hypotenuse weights of right-angle cells).
 
     Returns
     -------
@@ -43,6 +44,7 @@ def assemble_p1(mesh):
     entries = (np.repeat(mesh.cells, 3, axis=1).ravel(), np.tile(mesh.cells, (1, 3)).ravel())
     stiffness, mass = (sp.coo_matrix((local.ravel(), entries), shape=(nv, nv)).tocsr()
                        for local in (k_local, m_local))
+    stiffness.eliminate_zeros()
     # bincount adds in input order, as np.add.at does
     lumped_weights = np.bincount(mesh.cells.ravel(), weights=np.repeat(area / 3.0, 3), minlength=nv)
     return stiffness, mass, lumped_weights

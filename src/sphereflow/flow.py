@@ -54,10 +54,15 @@ class FlowConfig:
         # written so that NaN fails every check
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"step size must be positive and finite, got {self.tau}")
-        # the audits scale by tau**4, which must not underflow to 0; a
-        # product, since tau**4 raises OverflowError for a huge tau
-        if self.tau * self.tau * self.tau * self.tau == 0.0:
-            raise ValueError(f"step size {self.tau:g} is too small: its fourth power underflows to 0")
+        # the largest power the audits form, 1.5 * tau**4, must be positive
+        # and finite; ** raises OverflowError where * would give inf
+        try:
+            power = 1.5 * self.tau**4
+        except OverflowError:
+            power = math.inf
+        if not 0.0 < power < math.inf:
+            why = "small: its fourth power underflows to 0" if power == 0.0 else "large: 1.5 tau**4 overflows"
+            raise ValueError(f"step size {self.tau:g} is too {why}")
         if not (math.isfinite(self.eps_stop) and self.eps_stop > 0):
             raise ValueError(f"stopping threshold must be positive and finite, got {self.eps_stop}")
         if not self.t_max > 0:
@@ -82,15 +87,10 @@ class EnergySystem:
         self.stiffness, self.mass, self.lumped_weights = assemble_p1(mesh)
         self.metric = metric
         self.free = f = free_nodes(mesh)
-        # the free rows of K serve the right-hand side and the block; the
-        # block keeps the exact zeros of the mesh's edge pattern, by which
-        # the tangent-plane analysis orders the nodes
+        # the free rows of K serve the right-hand side and the block
         self._a_f = self.stiffness[f]
         self._a_ff = self._a_f[:, f]
         self._metric_ff = self.mass[f][:, f] if metric == "l2" else self._a_ff
-        # the products skip the zeros (the hypotenuse weights of right-angle cells)
-        self.stiffness.eliminate_zeros()
-        self._a_f.eliminate_zeros()
         self._solvers = {}
 
     def solve_increment(self, scale, u_hat, rhs):
@@ -186,8 +186,7 @@ class _Audit:
         if not defect <= FEASIBILITY_TOL:
             raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
         self.sys = sys
-        self.method = cfg.method
-        self.tau = cfg.tau
+        self.method, self.tau, self.eps_stop = cfg.method, cfg.tau, cfg.eps_stop
         self.n = 0
         self.trace = []
         self.sum_d2_l2 = 0.0
@@ -231,10 +230,8 @@ class _Audit:
         if udot_star_sq < 0.0 or dt_l2_sq < 0.0:
             name, value = (("metric norm of u_dot", udot_star_sq) if udot_star_sq < 0.0
                            else ("L2 norm of d_t u", dt_l2_sq))
-            raise ValueError(
-                f"step {n}: squared {name} is negative ({value:.3e}); "
-                f"the step size {tau:g} is below the round-off of the states"
-            )
+            raise ValueError(f"step {n}: squared {name} is negative ({value:.3e}); the step size {tau:g} "
+                             f"or the stopping threshold {self.eps_stop:g} is below what the flow can resolve")
         energy = sys.energy(u_next, k_u)
         sq = _nodal_dot(u_next, u_next)
         sq_free = sq[sys.free]
@@ -325,10 +322,10 @@ def run_flow(u0, sys, cfg):
     (initialization equality, telescoped energy law, nodal recursion,
     closed-form constraint violation at every step, nodal monotonicity);
     the two-step identities are NaN (skipped) for an Euler run.  ``u0``
-    must have unit length at every node, to ``FEASIBILITY_TOL``.  A step
-    size too small for the update to outlast the round-off of the states,
-    or so large that tau**2 or tau**4 overflows, stops the run with a
-    ``ValueError`` naming the step.
+    must have unit length at every node, to ``FEASIBILITY_TOL``.  An
+    update lost in the round-off of the states, as from a step size or a
+    stopping threshold too small for the flow to resolve, stops the run with
+    a ``ValueError`` naming the step.
 
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
     criterion was met before the final time or step cap.
@@ -336,10 +333,7 @@ def run_flow(u0, sys, cfg):
     audit = _Audit(u0, sys, cfg)
     converged = False
     for n, step in enumerate(_steps(u0, sys, cfg), start=1):
-        try:
-            rec = audit.record(*step)
-        except OverflowError:
-            raise ValueError(f"step {n}: the audit's powers of the step size {cfg.tau:g} overflow") from None
+        rec = audit.record(*step)
         # a two-step run is judged from its first two-step step on; the final
         # time and the step cap hold from step 1 on
         if n > 1 or cfg.method == "euler":

@@ -62,19 +62,28 @@ def test_run_requires_tau(capsys):
         ["--mesh-n", "2", "--tau", "0.25", "--ref-energy", "nan"],
         ["--mesh-n", "2", "--tau", "0.25", "--ref-energy", "inf"],
         ["--mesh-n", "2", "--tau", "0.25", "--ref-energy=-inf"],
+        # 1.5 tau**4 overflows (tau**2 too at 1e160): rejected before the flow
+        # could overflow, or pass the nodal recursion as NaN
+        ["--mesh-n", "4", "--tau", "1e160"],
+        ["--mesh-n", "4", "--tau", "1e308"],
+        ["--mesh-n", "4", "--tau", "5e307", "--method", "euler"],
+        ["--mesh-n", "4", "--tau", "1.1e77", "--t-max", "1e300"],
+        ["--mesh-n", "4", "--tau", "1.15e77", "--t-max", "1e300", "--init", "perturbed"],
     ],
 )
 def test_run_invalid_option_values(args, capsys):
-    # exit code 1 means non-convergence; a bad value is a usage error
+    # exit code 1 means non-convergence; a bad value is a usage error, one line
     assert main(["run", *args]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
     "args",
     [
         ["run", "--mesh-n", "4", "--tau", "1e-14"],
-        ["run", "--mesh-n", "4", "--tau", "1e160"],
+        # the step size is fine; the threshold is below the round-off
+        ["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--eps-stop", "1e-16"],
         # the flows of a sweep run in worker processes
         ["sweep", "--mesh-n", "4", "--tau-range", "46:47"],
     ],
@@ -83,6 +92,9 @@ def test_step_size_the_flow_cannot_resolve_is_usage_error(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: step ") and "Traceback" not in err
+    # the message names both possible causes, with their values
+    eps_stop = args[args.index("--eps-stop") + 1] if "--eps-stop" in args else "0.001"
+    assert "the step size " in err and f"the stopping threshold {eps_stop} " in err
 
 
 def test_degenerate_perturbed_node_is_usage_error(monkeypatch, capsys):

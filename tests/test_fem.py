@@ -9,6 +9,7 @@ from sphereflow.diagnostics import constraint_violation
 from sphereflow.fem import assemble_p1
 from sphereflow.flow import EnergySystem
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
+from sphereflow.kkt import TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh
 
 RNG = np.random.default_rng(7)
@@ -172,14 +173,32 @@ def test_setup_matches_per_matrix_oracle_bitwise(mesh_name, metric):
     assert same_bits(system.mass, mass)
     assert same_bits(system.lumped_weights, oracles.lumped_mass_diagonal(mesh))
     assert same_bits(system.free, free)
-    # the block keeps the zeros of the mesh's pattern, which order the tangent-plane solve
-    assert same_bits(system._a_ff, k_full[free][:, free])
-    assert same_bits(system._metric_ff, (mass if metric == "l2" else k_full)[free][:, free])
+    # the blocks are cut from the stiffness without its zeros
+    assert same_bits(system._a_ff, stiffness[free][:, free])
+    assert same_bits(system._metric_ff, (mass if metric == "l2" else stiffness)[free][:, free])
     # the h1 metric block is the energy block itself, cut once
     assert (system._metric_ff is system._a_ff) == (metric == "h1")
     for kind in ("exact", "perturbed", "random"):
         spec = InitSpec(kind, seed=3, perturb_amplitude=0.5)
         assert same_bits(make_initial(mesh, spec), oracles.make_initial(mesh, spec))
+
+
+@pytest.mark.parametrize("metric", ["h1", "l2"])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32, 64])
+def test_tangent_plane_analysis_does_not_see_the_stiffness_zeros(n, metric):
+    # the sum metric_ff + scale * a_ff drops exact zeros, so the block of the
+    # oracle's stiffness, zeros included, has the same analysis as the system's
+    mesh = build_square_mesh(n)
+    system = EnergySystem(mesh, metric)
+    free = oracles.free_nodes(mesh)
+    k_ff = oracles.assemble_stiffness(mesh)[free][:, free]
+    metric_ff = oracles.assemble_mass(mesh)[free][:, free] if metric == "l2" else k_ff
+    for scale in (0.25, 1.0 / 6.0, 1e-3):
+        ours = vars(TangentPlaneAnalysis(system._metric_ff + scale * system._a_ff))
+        oracle = vars(TangentPlaneAnalysis(metric_ff + scale * k_ff))
+        assert ours.keys() == oracle.keys()
+        for name, value in ours.items():
+            assert same_bits(value, oracle[name]) if hasattr(value, "dtype") else value == oracle[name], name
 
 
 @pytest.mark.parametrize("n", [4, 8, 32])

@@ -76,10 +76,6 @@ def test_flow_config_validation():
     [
         # the update falls below the round-off of the states
         (1e-14, 1e6, "step 2: squared metric norm of u_dot is negative"),
-        # tau**2 of the initialization audit overflows
-        (1e160, 1e6, "step 1: the audit's powers of the step size 1e\\+160 overflow"),
-        # tau**4 of the two-step audits overflows
-        (1e80, 1e300, "step 2: the audit's powers"),
     ],
 )
 def test_extreme_step_size_stops_with_value_error(tau, t_max, match):
@@ -88,11 +84,42 @@ def test_extreme_step_size_stops_with_value_error(tau, t_max, match):
         run_flow(u0, system, FlowConfig(tau=tau, t_max=t_max))
 
 
-def test_huge_step_size_runs_to_final_time():
-    _, u0, system = unit_square_setup(4)
-    report = run_flow(u0, system, FlowConfig(tau=1e80))
-    assert report.n_stop == 1
-    assert audit_identities(report)[0]
+# the edges of the accepted step sizes: 1.5 * tau**4, the largest power the
+# audits form, is positive from the smallest on and finite up to the largest
+SMALLEST_TAU = 1.2536856801856792e-81
+LARGEST_TAU = 1.0462996383700886e77
+
+
+def test_step_size_range_edges():
+    for edge, beyond in ((SMALLEST_TAU, 0.0), (LARGEST_TAU, math.inf)):
+        assert FlowConfig(tau=edge).tau == edge
+        with pytest.raises(ValueError, match="underflows" if beyond == 0.0 else "overflows"):
+            FlowConfig(tau=math.nextafter(edge, beyond))
+
+
+@pytest.mark.parametrize("tau", [1e160, 1e80, 1e308])
+def test_step_size_whose_audit_powers_overflow_is_rejected(tau):
+    # tau**2 overflows at 1e160, tau**4 at 1e80
+    with pytest.raises(ValueError, match="too large: 1.5 tau\\*\\*4 overflows"):
+        FlowConfig(tau=tau)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("metric", ["h1", "l2"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_largest_step_size_audits_to_finite_residuals(n, metric, method):
+    _, u0, system = unit_square_setup(n, metric=metric, init="perturbed")
+    cfg = FlowConfig(method=method, tau=LARGEST_TAU, eps_stop=5e-324, t_max=math.inf, max_steps=4)
+    report = run_flow(u0, system, cfg)
+    # a two-step run is judged from step 2 on
+    assert report.n_stop >= (2 if method == "bdf2" else 1)
+    passed, summary = audit_identities(report)
+    assert passed
+    # an Euler run skips the two-step audits; at n = 1 no node is free
+    skipped = ({"res_energy_law", "res_nodal_recursion"} if method == "euler"
+               else {"res_nodal_recursion"} if n == 1 else set())
+    for key, value in summary.items():
+        assert math.isnan(value) if key in skipped else math.isfinite(value), key
 
 
 def test_init_step_stationary_state():

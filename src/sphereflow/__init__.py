@@ -6,9 +6,13 @@ from .diagnostics import (
     RunReport,
     StepRecord,
     audit_identities,
+    backward_difference,
     build_sweep_table,
     constraint_violation,
     eoc,
+    g_form,
+    gamma,
+    second_difference,
 )
 from .fem import assemble_p1
 from .flow import (
@@ -16,13 +20,13 @@ from .flow import (
     FlowConfig,
     bdf2_step,
     euler_init_step,
+    extrapolate,
     run_flow,
     run_sweep,
 )
 from .initial_data import InitSpec, inverse_stereographic, make_initial
 from .kkt import KktError, KktSolution, TangentPlaneAnalysis
 from .mesh import TriMesh, build_square_mesh, free_nodes
-from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
 # the imports also bind the submodules, which are not exported
 __all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

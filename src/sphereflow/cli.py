@@ -241,6 +241,9 @@ def cmd_audit(config):
     index = {key: columns.index(key) for key in maxima}
     for lineno, line in enumerate(rows, 2):
         cells = line.strip().split(",")
+        # a row cut short would skip its missing residuals and pass vacuously
+        if line.strip() and len(cells) != len(columns):
+            raise UsageError(f"{config.trace_in}:{lineno}: {len(cells)} cells, the header has {len(columns)}")
         for key, idx in index.items():
             if idx < len(cells) and cells[idx]:
                 try:

@@ -20,22 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (
-    RunReport,
-    StepRecord,
-    constraint_violation,
-    nodal_recursion_residual,
-    relative_residual,
-)
+from .diagnostics import _Audit
 from .fem import assemble_p1
-from .kkt import TangentPlaneAnalysis, _nodal_dot, _pair, set_blas_threads
+from .kkt import TangentPlaneAnalysis, _pair, set_blas_threads
 from .mesh import free_nodes
-from .seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
 
 METHODS = ("euler", "bdf2")
 METRICS = ("l2", "h1")
-
-FEASIBILITY_TOL = 1e-8
 
 
 @dataclass
@@ -117,8 +108,10 @@ class EnergySystem:
             k_u = self.stiffness @ u
         return 0.5 * _pair(u, k_u)
 
-    def lumped_norm_sq(self, u):
-        return float(self.lumped_weights.dot(_nodal_dot(u, u)))
+
+def extrapolate(u_prev, u_prev2):
+    """Second-order predictor 2 u_prev - u_prev2."""
+    return 2.0 * u_prev - u_prev2
 
 
 def euler_init_step(u0, sys, cfg):
@@ -163,157 +156,6 @@ def _steps(u0, sys, cfg):
         u_prev, u_n = u_n, u_next
 
 
-class _Audit:
-    """Per-step trace, the regularity sums A^2 and B^2, and the identity audits.
-
-    Which identities apply is fixed at construction: the energy law and the
-    nodal recursion belong to the two-step scheme and are NaN (skipped) in
-    the report of an Euler run; the initialization, closed-form and
-    monotonicity audits apply to both schemes.
-
-    Each step forms three sparse products, K u_next, K dt and M dt, and
-    keeps them for the next step; every other pairing is one dot product of
-    two of the fields at hand, and every scalar residual is taken in Python
-    floats.  Differences are paired through products of differences, never
-    of states, which would cancel near convergence.  The newest energy and
-    constraint violation are kept, and the worst per-step audits as running
-    maxima, so the report reads no trace.
-    """
-
-    def __init__(self, u0, sys, cfg):
-        sq = _nodal_dot(u0, u0)
-        defect = np.abs(sq - 1.0).max()
-        if not defect <= FEASIBILITY_TOL:
-            raise ValueError(f"initial field is infeasible: max | |u|^2 - 1 | = {defect:.3e}")
-        self.sys = sys
-        self.method, self.tau, self.eps_stop = cfg.method, cfg.tau, cfg.eps_stop
-        self.n = 0
-        self.trace = []
-        self.sum_d2_l2 = 0.0
-        self.mono_violation = 0.0
-        # kept between steps: K u_n, the energy and the nodal lengths of the
-        # newest state u_n; the previous step's K dt, M dt and metric dt; the
-        # free-node squared lengths of the last two states
-        self.k_u = sys.stiffness @ u0
-        self.energy = sys.energy(u0, self.k_u)
-        self.node_norms = np.sqrt(sq)
-        self.sq_free = sq[sys.free]
-        self.k_dt = self.m_dt = self.metric_dt = self.sq_free_prev = None
-        # telescoped energy law and worst nodal recursion (two-step only)
-        self.sum_udot_star = 0.0
-        self.sum_grad_d2 = 0.0
-        self.res_nodal = math.nan
-        # closed-form constraint violation, predicted in O(1) per step from
-        # lumped sums of squared derivatives (Euler-type steps) and of squared
-        # second differences (two-step steps) and audited at every step
-        self.sum_dt_lumped = 0.0
-        self.s1_lumped = 0.0
-        self.c_lumped = 0.0
-        self.res_closed_form = 0.0
-
-    def record(self, u_prev, u_n, u_next, u_dot):
-        """Audit one step of :func:`_steps` and return its trace record."""
-        sys, tau = self.sys, self.tau
-        self.n = n = self.n + 1
-        # an Euler-type step (the initialization, or any step of an Euler run)
-        # solves for d_t u = (u_next - u_n) / tau; a two-step step for u_dot
-        euler = u_prev is None or self.method == "euler"
-        dt = u_dot if euler else backward_difference(u_next, u_n, tau)
-        k_u, k_dt, m_dt = sys.stiffness @ u_next, sys.stiffness @ dt, sys.mass @ dt
-        metric_dt = k_dt if sys.metric == "h1" else m_dt
-        # 2 udot = 3 dt_n - dt_{n-1} for a two-step step
-        udot_star_sq = (_pair(u_dot, metric_dt) if euler
-                        else 1.5 * _pair(u_dot, metric_dt) - 0.5 * _pair(u_dot, self.metric_dt))
-        dt_l2_sq = _pair(dt, m_dt)
-        # both are squared norms; below zero, the update tau * u_dot is lost
-        # in the round-off of the states
-        if udot_star_sq < 0.0 or dt_l2_sq < 0.0:
-            name, value = (("metric norm of u_dot", udot_star_sq) if udot_star_sq < 0.0
-                           else ("L2 norm of d_t u", dt_l2_sq))
-            raise ValueError(f"step {n}: squared {name} is negative ({value:.3e}); the step size {tau:g} "
-                             f"or the stopping threshold {self.eps_stop:g} is below what the flow can resolve")
-        energy = sys.energy(u_next, k_u)
-        sq = _nodal_dot(u_next, u_next)
-        sq_free = sq[sys.free]
-        delta_uni = constraint_violation(sq, sys.lumped_weights)
-        if u_prev is None:
-            self.b_sq = dt_l2_sq
-            self.res_init = relative_residual(energy + tau * udot_star_sq + 0.5 * tau**2 * _pair(dt, k_dt),
-                                              self.energy)
-            # the energy law of a two-step run starts from g_a(u_1, u_0)
-            self.g_first = self.g_prev = g_form(2.0 * energy, _pair(u_next, self.k_u), 2.0 * self.energy)
-        else:
-            d2 = second_difference(u_next, u_n, u_prev, tau)
-            self.sum_d2_l2 += _pair(d2, m_dt - self.m_dt) / tau
-        res_law = res_nodal = math.nan
-        if euler:
-            # Euler-type steps obey the telescoped sum of squared derivatives
-            self.sum_dt_lumped += sys.lumped_norm_sq(dt)
-            predicted = tau**2 * self.sum_dt_lumped
-        else:
-            # BDF2 energy of the pair g_a(u_next, u_n)
-            g_new = g_form(2.0 * energy, _pair(u_next, self.k_u), 2.0 * self.energy)
-            grad_d2_term = 0.25 * tau**4 * (_pair(d2, k_dt - self.k_dt) / tau)
-            res_law = relative_residual(tau * udot_star_sq + g_new + grad_d2_term, self.g_prev)
-            self.sum_udot_star += tau * udot_star_sq
-            self.sum_grad_d2 += grad_d2_term
-            self.g_prev = g_new
-            d2_sq = _nodal_dot(d2, d2)
-            res_nodal = nodal_recursion_residual(sq_free, self.sq_free, self.sq_free_prev, d2_sq[sys.free], tau)
-            # Python's max over the per-step values, NaN handling included
-            self.res_nodal = res_nodal if n == 2 else max(self.res_nodal, res_nodal)
-            a_n = float(sys.lumped_weights.dot(d2_sq))
-            self.s1_lumped += a_n
-            self.c_lumped = a_n + self.c_lumped / 3.0
-            # here sum_dt_lumped holds the initialization step's term alone
-            predicted = 1.5 * gamma(n - 1) * tau**2 * self.sum_dt_lumped + 1.5 * tau**4 * (
-                self.s1_lumped - self.c_lumped / 3.0
-            )
-        self.res_closed_form = max(self.res_closed_form, relative_residual(delta_uni, predicted))
-        next_norms = np.sqrt(sq)
-        self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
-        self.node_norms = next_norms
-        self.k_u, self.energy, self.delta_uni = k_u, energy, delta_uni
-        self.k_dt, self.m_dt, self.metric_dt = k_dt, m_dt, metric_dt
-        self.sq_free_prev, self.sq_free = self.sq_free, sq_free
-        rec = StepRecord(
-            n=n,
-            time=n * tau,
-            norm_udot_star=math.sqrt(udot_star_sq),
-            norm_dtu_l2=math.sqrt(dt_l2_sq),
-            energy=energy,
-            delta_uni=delta_uni,
-            res_energy_law=res_law,
-            res_nodal_recursion=res_nodal,
-        )
-        self.trace.append(rec)
-        return rec
-
-    def report(self, converged, u_final):
-        tau = self.tau
-        res_energy_law = math.nan
-        if self.method == "bdf2" and self.n > 1:
-            res_energy_law = relative_residual(self.g_prev + self.sum_udot_star + self.sum_grad_d2, self.g_first)
-        return RunReport(
-            method=self.method,
-            metric=self.sys.metric,
-            tau=tau,
-            n_stop=self.n,
-            converged=converged,
-            energy_final=self.energy,
-            delta_uni=self.delta_uni,
-            a_sq=tau**2 * self.sum_d2_l2,
-            b_sq=self.b_sq,
-            trace=self.trace,
-            res_init=self.res_init,
-            res_energy_law=res_energy_law,
-            res_nodal_recursion=self.res_nodal,
-            res_closed_form=self.res_closed_form,
-            mono_violation=self.mono_violation,
-            u_final=u_final,
-        )
-
-
 def run_flow(u0, sys, cfg):
     """Drive the flow from ``u0`` until the stopping rule fires.
 
@@ -322,8 +164,8 @@ def run_flow(u0, sys, cfg):
     (initialization equality, telescoped energy law, nodal recursion,
     closed-form constraint violation at every step, nodal monotonicity);
     the two-step identities are NaN (skipped) for an Euler run.  ``u0``
-    must have unit length at every node, to ``FEASIBILITY_TOL``.  An
-    update lost in the round-off of the states, as from a step size or a
+    must have unit length at every node, to ``diagnostics.FEASIBILITY_TOL``.
+    An update lost in the round-off of the states, as from a step size or a
     stopping threshold too small for the flow to resolve, stops the run with
     a ``ValueError`` naming the step.
 

@@ -12,11 +12,11 @@ import scipy.sparse as sp
 
 from oracles import assemble_constraint_rows, constraint_recursion_closed_form, dense_saddle_solve
 from sphereflow.cli import main
+from sphereflow.diagnostics import gamma
 from sphereflow.flow import EnergySystem, FlowConfig, run_flow, run_sweep
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.kkt import TangentPlaneAnalysis
 from sphereflow.mesh import build_square_mesh
-from sphereflow.seqcalc import gamma
 
 SEED = 1
 CASES = 1000

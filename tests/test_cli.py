@@ -243,6 +243,28 @@ def test_audit_rejects_non_trace(tmp_path, capsys):
     assert "z.csv:3: res_nodal_recursion" in capsys.readouterr().err
 
 
+def test_audit_rejects_truncated_rows(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
+          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv"), "--audit", "off"])
+    header, first, second, third = read(trace).splitlines()[:4]
+    # a two-step row with both residual cells missing
+    short = tmp_path / "short.csv"
+    short.write_text(f"{header}\n2,0.25,1,1,1,0\n")
+    assert main(["audit", "--trace-in", str(short)]) == 2
+    assert "short.csv:2:" in capsys.readouterr().err
+    # the last of two two-step rows cut after its third cell
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join([header, first, second, ",".join(third.split(",")[:3])]) + "\n")
+    assert main(["audit", "--trace-in", str(cut)]) == 2
+    assert "cut.csv:4:" in capsys.readouterr().err
+    # a blank row is no row
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n".join([header, first, "", second, third]) + "\n\n")
+    assert main(["audit", "--trace-in", str(blank)]) == 0
+    assert "over 2 steps" in capsys.readouterr().out
+
+
 def test_audit_fails_non_finite_residual(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_text("res_energy_law,res_nodal_recursion\nnan,nan\n")

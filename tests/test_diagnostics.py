@@ -14,12 +14,12 @@ from sphereflow.diagnostics import (
     eoc,
     nodal_recursion_residual,
     relative_residual,
+    second_difference,
 )
 from sphereflow.fem import assemble_p1
 from sphereflow.flow import EnergySystem, FlowConfig, bdf2_step, euler_init_step
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.mesh import build_square_mesh
-from sphereflow.seqcalc import second_difference
 
 
 def _report(**overrides):

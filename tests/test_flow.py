@@ -158,7 +158,7 @@ def test_init_step_nodal_identity_single_free_node():
 
 def test_init_bound_with_g_constant():
     # |grad pair|_G^2 <= (5/2) |grad u0|^2 follows from the energy identity
-    from sphereflow.seqcalc import g_form
+    from sphereflow.diagnostics import g_form
 
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=1.0)
     cfg = FlowConfig(method="bdf2", tau=0.5)
@@ -389,6 +389,27 @@ def test_corrupted_step_trips_nodal_recursion_audit(monkeypatch):
     report = run_flow(u0, system, cfg)
     assert len(calls) > 4
     assert report.res_nodal_recursion > 1e-8
+    assert not audit_identities(report)[0]
+
+
+def test_corrupted_euler_step_trips_closed_form_audit(monkeypatch):
+    mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
+    cfg = FlowConfig(method="euler", tau=0.125)
+    assert audit_identities(run_flow(u0, system, cfg))[0]
+    calls = []
+
+    def corrupted_step(u_n, sys, cfg):
+        u_next, u_dot = euler_init_step(u_n, sys, cfg)
+        calls.append(None)
+        if len(calls) == 4:
+            u_next = u_next.copy()
+            u_next[sys.free[len(sys.free) // 2], 0] += 1e-5
+        return u_next, u_dot
+
+    monkeypatch.setattr("sphereflow.flow.euler_init_step", corrupted_step)
+    report = run_flow(u0, system, cfg)
+    assert len(calls) > 4
+    assert report.res_closed_form > 1e-8
     assert not audit_identities(report)[0]
 
 

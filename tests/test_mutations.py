@@ -9,7 +9,7 @@ with the case.
 import numpy as np
 import pytest
 
-from sphereflow import flow, seqcalc
+from sphereflow import diagnostics, flow
 from sphereflow.diagnostics import MONO_SLACK, audit_identities
 from sphereflow.flow import EnergySystem, FlowConfig, run_flow
 from sphereflow.initial_data import InitSpec, make_initial
@@ -19,14 +19,18 @@ CFG = FlowConfig(method="bdf2", tau=2.0**-4, max_steps=40)
 TOL = 1e-8
 
 
-def _block_scale_tau(monkeypatch):
-    solve = flow.EnergySystem.solve_increment
+def _block_scale(right, wrong):
+    """Seed a block built with scale ``wrong`` where the scheme asks for ``right``."""
 
-    def wrong_scale(sys, scale, u_hat, rhs):
-        # the two-step block metric + (2 tau / 3) a, built with tau instead
-        return solve(sys, CFG.tau if scale == 2.0 * CFG.tau / 3.0 else scale, u_hat, rhs)
+    def seed(monkeypatch):
+        solve = flow.EnergySystem.solve_increment
 
-    monkeypatch.setattr(flow.EnergySystem, "solve_increment", wrong_scale)
+        def wrong_scale(sys, scale, u_hat, rhs):
+            return solve(sys, wrong if scale == right else scale, u_hat, rhs)
+
+        monkeypatch.setattr(flow.EnergySystem, "solve_increment", wrong_scale)
+
+    return seed
 
 
 # seeded bug -> (how to seed it, audits that must fail)
@@ -40,23 +44,27 @@ SEEDED_BUGS = {
         ("res_nodal_recursion", "mono_violation"),
     ),
     "g12_sign": (
-        lambda mp: mp.setattr(seqcalc, "G12", -seqcalc.G12),
+        lambda mp: mp.setattr(diagnostics, "G12", -diagnostics.G12),
         ("res_energy_law",),
     ),
     "second_difference_over_tau": (
-        lambda mp: mp.setattr(flow, "second_difference", lambda a, b, c, tau: (a - 2.0 * b + c) / tau),
+        lambda mp: mp.setattr(diagnostics, "second_difference", lambda a, b, c, tau: (a - 2.0 * b + c) / tau),
         ("res_energy_law",),
     ),
     # the audit forms d_t u of a two-step step itself; the stepping is untouched
     "backward_difference_over_2tau": (
-        lambda mp: mp.setattr(flow, "backward_difference", lambda a, b, tau: (a - b) / (2.0 * tau)),
+        lambda mp: mp.setattr(diagnostics, "backward_difference", lambda a, b, tau: (a - b) / (2.0 * tau)),
         ("res_energy_law",),
     ),
-    "block_scale_tau": (_block_scale_tau, ("res_energy_law",)),
+    # the two-step block metric + (2 tau / 3) a, built with tau instead
+    "block_scale_tau": (_block_scale(2.0 * CFG.tau / 3.0, CFG.tau), ("res_energy_law",)),
+    # the Euler-type block metric + tau a, which only the initialization
+    # solves with in a BDF2 run, built with 1.01 tau instead
+    "init_block_scale_1.01_tau": (_block_scale(CFG.tau, 1.01 * CFG.tau), ("res_init",)),
     # gamma(n) tends to 1, so only a per-step comparison sees this bug: at
     # the last of 40 steps the prediction is off by about 1e-17
     "gamma_off_by_one": (
-        lambda mp: mp.setattr(flow, "gamma", lambda n: 1.0 - 3.0 ** -(n + 2)),
+        lambda mp: mp.setattr(diagnostics, "gamma", lambda n: 1.0 - 3.0 ** -(n + 2)),
         ("res_closed_form",),
     ),
 }

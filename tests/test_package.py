@@ -14,3 +14,18 @@ def test_all_names_resolve_and_none_is_a_module():
     namespace = {}
     exec("from sphereflow import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+# moving a name between modules must neither drop nor add a public name
+PUBLIC_NAMES = {
+    "EnergySystem", "FlowConfig", "InitSpec", "KktError", "KktSolution", "RunReport", "StepRecord",
+    "TangentPlaneAnalysis", "TriMesh", "assemble_p1", "audit_identities", "backward_difference",
+    "bdf2_step", "build_square_mesh", "build_sweep_table", "constraint_violation", "eoc",
+    "euler_init_step", "extrapolate", "free_nodes", "g_form", "gamma", "inverse_stereographic",
+    "make_initial", "run_flow", "run_sweep", "second_difference",
+}
+
+
+def test_all_is_the_public_names():
+    assert len(PUBLIC_NAMES) == 27
+    assert set(sphereflow.__all__) == PUBLIC_NAMES

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import bdf2_derivative, constraint_recursion_closed_form
-from sphereflow.seqcalc import backward_difference, extrapolate, g_form, gamma, second_difference
+from sphereflow.diagnostics import backward_difference, g_form, gamma, second_difference
+from sphereflow.flow import extrapolate
 
 RNG = np.random.default_rng(20240817)
 

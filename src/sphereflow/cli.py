@@ -186,8 +186,9 @@ def _setup(config):
 def _run_table(config, taus, trace_out=None):
     """Run each step size from one initial field; write the CSV table and, for one run, its trace.
 
-    Both outputs are opened before the first flow, so an unwritable path
-    costs no computation.  A ``ValueError`` of the configs, the set-up or
+    The flows keep a per-step trace only when it is written.  Both outputs
+    are opened before the first flow, so an unwritable path costs no
+    computation.  A ``ValueError`` of the configs, the set-up or
     the flows is a usage error.  Returns the audit results (none with
     ``--audit off``) and the exit status.
     """
@@ -201,7 +202,7 @@ def _run_table(config, taus, trace_out=None):
             # two handles on one file would interleave the table and the trace
             if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
                 raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
-            reports = run_sweep(u0, system, flow_configs)
+            reports = run_sweep(u0, system, flow_configs, keep_trace=trace is not None)
             rows = build_sweep_table(taus, reports, config.ref_energy)
             (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
             if trace is not None:

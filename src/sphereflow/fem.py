@@ -39,11 +39,18 @@ def assemble_p1(mesh):
         - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
     )
     scale = 1.0 / (4.0 * area)
-    k_local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * scale[:, None, None]
-    m_local = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * area[:, None, None]
-    entries = (np.repeat(mesh.cells, 3, axis=1).ravel(), np.tile(mesh.cells, (1, 3)).ravel())
-    stiffness, mass = (sp.coo_matrix((local.ravel(), entries), shape=(nv, nv)).tocsr()
-                       for local in (k_local, m_local))
+    # K + iM, converted once: duplicates are summed in the same order for any
+    # value type, so the parts are bitwise the two matrices
+    local = np.empty((len(area), 3, 3), complex)
+    local.real = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * scale[:, None, None]
+    local.imag = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * area[:, None, None]
+    # int32, the index type of the CSR matrices, so that no index is copied
+    cells = mesh.cells.astype(np.int32)
+    entries = (np.repeat(cells, 3, axis=1).ravel(), np.tile(cells, (1, 3)).ravel())
+    both = sp.coo_matrix((local.ravel(), entries), shape=(nv, nv)).tocsr()
+    # K drops its zeros in place, so it takes copies of the index arrays
+    stiffness = sp.csr_matrix((both.data.real.copy(), both.indices.copy(), both.indptr.copy()), shape=(nv, nv))
+    mass = sp.csr_matrix((both.data.imag.copy(), both.indices, both.indptr), shape=(nv, nv))
     stiffness.eliminate_zeros()
     # bincount adds in input order, as np.add.at does
     lumped_weights = np.bincount(mesh.cells.ravel(), weights=np.repeat(area / 3.0, 3), minlength=nv)

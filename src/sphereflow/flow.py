@@ -156,10 +156,11 @@ def _steps(u0, sys, cfg):
         u_prev, u_n = u_n, u_next
 
 
-def run_flow(u0, sys, cfg):
+def run_flow(u0, sys, cfg, *, keep_trace=True):
     """Drive the flow from ``u0`` until the stopping rule fires.
 
-    Records per-step norms, energies and constraint violations, the
+    Records per-step norms, energies and constraint violations (in the
+    report's trace, left empty unless ``keep_trace``), the
     regularity quantities A^2 and B^2, and the identity audits
     (initialization equality, telescoped energy law, nodal recursion,
     closed-form constraint violation at every step, nodal monotonicity);
@@ -172,20 +173,20 @@ def run_flow(u0, sys, cfg):
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
     criterion was met before the final time or step cap.
     """
-    audit = _Audit(u0, sys, cfg)
+    audit = _Audit(u0, sys, cfg, keep_trace)
     converged = False
     for n, step in enumerate(_steps(u0, sys, cfg), start=1):
-        rec = audit.record(*step)
+        norm = audit.record(*step)
         # a two-step run is judged from its first two-step step on; the final
         # time and the step cap hold from step 1 on
         if n > 1 or cfg.method == "euler":
-            converged = rec.norm_udot_star + rec.norm_dtu_l2 <= cfg.eps_stop
+            converged = norm <= cfg.eps_stop
         if converged or n >= cfg.max_steps or n * cfg.tau >= cfg.t_max:
             break
     return audit.report(converged, step[2])
 
 
-def run_sweep(u0, sys, configs):
+def run_sweep(u0, sys, configs, *, keep_trace=True):
     """:func:`run_flow` from ``u0`` for each of ``configs``; one report per config, in config order.
 
     The flows run side by side in forked worker processes, one per usable
@@ -194,19 +195,20 @@ def run_sweep(u0, sys, configs):
     arguments pickled; the workers inherit whatever wraps this module's
     functions.  With one worker, without ``fork``, or in a daemonic process
     the flows run one after another in this process.  An exception of a
-    flow is raised here; no worker outlives the call.
+    flow is raised here; no worker outlives the call.  ``keep_trace`` is
+    passed to every flow, so without it no worker sends back a trace.
     """
     workers = min(len(configs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return [run_flow(u0, sys, cfg) for cfg in configs]
+        return [run_flow(u0, sys, cfg, keep_trace=keep_trace) for cfg in configs]
     # steps grow like 1/tau, so the finest step size starts first
     order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
     # fork, not spawn: the workers inherit whatever wraps this module's functions
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=set_blas_threads, initargs=(1,))
     try:
-        futures = {pool.submit(run_flow, u0, sys, configs[i]): i for i in order}
+        futures = {pool.submit(run_flow, u0, sys, configs[i], keep_trace=keep_trace): i for i in order}
         reports = [None] * len(configs)
         for future in as_completed(futures):
             reports[futures[future]] = future.result()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sphereflow import cli, initial_data
+from sphereflow import cli, flow, initial_data
 from sphereflow.cli import CSV_HEADER, TRACE_HEADER, main
 
 
@@ -418,6 +418,28 @@ def test_one_config_file_serves_run_and_sweep(tmp_path, monkeypatch):
     assert main(["run", "--config", "flow.cfg", "--out", "r.csv"]) == 0
     assert read(tmp_path / "r.csv").splitlines()[1].startswith("0.25,")
     assert read(tmp_path / "t.csv").startswith(TRACE_HEADER)
+
+
+@pytest.mark.parametrize("args, kept", [
+    (["sweep", "--tau-range", "2:4"], False),
+    (["run", "--tau", "0.25"], False),
+    (["run", "--tau", "0.25", "--trace-out", "t.csv"], True),
+])
+def test_trace_is_kept_only_for_trace_out(tmp_path, monkeypatch, args, kept):
+    # a sweep's workers, and a run without --trace-out, send back no trace
+    monkeypatch.chdir(tmp_path)
+    returned = []
+
+    def recording_sweep(*call_args, **kwargs):
+        reports = flow.run_sweep(*call_args, **kwargs)
+        returned.extend(reports)
+        return reports
+
+    monkeypatch.setattr(cli, "run_sweep", recording_sweep)
+    assert main([*args, "--mesh-n", "4", "--init", "perturbed", "--out", "r.csv"]) == 0
+    assert returned
+    for report in returned:
+        assert len(report.trace) == (report.n_stop if kept else 0)
 
 
 def test_out_and_trace_out_same_file_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -524,6 +524,36 @@ def test_run_sweep_reports_equal_run_flow_bitwise(metric, method):
         assert np.array_equal(report.u_final, expected.u_final)
 
 
+def _same_but_trace(report, kept):
+    """``report`` equals ``kept`` bitwise in every field but the trace, and its trace is empty."""
+    assert len(report.trace) == 0 and list(report.trace) == []
+    assert len(kept.trace) == kept.n_stop
+    # repr gives every float exactly, NaN audits included
+    assert repr(dataclasses.replace(report, trace=None, u_final=None)) == repr(
+        dataclasses.replace(kept, trace=None, u_final=None))
+    assert np.array_equal(report.u_final, kept.u_final)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("metric", ["h1", "l2"])
+def test_keep_trace_false_changes_only_the_trace(metric, method):
+    u0, system = sweep_system(metric)
+    configs = [FlowConfig(method=method, tau=tau, max_steps=60) for tau in SWEEP_TAUS]
+    kept = [run_flow(u0, system, cfg) for cfg in configs]
+    # equal runs give equal traces, NaN audits included
+    assert dataclasses.replace(kept[0], u_final=None) == dataclasses.replace(run_flow(u0, system, configs[0]),
+                                                                             u_final=None)
+    for cfg, expected in zip(configs, kept):
+        _same_but_trace(run_flow(u0, system, cfg, keep_trace=False), expected)
+    swept = run_sweep(u0, system, configs, keep_trace=False)
+    assert multiprocessing.active_children() == []
+    assert len(swept) == len(configs)
+    for report, expected in zip(swept, kept):
+        _same_but_trace(report, expected)
+    with pytest.raises(TypeError):
+        run_flow(u0, system, configs[0], False)
+
+
 def test_run_sweep_raises_a_workers_error(monkeypatch):
     def failing_step(*args):
         raise KktError("injected failure in a two-step step")
@@ -536,7 +566,7 @@ def test_run_sweep_raises_a_workers_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def pid_and_blas_threads(*args):
+def pid_and_blas_threads(*args, **kwargs):
     """Stand-in for ``run_flow``: the process id and its BLAS thread count (a module-level function pickles)."""
     get, _ = kkt._openblas_threads()
     return os.getpid(), get()

@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple, fields
 
 from .diagnostics import StepRecord, audit_identities, build_sweep_table
-from .flow import METHODS, METRICS, EnergySystem, FlowConfig, run_sweep
+from .flow import METHODS, METRICS, EnergySystem, FlowConfig, run_flow, run_sweep
 from .initial_data import INIT_KINDS, InitSpec, make_initial
 from .mesh import build_square_mesh
 
@@ -73,11 +73,9 @@ def _report_row(row):
     return ",".join(cells)
 
 
-def _trace_lines(report):
-    yield TRACE_HEADER
-    for rec in report.trace:
-        n, *values = astuple(rec)
-        yield ",".join([str(n), *(_fmt(x, 17) for x in values)])
+def _trace_row(rec):
+    n, *values = astuple(rec)
+    return ",".join([str(n), *(_fmt(x, 17) for x in values)])
 
 
 def _opened(path):
@@ -186,8 +184,9 @@ def _setup(config):
 def _run_table(config, taus, trace_out=None):
     """Run each step size from one initial field; write the CSV table and, for one run, its trace.
 
-    The flows keep a per-step trace only when it is written.  Both outputs
-    are opened before the first flow, so an unwritable path costs no
+    With a trace, the one flow writes each step's row as it finishes, so a
+    flow that fails leaves the rows of the steps before.  Both outputs are
+    opened before the first flow, so an unwritable path costs no
     computation.  A ``ValueError`` of the configs, the set-up or
     the flows is a usage error.  Returns the audit results (none with
     ``--audit off``) and the exit status.
@@ -202,11 +201,14 @@ def _run_table(config, taus, trace_out=None):
             # two handles on one file would interleave the table and the trace
             if out and trace and os.path.samestat(os.fstat(out.fileno()), os.fstat(trace.fileno())):
                 raise UsageError(f"--out and --trace-out name the same file: {trace_out}")
-            reports = run_sweep(u0, system, flow_configs, keep_trace=trace is not None)
+            if trace is None:
+                reports = run_sweep(u0, system, flow_configs)
+            else:
+                trace.write(TRACE_HEADER + "\n")
+                reports = [run_flow(u0, system, flow_configs[0],
+                                    on_step=lambda rec: trace.write(_trace_row(rec) + "\n"))]
             rows = build_sweep_table(taus, reports, config.ref_energy)
             (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
-            if trace is not None:
-                trace.write("\n".join(_trace_lines(reports[0])) + "\n")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     audits = [audit_identities(r, tol=config.audit_tol) for r in reports] if config.audit == "on" else []

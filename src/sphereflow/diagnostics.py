@@ -6,9 +6,8 @@ that near-zero identities do not blow up the ratio.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ G22 = 1.0 / 4.0
 
 @dataclass
 class StepRecord:
-    """One row of the per-step trace; NaN marks a not-applicable audit."""
+    """What one step of a run reports; NaN marks a not-applicable audit."""
 
     n: int
     time: float
@@ -40,68 +39,6 @@ class StepRecord:
     delta_uni: float
     res_energy_law: float = math.nan
     res_nodal_recursion: float = math.nan
-
-
-STEP_FIELDS = len(fields(StepRecord))
-# numpy asks for huge pages from 4 MB on, and a huge page is resident as a
-# whole once touched; a chunk stays below that, at 2 MB
-CHUNK_ROWS = 2**15
-
-
-class Trace:
-    """The per-step records of a run, as float64 rows of the :class:`StepRecord` fields.
-
-    The rows live in chunks, each as large as all before it up to
-    ``CHUNK_ROWS`` rows, so no row is ever copied and only the rows written
-    are resident: a kept step costs 64 bytes, and at most 128 with the spare
-    rows.  ``n`` is exact below 2**53.  Reading gives :class:`StepRecord` s
-    as a list does: by index (negative ones too), by slice (a list) and by
-    iteration, and ``repr`` is the repr of that list.  Two traces are equal
-    when their records are, bit for bit, NaN audits included.
-    """
-
-    def __init__(self):
-        self._chunks, self._starts = [], []
-        self._len = self._end = 0
-
-    def append(self, *values):
-        """Keep one step, given as the values of the :class:`StepRecord` fields in order."""
-        i = self._len
-        if i == self._end:
-            size = min(max(1, i), CHUNK_ROWS)
-            self._chunks.append(np.empty((size, STEP_FIELDS)))
-            self._starts.append(i)
-            self._end = i + size
-        self._chunks[-1][i - self._starts[-1]] = values
-        self._len = i + 1
-
-    def _record(self, i):
-        c = bisect.bisect_right(self._starts, i) - 1
-        n, *values = self._chunks[c][i - self._starts[c]].tolist()
-        return StepRecord(int(n), *values)
-
-    def __len__(self):
-        return self._len
-
-    def __getitem__(self, index):
-        rows = range(self._len)[index]
-        return [self._record(i) for i in rows] if isinstance(rows, range) else self._record(rows)
-
-    def __iter__(self):
-        return map(self._record, range(self._len))
-
-    def __repr__(self):
-        return repr(list(self))
-
-    def _rows(self):
-        """The kept rows as one (len, STEP_FIELDS) array, without the spare rows."""
-        return np.concatenate([np.empty((0, STEP_FIELDS)), *self._chunks])[:self._len]
-
-    def __eq__(self, other):
-        return self._rows().tobytes() == other._rows().tobytes() if isinstance(other, Trace) else NotImplemented
-
-    def __getstate__(self):
-        return {"_chunks": [self._rows()], "_starts": [0], "_len": self._len, "_end": self._len}
 
 
 @dataclass
@@ -117,7 +54,6 @@ class RunReport:
     delta_uni: float
     a_sq: float
     b_sq: float
-    trace: Trace = field(default_factory=Trace)
     res_init: float = math.nan
     res_energy_law: float = math.nan
     res_nodal_recursion: float = math.nan
@@ -198,7 +134,7 @@ def gamma(n):
 
 
 class _Audit:
-    """Per-step trace (kept only with ``keep_trace``), the regularity sums A^2 and B^2, and the identity audits.
+    """Per-step records (handed to ``on_step`` when given), the regularity sums A^2 and B^2, and the identity audits.
 
     Which identities apply is fixed at construction: the energy law and the
     nodal recursion belong to the two-step scheme and are NaN (skipped) in
@@ -211,10 +147,10 @@ class _Audit:
     floats.  Differences are paired through products of differences, never
     of states, which would cancel near convergence.  The newest energy and
     constraint violation are kept, and the worst per-step audits as running
-    maxima, so the report reads no trace.
+    maxima, so the report needs no record of past steps.
     """
 
-    def __init__(self, u0, sys, cfg, keep_trace):
+    def __init__(self, u0, sys, cfg, on_step):
         sq = _nodal_dot(u0, u0)
         defect = np.abs(sq - 1.0).max()
         if not defect <= FEASIBILITY_TOL:
@@ -222,8 +158,7 @@ class _Audit:
         self.sys = sys
         self.method, self.tau, self.eps_stop = cfg.method, cfg.tau, cfg.eps_stop
         self.n = 0
-        self.trace = Trace()
-        self.keep_trace = keep_trace
+        self.on_step = on_step
         self.sum_d2_l2 = 0.0
         self.mono_violation = 0.0
         # kept between steps: K u_n, the energy and the nodal lengths of the
@@ -312,8 +247,8 @@ class _Audit:
         self.k_dt, self.m_dt, self.metric_dt = k_dt, m_dt, metric_dt
         self.sq_free_prev, self.sq_free = self.sq_free, sq_free
         norm_udot_star, norm_dtu_l2 = math.sqrt(udot_star_sq), math.sqrt(dt_l2_sq)
-        if self.keep_trace:
-            self.trace.append(n, n * tau, norm_udot_star, norm_dtu_l2, energy, delta_uni, res_law, res_nodal)
+        if self.on_step is not None:
+            self.on_step(StepRecord(n, n * tau, norm_udot_star, norm_dtu_l2, energy, delta_uni, res_law, res_nodal))
         return norm_udot_star + norm_dtu_l2
 
     def report(self, converged, u_final):
@@ -331,7 +266,6 @@ class _Audit:
             delta_uni=self.delta_uni,
             a_sq=tau**2 * self.sum_d2_l2,
             b_sq=self.b_sq,
-            trace=self.trace,
             res_init=self.res_init,
             res_energy_law=res_energy_law,
             res_nodal_recursion=self.res_nodal,

@@ -156,24 +156,24 @@ def _steps(u0, sys, cfg):
         u_prev, u_n = u_n, u_next
 
 
-def run_flow(u0, sys, cfg, *, keep_trace=True):
+def run_flow(u0, sys, cfg, *, on_step=None):
     """Drive the flow from ``u0`` until the stopping rule fires.
 
-    Records per-step norms, energies and constraint violations (in the
-    report's trace, left empty unless ``keep_trace``), the
-    regularity quantities A^2 and B^2, and the identity audits
+    Keeps the regularity quantities A^2 and B^2 and the identity audits
     (initialization equality, telescoped energy law, nodal recursion,
     closed-form constraint violation at every step, nodal monotonicity);
     the two-step identities are NaN (skipped) for an Euler run.  ``u0``
     must have unit length at every node, to ``diagnostics.FEASIBILITY_TOL``.
     An update lost in the round-off of the states, as from a step size or a
     stopping threshold too small for the flow to resolve, stops the run with
-    a ``ValueError`` naming the step.
+    a ``ValueError`` naming the step.  ``on_step``, when given, is called
+    with the :class:`StepRecord` of each step as it finishes (norms, energy,
+    constraint violation and the step's own audits); no record is kept.
 
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
     criterion was met before the final time or step cap.
     """
-    audit = _Audit(u0, sys, cfg, keep_trace)
+    audit = _Audit(u0, sys, cfg, on_step)
     converged = False
     for n, step in enumerate(_steps(u0, sys, cfg), start=1):
         norm = audit.record(*step)
@@ -186,7 +186,7 @@ def run_flow(u0, sys, cfg, *, keep_trace=True):
     return audit.report(converged, step[2])
 
 
-def run_sweep(u0, sys, configs, *, keep_trace=True):
+def run_sweep(u0, sys, configs):
     """:func:`run_flow` from ``u0`` for each of ``configs``; one report per config, in config order.
 
     The flows run side by side in forked worker processes, one per usable
@@ -195,20 +195,19 @@ def run_sweep(u0, sys, configs, *, keep_trace=True):
     arguments pickled; the workers inherit whatever wraps this module's
     functions.  With one worker, without ``fork``, or in a daemonic process
     the flows run one after another in this process.  An exception of a
-    flow is raised here; no worker outlives the call.  ``keep_trace`` is
-    passed to every flow, so without it no worker sends back a trace.
+    flow is raised here; no worker outlives the call.
     """
     workers = min(len(configs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return [run_flow(u0, sys, cfg, keep_trace=keep_trace) for cfg in configs]
+        return [run_flow(u0, sys, cfg) for cfg in configs]
     # steps grow like 1/tau, so the finest step size starts first
     order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
     # fork, not spawn: the workers inherit whatever wraps this module's functions
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=set_blas_threads, initargs=(1,))
     try:
-        futures = {pool.submit(run_flow, u0, sys, configs[i], keep_trace=keep_trace): i for i in order}
+        futures = {pool.submit(run_flow, u0, sys, configs[i]): i for i in order}
         reports = [None] * len(configs)
         for future in as_completed(futures):
             reports[futures[future]] = future.result()

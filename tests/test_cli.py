@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, files, exit codes, determinism."""
 
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
 
-from sphereflow import cli, flow, initial_data
+from sphereflow import cli, initial_data
 from sphereflow.cli import CSV_HEADER, TRACE_HEADER, main
+from sphereflow.diagnostics import StepRecord
+from sphereflow.flow import FlowConfig, run_flow
 
 
 def read(path):
@@ -420,26 +426,55 @@ def test_one_config_file_serves_run_and_sweep(tmp_path, monkeypatch):
     assert read(tmp_path / "t.csv").startswith(TRACE_HEADER)
 
 
-@pytest.mark.parametrize("args, kept", [
-    (["sweep", "--tau-range", "2:4"], False),
-    (["run", "--tau", "0.25"], False),
-    (["run", "--tau", "0.25", "--trace-out", "t.csv"], True),
-])
-def test_trace_is_kept_only_for_trace_out(tmp_path, monkeypatch, args, kept):
-    # a sweep's workers, and a run without --trace-out, send back no trace
-    monkeypatch.chdir(tmp_path)
-    returned = []
+def _read_trace(path):
+    """The step records of a ``--trace-out`` file; an empty cell reads as a NaN audit."""
+    header, *rows = read(path).splitlines()
+    assert header == TRACE_HEADER
+    records = []
+    for row in rows:
+        n, *cells = row.split(",")
+        records.append(StepRecord(int(n), *(float(cell) if cell else math.nan for cell in cells)))
+    return records
 
-    def recording_sweep(*call_args, **kwargs):
-        reports = flow.run_sweep(*call_args, **kwargs)
-        returned.extend(reports)
-        return reports
 
-    monkeypatch.setattr(cli, "run_sweep", recording_sweep)
-    assert main([*args, "--mesh-n", "4", "--init", "perturbed", "--out", "r.csv"]) == 0
-    assert returned
-    for report in returned:
-        assert len(report.trace) == (report.n_stop if kept else 0)
+def _bits(record):
+    """The fields of a step record as bytes: ``n`` as an int, every float bit for bit."""
+    n, *values = dataclasses.astuple(record)
+    return type(n), n, [(type(x), struct.pack("<d", x)) for x in values]
+
+
+@pytest.mark.parametrize("method", ["bdf2", "euler"])
+def test_trace_out_reads_back_as_the_step_records(tmp_path, method):
+    args = ["run", "--mesh-n", "8", "--method", method, "--tau", "0.125", "--init", "perturbed"]
+    trace = tmp_path / "t.csv"
+    assert main([*args, "--out", str(tmp_path / "r.csv"), "--trace-out", str(trace)]) == 0
+    config = cli.resolve_config(cli.build_parser().parse_args(args))
+    _, u0, system = cli._setup(config)
+    records = []
+    cfg = FlowConfig(method=method, tau=config.tau, eps_stop=config.eps_stop, t_max=config.t_max)
+    run_flow(u0, system, cfg, on_step=records.append)
+    assert len(records) > 10
+    assert [_bits(rec) for rec in _read_trace(trace)] == [_bits(rec) for rec in records]
+    # the two-step audits are empty cells where they do not apply: in the
+    # first row of a BDF2 run, in every row of an Euler run
+    skipped = [row.endswith(",,") for row in read(trace).splitlines()[1:]]
+    two_step = [False] * (len(records) - 1) if method == "bdf2" else [True] * (len(records) - 1)
+    assert skipped == [True, *two_step]
+
+
+def test_failing_flow_leaves_the_rows_before_it(tmp_path, capsys):
+    trace = tmp_path / "f.csv"
+    args = ["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--eps-stop", "1e-16"]
+    assert main([*args, "--out", str(tmp_path / "r.csv"), "--trace-out", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ")
+    failed = int(err.split()[2].rstrip(":"))
+    assert failed > 2
+    header, *rows = read(trace).splitlines()
+    assert header == TRACE_HEADER
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, failed))
+    # the rows written are whole and pass the audit
+    assert main(["audit", "--trace-in", str(trace)]) == 0
 
 
 def test_out_and_trace_out_same_file_is_usage_error(tmp_path, monkeypatch, capsys):
@@ -455,6 +490,7 @@ def test_unwritable_output_fails_before_any_flow(tmp_path, monkeypatch, capsys, 
         raise AssertionError("a flow ran before the output paths were checked")
 
     monkeypatch.setattr(cli, "run_sweep", no_flow)
+    monkeypatch.setattr(cli, "run_flow", no_flow)
     bad = tmp_path / "missing" / "x.csv"
     assert main([*args, str(bad)]) == 2
     assert f"error: cannot write {bad}" in capsys.readouterr().err

@@ -1,18 +1,13 @@
 """Reported quantities, EOC computation and audit aggregation."""
 
-import dataclasses
 import math
-import pickle
-import struct
 
 import numpy as np
 import pytest
 
 from sphereflow.diagnostics import (
-    CHUNK_ROWS,
     RunReport,
     StepRecord,
-    Trace,
     audit_identities,
     build_sweep_table,
     constraint_violation,
@@ -38,7 +33,6 @@ def _report(**overrides):
         delta_uni=1e-3,
         a_sq=0.1,
         b_sq=0.2,
-        trace=[],
         res_init=1e-12,
         res_energy_law=1e-12,
         res_nodal_recursion=1e-12,
@@ -167,52 +161,3 @@ def test_step_record_defaults():
     rec = StepRecord(n=1, time=0.25, norm_udot_star=1.0, norm_dtu_l2=1.0, energy=3.0, delta_uni=0.0)
     assert math.isnan(rec.res_energy_law)
     assert math.isnan(rec.res_nodal_recursion)
-
-
-def _bits(record):
-    """The fields of a step record as bytes: ``n`` as an int, every float bit for bit."""
-    n, *values = dataclasses.astuple(record)
-    return type(n), n, [(type(x), struct.pack("<d", x)) for x in values]
-
-
-def test_trace_round_trip_is_bitwise():
-    payload_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
-    records = [
-        StepRecord(1, 0.25, 1.5, 2.5, 3.0086, 1e-300),
-        StepRecord(2, -0.0, 0.0, 5e-324, -1e300, math.inf, 1e-16, -math.inf),
-        StepRecord(2**53, 2.0**53 * 0.1, payload_nan, math.nan, 1.0, 2.0, payload_nan, 0.1),
-    ]
-    trace = Trace()
-    for record in records:
-        trace.append(*dataclasses.astuple(record))
-    assert len(trace) == len(records)
-    assert [_bits(r) for r in trace] == [_bits(r) for r in records]
-    for i in range(-len(records), len(records)):
-        assert _bits(trace[i]) == _bits(records[i])
-    for index in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(5, 9)):
-        assert [_bits(r) for r in trace[index]] == [_bits(r) for r in records[index]]
-    for index in (3, -4):
-        with pytest.raises(IndexError):
-            trace[index]
-    assert repr(trace) == repr(records) == repr(list(trace))
-    assert repr(Trace()) == "[]"
-    # a pickled trace holds its records only, and keeps growing once read back
-    copy = pickle.loads(pickle.dumps(trace))
-    assert [_bits(r) for r in copy] == [_bits(r) for r in records]
-    assert copy == trace and copy != Trace()
-    copy.append(*dataclasses.astuple(records[0]))
-    assert [_bits(r) for r in copy] == [_bits(r) for r in [*records, records[0]]]
-    assert len(trace) == len(records)
-
-
-def test_trace_storage_per_kept_step():
-    # 8 float64 fields: 64 bytes a step, at most twice that with the spare
-    # rows; no chunk outgrows CHUNK_ROWS, and a pickle carries no spare row
-    trace = Trace()
-    for k in range(1, 2 * CHUNK_ROWS + 100):
-        trace.append(k, k * 0.25, 1.0, 1.0, 3.0, 0.0, math.nan, math.nan)
-        assert sum(chunk.nbytes for chunk in trace._chunks) <= 2 * 64 * k
-        if k in (1, 100, 2048, CHUNK_ROWS + 1):
-            assert len(pickle.dumps(trace)) <= 64 * k + 512
-    assert max(len(chunk) for chunk in trace._chunks) == CHUNK_ROWS
-    assert [rec.n for rec in trace[CHUNK_ROWS - 2:CHUNK_ROWS + 2]] == list(range(CHUNK_ROWS - 1, CHUNK_ROWS + 3))

@@ -35,6 +35,12 @@ def unit_square_setup(n, metric="h1", init="exact", seed=1, amplitude=0.5):
     return mesh, u0, EnergySystem(mesh, metric=metric)
 
 
+def traced_run(u0, system, cfg):
+    """:func:`run_flow` and the step records its ``on_step`` receives, as (report, records)."""
+    records = []
+    return run_flow(u0, system, cfg, on_step=records.append), records
+
+
 def constant_state_setup():
     """A feasible stationary state: a constant field, boundary values included."""
     mesh = build_square_mesh(3)
@@ -196,12 +202,12 @@ def test_bdf2_step_orthogonality_and_nodal_recursion():
 
 def test_run_flow_stationary_stops_immediately():
     _, u0, system = constant_state_setup()
-    euler = run_flow(u0, system, FlowConfig(method="euler", tau=0.5))
+    euler, records = traced_run(u0, system, FlowConfig(method="euler", tau=0.5))
     assert euler.converged and euler.n_stop == 1
-    assert euler.trace[-1].norm_dtu_l2 <= 1e-13
-    bdf2 = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.5))
+    assert records[-1].norm_dtu_l2 <= 1e-13
+    bdf2, records = traced_run(u0, system, FlowConfig(method="bdf2", tau=0.5))
     assert bdf2.converged and bdf2.n_stop == 2
-    assert bdf2.trace[-1].norm_udot_star <= 1e-13
+    assert records[-1].norm_udot_star <= 1e-13
 
 
 def test_run_flow_rejects_infeasible_start():
@@ -219,15 +225,15 @@ def test_run_flow_audit_residuals_both_metrics():
     mesh, u0, _ = unit_square_setup(8, init="perturbed", amplitude=0.5)
     for system in [EnergySystem(mesh, metric=metric) for metric in ("h1", "l2")]:
         cfg = FlowConfig(method="bdf2", tau=0.125, t_max=50.0)
-        report = run_flow(u0, system, cfg)
+        report, records = traced_run(u0, system, cfg)
         assert audit_identities(report)[0]
         assert report.res_init <= 1e-10
         assert report.res_energy_law <= 1e-8
-        assert max(rec.res_energy_law for rec in report.trace[1:]) <= 1e-8
+        assert max(rec.res_energy_law for rec in records[1:]) <= 1e-8
         assert report.res_nodal_recursion <= 1e-8
         assert report.res_closed_form <= 1e-8
         assert report.mono_violation <= 1e-9
-        assert report.n_stop == report.trace[-1].n
+        assert report.n_stop == records[-1].n
         assert report.a_sq > 0.0 and report.b_sq > 0.0
 
 
@@ -273,11 +279,11 @@ def _matches_oracle(key, value, expected):
 def test_run_flow_audit_matches_plain_formulas(n, init, metric, method):
     _, u0, system = unit_square_setup(n, metric=metric, init=init)
     cfg = FlowConfig(method=method, tau=0.125, max_steps=60)
-    report = run_flow(u0, system, cfg)
+    report, got_records = traced_run(u0, system, cfg)
     steps = list(itertools.islice(flow._steps(u0, system, cfg), report.n_stop))
     records, audits = audit_steps(steps, system, cfg.tau, method == "bdf2")
-    assert len(report.trace) == len(records) == report.n_stop
-    for got, expected in zip(report.trace, records):
+    assert len(got_records) == len(records) == report.n_stop
+    for got, expected in zip(got_records, records):
         assert (got.n, got.time) == (expected.n, expected.time)
         # the audit's scalar residuals take Python floats only
         assert all(type(value) is float for value in dataclasses.astuple(got)[1:]), got
@@ -287,18 +293,18 @@ def test_run_flow_audit_matches_plain_formulas(n, init, metric, method):
     for key, expected in audits.items():
         assert type(getattr(report, key)) is float, key
         assert _matches_oracle(key, getattr(report, key), expected), key
-    assert report.energy_final == report.trace[-1].energy
-    assert report.delta_uni == report.trace[-1].delta_uni
+    assert report.energy_final == got_records[-1].energy
+    assert report.delta_uni == got_records[-1].delta_uni
 
 
 @pytest.mark.parametrize("metric", ["h1", "l2"])
 def test_report_nodal_recursion_is_the_worst_step(metric):
     # the report keeps a running maximum; it must be the maximum over the
-    # two-step steps of the trace, bit for bit
+    # two-step steps' records, bit for bit
     _, u0, system = unit_square_setup(8, metric=metric, init="perturbed")
-    report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.125))
+    report, records = traced_run(u0, system, FlowConfig(method="bdf2", tau=0.125))
     assert report.n_stop > 10
-    assert report.res_nodal_recursion == max(rec.res_nodal_recursion for rec in report.trace[1:])
+    assert report.res_nodal_recursion == max(rec.res_nodal_recursion for rec in records[1:])
 
 
 def test_run_flow_euler_audits_and_skips():
@@ -466,7 +472,7 @@ def test_tangent_and_saddle_constraint_paths_agree(monkeypatch):
     # system [[kron(B, I3), G^T], [G, 0]] with one constraint row per free node
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
     cfg = FlowConfig(method="bdf2", tau=0.125)
-    first = run_flow(u0, system, cfg)
+    first, first_records = traced_run(u0, system, cfg)
 
     def dense_increment(sys, scale, u_hat, rhs):
         f = sys.free
@@ -476,9 +482,9 @@ def test_tangent_and_saddle_constraint_paths_agree(monkeypatch):
         return increment
 
     monkeypatch.setattr(EnergySystem, "solve_increment", dense_increment)
-    second = run_flow(u0, system, cfg)
+    second, second_records = traced_run(u0, system, cfg)
     assert first.n_stop == second.n_stop
-    for a, b in zip(first.trace, second.trace):
+    for a, b in zip(first_records, second_records):
         for key in ("norm_udot_star", "norm_dtu_l2", "energy", "delta_uni"):
             assert getattr(a, key) == pytest.approx(getattr(b, key), rel=1e-12, abs=0.0)
 
@@ -524,34 +530,22 @@ def test_run_sweep_reports_equal_run_flow_bitwise(metric, method):
         assert np.array_equal(report.u_final, expected.u_final)
 
 
-def _same_but_trace(report, kept):
-    """``report`` equals ``kept`` bitwise in every field but the trace, and its trace is empty."""
-    assert len(report.trace) == 0 and list(report.trace) == []
-    assert len(kept.trace) == kept.n_stop
-    # repr gives every float exactly, NaN audits included
-    assert repr(dataclasses.replace(report, trace=None, u_final=None)) == repr(
-        dataclasses.replace(kept, trace=None, u_final=None))
-    assert np.array_equal(report.u_final, kept.u_final)
-
-
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("metric", ["h1", "l2"])
-def test_keep_trace_false_changes_only_the_trace(metric, method):
+def test_on_step_changes_no_report_field(metric, method):
     u0, system = sweep_system(metric)
-    configs = [FlowConfig(method=method, tau=tau, max_steps=60) for tau in SWEEP_TAUS]
-    kept = [run_flow(u0, system, cfg) for cfg in configs]
-    # equal runs give equal traces, NaN audits included
-    assert dataclasses.replace(kept[0], u_final=None) == dataclasses.replace(run_flow(u0, system, configs[0]),
-                                                                             u_final=None)
-    for cfg, expected in zip(configs, kept):
-        _same_but_trace(run_flow(u0, system, cfg, keep_trace=False), expected)
-    swept = run_sweep(u0, system, configs, keep_trace=False)
-    assert multiprocessing.active_children() == []
-    assert len(swept) == len(configs)
-    for report, expected in zip(swept, kept):
-        _same_but_trace(report, expected)
+    for tau in SWEEP_TAUS:
+        cfg = FlowConfig(method=method, tau=tau, max_steps=60)
+        plain = run_flow(u0, system, cfg)
+        report, records = traced_run(u0, system, cfg)
+        # repr gives every float exactly, NaN audits included
+        assert repr(dataclasses.replace(report, u_final=None)) == repr(dataclasses.replace(plain, u_final=None))
+        assert np.array_equal(report.u_final, plain.u_final)
+        # one record per step, in order; equal runs give equal records
+        assert [rec.n for rec in records] == list(range(1, plain.n_stop + 1))
+        assert repr(records) == repr(traced_run(u0, system, cfg)[1])
     with pytest.raises(TypeError):
-        run_flow(u0, system, configs[0], False)
+        run_flow(u0, system, cfg, records.append)
 
 
 def test_run_sweep_raises_a_workers_error(monkeypatch):

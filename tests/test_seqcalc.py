@@ -1,4 +1,4 @@
-"""Difference-operator algebra: exact relations, norm equivalence, recursions."""
+"""Formulas of ``diagnostics`` and ``flow.extrapolate``: difference-operator algebra, norm equivalence, recursions."""
 
 from fractions import Fraction
 

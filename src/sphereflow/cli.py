@@ -51,15 +51,13 @@ class UsageError(Exception):
 
 
 def _fmt(x, digits=6):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.{digits}g}"
+    return "" if math.isnan(x) else f"{x:.{digits}g}"
 
 
 def _report_row(row):
     report = row.report
     cells = [
-        _fmt(row.tau),
+        _fmt(report.tau),
         str(report.n_stop),
         _fmt(report.delta_uni),
         _fmt(row.eoc_uni),
@@ -187,10 +185,12 @@ def _run_table(config, taus, trace_out=None):
     With a trace, the one flow writes each step's row as it finishes, so a
     flow that fails leaves the rows of the steps before.  Both outputs are
     opened before the first flow, so an unwritable path costs no
-    computation.  A ``ValueError`` of the configs, the set-up or
-    the flows is a usage error.  Returns the audit results (none with
-    ``--audit off``) and the exit status.
+    computation; a run that fails removes a table file it created (still
+    empty), never a path that was there before.  A ``ValueError`` of the
+    configs, the set-up or the flows is a usage error.  Returns the audit
+    results (none with ``--audit off``) and the exit status.
     """
+    new_out = config.out is not None and not os.path.lexists(config.out)
     try:
         flow_configs = [
             FlowConfig(method=config.method, tau=tau, eps_stop=config.eps_stop, t_max=config.t_max)
@@ -207,10 +207,14 @@ def _run_table(config, taus, trace_out=None):
                 trace.write(TRACE_HEADER + "\n")
                 reports = [run_flow(u0, system, flow_configs[0],
                                     on_step=lambda rec: trace.write(_trace_row(rec) + "\n"))]
-            rows = build_sweep_table(taus, reports, config.ref_energy)
+            rows = build_sweep_table(reports, config.ref_energy)
             (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    except BaseException as exc:
+        if new_out and os.path.lexists(config.out):
+            os.remove(config.out)
+        if isinstance(exc, ValueError):
+            raise UsageError(str(exc)) from exc
+        raise
     audits = [audit_identities(r, tol=config.audit_tol) for r in reports] if config.audit == "on" else []
     ok = all(r.converged for r in reports) and all(passed for passed, _ in audits)
     return audits, 0 if ok else 1

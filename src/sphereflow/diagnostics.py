@@ -64,11 +64,12 @@ class RunReport:
 
 @dataclass
 class SweepRow:
-    tau: float
+    """One row of a sweep table; an EOC is NaN where it is undefined."""
+
     report: RunReport
     delta_ener: float
-    eoc_uni: float | None = None
-    eoc_ener: float | None = None
+    eoc_uni: float = math.nan
+    eoc_ener: float = math.nan
 
 
 def relative_residual(lhs, rhs):
@@ -84,10 +85,10 @@ def constraint_violation(sq, weights):
 def eoc(coarse, fine):
     """Convergence order log2(coarse/fine) under step halving.
 
-    Returns None when either value is nonpositive (the order is undefined).
+    Returns NaN when either value is nonpositive (the order is undefined).
     """
     if coarse <= 0 or fine <= 0:
-        return None
+        return math.nan
     return math.log2(coarse / fine)
 
 
@@ -291,22 +292,21 @@ def audit_identities(report, tol=1e-8):
     return passed, summary
 
 
-def build_sweep_table(taus, reports, reference_energy):
+def build_sweep_table(reports, reference_energy):
     """Pair sweep runs with experimental orders between consecutive rows.
 
     A row's ``delta_ener`` is |final energy - ``reference_energy``|.  Orders
-    are defined only across a halving step and are suppressed when either
-    participating run failed to converge.
+    are defined only across a halving of the reports' step sizes and are
+    NaN (suppressed) when either participating run failed to converge.
     """
     rows = []
-    for i, (tau, report) in enumerate(zip(taus, reports)):
-        delta_ener = abs(report.energy_final - reference_energy)
-        eoc_uni = eoc_ener = None
+    for i, report in enumerate(reports):
+        row = SweepRow(report, abs(report.energy_final - reference_energy))
         if i > 0:
-            prev = rows[i - 1]
-            halved = abs(tau - 0.5 * prev.tau) <= 1e-12 * prev.tau
-            if halved and report.converged and prev.report.converged:
-                eoc_uni = eoc(prev.report.delta_uni, report.delta_uni)
-                eoc_ener = eoc(prev.delta_ener, delta_ener)
-        rows.append(SweepRow(tau, report, delta_ener, eoc_uni, eoc_ener))
+            prev = rows[i - 1].report
+            halved = abs(report.tau - 0.5 * prev.tau) <= 1e-12 * prev.tau
+            if halved and report.converged and prev.converged:
+                row.eoc_uni = eoc(prev.delta_uni, report.delta_uni)
+                row.eoc_ener = eoc(rows[i - 1].delta_ener, row.delta_ener)
+        rows.append(row)
     return rows

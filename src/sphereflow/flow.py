@@ -27,6 +27,8 @@ from .mesh import free_nodes
 
 METHODS = ("euler", "bdf2")
 METRICS = ("l2", "h1")
+# a run stops after this many steps at the latest
+MAX_STEPS = 10**6
 
 
 @dataclass
@@ -37,7 +39,6 @@ class FlowConfig:
     tau: float = 0.25
     eps_stop: float = 1e-3
     t_max: float = 1e6
-    max_steps: int = 10**6
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -58,8 +59,6 @@ class FlowConfig:
             raise ValueError(f"stopping threshold must be positive and finite, got {self.eps_stop}")
         if not self.t_max > 0:
             raise ValueError(f"final time must be positive, got {self.t_max}")
-        if not self.max_steps >= 1:
-            raise ValueError(f"step cap must be at least 1, got {self.max_steps}")
 
 
 class EnergySystem:
@@ -171,7 +170,7 @@ def run_flow(u0, sys, cfg, *, on_step=None):
     constraint violation and the step's own audits); no record is kept.
 
     Returns a :class:`RunReport`; ``converged`` is True only when the norm
-    criterion was met before the final time or step cap.
+    criterion was met before the final time or the step cap ``MAX_STEPS``.
     """
     audit = _Audit(u0, sys, cfg, on_step)
     converged = False
@@ -181,7 +180,7 @@ def run_flow(u0, sys, cfg, *, on_step=None):
         # time and the step cap hold from step 1 on
         if n > 1 or cfg.method == "euler":
             converged = norm <= cfg.eps_stop
-        if converged or n >= cfg.max_steps or n * cfg.tau >= cfg.t_max:
+        if converged or n >= MAX_STEPS or n * cfg.tau >= cfg.t_max:
             break
     return audit.report(converged, step[2])
 

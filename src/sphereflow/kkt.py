@@ -74,35 +74,17 @@ def _openblas_threads():
 def set_blas_threads(count):
     """Set the thread count of scipy's bundled OpenBLAS to ``count``; return the previous count.
 
-    Does nothing and returns None when ``count`` is None or this scipy
-    build bundles no OpenBLAS with the thread-count symbols.
+    Does nothing and returns None when this scipy build bundles no OpenBLAS
+    with the thread-count symbols.
     """
     api = _openblas_threads()
-    if api is None or count is None:
+    if api is None:
         return None
     get, set_ = api
     before = get()
     if before != count:
         set_(count)
     return before
-
-
-class blas_threads:
-    """Run the body with scipy's bundled OpenBLAS on ``count`` threads, then restore the caller's count.
-
-    A no-op where :func:`set_blas_threads` is one.  A class rather than a
-    generator-based context manager: every tangent-plane solve enters one,
-    and this costs half as much.
-    """
-
-    def __init__(self, count):
-        self._count = count
-
-    def __enter__(self):
-        self._before = set_blas_threads(self._count)
-
-    def __exit__(self, *exc_info):
-        set_blas_threads(self._before)
 
 
 def _pair(u, v):
@@ -144,13 +126,11 @@ def _check_directions(directions):
 
 
 def tangent_frames(normals):
-    """(K, 3, 2) orthonormal frames of the planes normal to the unit ``normals``.
+    """Orthonormal frames of the planes normal to the unit ``normals``, as a C-ordered (3, K, 2) array.
 
-    ``frames[k]`` has the two frame vectors of node k as columns (the
-    branch-free frame of Duff et al. 2017).  The array is a view of a
-    C-ordered (3, K, 2) buffer, so ``frames.transpose(1, 0, 2)`` holds
-    component c of frame vector a of node k at flat column 2 k + a of a
-    (3, 2K) reshape, without a copy.
+    ``frames[:, k]`` has the two frame vectors of node k as columns (the
+    branch-free frame of Duff et al. 2017), so component c of frame vector
+    a of node k sits at flat column 2 k + a of the (3, 2K) reshape.
     """
     x, y, z = normals.T
     # +1 where z >= 0, -0.0 included (adding 0.0 clears its sign bit)
@@ -165,7 +145,7 @@ def tangent_frames(normals):
     frames[0, :, 1] = b
     frames[1, :, 1] = sign + y * y * a
     frames[2, :, 1] = -y
-    return frames.transpose(1, 0, 2)
+    return frames
 
 
 class TangentPlaneAnalysis:
@@ -246,7 +226,7 @@ class TangentPlaneAnalysis:
         norms = _check_directions(directions)
         normals = directions / norms[:, None]
         # (3, K, 2): component, node, frame vector
-        frames = tangent_frames(normals).transpose(1, 0, 2)
+        frames = tangent_frames(normals)
         bound_p = TOL * (1.0 + _norm(rhs))
 
         def reduce(field):  # F^T field, node by node
@@ -265,8 +245,9 @@ class TangentPlaneAnalysis:
             return out, reduced, missed
 
         # a band a few hundred wide is too narrow for a second BLAS thread,
-        # which would only spin
-        with blas_threads(1):
+        # which would only spin; the caller's count is restored after
+        before = set_blas_threads(1)
+        try:
             band_solve = self._factorize(frames.reshape(3, 2 * k))
             x = band_solve(reduce(rhs).take(self._order, axis=0).ravel())
             if not np.isfinite(x).all():
@@ -276,6 +257,8 @@ class TangentPlaneAnalysis:
                 # one refinement step; F^T rhs - F^T B F x = -F^T r, since
                 # the band holds the factor, not the matrix
                 out, _, missed = finish(x - band_solve(reduced.take(self._order, axis=0).ravel()))
+        finally:
+            set_blas_threads(before)
         if missed:
             raise KktError(
                 f"KKT residuals not reached (primal {out.residual_primal:.3e}, "

@@ -477,6 +477,27 @@ def test_failing_flow_leaves_the_rows_before_it(tmp_path, capsys):
     assert main(["audit", "--trace-in", str(trace)]) == 0
 
 
+def test_failing_run_removes_only_a_table_file_it_created(tmp_path, capsys):
+    args = ["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--eps-stop", "1e-16"]
+    table, trace = tmp_path / "r.csv", tmp_path / "f.csv"
+    assert main([*args, "--out", str(table), "--trace-out", str(trace)]) == 2
+    assert not table.exists()
+    assert len(read(trace).splitlines()) == 199
+    # a path that was there before stays, a link to one too
+    table.write_text("old table\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(table)
+    for out in (table, link):
+        assert main([*args, "--out", str(out)]) == 2
+        assert out.exists()
+    assert table.read_text() == "" and link.is_symlink()
+    # a usage error before any flow runs removes the new file as well
+    assert main(["run", "--mesh-n", "2", "--tau", "0.25", "--out", str(table) + ".new", "--trace-out",
+                 str(table) + ".new"]) == 2
+    assert not (tmp_path / "r.csv.new").exists()
+    assert "error: step 199:" in capsys.readouterr().err
+
+
 def test_out_and_trace_out_same_file_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--mesh-n", "2", "--tau", "0.25", "--out", "o.csv", "--trace-out", "./o.csv"]) == 2

@@ -47,8 +47,8 @@ def test_eoc_values():
     assert eoc(4.0, 1.0) == pytest.approx(2.0)
     assert eoc(2.0, 1.0) == pytest.approx(1.0)
     assert eoc(1.288e-1, 1.130e-1) == pytest.approx(0.19, abs=5e-3)
-    assert eoc(0.0, 1.0) is None
-    assert eoc(1.0, -2.0) is None
+    assert math.isnan(eoc(0.0, 1.0))
+    assert math.isnan(eoc(1.0, -2.0))
 
 
 def test_eoc_scale_invariant():
@@ -126,35 +126,33 @@ def test_audit_identities_summary_keys():
 
 
 def test_build_sweep_table_eocs():
-    taus = [0.25, 0.125, 0.0625]
     reports = [
         _report(tau=0.25, delta_uni=4.0, energy_final=11.0),
         _report(tau=0.125, delta_uni=1.0, energy_final=7.0),
         _report(tau=0.0625, delta_uni=0.25, energy_final=1.0),
     ]
-    rows = build_sweep_table(taus, reports, 3.0)
+    rows = build_sweep_table(reports, 3.0)
     assert [row.delta_ener for row in rows] == [8.0, 4.0, 2.0]
-    assert rows[0].eoc_uni is None
+    assert math.isnan(rows[0].eoc_uni)
     assert rows[1].eoc_uni == pytest.approx(2.0)
     assert rows[1].eoc_ener == pytest.approx(1.0)
     assert rows[2].eoc_uni == pytest.approx(2.0)
 
 
 def test_build_sweep_table_suppresses_nonconverged():
-    taus = [0.25, 0.125, 0.0625]
     reports = [
         _report(tau=0.25, delta_uni=4.0),
         _report(tau=0.125, delta_uni=1.0, converged=False),
         _report(tau=0.0625, delta_uni=0.25),
     ]
-    rows = build_sweep_table(taus, reports, 3.009)
-    assert rows[1].eoc_uni is None and rows[1].eoc_ener is None
-    assert rows[2].eoc_uni is None and rows[2].eoc_ener is None
+    rows = build_sweep_table(reports, 3.009)
+    assert math.isnan(rows[1].eoc_uni) and math.isnan(rows[1].eoc_ener)
+    assert math.isnan(rows[2].eoc_uni) and math.isnan(rows[2].eoc_ener)
 
 
 def test_build_sweep_table_requires_halving():
-    rows = build_sweep_table([0.25, 0.1], [_report(tau=0.25), _report(tau=0.1)], 3.009)
-    assert rows[1].eoc_uni is None and rows[1].eoc_ener is None
+    rows = build_sweep_table([_report(tau=0.25), _report(tau=0.1)], 3.009)
+    assert math.isnan(rows[1].eoc_uni) and math.isnan(rows[1].eoc_ener)
 
 
 def test_step_record_defaults():

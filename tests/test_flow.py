@@ -70,11 +70,6 @@ def test_flow_config_validation():
         with pytest.raises(ValueError):
             FlowConfig(**bad)
     assert FlowConfig(t_max=math.inf).t_max == math.inf
-    # the step cap must allow at least one step; NaN fails the check too
-    for cap in (0, -3, math.nan):
-        with pytest.raises(ValueError, match="step cap"):
-            FlowConfig(max_steps=cap)
-    assert FlowConfig(max_steps=1).max_steps == 1
 
 
 @pytest.mark.parametrize(
@@ -115,7 +110,7 @@ def test_step_size_whose_audit_powers_overflow_is_rejected(tau):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_largest_step_size_audits_to_finite_residuals(n, metric, method):
     _, u0, system = unit_square_setup(n, metric=metric, init="perturbed")
-    cfg = FlowConfig(method=method, tau=LARGEST_TAU, eps_stop=5e-324, t_max=math.inf, max_steps=4)
+    cfg = FlowConfig(method=method, tau=LARGEST_TAU, eps_stop=5e-324, t_max=4 * LARGEST_TAU)
     report = run_flow(u0, system, cfg)
     # a two-step run is judged from step 2 on
     assert report.n_stop >= (2 if method == "bdf2" else 1)
@@ -245,14 +240,14 @@ def test_run_flow_audit_residuals_both_metrics():
     m=st.integers(1, 6),
     init=st.sampled_from(["perturbed", "random"]),
     seed=st.integers(0, 2**16),
-    max_steps=st.integers(2, 15),
+    steps=st.integers(2, 15),
 )
-def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, max_steps):
+def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, steps):
     # every accepted configuration passes its audits to round-off; only the
     # two-step identities of an Euler run, and the nodal recursion of a mesh
     # without free nodes (n = 1), read skipped
     _, u0, system = unit_square_setup(n, metric=metric, init=init, seed=seed)
-    report = run_flow(u0, system, FlowConfig(method=method, tau=2.0**-m, max_steps=max_steps))
+    report = run_flow(u0, system, FlowConfig(method=method, tau=2.0**-m, t_max=steps * 2.0**-m))
     passed, summary = audit_identities(report, tol=1e-10)
     assert passed, summary
     skipped = {key for key, value in summary.items() if math.isnan(value)}
@@ -278,7 +273,7 @@ def _matches_oracle(key, value, expected):
 @pytest.mark.parametrize("n, init", [(8, "perturbed"), (6, "random")])
 def test_run_flow_audit_matches_plain_formulas(n, init, metric, method):
     _, u0, system = unit_square_setup(n, metric=metric, init=init)
-    cfg = FlowConfig(method=method, tau=0.125, max_steps=60)
+    cfg = FlowConfig(method=method, tau=0.125, t_max=60 * 0.125)
     report, got_records = traced_run(u0, system, cfg)
     steps = list(itertools.islice(flow._steps(u0, system, cfg), report.n_stop))
     records, audits = audit_steps(steps, system, cfg.tau, method == "bdf2")
@@ -317,12 +312,13 @@ def test_run_flow_euler_audits_and_skips():
     assert report.mono_violation <= 1e-9
 
 
-def test_run_flow_non_convergence_flags():
+def test_run_flow_non_convergence_flags(monkeypatch):
     _, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
     capped = run_flow(u0, system, FlowConfig(tau=0.125, t_max=0.5))
     assert not capped.converged
     assert capped.n_stop == 4
-    overflow = run_flow(u0, system, FlowConfig(tau=0.125, max_steps=3))
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    overflow = run_flow(u0, system, FlowConfig(tau=0.125))
     assert not overflow.converged
     assert overflow.n_stop == 3
     # a final time inside the first step stops after that step
@@ -344,11 +340,11 @@ def test_build_sweep_table_reference_energy_wiring():
     taus = [0.25, 0.125]
     reports = [run_flow(u0, system, FlowConfig(tau=tau)) for tau in taus]
     assert all(report.converged for report in reports)
-    rows = build_sweep_table(taus, reports, 3.009)
+    rows = build_sweep_table(reports, 3.009)
     for row, report in zip(rows, reports):
         assert row.report is report
         assert row.delta_ener == abs(report.energy_final - 3.009)
-    assert rows[0].eoc_ener is None
+    assert math.isnan(rows[0].eoc_ener)
     assert rows[1].eoc_ener == eoc(rows[0].delta_ener, rows[1].delta_ener)
 
 
@@ -519,7 +515,7 @@ def sweep_system(metric):
 @pytest.mark.parametrize("metric", ["h1", "l2"])
 def test_run_sweep_reports_equal_run_flow_bitwise(metric, method):
     u0, system = sweep_system(metric)
-    configs = [FlowConfig(method=method, tau=tau, max_steps=60) for tau in SWEEP_TAUS]
+    configs = [FlowConfig(method=method, tau=tau, t_max=60 * tau) for tau in SWEEP_TAUS]
     swept = run_sweep(u0, system, configs)
     assert multiprocessing.active_children() == []
     assert len(swept) == len(configs)
@@ -535,7 +531,7 @@ def test_run_sweep_reports_equal_run_flow_bitwise(metric, method):
 def test_on_step_changes_no_report_field(metric, method):
     u0, system = sweep_system(metric)
     for tau in SWEEP_TAUS:
-        cfg = FlowConfig(method=method, tau=tau, max_steps=60)
+        cfg = FlowConfig(method=method, tau=tau, t_max=60 * tau)
         plain = run_flow(u0, system, cfg)
         report, records = traced_run(u0, system, cfg)
         # repr gives every float exactly, NaN audits included
@@ -574,6 +570,9 @@ def test_run_sweep_workers_run_one_blas_thread(monkeypatch):
         pytest.skip("one usable CPU: the sweep runs in this process")
     monkeypatch.setattr(flow, "run_flow", pid_and_blas_threads)
     u0, system = sweep_system("h1")
-    with kkt.blas_threads(2):
+    before = kkt.set_blas_threads(2)
+    try:
         seen = run_sweep(u0, system, [FlowConfig(tau=tau) for tau in SWEEP_TAUS])
+    finally:
+        kkt.set_blas_threads(before)
     assert all(pid != os.getpid() and threads == 1 for pid, threads in seen)

@@ -147,9 +147,10 @@ def test_tangent_frames_are_orthonormal_kernel():
     directions[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1.0, -0.0], [1.0, 0.0, 0.0]]
     normals = directions / np.linalg.norm(directions, axis=1)[:, None]
     frames = tangent_frames(normals)
-    assert frames.shape == (40, 3, 2)
-    assert np.abs(np.einsum("kci,kcj->kij", frames, frames) - np.eye(2)).max() <= 1e-14
-    assert np.abs(np.einsum("kc,kcj->kj", directions, frames)).max() <= 1e-14
+    # component, node, frame vector: the layout the band fill reshapes to (3, 2K)
+    assert frames.shape == (3, 40, 2) and frames.flags.c_contiguous
+    assert np.abs(np.einsum("cki,ckj->kij", frames, frames) - np.eye(2)).max() <= 1e-14
+    assert np.abs(np.einsum("kc,ckj->kj", directions, frames)).max() <= 1e-14
 
 
 def test_tangent_solve_singular_raises():
@@ -208,7 +209,7 @@ def fresh_mmd_solve(b, directions, rhs):
     k = b.shape[0]
     norms = np.linalg.norm(directions, axis=1)
     normals = directions / norms[:, None]
-    basis = sp.block_diag(list(tangent_frames(normals)), format="csr")
+    basis = sp.block_diag(list(tangent_frames(normals).transpose(1, 0, 2)), format="csr")
     reduced = (basis.T @ sp.kron(b, sp.identity(3)) @ basis).tocsc()
     lu = splu(reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     primal = (basis @ lu.solve(basis.T @ rhs.ravel())).reshape(k, 3)
@@ -345,13 +346,21 @@ def openblas_threads():
 
 
 def test_blas_threads_restores_the_callers_count():
+    # a solve pins one thread and hands the caller's count back, also when it raises
     get, _ = openblas_threads()
+    b, directions, rhs = random_nodal_system(RNG)
+    singular = TangentPlaneAnalysis(sp.csr_matrix(np.diag([1.0, 0.0])))
     before = get()
-    with kkt.blas_threads(2):
-        assert get() == 2
-        with kkt.blas_threads(1):
-            assert get() == 1
-        assert get() == 2
+    try:
+        for count in (2, 1):
+            kkt.set_blas_threads(count)
+            TangentPlaneAnalysis(b).solve(directions, rhs)
+            assert get() == count
+            with pytest.raises(KktError, match="not positive definite"):
+                singular.solve(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)))
+            assert get() == count
+    finally:
+        kkt.set_blas_threads(before)
     assert get() == before
 
 
@@ -365,9 +374,12 @@ def test_band_solve_runs_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(kkt, "dpbtrf", band_factor)
     b, directions, rhs = random_nodal_system(RNG)
-    with kkt.blas_threads(2):
+    before = kkt.set_blas_threads(2)
+    try:
         TangentPlaneAnalysis(b).solve(directions, rhs)
         assert get() == 2
+    finally:
+        kkt.set_blas_threads(before)
     assert seen == [1]
 
 
@@ -379,6 +391,4 @@ def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatc
     expected = TangentPlaneAnalysis(b).solve(directions, rhs).primal
     monkeypatch.setattr(kkt, "_openblas_threads", lambda: None)
     assert kkt.set_blas_threads(1) is None
-    with kkt.blas_threads(1):
-        pass
     assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs).primal, expected)

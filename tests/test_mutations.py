@@ -15,7 +15,8 @@ from sphereflow.flow import EnergySystem, FlowConfig, run_flow
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.mesh import build_square_mesh
 
-CFG = FlowConfig(method="bdf2", tau=2.0**-4, max_steps=40)
+STEPS = 40
+CFG = FlowConfig(method="bdf2", tau=2.0**-4, t_max=STEPS * 2.0**-4)
 TOL = 1e-8
 
 
@@ -83,12 +84,12 @@ def _threshold(key):
 @pytest.mark.parametrize("bug", SEEDED_BUGS)
 def test_seeded_bug_fails_audit(bug, monkeypatch):
     clean = _run()
-    assert clean.n_stop == CFG.max_steps
+    assert clean.n_stop == STEPS
     assert audit_identities(clean, tol=TOL)[0]
     seed, tripped = SEEDED_BUGS[bug]
     seed(monkeypatch)
     report = _run()
-    assert report.n_stop == CFG.max_steps
+    assert report.n_stop == STEPS
     passed, summary = audit_identities(report, tol=TOL)
     assert not passed
     for key in tripped:

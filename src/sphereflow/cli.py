@@ -40,7 +40,6 @@ OPTIONS = (
     ("ref_energy", float, 3.009, FLOWS),
     ("out", str, None, FLOWS),
     ("trace_out", str, None, ("run",)),
-    ("audit", ("on", "off"), "on", FLOWS),
     ("audit_tol", float, 1e-8, (*FLOWS, "audit")),
 )
 DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
@@ -133,13 +132,20 @@ def load_config_file(path):
 
 
 def _taus(tau_range):
-    """Step sizes 2**-m for a range m_lo:m_hi."""
+    """Step sizes 2**-m for a range m_lo:m_hi; tau is monotone in m, so :class:`FlowConfig` checks the end points."""
     try:
         lo, hi = (int(part) for part in tau_range.split(":"))
     except (ValueError, AttributeError):
         raise UsageError(f"--tau-range expects m_lo:m_hi, got {tau_range!r}")
     if hi < lo:
         raise UsageError(f"--tau-range must be increasing in m, got {tau_range!r}")
+    for m in (lo, hi):
+        try:
+            FlowConfig(tau=2.0**-m)
+        except OverflowError:
+            raise UsageError(f"--tau-range {tau_range}: step size 2^{-m} is too large: it overflows") from None
+        except ValueError as exc:
+            raise UsageError(f"--tau-range {tau_range}: {exc}") from None
     return [2.0**-m for m in range(lo, hi + 1)]
 
 
@@ -188,7 +194,7 @@ def _run_table(config, taus, trace_out=None):
     computation; a run that fails removes a table file it created (still
     empty), never a path that was there before.  A ``ValueError`` of the
     configs, the set-up or the flows is a usage error.  Returns the audit
-    results (none with ``--audit off``) and the exit status.
+    results and the exit status.
     """
     new_out = config.out is not None and not os.path.lexists(config.out)
     try:
@@ -215,7 +221,7 @@ def _run_table(config, taus, trace_out=None):
         if isinstance(exc, ValueError):
             raise UsageError(str(exc)) from exc
         raise
-    audits = [audit_identities(r, tol=config.audit_tol) for r in reports] if config.audit == "on" else []
+    audits = [audit_identities(r, tol=config.audit_tol) for r in reports]
     ok = all(r.converged for r in reports) and all(passed for passed, _ in audits)
     return audits, 0 if ok else 1
 

@@ -192,18 +192,24 @@ class TangentPlaneAnalysis:
         # entry (i, j), i <= j, sits at ab[kd + i - j, j]
         self._dest = self.kd + band_rows - band_cols + (self.kd + 1) * band_cols
 
-    def _factorize(self, frames):
-        """Band solve ``v -> x`` of the tangent-plane matrix for the (3, 2K) ``frames``, by banded Cholesky."""
-        # the product with ones sums the three components in order, as sum(axis=0) does
-        values = _ONES3.dot(frames.take(self._left, axis=1) * frames.take(self._right, axis=1)) * self._coef
-        band = np.zeros((self.kd + 1) * 2 * self.k)
-        band[self._dest] = values
-        factor, info = dpbtrf(band.reshape((self.kd + 1, 2 * self.k), order="F"), lower=0, overwrite_ab=1)
-        if info > 0:
-            node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
-            what = f"at tangent unknown {unknown} of node {node} ({self.k} nodes)"
-            raise KktError(f"KKT tangent-plane matrix is not positive definite {what}")
-        return lambda v: dpbtrs(factor, v, lower=0)[0]
+    def _band_solve(self, frames, v):
+        """Solve the tangent-plane system for the (3, 2K) ``frames`` at the band-ordered ``v``, by banded Cholesky."""
+        # a band a few hundred wide is too narrow for a second BLAS thread,
+        # which would only spin; the caller's count is restored after
+        before = set_blas_threads(1)
+        try:
+            # the product with ones sums the three components in order, as sum(axis=0) does
+            values = _ONES3.dot(frames.take(self._left, axis=1) * frames.take(self._right, axis=1)) * self._coef
+            band = np.zeros((self.kd + 1) * 2 * self.k)
+            band[self._dest] = values
+            factor, info = dpbtrf(band.reshape((self.kd + 1, 2 * self.k), order="F"), lower=0, overwrite_ab=1)
+            if info > 0:
+                node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
+                raise KktError(f"KKT tangent-plane matrix is not positive definite at tangent unknown {unknown} "
+                               f"of node {node} ({self.k} nodes)")
+            return dpbtrs(factor, v, lower=0)[0]
+        finally:
+            set_blas_threads(before)
 
     def solve(self, directions, rhs):
         """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
@@ -213,53 +219,30 @@ class TangentPlaneAnalysis:
         and (K,) multipliers, those of the saddle-point system
         [[kron(B, I3), G^T], [G, 0]] with one row u_hat(z) per node in G.
         The residual contract is ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||)
-        and ||(p_z . u_hat(z))_z|| <= TOL*(1 + ||p||); one step of iterative
-        refinement is applied if the first solve misses.  Raises
-        :class:`KktError` on a block that is not positive definite on the
-        tangent planes, an unmet tolerance or a degenerate direction.
+        and ||(p_z . n_z)_z|| <= TOL*(1 + ||p||) with the unit normals n_z of
+        u_hat, whatever its scale.  Raises :class:`KktError` on a block that
+        is not positive definite on the tangent planes, an unmet tolerance or
+        a degenerate direction.
         """
-        directions = np.asarray(directions, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        b, k = self._b, self.k
+        directions, rhs = np.asarray(directions, dtype=float), np.asarray(rhs, dtype=float)
+        k = self.k
         if directions.shape != (k, 3) or rhs.shape != (k, 3):
             raise ValueError(f"need ({k}, 3) directions and rhs, got {directions.shape}, {rhs.shape}")
         norms = _check_directions(directions)
         normals = directions / norms[:, None]
         # (3, K, 2): component, node, frame vector
         frames = tangent_frames(normals)
-        bound_p = TOL * (1.0 + _norm(rhs))
-
-        def reduce(field):  # F^T field, node by node
-            return np.einsum("ckj,kc->kj", frames, field)
-
-        def finish(x):
-            """(solution, F^T (B p - rhs), whether the contract is missed) for the band unknowns ``x``."""
-            p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))
-            r = b @ p - rhs
-            # the frames are orthonormal, so F^T r has the norm of the
-            # tangential part r + u_hat m of the residual
-            reduced = reduce(r)
-            rc = _norm(_nodal_dot(directions, p))
-            out = KktSolution(p, -_nodal_dot(normals, r) / norms, _norm(reduced), rc)
-            missed = out.residual_primal > bound_p or out.residual_constraint > TOL * (1.0 + _norm(p))
-            return out, reduced, missed
-
-        # a band a few hundred wide is too narrow for a second BLAS thread,
-        # which would only spin; the caller's count is restored after
-        before = set_blas_threads(1)
-        try:
-            band_solve = self._factorize(frames.reshape(3, 2 * k))
-            x = band_solve(reduce(rhs).take(self._order, axis=0).ravel())
-            if not np.isfinite(x).all():
-                raise KktError(f"KKT solve produced non-finite values ({k} nodes)")
-            out, reduced, missed = finish(x)
-            if missed:
-                # one refinement step; F^T rhs - F^T B F x = -F^T r, since
-                # the band holds the factor, not the matrix
-                out, _, missed = finish(x - band_solve(reduced.take(self._order, axis=0).ravel()))
-        finally:
-            set_blas_threads(before)
-        if missed:
+        reduced_rhs = np.einsum("ckj,kc->kj", frames, rhs)  # F^T rhs, node by node
+        x = self._band_solve(frames.reshape(3, 2 * k), reduced_rhs.take(self._order, axis=0).ravel())
+        if not np.isfinite(x).all():
+            raise KktError(f"KKT solve produced non-finite values ({k} nodes)")
+        p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))
+        r = self._b @ p - rhs
+        # the frames are orthonormal, so F^T r has the norm of the
+        # tangential part r + u_hat m of the residual
+        out = KktSolution(p, -_nodal_dot(normals, r) / norms, _norm(np.einsum("ckj,kc->kj", frames, r)),
+                          _norm(_nodal_dot(normals, p)))
+        if out.residual_primal > TOL * (1.0 + _norm(rhs)) or out.residual_constraint > TOL * (1.0 + _norm(p)):
             raise KktError(
                 f"KKT residuals not reached (primal {out.residual_primal:.3e}, "
                 f"constraint {out.residual_constraint:.3e}, tol {TOL:.1e}, {k} nodes); "

@@ -119,7 +119,7 @@ def test_huge_perturbation_amplitude_runs(capsys):
 
 
 def test_run_stdout_when_no_out(capsys):
-    code = main(["run", "--mesh-n", "2", "--tau", "0.25", "--audit", "off"])
+    code = main(["run", "--mesh-n", "2", "--tau", "0.25"])
     assert code == 0
     assert capsys.readouterr().out.startswith(CSV_HEADER)
 
@@ -144,6 +144,17 @@ def test_run_nonconvergence_exit_code(tmp_path):
 def test_sweep_needs_two_taus(capsys):
     assert main(["sweep", "--mesh-n", "2", "--tau-range", "3:3"]) == 2
     assert main(["sweep", "--mesh-n", "2", "--tau-range", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("tau_range, why", [("-1100:2", "2^1100 is too large"), ("-300:2", "is too large"),
+                                             ("2:300", "is too small"), ("2:1100", "got 0.0")])
+def test_tau_range_end_point_outside_the_step_size_range_is_usage_error(capsys, tau_range, why):
+    # the end points are checked before the step sizes are built; 2.0**1100
+    # overflows, 2.0**-1100 is 0
+    assert main(["sweep", "--mesh-n", "2", f"--tau-range={tau_range}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --tau-range {tau_range}: step size ") and err.count("\n") == 1
+    assert why in err
 
 
 def test_sweep_csv_and_determinism(tmp_path):
@@ -252,7 +263,7 @@ def test_audit_rejects_non_trace(tmp_path, capsys):
 def test_audit_rejects_truncated_rows(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
-          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv"), "--audit", "off"])
+          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")])
     header, first, second, third = read(trace).splitlines()[:4]
     # a two-step row with both residual cells missing
     short = tmp_path / "short.csv"
@@ -294,7 +305,7 @@ def test_audit_rejects_bad_tolerance(tmp_path, capsys):
 def test_audit_finds_columns_by_name(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
-          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv"), "--audit", "off"])
+          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")])
     assert main(["audit", "--trace-in", str(trace)]) == 0
     expected = capsys.readouterr().out
     # swap the two residual columns in the header and in every row
@@ -323,12 +334,12 @@ def test_config_file_and_flag_precedence(tmp_path):
         "tau = 0.25\n"
     )
     out = tmp_path / "o.csv"
-    code = main(["run", "--config", str(config), "--out", str(out), "--audit", "off"])
+    code = main(["run", "--config", str(config), "--out", str(out)])
     assert code == 0
     # flag beats the config value
     out2 = tmp_path / "o2.csv"
     code = main(
-        ["run", "--config", str(config), "--tau", "0.125", "--out", str(out2), "--audit", "off"]
+        ["run", "--config", str(config), "--tau", "0.125", "--out", str(out2)]
     )
     assert code == 0
     assert read(out2).splitlines()[1].startswith("0.125,")
@@ -343,7 +354,7 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "missing.cfg" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["mesh_n = abc", "audit = maybe", "tau = fast"])
+@pytest.mark.parametrize("line", ["mesh_n = abc", "method = leapfrog", "tau = fast"])
 def test_config_file_bad_value(tmp_path, capsys, line):
     # config values go through the flag parser: a bad one is a usage error
     config = tmp_path / "bad.cfg"
@@ -352,6 +363,18 @@ def test_config_file_bad_value(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert f"{config}:1: argument --" in err
     assert line.split(" = ")[1] in err
+
+
+def test_audits_cannot_be_switched_off(tmp_path, capsys):
+    # every run and sweep audits its flows; neither a flag nor a config key turns that off
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--mesh-n", "2", "--tau", "0.25", "--audit", "off"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --audit off" in capsys.readouterr().err
+    config = tmp_path / "flow.cfg"
+    config.write_text("mesh_n = 2\naudit = off\n")
+    assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
+    assert f"error: {config}:2: unknown key 'audit'" in capsys.readouterr().err
 
 
 def test_usage_error_from_argparse():
@@ -417,7 +440,7 @@ def test_flag_of_another_subcommand_is_usage_error(capsys, args):
 def test_one_config_file_serves_run_and_sweep(tmp_path, monkeypatch):
     # a config file may set any option; each subcommand uses the ones it takes
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "flow.cfg").write_text("mesh_n = 2\ntau = 0.25\ntau_range = 2:3\ntrace_out = t.csv\naudit = off\n")
+    (tmp_path / "flow.cfg").write_text("mesh_n = 2\ntau = 0.25\ntau_range = 2:3\ntrace_out = t.csv\n")
     assert main(["sweep", "--config", "flow.cfg", "--out", "s.csv"]) == 0
     assert read(tmp_path / "s.csv").splitlines()[2].startswith("0.125,")
     assert not (tmp_path / "t.csv").exists()
@@ -538,7 +561,6 @@ OVERRIDES = {
     "seed": ("7", "9"),
     "perturb_amplitude": ("0.25", "0.75"),
     "ref_energy": ("3.5", "2.5"),
-    "audit": ("off", "on"),
     "audit_tol": ("1e-6", "1e-7"),
 }
 

@@ -26,7 +26,7 @@ from sphereflow.diagnostics import RunReport, StepRecord, audit_identities, buil
 from sphereflow.fem import assemble_p1
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.kkt import KktError, TangentPlaneAnalysis
-from sphereflow.mesh import build_square_mesh, free_nodes
+from sphereflow.mesh import TriMesh, build_square_mesh, free_nodes
 
 
 def unit_square_setup(n, metric="h1", init="exact", seed=1, amplitude=0.5):
@@ -241,12 +241,25 @@ def test_run_flow_audit_residuals_both_metrics():
     init=st.sampled_from(["perturbed", "random"]),
     seed=st.integers(0, 2**16),
     steps=st.integers(2, 15),
+    jitter=st.floats(0.0, 0.3),
 )
-def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, steps):
-    # every accepted configuration passes its audits to round-off; only the
-    # two-step identities of an Euler run, and the nodal recursion of a mesh
-    # without free nodes (n = 1), read skipped
-    _, u0, system = unit_square_setup(n, metric=metric, init=init, seed=seed)
+def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, steps, jitter):
+    # every accepted configuration passes its audits to round-off, on the
+    # lattice and off it; only the two-step identities of an Euler run, and
+    # the nodal recursion of a mesh without free nodes (n = 1), read skipped
+    lattice = build_square_mesh(n)
+    free = free_nodes(lattice)
+    # each interior vertex moves by at most jitter * h / sqrt(2) in each
+    # coordinate, so by at most 0.3 h in all: less than half the shortest
+    # altitude h / sqrt(2) of a cell, which keeps every cell's orientation
+    vertices = lattice.vertices.copy()
+    vertices[free] += jitter / n / math.sqrt(2.0) * np.random.default_rng(seed).uniform(-1.0, 1.0, (free.size, 2))
+    mesh = TriMesh(vertices, lattice.cells, lattice.boundary_nodes)
+    corners = vertices[mesh.cells]
+    edges = corners[:, 1:] - corners[:, :1]
+    assert (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0] > 0.0).all()
+    u0 = make_initial(mesh, InitSpec(init, seed=seed, perturb_amplitude=0.5))
+    system = EnergySystem(mesh, metric=metric)
     report = run_flow(u0, system, FlowConfig(method=method, tau=2.0**-m, t_max=steps * 2.0**-m))
     passed, summary = audit_identities(report, tol=1e-10)
     assert passed, summary

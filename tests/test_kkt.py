@@ -285,11 +285,7 @@ def test_analysis_non_spd_block_raises():
 
 
 class Perturbation:
-    """Offsets the first ``bad`` solutions it sees by about 1e-6 relative.
-
-    The offset is fixed by the first solution, so solves that are bad every
-    time also spoil the refinement correction.
-    """
+    """Offsets the first ``bad`` solutions it sees by about 1e-6 relative, an offset fixed by the first one."""
 
     def __init__(self, bad):
         self.bad = bad
@@ -315,26 +311,29 @@ def perturb_solves(monkeypatch, bad):
     return perturbation
 
 
-def test_refinement_restores_residual_contract(monkeypatch):
-    # the tangent-plane refinement residual is formed without the matrix,
-    # whose band holds the factor by then
-    b, directions, rhs = random_nodal_system(RNG)
-    solve = TangentPlaneAnalysis(b).solve
-    ref = solve(directions, rhs)
-    perturbation = perturb_solves(monkeypatch, bad=1)
-    sol = solve(directions, rhs)
-    assert perturbation.solves == 2
-    assert sol.residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
-    assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
-    assert np.linalg.norm(sol.primal - ref.primal) <= 1e-10 * (1.0 + np.linalg.norm(ref.primal))
-
-
 def test_persistent_solve_error_raises(monkeypatch):
+    # a solve that misses the contract raises at once, with no second band solve
     b, directions, rhs = random_nodal_system(RNG)
     perturbation = perturb_solves(monkeypatch, bad=math.inf)
     with pytest.raises(KktError, match="residuals not reached"):
         TangentPlaneAnalysis(b).solve(directions, rhs)
-    assert perturbation.solves == 2
+    assert perturbation.solves == 1
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e5, 1e8])
+def test_solve_does_not_depend_on_the_scale_of_the_directions(scale):
+    # the constraint p_z . u_hat(z) = 0 is homogeneous in u_hat, so its
+    # residual is taken with the unit normals
+    rng = np.random.default_rng(30)
+    base = rng.standard_normal((30, 30))
+    b = sp.csr_matrix(base @ base.T + 30 * np.eye(30))
+    directions, rhs = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
+    solve = TangentPlaneAnalysis(b).solve
+    ref = solve(directions, rhs).primal
+    sol = solve(scale * directions, rhs)
+    assert np.linalg.norm(sol.primal - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert sol.residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
+    assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
 
 
 def openblas_threads():

@@ -169,9 +169,10 @@ def resolve_config(args):
     config_file = getattr(args, "config", None)
     file_values = load_config_file(config_file) if config_file else {}
     config = argparse.Namespace(**{**DEFAULTS, **file_values, **vars(args)})
-    # NaN would make every audit comparison false, so every audit would pass
-    if not config.audit_tol >= 0:
-        raise UsageError(f"--audit-tol must be nonnegative, got {config.audit_tol}")
+    # NaN would make every audit comparison false, so every audit would pass;
+    # so would inf, for every finite residual
+    if not 0 <= config.audit_tol < math.inf:
+        raise UsageError(f"--audit-tol must be nonnegative and finite, got {config.audit_tol}")
     # a non-finite reference would blank or fill with inf the energy-error columns
     if not math.isfinite(config.ref_energy):
         raise UsageError(f"--ref-energy must be finite, got {config.ref_energy}")

@@ -22,11 +22,19 @@ def assemble_p1(mesh):
     mesh's edges, from the same (row, col) entries; the stiffness stores no
     exact zero (the hypotenuse weights of right-angle cells).
 
+    Raises ``ValueError`` naming the first cell with a vertex index outside
+    [0, n_vertices), the first cell whose signed area is not positive and
+    finite (a degenerate or clockwise cell), or the first vertex in no cell.
+
     Returns
     -------
     (stiffness, mass, lumped_weights)
     """
     nv = mesh.n_vertices
+    # two reductions settle the common case
+    if mesh.cells.size and not (mesh.cells.min() >= 0 and mesh.cells.max() < nv):
+        cell = ((mesh.cells < 0) | (mesh.cells >= nv)).any(axis=1).argmax()
+        raise ValueError(f"cell {cell} {mesh.cells[cell].tolist()} has a vertex index outside [0, {nv})")
     pts = mesh.vertices[mesh.cells]  # (nc, 3, 2)
     x = pts[:, :, 0]
     y = pts[:, :, 1]
@@ -38,6 +46,16 @@ def assemble_p1(mesh):
         (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
         - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
     )
+    # written so that NaN fails
+    usable = (area > 0.0) & (area < np.inf)
+    if not usable.all():
+        cell = usable.argmin()
+        raise ValueError(f"cell {cell} {mesh.cells[cell].tolist()} has signed area {area[cell]:.3e}; "
+                         "each cell needs a positive, finite area, its vertices counterclockwise")
+    covered = np.zeros(nv, bool)
+    covered[mesh.cells] = True
+    if not covered.all():
+        raise ValueError(f"vertex {covered.argmin()} of {nv} is in no cell")
     scale = 1.0 / (4.0 * area)
     # K + iM, converted once: duplicates are summed in the same order for any
     # value type, so the parts are bitwise the two matrices

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
@@ -148,6 +147,40 @@ def tangent_frames(normals):
     return frames
 
 
+def _reverse_cuthill_mckee(b):
+    """Reverse Cuthill-McKee order of the nodes of the symmetric sparse ``b``, as an int array.
+
+    The permutation of ``scipy.sparse.csgraph.reverse_cuthill_mckee`` in
+    symmetric mode, without importing csgraph: each component is searched
+    breadth first from its first node in ``np.argsort(degree)`` order, the
+    degree of a node being its row length plus one for a diagonal entry;
+    each node's unvisited neighbours join in stable order of degree, and
+    the whole order is reversed (Cuthill & McKee 1969; George & Liu 1981).
+    """
+    k = b.shape[0]
+    degree = np.diff(b.indptr).astype(b.indices.dtype)
+    rows = np.repeat(np.arange(k), degree)
+    degree[rows[b.indices == rows]] += 1
+    indptr, indices, degrees = b.indptr.tolist(), b.indices.tolist(), degree.tolist()
+    visited = bytearray(k)
+    order, head = [], 0
+    for seed in np.argsort(degree).tolist():
+        if not visited[seed]:
+            visited[seed] = 1
+            order.append(seed)
+        # the nodes before head have all joined their neighbours
+        while head < len(order):
+            i = order[head]
+            head += 1
+            new = []
+            for j in indices[indptr[i]:indptr[i + 1]]:
+                if not visited[j]:
+                    visited[j] = 1
+                    new.append(j)
+            order += sorted(new, key=degrees.__getitem__)
+    return np.array(order[::-1], dtype=np.intp)
+
+
 class TangentPlaneAnalysis:
     """Tangent-plane solver for one (K, K) scalar block, analysed once.
 
@@ -172,8 +205,7 @@ class TangentPlaneAnalysis:
         if b.shape != (k, k):
             raise ValueError(f"need a square block, got {b.shape}")
         self.k = k
-        # csgraph cannot order an empty graph
-        self._order = reverse_cuthill_mckee(b, symmetric_mode=True) if k else np.arange(0)
+        self._order = _reverse_cuthill_mckee(b)
         self._position = position = np.argsort(self._order)
         entry_rows = np.repeat(np.arange(k), np.diff(b.indptr))
         upper = np.flatnonzero(position[entry_rows] <= position[b.indices])

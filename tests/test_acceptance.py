@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from oracles import assemble_constraint_rows, constraint_recursion_closed_form, dense_saddle_solve
 from sphereflow.cli import main
-from sphereflow.diagnostics import gamma
+from sphereflow.diagnostics import audit_identities, gamma
 from sphereflow.flow import EnergySystem, FlowConfig, run_flow, run_sweep
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.kkt import TangentPlaneAnalysis
@@ -276,3 +276,34 @@ def test_acceptance_8_determinism(tmp_path):
         ok = ok and identical and code_a == 0 and code_b == 0
         sizes.append(f"{label} {first.stat().st_size} bytes")
     assert announce(8, "determinism", ok, f"({', '.join(sizes)}, pinned)")
+
+
+# --- criterion 9: time error of the trajectory --------------------------------
+
+
+def test_acceptance_9_trajectory_rate():
+    # u_final at the fixed time T from step sizes tau = 2^-6 ... 2^-10: the
+    # lumped L2 norms of successive differences shrink like tau for Euler and
+    # tau^2 for BDF2 (the l2 flow is stiff, not yet asymptotic at 2^-14)
+    start = time.perf_counter()
+    t_max = 0.25
+    taus = [2.0**-m for m in range(6, 11)]
+    eocs = {}
+    ok = True
+    for n in (8, 16):
+        mesh = benchmark_mesh(n)
+        u0 = make_initial(mesh, InitSpec("perturbed", seed=SEED, perturb_amplitude=0.5))
+        system = EnergySystem(mesh, metric="h1")
+        for method in ("euler", "bdf2"):
+            reports = [run_flow(u0, system, FlowConfig(method=method, tau=tau, eps_stop=1e-14, t_max=t_max))
+                       for tau in taus]
+            ok = ok and all(r.n_stop == round(t_max / r.tau) and audit_identities(r)[0] for r in reports)
+            gaps = [np.sqrt(system.lumped_weights @ ((a.u_final - b.u_final) ** 2).sum(axis=1))
+                    for a, b in zip(reports, reports[1:])]
+            eocs[method, n] = [np.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+    elapsed = time.perf_counter() - start
+    bands = {"euler": (0.95, 1.05), "bdf2": (1.9, 2.1)}
+    ok = ok and all(bands[method][0] <= e <= bands[method][1] for (method, _), rates in eocs.items() for e in rates)
+    detail = ", ".join(f"{method} N={n} eoc {' '.join(f'{e:.3f}' for e in rates)}"
+                       for (method, n), rates in eocs.items())
+    assert announce(9, "trajectory rate", ok, f"({detail}, {elapsed:.1f} s)")

@@ -75,6 +75,8 @@ def test_run_requires_tau(capsys):
         ["--mesh-n", "4", "--tau", "5e307", "--method", "euler"],
         ["--mesh-n", "4", "--tau", "1.1e77", "--t-max", "1e300"],
         ["--mesh-n", "4", "--tau", "1.15e77", "--t-max", "1e300", "--init", "perturbed"],
+        # an infinite tolerance would pass every finite residual
+        ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "inf"],
     ],
 )
 def test_run_invalid_option_values(args, capsys):
@@ -297,7 +299,7 @@ def test_audit_fails_non_finite_residual(tmp_path, capsys):
 def test_audit_rejects_bad_tolerance(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_text("res_energy_law,res_nodal_recursion\n1e-16,1e-16\n")
-    for tol in ("nan", "-1"):
+    for tol in ("nan", "-1", "inf"):
         assert main(["audit", "--trace-in", str(trace), "--audit-tol", tol]) == 2
         assert capsys.readouterr().err.startswith("error: --audit-tol")
 
@@ -375,6 +377,10 @@ def test_audits_cannot_be_switched_off(tmp_path, capsys):
     config.write_text("mesh_n = 2\naudit = off\n")
     assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
     assert f"error: {config}:2: unknown key 'audit'" in capsys.readouterr().err
+    # nor does an infinite tolerance, which would pass every finite residual
+    config.write_text("mesh_n = 2\naudit_tol = inf\n")
+    assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
+    assert capsys.readouterr().err.startswith("error: --audit-tol")
 
 
 def test_usage_error_from_argparse():

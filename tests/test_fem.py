@@ -10,7 +10,7 @@ from sphereflow.fem import assemble_p1
 from sphereflow.flow import EnergySystem
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.kkt import TangentPlaneAnalysis
-from sphereflow.mesh import build_square_mesh
+from sphereflow.mesh import TriMesh, build_square_mesh
 
 RNG = np.random.default_rng(7)
 
@@ -145,6 +145,33 @@ def test_dirichlet_energy_constant_field():
     mesh = build_square_mesh(3)
     u = np.tile([1.0, 2.0, 3.0], (mesh.n_vertices, 1))
     assert EnergySystem(mesh).energy(u) == pytest.approx(0.0, abs=1e-13)
+
+
+def replaced(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# each malformed mesh fails the assembly before it divides by an area: a
+# zero-area cell made the energy NaN, so two audits read it as skipped and
+# passed, and a clockwise cell's matrices entered negated, a different problem
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda v, c: (v, np.vstack([c, [0, 1, 2]])), r"cell 32 \[0, 1, 2\] has signed area 0\.000e\+00"),
+        (lambda v, c: (v, replaced(c, 5, c[5, ::-1])), r"cell 5 \[7, 8, 2\] has signed area -3\.125e-02"),
+        (lambda v, c: (v, replaced(c, (7, 1), -1)), r"cell 7 \[3, -1, 8\] has a vertex index outside \[0, 25\)"),
+        (lambda v, c: (v, replaced(c, (7, 1), 25)), r"cell 7 \[3, 25, 8\] has a vertex index outside \[0, 25\)"),
+        (lambda v, c: (np.vstack([v, [0.75, 0.75]]), c), r"vertex 25 of 26 is in no cell"),
+    ],
+    ids=["zero-area-cell", "clockwise-cell", "negative-index", "index-past-the-end", "vertex-in-no-cell"],
+)
+def test_assembly_refuses_malformed_mesh(edit, message):
+    lattice = build_square_mesh(4)
+    mesh = TriMesh(*edit(lattice.vertices, lattice.cells), lattice.boundary_nodes)
+    with pytest.raises(ValueError, match=message):
+        assemble_p1(mesh)
 
 
 def same_bits(a, b):

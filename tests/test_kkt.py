@@ -8,11 +8,13 @@ import pytest
 import scipy.sparse as sp
 
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from oracles import assemble_constraint_rows, dense_saddle_solve
 from sphereflow import kkt
 from sphereflow.fem import assemble_p1
+from sphereflow.flow import METRICS, EnergySystem
 from sphereflow.kkt import TOL, KktError, TangentPlaneAnalysis, tangent_frames
 from sphereflow.mesh import build_square_mesh, free_nodes
 
@@ -234,6 +236,48 @@ def test_cached_analysis_matches_fresh_factorization():
             again = analysis.solve(directions, rhs)
             assert np.array_equal(again.primal, sol.primal)
             assert np.array_equal(again.multiplier, sol.multiplier)
+
+
+def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
+    # the package orders the band itself; scipy's csgraph, which only the
+    # tests import, is the reference, on the blocks of both step kinds
+    tau = 2.0**-4
+    for n in range(1, 65):
+        mesh = build_square_mesh(n)
+        for metric in METRICS:
+            system = EnergySystem(mesh, metric=metric)
+            for scale in (tau, 2.0 * tau / 3.0):
+                b = system._metric_ff + scale * system._a_ff
+                order = kkt._reverse_cuthill_mckee(b)
+                if b.shape[0]:
+                    assert np.array_equal(order, reverse_cuthill_mckee(b, symmetric_mode=True)), (n, metric, scale)
+                else:
+                    # csgraph cannot order an empty graph
+                    assert order.shape == (0,)
+
+
+def test_band_order_is_scipys_reverse_cuthill_mckee_on_random_graphs():
+    # several components, tied degrees, rows with and without a diagonal
+    # entry, column indices sorted or not, 32- and 64-bit indices
+    rng = np.random.default_rng(161)
+    for case in range(300):
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(1, 40))
+            pattern = rng.random((k, k)) < rng.uniform(0.02, 0.4)
+            pattern |= pattern.T
+            np.fill_diagonal(pattern, rng.random(k) < 0.5)
+            parts.append(sp.csr_matrix(pattern.astype(float)))
+        shuffle = rng.permutation(sum(part.shape[0] for part in parts))
+        b = sp.block_diag(parts, format="csr")[shuffle][:, shuffle]
+        if case % 3 == 0:
+            for i in range(b.shape[0]):
+                row = slice(b.indptr[i], b.indptr[i + 1])
+                b.indices[row] = rng.permutation(b.indices[row])
+            b.has_sorted_indices = False
+        if case % 5 == 0:
+            b.indices, b.indptr = b.indices.astype(np.int64), b.indptr.astype(np.int64)
+        assert np.array_equal(kkt._reverse_cuthill_mckee(b), reverse_cuthill_mckee(b, symmetric_mode=True)), case
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

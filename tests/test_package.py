@@ -1,5 +1,9 @@
-"""The package namespace: what ``from sphereflow import *`` binds."""
+"""The package namespace: what ``from sphereflow import *`` binds, and what importing it loads."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import sphereflow
@@ -29,3 +33,15 @@ PUBLIC_NAMES = {
 def test_all_is_the_public_names():
     assert len(PUBLIC_NAMES) == 27
     assert set(sphereflow.__all__) == PUBLIC_NAMES
+
+
+def test_import_loads_neither_csgraph_nor_sparse_linalg():
+    # the package orders its band itself; csgraph would bring
+    # scipy.sparse.linalg (ARPACK, PROPACK, SuperLU) into every process
+    code = ("import sys, sphereflow.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg'))))")
+    source = str(Path(sphereflow.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

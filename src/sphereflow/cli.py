@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import astuple, fields
 
-from .diagnostics import StepRecord, audit_identities, build_sweep_table
+from .diagnostics import AUDIT_TOL, StepRecord, audit_identities, build_sweep_table
 from .flow import METHODS, METRICS, EnergySystem, FlowConfig, run_flow, run_sweep
 from .initial_data import INIT_KINDS, InitSpec, make_initial
 from .mesh import build_square_mesh
@@ -40,7 +40,6 @@ OPTIONS = (
     ("ref_energy", float, 3.009, FLOWS),
     ("out", str, None, FLOWS),
     ("trace_out", str, None, ("run",)),
-    ("audit_tol", float, 1e-8, (*FLOWS, "audit")),
 )
 DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 
@@ -126,7 +125,8 @@ def load_config_file(path):
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             parser.parse_args([f"--{key.replace('_', '-')}={raw.strip()}"], namespace=values)
-        except argparse.ArgumentError as exc:
+            _check_value(key, getattr(values, key))
+        except (argparse.ArgumentError, UsageError) as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from None
     return vars(values)
 
@@ -149,6 +149,24 @@ def _taus(tau_range):
     return [2.0**-m for m in range(lo, hi + 1)]
 
 
+def _check_value(key, value):
+    """Refuse an option value that the set-up or a flow would refuse, with the library's message."""
+    try:
+        if key in ("tau", "eps_stop", "t_max"):
+            FlowConfig(**{key: value})
+        elif key == "perturb_amplitude":
+            InitSpec(perturb_amplitude=value)
+        elif key == "tau_range":
+            _taus(value)
+        # a non-finite reference would blank or fill with inf the energy-error columns
+        elif key == "ref_energy" and not math.isfinite(value):
+            raise UsageError(f"--ref-energy must be finite, got {value}")
+        elif key == "mesh_n" and value < 1:
+            raise UsageError(f"need at least one cell per side, got n={value}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="sphereflow")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -160,23 +178,17 @@ def build_parser():
         _add_options(command, name)
     audit = sub.add_parser("audit", allow_abbrev=False)
     audit.add_argument("--trace-in", dest="trace_in", required=True)
-    _add_options(audit, "audit")
     return parser
 
 
 def resolve_config(args):
-    """Apply precedence: command-line flags beat config file beats defaults."""
+    """Check each flag value as file values are checked; then flags beat config file beats defaults."""
     config_file = getattr(args, "config", None)
     file_values = load_config_file(config_file) if config_file else {}
-    config = argparse.Namespace(**{**DEFAULTS, **file_values, **vars(args)})
-    # NaN would make every audit comparison false, so every audit would pass;
-    # so would inf, for every finite residual
-    if not 0 <= config.audit_tol < math.inf:
-        raise UsageError(f"--audit-tol must be nonnegative and finite, got {config.audit_tol}")
-    # a non-finite reference would blank or fill with inf the energy-error columns
-    if not math.isfinite(config.ref_energy):
-        raise UsageError(f"--ref-energy must be finite, got {config.ref_energy}")
-    return config
+    for key, value in vars(args).items():
+        if key in DEFAULTS:
+            _check_value(key, value)
+    return argparse.Namespace(**{**DEFAULTS, **file_values, **vars(args)})
 
 
 def _setup(config):
@@ -222,7 +234,7 @@ def _run_table(config, taus, trace_out=None):
         if isinstance(exc, ValueError):
             raise UsageError(str(exc)) from exc
         raise
-    audits = [audit_identities(r, tol=config.audit_tol) for r in reports]
+    audits = [audit_identities(r) for r in reports]
     ok = all(r.converged for r in reports) and all(passed for passed, _ in audits)
     return audits, 0 if ok else 1
 
@@ -273,7 +285,7 @@ def cmd_audit(config):
             print(f"{key}: skipped (no records)")
             continue
         print(f"{key}: max {value:.3e} over {counted[key]} steps")
-        if not value <= config.audit_tol:
+        if not value <= AUDIT_TOL:
             ok = False
     return 0 if ok else 1
 

@@ -20,6 +20,9 @@ MONO_SLACK = 1e-9
 
 FEASIBILITY_TOL = 1e-8
 
+# the bound of every identity audit but monotonicity's; the CLI offers no way to change it
+AUDIT_TOL = 1e-8
+
 # Entries of the 2x2 matrix defining the BDF2-adapted quadratic form on
 # state pairs (x, y).  Eigenvalues are (3 +/- 2*sqrt(2))/4, both positive.
 G11 = 5.0 / 4.0
@@ -276,7 +279,7 @@ class _Audit:
         )
 
 
-def audit_identities(report, tol=1e-8):
+def audit_identities(report, tol=AUDIT_TOL):
     """Pass/fail view of the identity residuals of a finished run.
 
     The summary maps each of ``AUDIT_KEYS`` to the report's value: the

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import _Audit
 from .fem import assemble_p1
-from .kkt import TangentPlaneAnalysis, _pair, set_blas_threads
+from .kkt import TangentPlaneAnalysis, _pair
 from .mesh import free_nodes
 
 METHODS = ("euler", "bdf2")
@@ -189,12 +189,12 @@ def run_sweep(u0, sys, configs):
     """:func:`run_flow` from ``u0`` for each of ``configs``; one report per config, in config order.
 
     The flows run side by side in forked worker processes, one per usable
-    CPU (at most one per config), each with one BLAS thread; every report
-    is bitwise the one :func:`run_flow` returns.  Each task receives its
-    arguments pickled; the workers inherit whatever wraps this module's
-    functions.  With one worker, without ``fork``, or in a daemonic process
-    the flows run one after another in this process.  An exception of a
-    flow is raised here; no worker outlives the call.
+    CPU (at most one per config); every report is bitwise the one
+    :func:`run_flow` returns.  Each task receives its arguments pickled; the
+    workers inherit whatever wraps this module's functions.  With one
+    worker, without ``fork``, or in a daemonic process the flows run one
+    after another in this process.  An exception of a flow is raised here;
+    no worker outlives the call.
     """
     workers = min(len(configs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
@@ -203,8 +203,7 @@ def run_sweep(u0, sys, configs):
     # steps grow like 1/tau, so the finest step size starts first
     order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
     # fork, not spawn: the workers inherit whatever wraps this module's functions
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=set_blas_threads, initargs=(1,))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = {pool.submit(run_flow, u0, sys, configs[i]): i for i in order}
         reports = [None] * len(configs)

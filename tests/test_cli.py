@@ -7,10 +7,10 @@ import struct
 import numpy as np
 import pytest
 
-from sphereflow import cli, initial_data
+from sphereflow import cli, flow, initial_data
 from sphereflow.cli import CSV_HEADER, TRACE_HEADER, main
-from sphereflow.diagnostics import StepRecord
-from sphereflow.flow import FlowConfig, run_flow
+from sphereflow.diagnostics import AUDIT_TOL, StepRecord
+from sphereflow.flow import FlowConfig, bdf2_step, run_flow
 
 
 def read(path):
@@ -60,8 +60,8 @@ def test_run_requires_tau(capsys):
         ["--mesh-n", "2", "--tau", "inf"],
         ["--mesh-n", "4", "--tau", "0.25", "--eps-stop", "nan"],
         ["--mesh-n", "2", "--tau", "0.25", "--t-max", "nan"],
-        ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "nan"],
-        ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "-1"],
+        ["--mesh-n", "2", "--tau", "0.25", "--t-max", "0"],
+        ["--mesh-n", "2", "--tau", "0.25", "--t-max", "-1"],
         # tau**4 underflows to 0: rejected before any flow can warn or run on
         ["--mesh-n", "4", "--tau", "1e-200"],
         ["--mesh-n", "4", "--tau", "1e-200", "--method", "euler"],
@@ -75,8 +75,7 @@ def test_run_requires_tau(capsys):
         ["--mesh-n", "4", "--tau", "5e307", "--method", "euler"],
         ["--mesh-n", "4", "--tau", "1.1e77", "--t-max", "1e300"],
         ["--mesh-n", "4", "--tau", "1.15e77", "--t-max", "1e300", "--init", "perturbed"],
-        # an infinite tolerance would pass every finite residual
-        ["--mesh-n", "2", "--tau", "0.25", "--audit-tol", "inf"],
+        ["--mesh-n", "2", "--tau", "0.25", "--eps-stop", "inf"],
     ],
 )
 def test_run_invalid_option_values(args, capsys):
@@ -231,7 +230,7 @@ def test_non_finite_reference_energy_is_usage_error(tmp_path, capsys, value):
     config = tmp_path / "flow.cfg"
     config.write_text(f"ref_energy = {value}\n")
     assert main([*args, "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: --ref-energy must be finite")
+    assert capsys.readouterr().err.startswith(f"error: {config}:1: --ref-energy must be finite")
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -297,11 +296,14 @@ def test_audit_fails_non_finite_residual(tmp_path, capsys):
 
 
 def test_audit_rejects_bad_tolerance(tmp_path, capsys):
+    # the re-audit judges at diagnostics.AUDIT_TOL, as run and sweep do; it takes no tolerance
     trace = tmp_path / "t.csv"
     trace.write_text("res_energy_law,res_nodal_recursion\n1e-16,1e-16\n")
-    for tol in ("nan", "-1", "inf"):
-        assert main(["audit", "--trace-in", str(trace), "--audit-tol", tol]) == 2
-        assert capsys.readouterr().err.startswith("error: --audit-tol")
+    for tol in ("1e300", "1e-10"):
+        with pytest.raises(SystemExit) as err:
+            main(["audit", "--trace-in", str(trace), "--audit-tol", tol])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: --audit-tol {tol}" in capsys.readouterr().err
 
 
 def test_audit_finds_columns_by_name(tmp_path, capsys):
@@ -367,6 +369,21 @@ def test_config_file_bad_value(tmp_path, capsys, line):
     assert line.split(" = ")[1] in err
 
 
+@pytest.mark.parametrize("subcommand, line", [
+    ("run", "ref_energy = nan"), ("run", "eps_stop = 0"), ("run", "t_max = -1"),
+    ("run", "perturb_amplitude = nan"), ("run", "mesh_n = 0"), ("run", "tau = -1"),
+    ("sweep", "tau_range = 4:2"),
+])
+def test_config_file_value_refused_after_parsing_names_its_line(tmp_path, capsys, subcommand, line):
+    # a value of the right type that the set-up or a flow refuses, refused
+    # as the flag's value is, even where a flag overrides it
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"tau = 0.25\n{line}\n")
+    assert main([subcommand, "--config", str(config), "--mesh-n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:2: ") and err.count("\n") == 1
+
+
 def test_audits_cannot_be_switched_off(tmp_path, capsys):
     # every run and sweep audits its flows; neither a flag nor a config key turns that off
     with pytest.raises(SystemExit) as err:
@@ -377,10 +394,27 @@ def test_audits_cannot_be_switched_off(tmp_path, capsys):
     config.write_text("mesh_n = 2\naudit = off\n")
     assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
     assert f"error: {config}:2: unknown key 'audit'" in capsys.readouterr().err
-    # nor does an infinite tolerance, which would pass every finite residual
+    # nor does a loose tolerance, which would pass every finite residual
     config.write_text("mesh_n = 2\naudit_tol = inf\n")
     assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
-    assert capsys.readouterr().err.startswith("error: --audit-tol")
+    assert f"error: {config}:2: unknown key 'audit_tol'" in capsys.readouterr().err
+
+
+def test_corrupted_step_fails_the_run_at_the_one_tolerance(monkeypatch, capsys):
+    def corrupted_step(*args):
+        u_next, u_dot = bdf2_step(*args)
+        return u_next * (1 + 1e-6), u_dot
+
+    monkeypatch.setattr(flow, "bdf2_step", corrupted_step)
+    args = ["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed"]
+    assert main(args) == 1
+    summary = dict(line.split(" = ") for line in capsys.readouterr().err.splitlines())
+    assert float(summary["res_nodal_recursion"]) > AUDIT_TOL
+    # no tolerance a user sets can pass the corrupted run
+    with pytest.raises(SystemExit) as err:
+        main([*args, "--audit-tol", "1e300"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --audit-tol 1e300" in capsys.readouterr().err
 
 
 def test_usage_error_from_argparse():
@@ -567,7 +601,6 @@ OVERRIDES = {
     "seed": ("7", "9"),
     "perturb_amplitude": ("0.25", "0.75"),
     "ref_energy": ("3.5", "2.5"),
-    "audit_tol": ("1e-6", "1e-7"),
 }
 
 

@@ -569,13 +569,27 @@ def test_run_sweep_raises_a_workers_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def pid_and_blas_threads(*args, **kwargs):
-    """Stand-in for ``run_flow``: the process id and its BLAS thread count (a module-level function pickles)."""
+def pid_and_blas_threads(u0, system, cfg):
+    """Stand-in for ``run_flow``: the process id, its BLAS thread count and
+    the counts that one step's band factorizations ran at (a module-level
+    function pickles)."""
     get, _ = kkt._openblas_threads()
-    return os.getpid(), get()
+    factor, seen = kkt.dpbtrf, []
+
+    def band_factor(*args, **kwargs):
+        seen.append(get())
+        return factor(*args, **kwargs)
+
+    kkt.dpbtrf = band_factor
+    try:
+        euler_init_step(u0, system, cfg)
+    finally:
+        kkt.dpbtrf = factor
+    return os.getpid(), get(), seen
 
 
 def test_run_sweep_workers_run_one_blas_thread(monkeypatch):
+    # the workers inherit the caller's count; each band solve pins one thread itself
     api = kkt._openblas_threads()
     if api is None:
         pytest.skip("this scipy build bundles no OpenBLAS with scipy's thread-count symbols")
@@ -588,4 +602,4 @@ def test_run_sweep_workers_run_one_blas_thread(monkeypatch):
         seen = run_sweep(u0, system, [FlowConfig(tau=tau) for tau in SWEEP_TAUS])
     finally:
         kkt.set_blas_threads(before)
-    assert all(pid != os.getpid() and threads == 1 for pid, threads in seen)
+    assert all(pid != os.getpid() and threads == 2 and factors == [1] for pid, threads, factors in seen)

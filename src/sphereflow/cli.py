@@ -257,7 +257,7 @@ def cmd_sweep(config):
 
 
 def cmd_audit(config):
-    maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0}
+    maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0, "res_closed_form": 0.0}
     counted = {key: 0 for key in maxima}
     header, *rows = _read_lines(config.trace_in) or [""]
     columns = header.strip().split(",")

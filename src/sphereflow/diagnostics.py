@@ -42,6 +42,7 @@ class StepRecord:
     delta_uni: float
     res_energy_law: float = math.nan
     res_nodal_recursion: float = math.nan
+    res_closed_form: float = math.nan
 
 
 @dataclass
@@ -210,6 +211,10 @@ class _Audit:
         sq = _nodal_dot(u_next, u_next)
         sq_free = sq[sys.free]
         delta_uni = constraint_violation(sq, sys.lumped_weights)
+        # a non-finite state reads NaN in the audits, which would count as skipped
+        if not (math.isfinite(energy) and math.isfinite(delta_uni)):
+            name, value = ("energy", energy) if not math.isfinite(energy) else ("delta_uni", delta_uni)
+            raise ValueError(f"step {n}: the {name} of the new state is not finite ({value})")
         if u_prev is None:
             self.b_sq = dt_l2_sq
             self.res_init = relative_residual(energy + tau * udot_star_sq + 0.5 * tau**2 * _pair(dt, k_dt),
@@ -243,7 +248,8 @@ class _Audit:
             predicted = 1.5 * gamma(n - 1) * tau**2 * self.sum_dt_lumped + 1.5 * tau**4 * (
                 self.s1_lumped - self.c_lumped / 3.0
             )
-        self.res_closed_form = max(self.res_closed_form, relative_residual(delta_uni, predicted))
+        res_closed = relative_residual(delta_uni, predicted)
+        self.res_closed_form = max(self.res_closed_form, res_closed)
         next_norms = np.sqrt(sq)
         self.mono_violation = max(self.mono_violation, float((self.node_norms - next_norms).max()))
         self.node_norms = next_norms
@@ -252,7 +258,8 @@ class _Audit:
         self.sq_free_prev, self.sq_free = self.sq_free, sq_free
         norm_udot_star, norm_dtu_l2 = math.sqrt(udot_star_sq), math.sqrt(dt_l2_sq)
         if self.on_step is not None:
-            self.on_step(StepRecord(n, n * tau, norm_udot_star, norm_dtu_l2, energy, delta_uni, res_law, res_nodal))
+            self.on_step(StepRecord(n, n * tau, norm_udot_star, norm_dtu_l2, energy, delta_uni, res_law, res_nodal,
+                                    res_closed))
         return norm_udot_star + norm_dtu_l2
 
     def report(self, converged, u_final):

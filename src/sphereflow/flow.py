@@ -164,8 +164,9 @@ def run_flow(u0, sys, cfg, *, on_step=None):
     the two-step identities are NaN (skipped) for an Euler run.  ``u0``
     must have unit length at every node, to ``diagnostics.FEASIBILITY_TOL``.
     An update lost in the round-off of the states, as from a step size or a
-    stopping threshold too small for the flow to resolve, stops the run with
-    a ``ValueError`` naming the step.  ``on_step``, when given, is called
+    stopping threshold too small for the flow to resolve, or a state whose
+    energy or constraint violation is not finite stops the run with a
+    ``ValueError`` naming the step.  ``on_step``, when given, is called
     with the :class:`StepRecord` of each step as it finishes (norms, energy,
     constraint violation and the step's own audits); no record is kept.
 

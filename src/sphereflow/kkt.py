@@ -12,8 +12,10 @@ keeps B, a banded node order and one gather index and coefficient per band
 entry, all found once; each :meth:`~TangentPlaneAnalysis.solve` only fills
 the band from the frames, held in a (3, 2K) layout, by two gathers, one
 product-sum and one scatter, and factors it (LAPACK's banded Cholesky) on
-one BLAS thread.  At a few dozen nodes numpy's per-call cost outweighs the
-arithmetic, so the solve keeps its calls few: the direction norms are
+one BLAS thread.  LAPACK is called through ctypes in the OpenBLAS that
+scipy's wheels bundle, so no process imports ``scipy.linalg`` unless that
+library is missing.  At a few dozen nodes numpy's per-call cost outweighs
+the arithmetic, so the solve keeps its calls few: the direction norms are
 taken once, and per-node pairings are products with a vector of ones.
 """
 
@@ -27,11 +29,14 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
 _ONES3 = np.ones(3)
+# LAPACKE's matrix_layout argument for column-major (Fortran) storage
+_COL_MAJOR = 102
+# where scipy's wheels bundle their OpenBLAS, beside the scipy package
+_SCIPY_LIBS = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
 
 
 class KktError(Exception):
@@ -46,28 +51,71 @@ class KktSolution:
     residual_constraint: float
 
 
-def _find_openblas_threads(libs):
-    """(get, set) for the thread count of the first OpenBLAS in directory ``libs`` with scipy's symbols.
+def _find_openblas(libs, names):
+    """The functions ``names`` of the first OpenBLAS in directory ``libs`` that has them all, as a tuple.
 
-    None when no library there loads or has both symbols.
+    None when no library there loads or has every name.
     """
     for path in sorted(Path(libs).glob("libscipy_openblas*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+            return tuple(getattr(lib, name) for name in names)
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
     return None
 
 
 @functools.cache
 def _openblas_threads():
-    # scipy's wheels bundle the OpenBLAS that its LAPACK wrappers (dpbtrf,
-    # dpbtrs) call; loading it again by path returns the handle already loaded
-    return _find_openblas_threads(Path(scipy.__file__).resolve().parent.parent / "scipy.libs")
+    """(get, set) for the thread count of scipy's bundled OpenBLAS, or None."""
+    api = _find_openblas(_SCIPY_LIBS, ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+    if api is not None:
+        get, set_ = api
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+    return api
+
+
+@functools.cache
+def _band_cholesky():
+    """LAPACK's banded Cholesky solve on upper band storage, as ``solve(band, kd, v) -> info``.
+
+    Factors in place the flat float64 column-major (kd + 1, n) ``band`` by
+    ``dpbtrf`` and, where that succeeds (``info`` 0), overwrites the
+    float64 vector ``v`` with the solution by ``dpbtrs``.  Both arrays must
+    be contiguous.  This is one ctypes call of ``dpbsv``, which runs those
+    two routines, in scipy's bundled OpenBLAS; a build without it calls
+    them through ``scipy.linalg.lapack``, imported only then.
+    """
+    found = _find_openblas(_SCIPY_LIBS, ("scipy_LAPACKE_dpbsv_work",))
+    if found is None:
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+        def solve(band, kd, v):
+            factor, info = dpbtrf(band.reshape((kd + 1, -1), order="F"), lower=0, overwrite_ab=1)
+            if info == 0:
+                v[:] = dpbtrs(factor, v, lower=0)[0]
+            return info
+
+        return solve
+    pbsv, = found
+    int_, double_p = ctypes.c_int, ctypes.POINTER(ctypes.c_double)
+    pbsv.argtypes = [int_, ctypes.c_char, int_, int_, int_, double_p, int_, double_p, int_]
+    pbsv.restype = int_
+
+    def solve(band, kd, v):
+        # LAPACK reads (kd + 1) n doubles of the band and n of v, through a
+        # c_double over each array's first element, which from_buffer
+        # refuses for an array that is not contiguous or has none
+        if band.dtype != np.float64 or v.dtype != np.float64 or band.size != (kd + 1) * v.size:
+            raise ValueError(f"need a float64 band of (kd + 1) * {v.size} = {(kd + 1) * v.size} entries "
+                             f"and a float64 vector, got {band.size} {band.dtype} and {v.dtype}")
+        if not v.size:
+            return 0
+        return pbsv(_COL_MAJOR, b"U", v.size, kd, 1, ctypes.c_double.from_buffer(band), kd + 1,
+                    ctypes.c_double.from_buffer(v), v.size)
+
+    return solve
 
 
 def set_blas_threads(count):
@@ -225,7 +273,7 @@ class TangentPlaneAnalysis:
         self._dest = self.kd + band_rows - band_cols + (self.kd + 1) * band_cols
 
     def _band_solve(self, frames, v):
-        """Solve the tangent-plane system for the (3, 2K) ``frames`` at the band-ordered ``v``, by banded Cholesky."""
+        """Solve the tangent-plane system for the (3, 2K) ``frames`` by banded Cholesky, over the band-ordered ``v``."""
         # a band a few hundred wide is too narrow for a second BLAS thread,
         # which would only spin; the caller's count is restored after
         before = set_blas_threads(1)
@@ -234,12 +282,12 @@ class TangentPlaneAnalysis:
             values = _ONES3.dot(frames.take(self._left, axis=1) * frames.take(self._right, axis=1)) * self._coef
             band = np.zeros((self.kd + 1) * 2 * self.k)
             band[self._dest] = values
-            factor, info = dpbtrf(band.reshape((self.kd + 1, 2 * self.k), order="F"), lower=0, overwrite_ab=1)
+            info = _band_cholesky()(band, self.kd, v)
             if info > 0:
                 node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
                 raise KktError(f"KKT tangent-plane matrix is not positive definite at tangent unknown {unknown} "
                                f"of node {node} ({self.k} nodes)")
-            return dpbtrs(factor, v, lower=0)[0]
+            return v
         finally:
             set_blas_threads(before)
 

@@ -272,10 +272,11 @@ def audit_steps(steps, system, tau, two_step):
             )
         else:
             predicted = tau**2 * sum(lumped_dt)
-        res_closed_form = max(res_closed_form, _residual(delta_uni, predicted))
+        res_closed = _residual(delta_uni, predicted)
+        res_closed_form = max(res_closed_form, res_closed)
         mono = max(mono, np.max(np.sqrt(np.sum(u_n * u_n, axis=1)) - np.sqrt(sq)))
         records.append(StepRecord(n, n * tau, math.sqrt(udot_sq), math.sqrt(dt_l2_sq), energy(u_next), delta_uni,
-                                  res_law, res_nodal))
+                                  res_law, res_nodal, res_closed))
         dt_prev = dt
     two_step_audits = two_step and len(records) > 1
     audits = {

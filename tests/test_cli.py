@@ -245,6 +245,24 @@ def test_audit_subcommand(tmp_path, capsys):
     assert "res_nodal_recursion" in out
 
 
+def test_audit_checks_the_closed_form_of_an_euler_trace(tmp_path, capsys):
+    # an Euler run has no two-step audit, but the closed form applies to every step
+    trace = tmp_path / "e.csv"
+    assert main(["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--method", "euler",
+                 "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")]) == 0
+    header, *rows = read(trace).splitlines()
+    assert main(["audit", "--trace-in", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "res_energy_law: skipped (no records)" in out
+    assert "res_closed_form: max " in out and f" over {len(rows)} steps" in out
+    # one corrupted closed-form cell fails the re-audit
+    cells = rows[-1].split(",")
+    cells[header.split(",").index("res_closed_form")] = "1e-3"
+    trace.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n")
+    assert main(["audit", "--trace-in", str(trace)]) == 1
+    assert f"res_closed_form: max 1.000e-03 over {len(rows)} steps" in capsys.readouterr().out
+
+
 def test_audit_rejects_non_trace(tmp_path, capsys):
     bogus = tmp_path / "x.csv"
     bogus.write_text("a,b,c\n1,2,3\n")
@@ -256,7 +274,7 @@ def test_audit_rejects_non_trace(tmp_path, capsys):
     assert main(["audit", "--trace-in", str(tmp_path / "missing.csv")]) == 2
     assert "missing.csv" in capsys.readouterr().err
     garbled = tmp_path / "z.csv"
-    garbled.write_text("res_energy_law,res_nodal_recursion\n1e-16,1e-15\n1e-16,oops\n")
+    garbled.write_text("res_energy_law,res_nodal_recursion,res_closed_form\n1e-16,1e-15,0\n1e-16,oops,0\n")
     assert main(["audit", "--trace-in", str(garbled)]) == 2
     assert "z.csv:3: res_nodal_recursion" in capsys.readouterr().err
 
@@ -285,12 +303,13 @@ def test_audit_rejects_truncated_rows(tmp_path, capsys):
 
 def test_audit_fails_non_finite_residual(tmp_path, capsys):
     trace = tmp_path / "t.csv"
-    trace.write_text("res_energy_law,res_nodal_recursion\nnan,nan\n")
+    trace.write_text("res_energy_law,res_nodal_recursion,res_closed_form\nnan,nan,0\n")
     assert main(["audit", "--trace-in", str(trace)]) == 1
     assert capsys.readouterr().out.count("max nan over 1 steps") == 2
     # a nan or inf cell between finite ones still fails
     for cell in ("nan", "inf", "-inf"):
-        trace.write_text(f"res_energy_law,res_nodal_recursion\n1e-16,1e-16\n{cell},1e-16\n1e-16,1e-16\n")
+        trace.write_text("res_energy_law,res_nodal_recursion,res_closed_form\n"
+                         f"1e-16,1e-16,0\n{cell},1e-16,0\n1e-16,1e-16,0\n")
         assert main(["audit", "--trace-in", str(trace)]) == 1
         assert "res_energy_law: max nan over 3 steps" in capsys.readouterr().out
 
@@ -322,7 +341,7 @@ def test_audit_finds_columns_by_name(tmp_path, capsys):
     assert capsys.readouterr().out == expected
     # a failing energy law is attributed to its own column after the swap
     failing = tmp_path / "failing.csv"
-    failing.write_text(",".join(rows[0]) + "\n2,0.25,1,1,1,0,1e-12,1e-3\n")
+    failing.write_text(",".join(rows[0]) + "\n2,0.25,1,1,1,0,1e-12,1e-3,0\n")
     assert main(["audit", "--trace-in", str(failing)]) == 1
     out = capsys.readouterr().out
     assert "res_energy_law: max 1.000e-03" in out
@@ -519,10 +538,13 @@ def test_trace_out_reads_back_as_the_step_records(tmp_path, method):
     assert len(records) > 10
     assert [_bits(rec) for rec in _read_trace(trace)] == [_bits(rec) for rec in records]
     # the two-step audits are empty cells where they do not apply: in the
-    # first row of a BDF2 run, in every row of an Euler run
-    skipped = [row.endswith(",,") for row in read(trace).splitlines()[1:]]
+    # first row of a BDF2 run, in every row of an Euler run; the closed-form
+    # audit, the last cell, applies to every step of both
+    rows = [row.split(",") for row in read(trace).splitlines()[1:]]
+    skipped = [cells[6:8] == ["", ""] for cells in rows]
     two_step = [False] * (len(records) - 1) if method == "bdf2" else [True] * (len(records) - 1)
     assert skipped == [True, *two_step]
+    assert all(cells[8] for cells in rows)
 
 
 def test_failing_flow_leaves_the_rows_before_it(tmp_path, capsys):

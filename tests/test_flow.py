@@ -85,6 +85,25 @@ def test_extreme_step_size_stops_with_value_error(tau, t_max, match):
         run_flow(u0, system, FlowConfig(tau=tau, t_max=t_max))
 
 
+def test_non_finite_state_stops_with_value_error(monkeypatch):
+    # one NaN at a free node of the last state makes its energy and delta_uni
+    # NaN, which every audit would read as skipped
+    mesh, u0, system = unit_square_setup(8, init="perturbed")
+    node = free_nodes(mesh)[0]
+    step, calls = flow.bdf2_step, []
+
+    def corrupted_step(u_n, u_prev, sys, cfg):
+        u_next, u_dot = step(u_n, u_prev, sys, cfg)
+        calls.append(None)
+        if len(calls) == 9:  # step 10, after the initialization and 8 two-step steps
+            u_next[node] = math.nan
+        return u_next, u_dot
+
+    monkeypatch.setattr(flow, "bdf2_step", corrupted_step)
+    with pytest.raises(ValueError, match=r"^step 10: the energy of the new state is not finite \(nan\)$"):
+        run_flow(u0, system, FlowConfig(method="bdf2", tau=0.125, t_max=10 * 0.125))
+
+
 # the edges of the accepted step sizes: 1.5 * tau**4, the largest power the
 # audits form, is positive from the smallest on and finite up to the largest
 SMALLEST_TAU = 1.2536856801856792e-81
@@ -574,17 +593,18 @@ def pid_and_blas_threads(u0, system, cfg):
     the counts that one step's band factorizations ran at (a module-level
     function pickles)."""
     get, _ = kkt._openblas_threads()
-    factor, seen = kkt.dpbtrf, []
+    lookup, seen = kkt._band_cholesky, []
+    cholesky = lookup()
 
-    def band_factor(*args, **kwargs):
+    def band_factor(band, kd, v):
         seen.append(get())
-        return factor(*args, **kwargs)
+        return cholesky(band, kd, v)
 
-    kkt.dpbtrf = band_factor
+    kkt._band_cholesky = lambda: band_factor
     try:
         euler_init_step(u0, system, cfg)
     finally:
-        kkt.dpbtrf = factor
+        kkt._band_cholesky = lookup
     return os.getpid(), get(), seen
 
 

@@ -344,14 +344,16 @@ class Perturbation:
 
 
 def perturb_solves(monkeypatch, bad):
-    """Route the band solves ``kkt.dpbtrs`` of the tangent-plane solve through a :class:`Perturbation`."""
+    """Route the band solves ``kkt._band_cholesky`` of the tangent-plane solve through a :class:`Perturbation`."""
     perturbation = Perturbation(bad)
+    cholesky = kkt._band_cholesky()
 
-    def band_solve(*args, **options):
-        x, info = dpbtrs(*args, **options)
-        return perturbation(x), info
+    def band_solve(band, kd, v):
+        info = cholesky(band, kd, v)
+        v[:] = perturbation(v)
+        return info
 
-    monkeypatch.setattr(kkt, "dpbtrs", band_solve)
+    monkeypatch.setattr(kkt, "_band_cholesky", lambda: band_solve)
     return perturbation
 
 
@@ -410,12 +412,13 @@ def test_blas_threads_restores_the_callers_count():
 def test_band_solve_runs_on_one_blas_thread(monkeypatch):
     get, _ = openblas_threads()
     seen = []
+    cholesky = kkt._band_cholesky()
 
-    def band_factor(*args, **kwargs):
+    def band_factor(band, kd, v):
         seen.append(get())
-        return dpbtrf(*args, **kwargs)
+        return cholesky(band, kd, v)
 
-    monkeypatch.setattr(kkt, "dpbtrf", band_factor)
+    monkeypatch.setattr(kkt, "_band_cholesky", lambda: band_factor)
     b, directions, rhs = random_nodal_system(RNG)
     before = kkt.set_blas_threads(2)
     try:
@@ -427,11 +430,90 @@ def test_band_solve_runs_on_one_blas_thread(monkeypatch):
 
 
 def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatch):
-    assert kkt._find_openblas_threads(tmp_path) is None
+    names = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
+    assert kkt._find_openblas(tmp_path, names) is None
     (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
-    assert kkt._find_openblas_threads(tmp_path) is None
+    assert kkt._find_openblas(tmp_path, names) is None
     b, directions, rhs = random_nodal_system(RNG)
     expected = TangentPlaneAnalysis(b).solve(directions, rhs).primal
     monkeypatch.setattr(kkt, "_openblas_threads", lambda: None)
     assert kkt.set_blas_threads(1) is None
     assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs).primal, expected)
+
+
+# the cached lookup, kept here for the tests that patch it in the module
+BAND_CHOLESKY = kkt._band_cholesky
+
+
+def bundled_band_cholesky():
+    """The ctypes ``kkt._band_cholesky``; skips the test where this scipy build bundles no ``dpbsv``."""
+    if kkt._find_openblas(kkt._SCIPY_LIBS, ("scipy_LAPACKE_dpbsv_work",)) is None:
+        pytest.skip("this scipy build bundles no OpenBLAS with scipy's LAPACKE symbols")
+    return BAND_CHOLESKY()
+
+
+def fallback_band_cholesky(monkeypatch):
+    """The ``kkt._band_cholesky`` of a scipy build whose bundled OpenBLAS lacks the LAPACK symbols, or that has none."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kkt, "_find_openblas", lambda libs, names: None)
+        return BAND_CHOLESKY.__wrapped__()
+
+
+@pytest.mark.parametrize("kd", [0, 15, 63])
+def test_band_cholesky_matches_scipy_lapack_bitwise(kd, monkeypatch):
+    # the routines that scipy.linalg.lapack wraps, on the same bits: the
+    # factor and solution of an SPD band, and the failing pivot of one that is not
+    rng = np.random.default_rng(kd)
+    n = 2 * kd + 40
+    ab = rng.standard_normal((kd + 1, n))
+    ab[kd] = np.abs(ab).sum(axis=0) + 1.0  # diagonally dominant: SPD
+    v = rng.standard_normal(n)
+    expected_factor, info = dpbtrf(ab, lower=0)
+    assert info == 0
+    expected = dpbtrs(expected_factor, v, lower=0)[0]
+    indefinite = ab.copy()
+    indefinite[kd, n // 2] = -1.0
+    expected_info = dpbtrf(indefinite, lower=0)[1]
+    assert expected_info > 0
+    for cholesky in (bundled_band_cholesky(), fallback_band_cholesky(monkeypatch)):
+        band, x = ab.flatten(order="F"), v.copy()
+        assert cholesky(band, kd, x) == 0
+        assert np.array_equal(band.reshape(ab.shape, order="F"), expected_factor)
+        assert np.array_equal(x, expected)
+        assert cholesky(indefinite.flatten(order="F"), kd, v.copy()) == expected_info
+
+
+def test_band_cholesky_refuses_arrays_lapack_would_overrun():
+    cholesky = bundled_band_cholesky()
+    band, v = np.tile([0.5, 2.0], 8), np.ones(8)  # superdiagonal 0.5, diagonal 2: SPD
+    for bad in ((np.ones(15), 1, v), (band, 1, np.ones(9)), (band.astype(np.float32), 1, v),
+                (band, 1, v.astype(int))):
+        with pytest.raises(ValueError, match="float64 band"):
+            cholesky(*bad)
+    with pytest.raises(TypeError, match="not C contiguous"):
+        cholesky(np.ones(32)[::2], 1, v)
+    assert cholesky(band, 1, v) == 0
+
+
+def test_band_cholesky_names_the_first_failing_node(monkeypatch):
+    # a block negative at node 2 of 5 is not positive definite there, by either routine
+    b = sp.csr_matrix(np.diag([1.0, 2.0, -1.0, 3.0, 1.0]))
+    directions = np.tile([0.0, 0.6, 0.8], (5, 1))
+    for cholesky in (bundled_band_cholesky(), fallback_band_cholesky(monkeypatch)):
+        monkeypatch.setattr(kkt, "_band_cholesky", lambda: cholesky)
+        with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 2 \(5 nodes\)"):
+            TangentPlaneAnalysis(b).solve(directions, np.ones((5, 3)))
+
+
+def test_band_cholesky_fallback_gives_the_same_primal(monkeypatch):
+    b = bdf2_block(8)
+    k = b.shape[0]
+    directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
+    bundled = bundled_band_cholesky()
+    monkeypatch.setattr(kkt, "_band_cholesky", lambda: bundled)
+    expected = TangentPlaneAnalysis(b).solve(directions, rhs)
+    fallback = fallback_band_cholesky(monkeypatch)
+    monkeypatch.setattr(kkt, "_band_cholesky", lambda: fallback)
+    sol = TangentPlaneAnalysis(b).solve(directions, rhs)
+    assert np.array_equal(sol.primal, expected.primal)
+    assert np.array_equal(sol.multiplier, expected.multiplier)

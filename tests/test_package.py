@@ -35,13 +35,28 @@ def test_all_is_the_public_names():
     assert set(sphereflow.__all__) == PUBLIC_NAMES
 
 
-def test_import_loads_neither_csgraph_nor_sparse_linalg():
-    # the package orders its band itself; csgraph would bring
-    # scipy.sparse.linalg (ARPACK, PROPACK, SuperLU) into every process
-    code = ("import sys, sphereflow.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg'))))")
+def loaded_after(code, prefixes):
+    """Output of a fresh interpreter that runs ``code``, then prints its loaded modules that start with ``prefixes``."""
+    code += f"\nprint(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
     source = str(Path(sphereflow.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_loads_neither_csgraph_nor_sparse_linalg():
+    # the package orders its band itself; csgraph would bring
+    # scipy.sparse.linalg (ARPACK, PROPACK, SuperLU) into every process
+    assert loaded_after("import sys, sphereflow.cli", ("scipy.sparse.csgraph", "scipy.sparse.linalg")) == "[]\n"
+
+
+def test_flows_load_no_scipy_linalg():
+    # the band solves call LAPACK in scipy's bundled OpenBLAS through ctypes,
+    # so neither a run nor a sweep imports scipy.linalg (about 8 MB)
+    code = ("import contextlib, io, sys\n"
+            "from sphereflow import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert cli.main(['run', '--mesh-n', '4', '--tau', '0.25', '--init', 'perturbed']) == 0\n"
+            "    assert cli.main(['sweep', '--mesh-n', '4', '--tau-range', '2:3', '--init', 'perturbed']) == 0")
+    assert loaded_after(code, ("scipy.linalg",)) == "[]\n"

@@ -279,6 +279,11 @@ def cmd_audit(config):
                 # a non-finite cell sticks as nan (max(nan, x) is nan) and fails
                 maxima[key] = max(maxima[key], value) if math.isfinite(value) else math.nan
                 counted[key] += 1
+    # the closed form is audited at every step of both methods, so a trace
+    # without it (such as the bare header of a run that failed at step 1)
+    # would pass with nothing checked
+    if not counted["res_closed_form"]:
+        raise UsageError(f"{config.trace_in}: no step to audit (no res_closed_form value)")
     ok = True
     for key, value in maxima.items():
         if counted[key] == 0:

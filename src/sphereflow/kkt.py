@@ -12,10 +12,11 @@ keeps B, a banded node order and one gather index and coefficient per band
 entry, all found once; each :meth:`~TangentPlaneAnalysis.solve` only fills
 the band from the frames, held in a (3, 2K) layout, by two gathers, one
 product-sum and one scatter, and factors it (LAPACK's banded Cholesky) on
-one BLAS thread.  LAPACK is called through ctypes in the OpenBLAS that
-scipy's wheels bundle, so no process imports ``scipy.linalg`` unless that
-library is missing.  At a few dozen nodes numpy's per-call cost outweighs
-the arithmetic, so the solve keeps its calls few: the direction norms are
+one BLAS thread.  LAPACK's ``dpbsv`` and the thread count are called
+through ctypes in the OpenBLAS that scipy's wheels bundle, loaded once per
+process, so no process imports ``scipy.linalg`` unless that library is
+missing.  At a few dozen nodes numpy's per-call cost outweighs the
+arithmetic, so the solve keeps its calls few: the direction norms are
 taken once, and per-node pairings are products with a vector of ones.
 """
 
@@ -51,87 +52,67 @@ class KktSolution:
     residual_constraint: float
 
 
-def _find_openblas(libs, names):
-    """The functions ``names`` of the first OpenBLAS in directory ``libs`` that has them all, as a tuple.
+@functools.cache
+def _openblas():
+    """(dpbsv, get_num_threads, set_num_threads) of scipy's bundled OpenBLAS, typed for ctypes, or None.
 
-    None when no library there loads or has every name.
+    The first ``libscipy_openblas*.so`` in ``_SCIPY_LIBS`` that loads and
+    has all three; None where none does.
     """
-    for path in sorted(Path(libs).glob("libscipy_openblas*.so")):
+    int_, double_p = ctypes.c_int, ctypes.POINTER(ctypes.c_double)
+    for path in sorted(_SCIPY_LIBS.glob("libscipy_openblas*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-            return tuple(getattr(lib, name) for name in names)
+            pbsv, get, set_ = (lib.scipy_LAPACKE_dpbsv_work, lib.scipy_openblas_get_num_threads,
+                               lib.scipy_openblas_set_num_threads)
         except (OSError, AttributeError):
             continue
+        pbsv.argtypes, pbsv.restype = [int_, ctypes.c_char, int_, int_, int_, double_p, int_, double_p, int_], int_
+        get.argtypes, get.restype = [], int_
+        set_.argtypes, set_.restype = [int_], None
+        return pbsv, get, set_
     return None
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) for the thread count of scipy's bundled OpenBLAS, or None."""
-    api = _find_openblas(_SCIPY_LIBS, ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
-    if api is not None:
-        get, set_ = api
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-    return api
-
-
-@functools.cache
-def _band_cholesky():
-    """LAPACK's banded Cholesky solve on upper band storage, as ``solve(band, kd, v) -> info``.
+def _band_cholesky(band, kd, v):
+    """LAPACK's banded Cholesky solve on upper band storage; returns LAPACK's ``info``.
 
     Factors in place the flat float64 column-major (kd + 1, n) ``band`` by
     ``dpbtrf`` and, where that succeeds (``info`` 0), overwrites the
     float64 vector ``v`` with the solution by ``dpbtrs``.  Both arrays must
     be contiguous.  This is one ctypes call of ``dpbsv``, which runs those
-    two routines, in scipy's bundled OpenBLAS; a build without it calls
-    them through ``scipy.linalg.lapack``, imported only then.
+    two routines, in scipy's bundled OpenBLAS, on one BLAS thread: a band a
+    few hundred wide is too narrow for a second, which would only spin.  The
+    caller's thread count is restored after, also when the factor fails.  A
+    build without that library calls the two routines through
+    ``scipy.linalg.lapack``, imported only then.
     """
-    found = _find_openblas(_SCIPY_LIBS, ("scipy_LAPACKE_dpbsv_work",))
-    if found is None:
+    api = _openblas()
+    if api is None:
         from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-        def solve(band, kd, v):
-            factor, info = dpbtrf(band.reshape((kd + 1, -1), order="F"), lower=0, overwrite_ab=1)
-            if info == 0:
-                v[:] = dpbtrs(factor, v, lower=0)[0]
-            return info
-
-        return solve
-    pbsv, = found
-    int_, double_p = ctypes.c_int, ctypes.POINTER(ctypes.c_double)
-    pbsv.argtypes = [int_, ctypes.c_char, int_, int_, int_, double_p, int_, double_p, int_]
-    pbsv.restype = int_
-
-    def solve(band, kd, v):
-        # LAPACK reads (kd + 1) n doubles of the band and n of v, through a
-        # c_double over each array's first element, which from_buffer
-        # refuses for an array that is not contiguous or has none
-        if band.dtype != np.float64 or v.dtype != np.float64 or band.size != (kd + 1) * v.size:
-            raise ValueError(f"need a float64 band of (kd + 1) * {v.size} = {(kd + 1) * v.size} entries "
-                             f"and a float64 vector, got {band.size} {band.dtype} and {v.dtype}")
-        if not v.size:
-            return 0
+        factor, info = dpbtrf(band.reshape((kd + 1, -1), order="F"), lower=0, overwrite_ab=1)
+        if info == 0:
+            v[:] = dpbtrs(factor, v, lower=0)[0]
+        return info
+    # LAPACK reads (kd + 1) n doubles of the band and n of v, through a
+    # c_double over each array's first element, which from_buffer refuses
+    # for an array that is not contiguous or has none
+    if band.dtype != np.float64 or v.dtype != np.float64 or band.size != (kd + 1) * v.size:
+        raise ValueError(f"need a float64 band of (kd + 1) * {v.size} = {(kd + 1) * v.size} entries "
+                         f"and a float64 vector, got {band.size} {band.dtype} and {v.dtype}")
+    if not v.size:
+        return 0
+    pbsv, get, set_ = api
+    before = get()
+    if before != 1:
+        set_(1)
+    try:
         return pbsv(_COL_MAJOR, b"U", v.size, kd, 1, ctypes.c_double.from_buffer(band), kd + 1,
                     ctypes.c_double.from_buffer(v), v.size)
-
-    return solve
-
-
-def set_blas_threads(count):
-    """Set the thread count of scipy's bundled OpenBLAS to ``count``; return the previous count.
-
-    Does nothing and returns None when this scipy build bundles no OpenBLAS
-    with the thread-count symbols.
-    """
-    api = _openblas_threads()
-    if api is None:
-        return None
-    get, set_ = api
-    before = get()
-    if before != count:
-        set_(count)
-    return before
+    finally:
+        if before != 1:
+            set_(before)
 
 
 def _pair(u, v):
@@ -272,25 +253,6 @@ class TangentPlaneAnalysis:
         # entry (i, j), i <= j, sits at ab[kd + i - j, j]
         self._dest = self.kd + band_rows - band_cols + (self.kd + 1) * band_cols
 
-    def _band_solve(self, frames, v):
-        """Solve the tangent-plane system for the (3, 2K) ``frames`` by banded Cholesky, over the band-ordered ``v``."""
-        # a band a few hundred wide is too narrow for a second BLAS thread,
-        # which would only spin; the caller's count is restored after
-        before = set_blas_threads(1)
-        try:
-            # the product with ones sums the three components in order, as sum(axis=0) does
-            values = _ONES3.dot(frames.take(self._left, axis=1) * frames.take(self._right, axis=1)) * self._coef
-            band = np.zeros((self.kd + 1) * 2 * self.k)
-            band[self._dest] = values
-            info = _band_cholesky()(band, self.kd, v)
-            if info > 0:
-                node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
-                raise KktError(f"KKT tangent-plane matrix is not positive definite at tangent unknown {unknown} "
-                               f"of node {node} ({self.k} nodes)")
-            return v
-        finally:
-            set_blas_threads(before)
-
     def solve(self, directions, rhs):
         """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
 
@@ -313,7 +275,17 @@ class TangentPlaneAnalysis:
         # (3, K, 2): component, node, frame vector
         frames = tangent_frames(normals)
         reduced_rhs = np.einsum("ckj,kc->kj", frames, rhs)  # F^T rhs, node by node
-        x = self._band_solve(frames.reshape(3, 2 * k), reduced_rhs.take(self._order, axis=0).ravel())
+        columns = frames.reshape(3, 2 * k)
+        # the product with ones sums the three components in order, as sum(axis=0) does
+        values = _ONES3.dot(columns.take(self._left, axis=1) * columns.take(self._right, axis=1)) * self._coef
+        band = np.zeros((self.kd + 1) * 2 * k)
+        band[self._dest] = values
+        x = reduced_rhs.take(self._order, axis=0).ravel()
+        info = _band_cholesky(band, self.kd, x)
+        if info > 0:
+            node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
+            raise KktError(f"KKT tangent-plane matrix is not positive definite at tangent unknown {unknown} "
+                           f"of node {node} ({k} nodes)")
         if not np.isfinite(x).all():
             raise KktError(f"KKT solve produced non-finite values ({k} nodes)")
         p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))

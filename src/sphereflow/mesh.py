@@ -12,13 +12,25 @@ class TriMesh:
 
     vertices : (nv, 2) float array, lexicographic by (row, column)
     cells : (nc, 3) int array, counterclockwise vertex triples
-    boundary_nodes : sorted indices of vertices on the geometric boundary,
-        where the field is fixed (Dirichlet data)
+    boundary_nodes : strictly increasing indices of vertices on the
+        geometric boundary, where the field is fixed (Dirichlet data), at
+        least one; anything else raises ``ValueError``
     """
 
     vertices: np.ndarray
     cells: np.ndarray
     boundary_nodes: np.ndarray
+
+    def __post_init__(self):
+        # free_nodes indexes by these, and the Dirichlet data makes the h1 metric definite
+        nodes, nv = np.asarray(self.boundary_nodes), self.n_vertices
+        if nodes.ndim != 1 or nodes.dtype.kind not in "iu" or not nodes.size:
+            raise ValueError(f"boundary_nodes must be a non-empty 1-D integer array, got {nodes.dtype} {nodes.shape}")
+        bad = (nodes < 0) | (nodes >= nv)
+        bad[1:] |= nodes[1:] <= nodes[:-1]
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"boundary_nodes[{i}] = {nodes[i]}: need strictly increasing vertex indices in [0, {nv})")
 
     @property
     def n_vertices(self):

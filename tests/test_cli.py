@@ -279,6 +279,27 @@ def test_audit_rejects_non_trace(tmp_path, capsys):
     assert "z.csv:3: res_nodal_recursion" in capsys.readouterr().err
 
 
+def test_audit_rejects_a_trace_without_steps(tmp_path, capsys):
+    # a run that fails at step 1 leaves the bare header; with no closed-form
+    # cell, which every step of both methods has, nothing would be audited
+    trace = tmp_path / "t.csv"
+    main(["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--method", "euler",
+          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")])
+    header, first = read(trace).splitlines()[:2]
+    capsys.readouterr()
+    empty = tmp_path / "h.csv"
+    empty.write_text(header + "\n")
+    assert main(["audit", "--trace-in", str(empty)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {empty}: no step to audit (no res_closed_form value)\n"
+    # so is a row whose closed-form cell is empty
+    cells = first.split(",")
+    cells[header.split(",").index("res_closed_form")] = ""
+    empty.write_text(f"{header}\n{','.join(cells)}\n")
+    assert main(["audit", "--trace-in", str(empty)]) == 2
+    assert "no step to audit" in capsys.readouterr().err
+
+
 def test_audit_rejects_truncated_rows(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",

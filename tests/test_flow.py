@@ -592,34 +592,35 @@ def pid_and_blas_threads(u0, system, cfg):
     """Stand-in for ``run_flow``: the process id, its BLAS thread count and
     the counts that one step's band factorizations ran at (a module-level
     function pickles)."""
-    get, _ = kkt._openblas_threads()
-    lookup, seen = kkt._band_cholesky, []
-    cholesky = lookup()
+    lookup, seen = kkt._openblas, []
+    pbsv, get, set_ = lookup()
 
-    def band_factor(band, kd, v):
+    def counted(*args):
         seen.append(get())
-        return cholesky(band, kd, v)
+        return pbsv(*args)
 
-    kkt._band_cholesky = lambda: band_factor
+    kkt._openblas = lambda: (counted, get, set_)
     try:
         euler_init_step(u0, system, cfg)
     finally:
-        kkt._band_cholesky = lookup
+        kkt._openblas = lookup
     return os.getpid(), get(), seen
 
 
 def test_run_sweep_workers_run_one_blas_thread(monkeypatch):
     # the workers inherit the caller's count; each band solve pins one thread itself
-    api = kkt._openblas_threads()
+    api = kkt._openblas()
     if api is None:
-        pytest.skip("this scipy build bundles no OpenBLAS with scipy's thread-count symbols")
+        pytest.skip("this scipy build bundles no OpenBLAS with scipy's LAPACKE and thread-count symbols")
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one usable CPU: the sweep runs in this process")
     monkeypatch.setattr(flow, "run_flow", pid_and_blas_threads)
     u0, system = sweep_system("h1")
-    before = kkt.set_blas_threads(2)
+    _, get, set_ = api
+    before = get()
+    set_(2)
     try:
         seen = run_sweep(u0, system, [FlowConfig(tau=tau) for tau in SWEEP_TAUS])
     finally:
-        kkt.set_blas_threads(before)
+        set_(before)
     assert all(pid != os.getpid() and threads == 2 and factors == [1] for pid, threads, factors in seen)

@@ -346,14 +346,14 @@ class Perturbation:
 def perturb_solves(monkeypatch, bad):
     """Route the band solves ``kkt._band_cholesky`` of the tangent-plane solve through a :class:`Perturbation`."""
     perturbation = Perturbation(bad)
-    cholesky = kkt._band_cholesky()
+    cholesky = kkt._band_cholesky
 
     def band_solve(band, kd, v):
         info = cholesky(band, kd, v)
         v[:] = perturbation(v)
         return info
 
-    monkeypatch.setattr(kkt, "_band_cholesky", lambda: band_solve)
+    monkeypatch.setattr(kkt, "_band_cholesky", band_solve)
     return perturbation
 
 
@@ -382,81 +382,85 @@ def test_solve_does_not_depend_on_the_scale_of_the_directions(scale):
     assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
 
 
-def openblas_threads():
-    """(get, set) of scipy's bundled OpenBLAS thread count; skips the test where this build has none."""
-    api = kkt._openblas_threads()
+def openblas():
+    """(dpbsv, get, set) of scipy's bundled OpenBLAS; skips the test where this build has none."""
+    api = kkt._openblas()
     if api is None:
-        pytest.skip("this scipy build bundles no OpenBLAS with scipy's thread-count symbols")
+        pytest.skip("this scipy build bundles no OpenBLAS with scipy's LAPACKE and thread-count symbols")
     return api
 
 
 def test_blas_threads_restores_the_callers_count():
     # a solve pins one thread and hands the caller's count back, also when it raises
-    get, _ = openblas_threads()
+    _, get, set_ = openblas()
     b, directions, rhs = random_nodal_system(RNG)
     singular = TangentPlaneAnalysis(sp.csr_matrix(np.diag([1.0, 0.0])))
     before = get()
     try:
         for count in (2, 1):
-            kkt.set_blas_threads(count)
+            set_(count)
             TangentPlaneAnalysis(b).solve(directions, rhs)
             assert get() == count
             with pytest.raises(KktError, match="not positive definite"):
                 singular.solve(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)))
             assert get() == count
     finally:
-        kkt.set_blas_threads(before)
+        set_(before)
     assert get() == before
 
 
-def test_band_solve_runs_on_one_blas_thread(monkeypatch):
-    get, _ = openblas_threads()
+def count_blas_threads(monkeypatch):
+    """Wrap the ``dpbsv`` of ``kkt._openblas()``; returns the list of the thread counts its calls ran at."""
+    pbsv, get, set_ = openblas()
     seen = []
-    cholesky = kkt._band_cholesky()
 
-    def band_factor(band, kd, v):
+    def counted(*args):
         seen.append(get())
-        return cholesky(band, kd, v)
+        return pbsv(*args)
 
-    monkeypatch.setattr(kkt, "_band_cholesky", lambda: band_factor)
+    monkeypatch.setattr(kkt, "_openblas", lambda: (counted, get, set_))
+    return seen
+
+
+def test_band_solve_runs_on_one_blas_thread(monkeypatch):
+    _, get, set_ = openblas()
+    seen = count_blas_threads(monkeypatch)
     b, directions, rhs = random_nodal_system(RNG)
-    before = kkt.set_blas_threads(2)
+    before = get()
+    set_(2)
     try:
         TangentPlaneAnalysis(b).solve(directions, rhs)
         assert get() == 2
     finally:
-        kkt.set_blas_threads(before)
+        set_(before)
     assert seen == [1]
 
 
 def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatch):
-    names = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
-    assert kkt._find_openblas(tmp_path, names) is None
-    (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
-    assert kkt._find_openblas(tmp_path, names) is None
     b, directions, rhs = random_nodal_system(RNG)
     expected = TangentPlaneAnalysis(b).solve(directions, rhs).primal
-    monkeypatch.setattr(kkt, "_openblas_threads", lambda: None)
-    assert kkt.set_blas_threads(1) is None
-    assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs).primal, expected)
+    monkeypatch.setattr(kkt, "_SCIPY_LIBS", tmp_path)
+    try:
+        kkt._openblas.cache_clear()
+        assert kkt._openblas() is None
+        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
+        kkt._openblas.cache_clear()
+        assert kkt._openblas() is None
+        assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs).primal, expected)
+    finally:
+        monkeypatch.undo()
+        kkt._openblas.cache_clear()
 
 
-# the cached lookup, kept here for the tests that patch it in the module
-BAND_CHOLESKY = kkt._band_cholesky
-
-
-def bundled_band_cholesky():
-    """The ctypes ``kkt._band_cholesky``; skips the test where this scipy build bundles no ``dpbsv``."""
-    if kkt._find_openblas(kkt._SCIPY_LIBS, ("scipy_LAPACKE_dpbsv_work",)) is None:
-        pytest.skip("this scipy build bundles no OpenBLAS with scipy's LAPACKE symbols")
-    return BAND_CHOLESKY()
-
-
-def fallback_band_cholesky(monkeypatch):
-    """The ``kkt._band_cholesky`` of a scipy build whose bundled OpenBLAS lacks the LAPACK symbols, or that has none."""
-    with monkeypatch.context() as patch:
-        patch.setattr(kkt, "_find_openblas", lambda libs, names: None)
-        return BAND_CHOLESKY.__wrapped__()
+def band_cholesky_routines(monkeypatch):
+    """``kkt._band_cholesky`` twice: on the ctypes ``dpbsv``, then with the
+    lookup patched to None, on the f2py fallback of a scipy build that
+    bundles no OpenBLAS with the LAPACKE symbols; skips the test where this
+    build has none."""
+    openblas()
+    yield kkt._band_cholesky
+    monkeypatch.setattr(kkt, "_openblas", lambda: None)
+    yield kkt._band_cholesky
 
 
 @pytest.mark.parametrize("kd", [0, 15, 63])
@@ -475,7 +479,7 @@ def test_band_cholesky_matches_scipy_lapack_bitwise(kd, monkeypatch):
     indefinite[kd, n // 2] = -1.0
     expected_info = dpbtrf(indefinite, lower=0)[1]
     assert expected_info > 0
-    for cholesky in (bundled_band_cholesky(), fallback_band_cholesky(monkeypatch)):
+    for cholesky in band_cholesky_routines(monkeypatch):
         band, x = ab.flatten(order="F"), v.copy()
         assert cholesky(band, kd, x) == 0
         assert np.array_equal(band.reshape(ab.shape, order="F"), expected_factor)
@@ -484,7 +488,8 @@ def test_band_cholesky_matches_scipy_lapack_bitwise(kd, monkeypatch):
 
 
 def test_band_cholesky_refuses_arrays_lapack_would_overrun():
-    cholesky = bundled_band_cholesky()
+    openblas()
+    cholesky = kkt._band_cholesky
     band, v = np.tile([0.5, 2.0], 8), np.ones(8)  # superdiagonal 0.5, diagonal 2: SPD
     for bad in ((np.ones(15), 1, v), (band, 1, np.ones(9)), (band.astype(np.float32), 1, v),
                 (band, 1, v.astype(int))):
@@ -499,8 +504,7 @@ def test_band_cholesky_names_the_first_failing_node(monkeypatch):
     # a block negative at node 2 of 5 is not positive definite there, by either routine
     b = sp.csr_matrix(np.diag([1.0, 2.0, -1.0, 3.0, 1.0]))
     directions = np.tile([0.0, 0.6, 0.8], (5, 1))
-    for cholesky in (bundled_band_cholesky(), fallback_band_cholesky(monkeypatch)):
-        monkeypatch.setattr(kkt, "_band_cholesky", lambda: cholesky)
+    for _ in band_cholesky_routines(monkeypatch):
         with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 2 \(5 nodes\)"):
             TangentPlaneAnalysis(b).solve(directions, np.ones((5, 3)))
 
@@ -509,11 +513,9 @@ def test_band_cholesky_fallback_gives_the_same_primal(monkeypatch):
     b = bdf2_block(8)
     k = b.shape[0]
     directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
-    bundled = bundled_band_cholesky()
-    monkeypatch.setattr(kkt, "_band_cholesky", lambda: bundled)
+    openblas()
     expected = TangentPlaneAnalysis(b).solve(directions, rhs)
-    fallback = fallback_band_cholesky(monkeypatch)
-    monkeypatch.setattr(kkt, "_band_cholesky", lambda: fallback)
+    monkeypatch.setattr(kkt, "_openblas", lambda: None)
     sol = TangentPlaneAnalysis(b).solve(directions, rhs)
     assert np.array_equal(sol.primal, expected.primal)
     assert np.array_equal(sol.multiplier, expected.multiplier)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import scaled_square_mesh, square_cells
-from sphereflow.mesh import build_square_mesh, free_nodes
+from sphereflow.mesh import TriMesh, build_square_mesh, free_nodes
 
 
 def signed_areas(mesh):
@@ -84,3 +84,25 @@ def test_cells_match_loop_oracle(n):
     assert cells.dtype == np.int64
     assert np.array_equal(cells, square_cells(n))
     assert not cells.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: np.append(b[:-1], 99),
+         r"boundary_nodes\[15\] = 99: need strictly increasing vertex indices in \[0, 25\)"),
+        (lambda b: np.insert(b, 0, -1), r"boundary_nodes\[0\] = -1: need strictly increasing"),
+        (lambda b: np.insert(b, 3, b[3]), r"boundary_nodes\[4\] = 3: need strictly increasing"),
+        (lambda b: b[::-1], r"boundary_nodes\[1\] = 23: need strictly increasing"),
+        (lambda b: b[:0], r"non-empty 1-D integer array, got int64 \(0,\)"),
+        (lambda b: b.astype(float), r"non-empty 1-D integer array, got float64 \(16,\)"),
+        (lambda b: b.reshape(4, 4), r"non-empty 1-D integer array, got int64 \(4, 4\)"),
+    ],
+    ids=["index-past-the-end", "negative-index", "repeated", "unsorted", "empty", "float", "two-dimensional"],
+)
+def test_mesh_refuses_malformed_boundary_nodes(edit, message):
+    # refused at construction, naming the first bad entry: an index past the
+    # end would otherwise reach free_nodes as a bare IndexError
+    lattice = build_square_mesh(4)
+    with pytest.raises(ValueError, match=message):
+        TriMesh(lattice.vertices, lattice.cells, edit(lattice.boundary_nodes))

@@ -16,7 +16,7 @@ from dataclasses import astuple, fields
 
 from .diagnostics import AUDIT_TOL, StepRecord, audit_identities, build_sweep_table
 from .flow import METHODS, METRICS, EnergySystem, FlowConfig, run_flow, run_sweep
-from .initial_data import INIT_KINDS, InitSpec, make_initial
+from .initial_data import EXACT_ENERGY, INIT_KINDS, InitSpec, make_initial
 from .mesh import build_square_mesh
 
 CSV_HEADER = "tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged"
@@ -37,7 +37,6 @@ OPTIONS = (
     ("init", INIT_KINDS, "exact", FLOWS),
     ("seed", int, 1, FLOWS),
     ("perturb_amplitude", float, 0.5, FLOWS),
-    ("ref_energy", float, 3.009, FLOWS),
     ("out", str, None, FLOWS),
     ("trace_out", str, None, ("run",)),
 )
@@ -158,9 +157,6 @@ def _check_value(key, value):
             InitSpec(perturb_amplitude=value)
         elif key == "tau_range":
             _taus(value)
-        # a non-finite reference would blank or fill with inf the energy-error columns
-        elif key == "ref_energy" and not math.isfinite(value):
-            raise UsageError(f"--ref-energy must be finite, got {value}")
         elif key == "mesh_n" and value < 1:
             raise UsageError(f"need at least one cell per side, got n={value}")
     except ValueError as exc:
@@ -226,7 +222,7 @@ def _run_table(config, taus, trace_out=None):
                 trace.write(TRACE_HEADER + "\n")
                 reports = [run_flow(u0, system, flow_configs[0],
                                     on_step=lambda rec: trace.write(_trace_row(rec) + "\n"))]
-            rows = build_sweep_table(reports, config.ref_energy)
+            rows = build_sweep_table(reports, EXACT_ENERGY)
             (out or sys.stdout).write("\n".join([CSV_HEADER, *map(_report_row, rows)]) + "\n")
     except BaseException as exc:
         if new_out and os.path.lexists(config.out):

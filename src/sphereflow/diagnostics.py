@@ -89,7 +89,7 @@ def constraint_violation(sq, weights):
 def eoc(coarse, fine):
     """Convergence order log2(coarse/fine) under step halving.
 
-    Returns NaN when either value is nonpositive (the order is undefined).
+    Returns NaN when either value is nonpositive or NaN (the order is undefined).
     """
     if coarse <= 0 or fine <= 0:
         return math.nan
@@ -305,18 +305,17 @@ def audit_identities(report, tol=AUDIT_TOL):
 def build_sweep_table(reports, reference_energy):
     """Pair sweep runs with experimental orders between consecutive rows.
 
-    A row's ``delta_ener`` is |final energy - ``reference_energy``|.  Orders
-    are defined only across a halving of the reports' step sizes and are
-    NaN (suppressed) when either participating run failed to converge.
+    Row i's ``delta_ener`` is |E_i - ``reference_energy``| for its final energy E_i, its ``eoc_uni`` the order
+    of ``delta_uni`` from row i - 1 to i, and its ``eoc_ener`` that of the gaps |E_{i-2} - E_{i-1}| and
+    |E_{i-1} - E_i| (no reference); each is NaN unless its runs converged and each tau halves the last.
     """
-    rows = []
-    for i, report in enumerate(reports):
+    rows, gap = [], math.nan
+    for prev, report in zip([None, *reports], reports):
         row = SweepRow(report, abs(report.energy_final - reference_energy))
-        if i > 0:
-            prev = rows[i - 1].report
-            halved = abs(report.tau - 0.5 * prev.tau) <= 1e-12 * prev.tau
-            if halved and report.converged and prev.converged:
-                row.eoc_uni = eoc(prev.delta_uni, report.delta_uni)
-                row.eoc_ener = eoc(rows[i - 1].delta_ener, row.delta_ener)
+        last_gap, gap = gap, math.nan
+        if prev and abs(report.tau - 0.5 * prev.tau) <= 1e-12 * prev.tau and report.converged and prev.converged:
+            row.eoc_uni = eoc(prev.delta_uni, report.delta_uni)
+            gap = abs(prev.energy_final - report.energy_final)
+            row.eoc_ener = eoc(last_gap, gap)
         rows.append(row)
     return rows

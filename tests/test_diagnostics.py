@@ -1,5 +1,6 @@
 """Reported quantities, EOC computation and audit aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,7 @@ def test_eoc_values():
     assert eoc(2.0, 1.0) == pytest.approx(1.0)
     assert eoc(1.288e-1, 1.130e-1) == pytest.approx(0.19, abs=5e-3)
     assert math.isnan(eoc(0.0, 1.0))
+    assert math.isnan(eoc(math.nan, 1.0)) and math.isnan(eoc(1.0, math.nan))
     assert math.isnan(eoc(1.0, -2.0))
 
 
@@ -129,14 +131,18 @@ def test_build_sweep_table_eocs():
     reports = [
         _report(tau=0.25, delta_uni=4.0, energy_final=11.0),
         _report(tau=0.125, delta_uni=1.0, energy_final=7.0),
-        _report(tau=0.0625, delta_uni=0.25, energy_final=1.0),
+        _report(tau=0.0625, delta_uni=0.25, energy_final=6.0),
     ]
     rows = build_sweep_table(reports, 3.0)
-    assert [row.delta_ener for row in rows] == [8.0, 4.0, 2.0]
+    assert [row.delta_ener for row in rows] == [8.0, 4.0, 3.0]
     assert math.isnan(rows[0].eoc_uni)
     assert rows[1].eoc_uni == pytest.approx(2.0)
-    assert rows[1].eoc_ener == pytest.approx(1.0)
     assert rows[2].eoc_uni == pytest.approx(2.0)
+    # the energy order compares the gaps |E_0 - E_1| = 4 and |E_1 - E_2| = 1,
+    # not the errors 4 and 3 against the reference, so it starts at row 2
+    assert math.isnan(rows[0].eoc_ener) and math.isnan(rows[1].eoc_ener)
+    assert rows[2].eoc_ener == pytest.approx(2.0)
+    assert [row.eoc_ener for row in build_sweep_table(reports, -50.0)][2] == rows[2].eoc_ener
 
 
 def test_build_sweep_table_suppresses_nonconverged():
@@ -153,6 +159,18 @@ def test_build_sweep_table_suppresses_nonconverged():
 def test_build_sweep_table_requires_halving():
     rows = build_sweep_table([_report(tau=0.25), _report(tau=0.1)], 3.009)
     assert math.isnan(rows[1].eoc_uni) and math.isnan(rows[1].eoc_ener)
+
+
+@pytest.mark.parametrize("broken", [dict(tau=0.1), dict(converged=False)], ids=["non-halving", "non-converged"])
+def test_build_sweep_table_orders_skip_a_broken_row(broken):
+    # row 1 breaks the halvings 0 -> 1 and 1 -> 2: eoc_uni, which spans one
+    # halving, is back at row 3, and eoc_ener, which spans two, at row 4
+    reports = [_report(tau=0.25 * 2.0**-k, delta_uni=4.0**-k, energy_final=1.0 + 2.0**-k) for k in range(5)]
+    reports[1] = dataclasses.replace(reports[1], **broken)
+    rows = build_sweep_table(reports, 1.0)
+    assert [math.isnan(row.eoc_uni) for row in rows] == [True, True, True, False, False]
+    assert [math.isnan(row.eoc_ener) for row in rows] == [True, True, True, True, False]
+    assert rows[4].eoc_uni == pytest.approx(2.0) and rows[4].eoc_ener == pytest.approx(1.0)
 
 
 def test_step_record_defaults():

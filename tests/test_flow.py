@@ -369,15 +369,17 @@ def test_build_sweep_table_reference_energy_wiring():
     assert "delta_ener" not in {f.name for f in dataclasses.fields(RunReport)}
     with pytest.raises(TypeError):
         run_flow(u0, system, FlowConfig(tau=0.25), 3.009)
-    taus = [0.25, 0.125]
+    taus = [0.25, 0.125, 0.0625]
     reports = [run_flow(u0, system, FlowConfig(tau=tau)) for tau in taus]
     assert all(report.converged for report in reports)
     rows = build_sweep_table(reports, 3.009)
     for row, report in zip(rows, reports):
         assert row.report is report
         assert row.delta_ener == abs(report.energy_final - 3.009)
-    assert math.isnan(rows[0].eoc_ener)
-    assert rows[1].eoc_ener == eoc(rows[0].delta_ener, rows[1].delta_ener)
+    # the energy order needs no reference: it compares successive energy gaps
+    energies = [report.energy_final for report in reports]
+    assert math.isnan(rows[0].eoc_ener) and math.isnan(rows[1].eoc_ener)
+    assert rows[2].eoc_ener == eoc(abs(energies[0] - energies[1]), abs(energies[1] - energies[2]))
 
 
 def test_constraint_violation_linear_in_tau_unconditionally():

@@ -106,3 +106,32 @@ def test_mesh_refuses_malformed_boundary_nodes(edit, message):
     lattice = build_square_mesh(4)
     with pytest.raises(ValueError, match=message):
         TriMesh(lattice.vertices, lattice.cells, edit(lattice.boundary_nodes))
+
+
+def replaced(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda v, c: (replaced(v, (7, 1), np.nan), c), r"vertex 7 is not finite: \[0\.0, nan\]"),
+        (lambda v, c: (replaced(v, (24, 0), np.inf), c), r"vertex 24 is not finite: \[inf, 0\.5\]"),
+        (lambda v, c: (np.column_stack([v, v[:, 0]]), c), r"\(nv, 2\) float array, got float64 \(25, 3\)"),
+        (lambda v, c: ((v * 4).astype(np.int64), c), r"\(nv, 2\) float array, got int64 \(25, 2\)"),
+        (lambda v, c: (v, c.astype(float)), r"cells must be an \(nc, 3\) integer array, got float64 \(32, 3\)"),
+        (lambda v, c: (v, c.ravel()), r"cells must be an \(nc, 3\) integer array, got int64 \(96,\)"),
+        (lambda v, c: (v, np.column_stack([c, c[:, 0]])), r"\(nc, 3\) integer array, got int64 \(32, 4\)"),
+    ],
+    ids=["nan-vertex", "infinite-vertex", "three-coordinates", "integer-vertices", "float-cells",
+         "one-dimensional-cells", "four-vertex-cells"],
+)
+def test_mesh_refuses_malformed_vertices_and_cells(edit, message):
+    # refused at construction: float and 1-D cells were bare IndexErrors in the
+    # assembly, (nc, 4) cells a scipy length mismatch, and (nv, 3) vertices
+    # assembled silently on their first two coordinates
+    lattice = build_square_mesh(4)
+    with pytest.raises(ValueError, match=message):
+        TriMesh(*edit(lattice.vertices, lattice.cells), lattice.boundary_nodes)

@@ -1,8 +1,8 @@
-"""Command-line front end: single runs, step-size sweeps, trace audits.
+"""Command-line front end: single runs and step-size sweeps.
 
 CSV table columns carry 6 significant digits (human-comparable); trace
-files carry 17 (lossless for audit reuse).  Exit codes: 0 success,
-1 non-convergence or audit failure, 2 usage error.
+files carry 17 (lossless).  Exit codes: 0 success, 1 non-convergence or
+audit failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import astuple, fields
 
-from .diagnostics import AUDIT_TOL, StepRecord, audit_identities, build_sweep_table
+from .diagnostics import StepRecord, audit_identities, build_sweep_table
 from .flow import METHODS, METRICS, EnergySystem, FlowConfig, run_flow, run_sweep
 from .initial_data import EXACT_ENERGY, INIT_KINDS, InitSpec, make_initial
 from .mesh import build_square_mesh
@@ -172,8 +172,6 @@ def build_parser():
         command = sub.add_parser(name, description=about, allow_abbrev=False)
         command.add_argument("--config", help="flat key=value config file")
         _add_options(command, name)
-    audit = sub.add_parser("audit", allow_abbrev=False)
-    audit.add_argument("--trace-in", dest="trace_in", required=True)
     return parser
 
 
@@ -252,46 +250,7 @@ def cmd_sweep(config):
     return _run_table(config, taus)[1]
 
 
-def cmd_audit(config):
-    maxima = {"res_energy_law": 0.0, "res_nodal_recursion": 0.0, "res_closed_form": 0.0}
-    counted = {key: 0 for key in maxima}
-    header, *rows = _read_lines(config.trace_in) or [""]
-    columns = header.strip().split(",")
-    missing = [key for key in maxima if key not in columns]
-    if missing:
-        raise UsageError(f"{config.trace_in}: not a trace file (no column {', '.join(missing)})")
-    index = {key: columns.index(key) for key in maxima}
-    for lineno, line in enumerate(rows, 2):
-        cells = line.strip().split(",")
-        # a row cut short would skip its missing residuals and pass vacuously
-        if line.strip() and len(cells) != len(columns):
-            raise UsageError(f"{config.trace_in}:{lineno}: {len(cells)} cells, the header has {len(columns)}")
-        for key, idx in index.items():
-            if idx < len(cells) and cells[idx]:
-                try:
-                    value = float(cells[idx])
-                except ValueError:
-                    raise UsageError(f"{config.trace_in}:{lineno}: {key} is not a number: {cells[idx]!r}") from None
-                # a non-finite cell sticks as nan (max(nan, x) is nan) and fails
-                maxima[key] = max(maxima[key], value) if math.isfinite(value) else math.nan
-                counted[key] += 1
-    # the closed form is audited at every step of both methods, so a trace
-    # without it (such as the bare header of a run that failed at step 1)
-    # would pass with nothing checked
-    if not counted["res_closed_form"]:
-        raise UsageError(f"{config.trace_in}: no step to audit (no res_closed_form value)")
-    ok = True
-    for key, value in maxima.items():
-        if counted[key] == 0:
-            print(f"{key}: skipped (no records)")
-            continue
-        print(f"{key}: max {value:.3e} over {counted[key]} steps")
-        if not value <= AUDIT_TOL:
-            ok = False
-    return 0 if ok else 1
-
-
-COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "audit": cmd_audit}
+COMMANDS = {"run": cmd_run, "sweep": cmd_sweep}
 
 
 def main(argv=None):

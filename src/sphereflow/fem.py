@@ -24,7 +24,9 @@ def assemble_p1(mesh):
 
     Raises ``ValueError`` naming the first cell with a vertex index outside
     [0, n_vertices), the first cell whose signed area is not positive and
-    finite (a degenerate or clockwise cell), or the first vertex in no cell.
+    finite (a degenerate or clockwise cell), the first vertex in no cell, or
+    the first cell with a directed edge of an earlier one (a repeated cell,
+    in any rotation, or an overlapping one) together with that earlier cell.
 
     Returns
     -------
@@ -56,6 +58,21 @@ def assemble_p1(mesh):
     covered[mesh.cells] = True
     if not covered.all():
         raise ValueError(f"vertex {covered.argmin()} of {nv} is in no cell")
+    # every cell is counterclockwise now, so a repeated cell, in any rotation,
+    # repeats all three of its directed edges; in a valid mesh each directed
+    # edge bounds one cell
+    tails = mesh.cells.astype(np.int64)
+    keys = (tails * nv + tails[:, [1, 2, 0]]).ravel()
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        _, firsts = np.unique(keys, return_index=True)
+        repeats = np.ones(keys.size, bool)
+        repeats[firsts] = False
+        edge = repeats.argmax()  # the first edge that an earlier cell has
+        first, second = (keys == keys[edge]).argmax() // 3, edge // 3
+        raise ValueError(f"cells {first} {mesh.cells[first].tolist()} and {second} {mesh.cells[second].tolist()} "
+                         f"share the directed edge {tuple(map(int, divmod(keys[edge], nv)))}: "
+                         "a repeated or overlapping cell")
     scale = 1.0 / (4.0 * area)
     # K + iM, converted once: duplicates are summed in the same order for any
     # value type, so the parts are bitwise the two matrices

@@ -244,141 +244,6 @@ def test_non_finite_reference_energy_is_usage_error(tmp_path, capsys, value):
         assert not out.exists()
 
 
-def test_audit_subcommand(tmp_path, capsys):
-    trace = tmp_path / "t.csv"
-    main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
-          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")])
-    code = main(["audit", "--trace-in", str(trace)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "res_energy_law" in out
-    assert "res_nodal_recursion" in out
-
-
-def test_audit_checks_the_closed_form_of_an_euler_trace(tmp_path, capsys):
-    # an Euler run has no two-step audit, but the closed form applies to every step
-    trace = tmp_path / "e.csv"
-    assert main(["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--method", "euler",
-                 "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")]) == 0
-    header, *rows = read(trace).splitlines()
-    assert main(["audit", "--trace-in", str(trace)]) == 0
-    out = capsys.readouterr().out
-    assert "res_energy_law: skipped (no records)" in out
-    assert "res_closed_form: max " in out and f" over {len(rows)} steps" in out
-    # one corrupted closed-form cell fails the re-audit
-    cells = rows[-1].split(",")
-    cells[header.split(",").index("res_closed_form")] = "1e-3"
-    trace.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n")
-    assert main(["audit", "--trace-in", str(trace)]) == 1
-    assert f"res_closed_form: max 1.000e-03 over {len(rows)} steps" in capsys.readouterr().out
-
-
-def test_audit_rejects_non_trace(tmp_path, capsys):
-    bogus = tmp_path / "x.csv"
-    bogus.write_text("a,b,c\n1,2,3\n")
-    assert main(["audit", "--trace-in", str(bogus)]) == 2
-    partial = tmp_path / "y.csv"
-    partial.write_text("n,res_energy_law\n2,1e-16\n")
-    assert main(["audit", "--trace-in", str(partial)]) == 2
-    assert "res_nodal_recursion" in capsys.readouterr().err
-    assert main(["audit", "--trace-in", str(tmp_path / "missing.csv")]) == 2
-    assert "missing.csv" in capsys.readouterr().err
-    garbled = tmp_path / "z.csv"
-    garbled.write_text("res_energy_law,res_nodal_recursion,res_closed_form\n1e-16,1e-15,0\n1e-16,oops,0\n")
-    assert main(["audit", "--trace-in", str(garbled)]) == 2
-    assert "z.csv:3: res_nodal_recursion" in capsys.readouterr().err
-
-
-def test_audit_rejects_a_trace_without_steps(tmp_path, capsys):
-    # a run that fails at step 1 leaves the bare header; with no closed-form
-    # cell, which every step of both methods has, nothing would be audited
-    trace = tmp_path / "t.csv"
-    main(["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed", "--method", "euler",
-          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")])
-    header, first = read(trace).splitlines()[:2]
-    capsys.readouterr()
-    empty = tmp_path / "h.csv"
-    empty.write_text(header + "\n")
-    assert main(["audit", "--trace-in", str(empty)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {empty}: no step to audit (no res_closed_form value)\n"
-    # so is a row whose closed-form cell is empty
-    cells = first.split(",")
-    cells[header.split(",").index("res_closed_form")] = ""
-    empty.write_text(f"{header}\n{','.join(cells)}\n")
-    assert main(["audit", "--trace-in", str(empty)]) == 2
-    assert "no step to audit" in capsys.readouterr().err
-
-
-def test_audit_rejects_truncated_rows(tmp_path, capsys):
-    trace = tmp_path / "t.csv"
-    main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
-          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")])
-    header, first, second, third = read(trace).splitlines()[:4]
-    # a two-step row with both residual cells missing
-    short = tmp_path / "short.csv"
-    short.write_text(f"{header}\n2,0.25,1,1,1,0\n")
-    assert main(["audit", "--trace-in", str(short)]) == 2
-    assert "short.csv:2:" in capsys.readouterr().err
-    # the last of two two-step rows cut after its third cell
-    cut = tmp_path / "cut.csv"
-    cut.write_text("\n".join([header, first, second, ",".join(third.split(",")[:3])]) + "\n")
-    assert main(["audit", "--trace-in", str(cut)]) == 2
-    assert "cut.csv:4:" in capsys.readouterr().err
-    # a blank row is no row
-    blank = tmp_path / "blank.csv"
-    blank.write_text("\n".join([header, first, "", second, third]) + "\n\n")
-    assert main(["audit", "--trace-in", str(blank)]) == 0
-    assert "over 2 steps" in capsys.readouterr().out
-
-
-def test_audit_fails_non_finite_residual(tmp_path, capsys):
-    trace = tmp_path / "t.csv"
-    trace.write_text("res_energy_law,res_nodal_recursion,res_closed_form\nnan,nan,0\n")
-    assert main(["audit", "--trace-in", str(trace)]) == 1
-    assert capsys.readouterr().out.count("max nan over 1 steps") == 2
-    # a nan or inf cell between finite ones still fails
-    for cell in ("nan", "inf", "-inf"):
-        trace.write_text("res_energy_law,res_nodal_recursion,res_closed_form\n"
-                         f"1e-16,1e-16,0\n{cell},1e-16,0\n1e-16,1e-16,0\n")
-        assert main(["audit", "--trace-in", str(trace)]) == 1
-        assert "res_energy_law: max nan over 3 steps" in capsys.readouterr().out
-
-
-def test_audit_rejects_bad_tolerance(tmp_path, capsys):
-    # the re-audit judges at diagnostics.AUDIT_TOL, as run and sweep do; it takes no tolerance
-    trace = tmp_path / "t.csv"
-    trace.write_text("res_energy_law,res_nodal_recursion\n1e-16,1e-16\n")
-    for tol in ("1e300", "1e-10"):
-        with pytest.raises(SystemExit) as err:
-            main(["audit", "--trace-in", str(trace), "--audit-tol", tol])
-        assert err.value.code == 2
-        assert f"unrecognized arguments: --audit-tol {tol}" in capsys.readouterr().err
-
-
-def test_audit_finds_columns_by_name(tmp_path, capsys):
-    trace = tmp_path / "t.csv"
-    main(["run", "--mesh-n", "4", "--tau", "0.125", "--init", "perturbed",
-          "--trace-out", str(trace), "--out", str(tmp_path / "r.csv")])
-    assert main(["audit", "--trace-in", str(trace)]) == 0
-    expected = capsys.readouterr().out
-    # swap the two residual columns in the header and in every row
-    swapped = tmp_path / "swapped.csv"
-    rows = [line.split(",") for line in read(trace).splitlines()]
-    for cells in rows:
-        cells[6], cells[7] = cells[7], cells[6]
-    swapped.write_text("\n".join(",".join(cells) for cells in rows) + "\n")
-    assert main(["audit", "--trace-in", str(swapped)]) == 0
-    assert capsys.readouterr().out == expected
-    # a failing energy law is attributed to its own column after the swap
-    failing = tmp_path / "failing.csv"
-    failing.write_text(",".join(rows[0]) + "\n2,0.25,1,1,1,0,1e-12,1e-3,0\n")
-    assert main(["audit", "--trace-in", str(failing)]) == 1
-    out = capsys.readouterr().out
-    assert "res_energy_law: max 1.000e-03" in out
-    assert "res_nodal_recursion: max 1.000e-12" in out
-
-
 def test_config_file_and_flag_precedence(tmp_path):
     config = tmp_path / "flow.cfg"
     config.write_text(
@@ -432,6 +297,18 @@ def test_config_file_value_refused_after_parsing_names_its_line(tmp_path, capsys
     assert main([subcommand, "--config", str(config), "--mesh-n", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}:2: ") and err.count("\n") == 1
+
+
+def test_audit_subcommand_is_usage_error(tmp_path, capsys):
+    # a run judges every step's residuals as it writes them, so no command reads a verdict back from its trace
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--mesh-n", "2", "--tau", "0.25", "--out", str(tmp_path / "r.csv"),
+                 "--trace-out", str(trace)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "--trace-in", str(trace)])
+    assert err.value.code == 2
+    assert "invalid choice: 'audit'" in capsys.readouterr().err
 
 
 def test_audits_cannot_be_switched_off(tmp_path, capsys):
@@ -518,8 +395,7 @@ def test_sweep_rejects_trace_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [["sweep", "--tau-range", "2:3", "--tau", "0.1"],
-                                  ["run", "--tau", "0.25", "--tau-range", "2:3"],
-                                  ["audit", "--trace-in", "t.csv", "--mesh-n", "2"]])
+                                  ["run", "--tau", "0.25", "--tau-range", "2:3"]])
 def test_flag_of_another_subcommand_is_usage_error(capsys, args):
     with pytest.raises(SystemExit) as err:
         main(args)
@@ -589,8 +465,14 @@ def test_failing_flow_leaves_the_rows_before_it(tmp_path, capsys):
     header, *rows = read(trace).splitlines()
     assert header == TRACE_HEADER
     assert [int(row.split(",")[0]) for row in rows] == list(range(1, failed))
-    # the rows written are whole and pass the audit
-    assert main(["audit", "--trace-in", str(trace)]) == 0
+    # the rows written are whole, and every residual the run wrote is within the one tolerance
+    columns = header.split(",")
+    residuals = [i for i, name in enumerate(columns) if name.startswith("res_")]
+    assert len(residuals) == 3
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(columns)
+        assert all(float(cells[i]) <= AUDIT_TOL for i in residuals if cells[i])
 
 
 def test_failing_run_removes_only_a_table_file_it_created(tmp_path, capsys):
@@ -633,7 +515,7 @@ def test_unwritable_output_fails_before_any_flow(tmp_path, monkeypatch, capsys, 
     assert f"error: cannot write {bad}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["run --tau 0.25 --config", "audit --trace-in"])
+@pytest.mark.parametrize("subcommand", ["run --tau 0.25 --config"])
 def test_undecodable_input_file_is_usage_error(tmp_path, capsys, subcommand):
     garbage = tmp_path / "garbage.txt"
     garbage.write_bytes(b"\xff\xfe")

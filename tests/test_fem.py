@@ -155,7 +155,8 @@ def replaced(array, index, value):
 
 # each malformed mesh fails the assembly before it divides by an area: a
 # zero-area cell made the energy NaN, so two audits read it as skipped and
-# passed, and a clockwise cell's matrices entered negated, a different problem
+# passed, and a clockwise cell's matrices entered negated, a different problem;
+# a repeated cell counted twice in every matrix, a different problem again
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -164,8 +165,16 @@ def replaced(array, index, value):
         (lambda v, c: (v, replaced(c, (7, 1), -1)), r"cell 7 \[3, -1, 8\] has a vertex index outside \[0, 25\)"),
         (lambda v, c: (v, replaced(c, (7, 1), 25)), r"cell 7 \[3, 25, 8\] has a vertex index outside \[0, 25\)"),
         (lambda v, c: (np.vstack([v, [0.75, 0.75]]), c), r"vertex 25 of 26 is in no cell"),
+        (lambda v, c: (v, np.vstack([c, c[5]])),
+         r"cells 5 \[2, 8, 7\] and 32 \[2, 8, 7\] share the directed edge \(2, 8\)"),
+        (lambda v, c: (v, np.vstack([c, np.roll(c[5], 1)])),
+         r"cells 5 \[2, 8, 7\] and 32 \[7, 2, 8\] share the directed edge \(7, 2\)"),
+        (lambda v, c: (v, np.vstack([c, [2, 8, 12]])),
+         r"cells 5 \[2, 8, 7\] and 32 \[2, 8, 12\] share the directed edge \(2, 8\)"),
+        (lambda v, c: (np.vstack([v, [0.75, 0.75]]), np.vstack([c, c[5]])), r"vertex 25 of 26 is in no cell"),
     ],
-    ids=["zero-area-cell", "clockwise-cell", "negative-index", "index-past-the-end", "vertex-in-no-cell"],
+    ids=["zero-area-cell", "clockwise-cell", "negative-index", "index-past-the-end", "vertex-in-no-cell",
+         "repeated-cell", "rotated-repeated-cell", "overlapping-cell", "repeated-cell-and-vertex-in-no-cell"],
 )
 def test_assembly_refuses_malformed_mesh(edit, message):
     lattice = build_square_mesh(4)

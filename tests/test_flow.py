@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.spatial import Delaunay
 from hypothesis import strategies as st
 
 from oracles import audit_steps, dense_saddle_solve
@@ -251,6 +252,36 @@ def test_run_flow_audit_residuals_both_metrics():
         assert report.a_sq > 0.0 and report.b_sq > 0.0
 
 
+def delaunay_mesh(domain, n, seed):
+    """The Delaunay mesh of random points on the square [-1/2, 1/2]^2 or the disk of radius 1/2.
+
+    The square takes its corners and ``n`` points on each side, the disk
+    ``4 n + 4`` points on its circle; the points placed on the boundary
+    carry the Dirichlet data, and ``n * n`` points fall inside.
+    """
+    rng = np.random.default_rng(seed)
+    if domain == "square":
+        low, high, side = np.full(n, -0.5), np.full(n, 0.5), rng.uniform(-0.5, 0.5, (4, n))
+        boundary = np.vstack([[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]],
+                              np.column_stack([side[0], low]), np.column_stack([high, side[1]]),
+                              np.column_stack([side[2], high]), np.column_stack([low, side[3]])])
+        inside = rng.uniform(-0.5, 0.5, (n * n, 2))
+    else:
+        angle = 2.0 * math.pi * rng.uniform(0.0, 1.0, 4 * n + 4)
+        boundary = 0.5 * np.column_stack([np.cos(angle), np.sin(angle)])
+        radius = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, n * n))
+        theta = 2.0 * math.pi * rng.uniform(0.0, 1.0, n * n)
+        inside = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+    points = np.vstack([boundary, inside])
+    cells = Delaunay(points).simplices
+    # Qhull orients its simplices either way; the assembly takes counterclockwise cells
+    corners = points[cells]
+    edges = corners[:, 1:] - corners[:, :1]
+    clockwise = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0] < 0.0
+    cells[clockwise] = cells[clockwise][:, ::-1]
+    return TriMesh(points, cells, np.arange(len(boundary)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     n=st.integers(1, 8),
@@ -261,20 +292,25 @@ def test_run_flow_audit_residuals_both_metrics():
     seed=st.integers(0, 2**16),
     steps=st.integers(2, 15),
     jitter=st.floats(0.0, 0.3),
+    domain=st.sampled_from(["lattice", "square", "disk"]),
 )
-def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, steps, jitter):
+def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, init, seed, steps, jitter, domain):
     # every accepted configuration passes its audits to round-off, on the
-    # lattice and off it; only the two-step identities of an Euler run, and
-    # the nodal recursion of a mesh without free nodes (n = 1), read skipped
-    lattice = build_square_mesh(n)
-    free = free_nodes(lattice)
-    # each interior vertex moves by at most jitter * h / sqrt(2) in each
-    # coordinate, so by at most 0.3 h in all: less than half the shortest
-    # altitude h / sqrt(2) of a cell, which keeps every cell's orientation
-    vertices = lattice.vertices.copy()
-    vertices[free] += jitter / n / math.sqrt(2.0) * np.random.default_rng(seed).uniform(-1.0, 1.0, (free.size, 2))
-    mesh = TriMesh(vertices, lattice.cells, lattice.boundary_nodes)
-    corners = vertices[mesh.cells]
+    # lattice, off it and on Delaunay meshes of the square and the disk; only
+    # the two-step identities of an Euler run, and the nodal recursion of a
+    # mesh without free nodes (the lattice at n = 1), read skipped
+    if domain == "lattice":
+        lattice = build_square_mesh(n)
+        free = free_nodes(lattice)
+        # each interior vertex moves by at most jitter * h / sqrt(2) in each
+        # coordinate, so by at most 0.3 h in all: less than half the shortest
+        # altitude h / sqrt(2) of a cell, which keeps every cell's orientation
+        vertices = lattice.vertices.copy()
+        vertices[free] += jitter / n / math.sqrt(2.0) * np.random.default_rng(seed).uniform(-1.0, 1.0, (free.size, 2))
+        mesh = TriMesh(vertices, lattice.cells, lattice.boundary_nodes)
+    else:
+        mesh = delaunay_mesh(domain, n, seed)
+    corners = mesh.vertices[mesh.cells]
     edges = corners[:, 1:] - corners[:, :1]
     assert (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0] > 0.0).all()
     u0 = make_initial(mesh, InitSpec(init, seed=seed, perturb_amplitude=0.5))
@@ -284,7 +320,7 @@ def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, 
     assert passed, summary
     skipped = {key for key, value in summary.items() if math.isnan(value)}
     expected = {"res_energy_law", "res_nodal_recursion"} if method == "euler" else set()
-    assert skipped == (expected | {"res_nodal_recursion"} if n == 1 else expected)
+    assert skipped == (expected | {"res_nodal_recursion"} if not free_nodes(mesh).size else expected)
 
 
 # audit values that are residuals, already scaled by 1 + the size of what
@@ -326,12 +362,17 @@ def test_run_flow_audit_matches_plain_formulas(n, init, metric, method):
 
 @pytest.mark.parametrize("metric", ["h1", "l2"])
 def test_report_nodal_recursion_is_the_worst_step(metric):
-    # the report keeps a running maximum; it must be the maximum over the
-    # two-step steps' records, bit for bit
+    # the report keeps running maxima; each must be the maximum over the
+    # records it audits, bit for bit: the nodal recursion over the two-step
+    # steps', the closed form over every step's of both methods, so a run's
+    # verdict is the verdict over its trace
     _, u0, system = unit_square_setup(8, metric=metric, init="perturbed")
-    report, records = traced_run(u0, system, FlowConfig(method="bdf2", tau=0.125))
-    assert report.n_stop > 10
-    assert report.res_nodal_recursion == max(rec.res_nodal_recursion for rec in records[1:])
+    for method in ("bdf2", "euler"):
+        report, records = traced_run(u0, system, FlowConfig(method=method, tau=0.125))
+        assert report.n_stop > 10
+        assert report.res_closed_form == max(rec.res_closed_form for rec in records)
+        if method == "bdf2":
+            assert report.res_nodal_recursion == max(rec.res_nodal_recursion for rec in records[1:])
 
 
 def test_run_flow_euler_audits_and_skips():

@@ -23,9 +23,8 @@ CSV_HEADER = "tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,conv
 TRACE_HEADER = ",".join(f.name for f in fields(StepRecord))
 
 FLOWS = ("run", "sweep")
-# one row per option: key (the flag without "--", with "_" for "-"; also
-# the config-file key), type or tuple of choices, default, the subcommands
-# that take the flag (a config file may set any key)
+# one row per option: key (the flag without "--", with "_" for "-"), type
+# or tuple of choices, default, the subcommands that take the flag
 OPTIONS = (
     ("mesh_n", int, 32, FLOWS),
     ("method", METHODS, "bdf2", FLOWS),
@@ -83,53 +82,6 @@ def _opened(path):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _read_lines(path):
-    try:
-        with open(path) as handle:
-            return handle.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-
-
-def _add_options(parser, subcommand=None):
-    """Add the flags that ``subcommand`` takes (None: every flag)."""
-    # a flag left out sets nothing, so it cannot hide a config-file value
-    for key, kind, default, subcommands in OPTIONS:
-        if subcommand is None or subcommand in subcommands:
-            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            parser.add_argument(f"--{key.replace('_', '-')}", default=argparse.SUPPRESS,
-                                help=f"default {default}", **typed)
-
-
-def load_config_file(path):
-    """Parse a flat key=value configuration file with the flag declarations.
-
-    Returns a dict of the values set in the file; a malformed line, an
-    unknown key or a bad value is a :class:`UsageError` naming ``path:line``.
-    """
-    parser = argparse.ArgumentParser(exit_on_error=False)
-    _add_options(parser)
-    values = argparse.Namespace()
-    for lineno, line in enumerate(_read_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in DEFAULTS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            parser.parse_args([f"--{key.replace('_', '-')}={raw.strip()}"], namespace=values)
-            _check_value(key, getattr(values, key))
-        except (argparse.ArgumentError, UsageError) as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from None
-    return vars(values)
-
-
 def _taus(tau_range):
     """Step sizes 2**-m for a range m_lo:m_hi; tau is monotone in m, so :class:`FlowConfig` checks the end points."""
     try:
@@ -148,21 +100,6 @@ def _taus(tau_range):
     return [2.0**-m for m in range(lo, hi + 1)]
 
 
-def _check_value(key, value):
-    """Refuse an option value that the set-up or a flow would refuse, with the library's message."""
-    try:
-        if key in ("tau", "eps_stop", "t_max"):
-            FlowConfig(**{key: value})
-        elif key == "perturb_amplitude":
-            InitSpec(perturb_amplitude=value)
-        elif key == "tau_range":
-            _taus(value)
-        elif key == "mesh_n" and value < 1:
-            raise UsageError(f"need at least one cell per side, got n={value}")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="sphereflow")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -170,19 +107,18 @@ def build_parser():
                         ("sweep", "one run per tau = 2^-m for m in --tau-range m_lo:m_hi")):
         # no abbreviations: sweep would read --tau as --tau-range
         command = sub.add_parser(name, description=about, allow_abbrev=False)
-        command.add_argument("--config", help="flat key=value config file")
-        _add_options(command, name)
+        # a flag left out sets nothing; resolve_config gives it its default
+        for key, kind, default, subcommands in OPTIONS:
+            if name in subcommands:
+                typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                command.add_argument(f"--{key.replace('_', '-')}", default=argparse.SUPPRESS,
+                                     help=f"default {default}", **typed)
     return parser
 
 
 def resolve_config(args):
-    """Check each flag value as file values are checked; then flags beat config file beats defaults."""
-    config_file = getattr(args, "config", None)
-    file_values = load_config_file(config_file) if config_file else {}
-    for key, value in vars(args).items():
-        if key in DEFAULTS:
-            _check_value(key, value)
-    return argparse.Namespace(**{**DEFAULTS, **file_values, **vars(args)})
+    """The parsed flags over the defaults: every option, whichever subcommand takes it."""
+    return argparse.Namespace(**{**DEFAULTS, **vars(args)})
 
 
 def _setup(config):

@@ -207,7 +207,7 @@ def test_sweep_same_initial_data_for_all_taus(tmp_path):
     assert taus[1] == pytest.approx(taus[0] / 2)
 
 
-def test_sweep_ref_energy_changes_only_the_energy_error_columns(tmp_path, monkeypatch):
+def test_sweep_exact_energy_moves_only_delta_ener(tmp_path, monkeypatch):
     # the reference is fixed by the domain, not by the user; shifting it by hand
     # moves delta_ener only, since eoc_ener is taken from successive energies
     args = ["sweep", "--mesh-n", "4", "--tau-range", "2:5", "--init", "perturbed"]
@@ -225,78 +225,16 @@ def test_sweep_ref_energy_changes_only_the_energy_error_columns(tmp_path, monkey
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_reference_energy_is_usage_error(tmp_path, capsys, value):
+def test_ref_energy_flag_is_usage_error(capsys, value):
     # the command line builds one domain and one boundary datum, so the
     # energy-error columns measure against their exact energy, which nothing
-    # sets: --ref-energy and the ref_energy key are refused, whatever the value
+    # sets: --ref-energy is refused, whatever the value
     for args in (["run", "--tau", "0.25"], ["sweep", "--tau-range", "2:3"]):
         for text in ("3", value):
             with pytest.raises(SystemExit) as err:
                 main([*args, "--mesh-n", "4", "--ref-energy", text])
             assert err.value.code == 2
             assert f"unrecognized arguments: --ref-energy {text}" in capsys.readouterr().err
-    config = tmp_path / "flow.cfg"
-    out = tmp_path / "s.csv"
-    for text in ("3", value):
-        config.write_text(f"ref_energy = {text}\n")
-        assert main(["sweep", "--mesh-n", "4", "--tau-range", "2:3", "--config", str(config), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {config}:1: unknown key 'ref_energy'\n"
-        assert not out.exists()
-
-
-def test_config_file_and_flag_precedence(tmp_path):
-    config = tmp_path / "flow.cfg"
-    config.write_text(
-        "# benchmark defaults\n"
-        "mesh_n = 2\n"
-        "method = euler\n"
-        "tau = 0.25\n"
-    )
-    out = tmp_path / "o.csv"
-    code = main(["run", "--config", str(config), "--out", str(out)])
-    assert code == 0
-    # flag beats the config value
-    out2 = tmp_path / "o2.csv"
-    code = main(
-        ["run", "--config", str(config), "--tau", "0.125", "--out", str(out2)]
-    )
-    assert code == 0
-    assert read(out2).splitlines()[1].startswith("0.125,")
-
-
-def test_config_file_unknown_key(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("mesh_n = 2\nmesh_m = 2\n")
-    assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
-    assert f"{config}:2: unknown key 'mesh_m'" in capsys.readouterr().err
-    assert main(["run", "--config", str(tmp_path / "missing.cfg"), "--tau", "0.25"]) == 2
-    assert "missing.cfg" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["mesh_n = abc", "method = leapfrog", "tau = fast"])
-def test_config_file_bad_value(tmp_path, capsys, line):
-    # config values go through the flag parser: a bad one is a usage error
-    config = tmp_path / "bad.cfg"
-    config.write_text(line + "\n")
-    assert main(["run", "--config", str(config), "--mesh-n", "2", "--tau", "0.25"]) == 2
-    err = capsys.readouterr().err
-    assert f"{config}:1: argument --" in err
-    assert line.split(" = ")[1] in err
-
-
-@pytest.mark.parametrize("subcommand, line", [
-    ("run", "eps_stop = 0"), ("run", "t_max = -1"),
-    ("run", "perturb_amplitude = nan"), ("run", "mesh_n = 0"), ("run", "tau = -1"),
-    ("sweep", "tau_range = 4:2"),
-])
-def test_config_file_value_refused_after_parsing_names_its_line(tmp_path, capsys, subcommand, line):
-    # a value of the right type that the set-up or a flow refuses, refused
-    # as the flag's value is, even where a flag overrides it
-    config = tmp_path / "bad.cfg"
-    config.write_text(f"tau = 0.25\n{line}\n")
-    assert main([subcommand, "--config", str(config), "--mesh-n", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {config}:2: ") and err.count("\n") == 1
 
 
 def test_audit_subcommand_is_usage_error(tmp_path, capsys):
@@ -311,20 +249,23 @@ def test_audit_subcommand_is_usage_error(tmp_path, capsys):
     assert "invalid choice: 'audit'" in capsys.readouterr().err
 
 
-def test_audits_cannot_be_switched_off(tmp_path, capsys):
-    # every run and sweep audits its flows; neither a flag nor a config key turns that off
+@pytest.mark.parametrize("args", [["run", "--tau", "0.25"], ["sweep", "--tau-range", "2:3"]], ids=["run", "sweep"])
+def test_config_flag_is_usage_error(tmp_path, capsys, args):
+    # every run input is a flag; no file sets one
+    config = tmp_path / "f.cfg"
+    config.write_text("mesh_n = 2\n")
+    with pytest.raises(SystemExit) as err:
+        main([*args, "--mesh-n", "2", "--config", str(config)])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
+
+
+def test_audits_cannot_be_switched_off(capsys):
+    # every run and sweep audits its flows; no flag turns that off
     with pytest.raises(SystemExit) as err:
         main(["run", "--mesh-n", "2", "--tau", "0.25", "--audit", "off"])
     assert err.value.code == 2
     assert "unrecognized arguments: --audit off" in capsys.readouterr().err
-    config = tmp_path / "flow.cfg"
-    config.write_text("mesh_n = 2\naudit = off\n")
-    assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
-    assert f"error: {config}:2: unknown key 'audit'" in capsys.readouterr().err
-    # nor does a loose tolerance, which would pass every finite residual
-    config.write_text("mesh_n = 2\naudit_tol = inf\n")
-    assert main(["run", "--config", str(config), "--tau", "0.25"]) == 2
-    assert f"error: {config}:2: unknown key 'audit_tol'" in capsys.readouterr().err
 
 
 def test_corrupted_step_fails_the_run_at_the_one_tolerance(monkeypatch, capsys):
@@ -401,18 +342,6 @@ def test_flag_of_another_subcommand_is_usage_error(capsys, args):
         main(args)
     assert err.value.code == 2
     assert f"unrecognized arguments: {args[3]}" in capsys.readouterr().err
-
-
-def test_one_config_file_serves_run_and_sweep(tmp_path, monkeypatch):
-    # a config file may set any option; each subcommand uses the ones it takes
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "flow.cfg").write_text("mesh_n = 2\ntau = 0.25\ntau_range = 2:3\ntrace_out = t.csv\n")
-    assert main(["sweep", "--config", "flow.cfg", "--out", "s.csv"]) == 0
-    assert read(tmp_path / "s.csv").splitlines()[2].startswith("0.125,")
-    assert not (tmp_path / "t.csv").exists()
-    assert main(["run", "--config", "flow.cfg", "--out", "r.csv"]) == 0
-    assert read(tmp_path / "r.csv").splitlines()[1].startswith("0.25,")
-    assert read(tmp_path / "t.csv").startswith(TRACE_HEADER)
 
 
 def _read_trace(path):
@@ -515,39 +444,28 @@ def test_unwritable_output_fails_before_any_flow(tmp_path, monkeypatch, capsys, 
     assert f"error: cannot write {bad}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["run --tau 0.25 --config"])
-def test_undecodable_input_file_is_usage_error(tmp_path, capsys, subcommand):
-    garbage = tmp_path / "garbage.txt"
-    garbage.write_bytes(b"\xff\xfe")
-    assert main([*subcommand.split(), str(garbage)]) == 2
-    assert f"error: cannot read {garbage}" in capsys.readouterr().err
-
-
-# a config-file value and a different flag value for every option but the output paths
-OVERRIDES = {
-    "mesh_n": ("4", "8"),
-    "method": ("euler", "bdf2"),
-    "metric": ("l2", "h1"),
-    "tau": ("0.25", "0.125"),
-    "tau_range": ("2:4", "3:5"),
-    "eps_stop": ("1e-4", "1e-5"),
-    "t_max": ("10", "20"),
-    "init": ("random", "perturbed"),
-    "seed": ("7", "9"),
-    "perturb_amplitude": ("0.25", "0.75"),
+# a flag value for every option but the output paths, each other than its default
+FLAG_VALUES = {
+    "mesh_n": "8",
+    "method": "euler",
+    "metric": "l2",
+    "tau": "0.125",
+    "tau_range": "3:5",
+    "eps_stop": "1e-5",
+    "t_max": "20",
+    "init": "perturbed",
+    "seed": "9",
+    "perturb_amplitude": "0.75",
 }
 
 
 @pytest.mark.parametrize("key, kind", [row[:2] for row in cli.OPTIONS if row[0] not in ("out", "trace_out")])
-def test_every_option_from_config_file_and_flag(tmp_path, key, kind):
+def test_every_option_from_its_flag(key, kind):
     parse = str if isinstance(kind, tuple) else kind
-    file_value, flag_value = OVERRIDES[key]
-    config = tmp_path / "flow.cfg"
-    config.write_text(f"{key} = {file_value}\n")
     # the first subcommand that takes the flag
     subcommand = next(subcommands[0] for name, _, _, subcommands in cli.OPTIONS if name == key)
-    args = [subcommand, "--config", str(config)]
-    resolved = getattr(cli.resolve_config(cli.build_parser().parse_args(args)), key)
-    assert resolved == parse(file_value) != cli.DEFAULTS[key]
-    args += [f"--{key.replace('_', '-')}", flag_value]
-    assert getattr(cli.resolve_config(cli.build_parser().parse_args(args)), key) == parse(flag_value)
+    args = [subcommand, f"--{key.replace('_', '-')}", FLAG_VALUES[key]]
+    config = cli.resolve_config(cli.build_parser().parse_args(args))
+    assert getattr(config, key) == parse(FLAG_VALUES[key]) != cli.DEFAULTS[key]
+    # every option left out, one the subcommand does not take too, is at its default
+    assert vars(config) == {**cli.DEFAULTS, key: getattr(config, key), "subcommand": subcommand}

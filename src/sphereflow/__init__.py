@@ -25,7 +25,7 @@ from .flow import (
     run_sweep,
 )
 from .initial_data import InitSpec, inverse_stereographic, make_initial
-from .kkt import KktError, KktSolution, TangentPlaneAnalysis
+from .kkt import KktError, TangentPlaneAnalysis
 from .mesh import TriMesh, build_square_mesh, free_nodes
 
 # the imports also bind the submodules, which are not exported

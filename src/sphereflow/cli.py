@@ -86,7 +86,7 @@ def _taus(tau_range):
     """Step sizes 2**-m for a range m_lo:m_hi; tau is monotone in m, so :class:`FlowConfig` checks the end points."""
     try:
         lo, hi = (int(part) for part in tau_range.split(":"))
-    except (ValueError, AttributeError):
+    except ValueError:
         raise UsageError(f"--tau-range expects m_lo:m_hi, got {tau_range!r}")
     if hi < lo:
         raise UsageError(f"--tau-range must be increasing in m, got {tau_range!r}")
@@ -180,6 +180,8 @@ def cmd_run(config):
 
 
 def cmd_sweep(config):
+    if config.tau_range is None:
+        raise UsageError("sweep requires --tau-range")
     taus = _taus(config.tau_range)
     if len(taus) < 2:
         raise UsageError("sweep needs at least two step sizes (use --tau-range m_lo:m_hi with m_hi > m_lo)")

@@ -20,7 +20,7 @@ MONO_SLACK = 1e-9
 
 FEASIBILITY_TOL = 1e-8
 
-# the bound of every identity audit but monotonicity's; the CLI offers no way to change it
+# the bound of every identity audit but monotonicity's; no flag or keyword changes it
 AUDIT_TOL = 1e-8
 
 # Entries of the 2x2 matrix defining the BDF2-adapted quadratic form on
@@ -286,19 +286,19 @@ class _Audit:
         )
 
 
-def audit_identities(report, tol=AUDIT_TOL):
+def audit_identities(report):
     """Pass/fail view of the identity residuals of a finished run.
 
     The summary maps each of ``AUDIT_KEYS`` to the report's value: the
     initialization identity, the telescoped energy law, the worst per-step
-    nodal recursion, the worst per-step closed-form constraint audit, and the
-    worst monotonicity violation, which must stay below ``MONO_SLACK``.  NaN
-    residuals count as skipped, not failed; pure Euler runs skip both
-    two-step entries.  Returns (passed, summary).
+    nodal recursion and the worst per-step closed-form constraint audit,
+    each held to ``AUDIT_TOL``, and the worst monotonicity violation, held
+    to ``MONO_SLACK``.  NaN residuals count as skipped, not failed; pure
+    Euler runs skip both two-step entries.  Returns (passed, summary).
     """
     summary = {key: getattr(report, key) for key in AUDIT_KEYS}
     # a NaN compares false, so a skipped identity never fails
-    passed = not any(value > (MONO_SLACK if key == "mono_violation" else tol) for key, value in summary.items())
+    passed = not any(value > (MONO_SLACK if key == "mono_violation" else AUDIT_TOL) for key, value in summary.items())
     return passed, summary
 
 

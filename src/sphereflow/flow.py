@@ -94,7 +94,7 @@ class EnergySystem:
         if solver is None:
             solver = self._solvers[scale] = TangentPlaneAnalysis(self._metric_ff + scale * self._a_ff)
         increment = np.zeros((self.mesh.n_vertices, 3))
-        increment[self.free] = solver.solve(u_hat[self.free], rhs).primal
+        increment[self.free] = solver.solve(u_hat[self.free], rhs)
         return increment
 
     def rhs_from(self, explicit_field, factor):

@@ -17,7 +17,9 @@ through ctypes in the OpenBLAS that scipy's wheels bundle, loaded once per
 process, so no process imports ``scipy.linalg`` unless that library is
 missing.  At a few dozen nodes numpy's per-call cost outweighs the
 arithmetic, so the solve keeps its calls few: the direction norms are
-taken once, and per-node pairings are products with a vector of ones.
+taken once, and per-node pairings are products with a vector of ones.  The
+solve returns the increment p alone, and raises where p misses the residual
+contract of :meth:`~TangentPlaneAnalysis.solve`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +43,6 @@ _SCIPY_LIBS = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
 
 class KktError(Exception):
     """Raised when a KKT solve fails its residual contract or meets a degenerate direction."""
-
-
-@dataclass
-class KktSolution:
-    primal: np.ndarray
-    multiplier: np.ndarray
-    residual_primal: float
-    residual_constraint: float
 
 
 @functools.cache
@@ -257,14 +250,14 @@ class TangentPlaneAnalysis:
         """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
 
         ``directions`` (u_hat) and ``rhs`` have shape (K, 3); B applies to
-        each component.  Returns a :class:`KktSolution` with a (K, 3) primal
-        and (K,) multipliers, those of the saddle-point system
-        [[kron(B, I3), G^T], [G, 0]] with one row u_hat(z) per node in G.
-        The residual contract is ||B p + u_hat m - rhs|| <= TOL*(1 + ||rhs||)
-        and ||(p_z . n_z)_z|| <= TOL*(1 + ||p||) with the unit normals n_z of
-        u_hat, whatever its scale.  Raises :class:`KktError` on a block that
-        is not positive definite on the tangent planes, an unmet tolerance or
-        a degenerate direction.
+        each component.  Returns the (K, 3) float64 increment p, the primal
+        part of the saddle-point system [[kron(B, I3), G^T], [G, 0]] with one
+        row u_hat(z) per node in G; the flow uses no multiplier m, so none is
+        formed.  The residual contract is that the part of B p - rhs tangent
+        to the unit normals n_z of u_hat, whatever its scale, has norm at
+        most TOL*(1 + ||rhs||), and ||(p_z . n_z)_z|| <= TOL*(1 + ||p||).
+        Raises :class:`KktError` on a block that is not positive definite on
+        the tangent planes, an unmet tolerance or a degenerate direction.
         """
         directions, rhs = np.asarray(directions, dtype=float), np.asarray(rhs, dtype=float)
         k = self.k
@@ -289,15 +282,14 @@ class TangentPlaneAnalysis:
         if not np.isfinite(x).all():
             raise KktError(f"KKT solve produced non-finite values ({k} nodes)")
         p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))
-        r = self._b @ p - rhs
-        # the frames are orthonormal, so F^T r has the norm of the
-        # tangential part r + u_hat m of the residual
-        out = KktSolution(p, -_nodal_dot(normals, r) / norms, _norm(np.einsum("ckj,kc->kj", frames, r)),
-                          _norm(_nodal_dot(normals, p)))
-        if out.residual_primal > TOL * (1.0 + _norm(rhs)) or out.residual_constraint > TOL * (1.0 + _norm(p)):
+        # the frames are orthonormal, so F^T (B p - rhs) has the norm of the
+        # tangential part of the residual, the part that no multiple of u_hat cancels
+        residual_primal = _norm(np.einsum("ckj,kc->kj", frames, self._b @ p - rhs))
+        residual_constraint = _norm(_nodal_dot(normals, p))
+        if residual_primal > TOL * (1.0 + _norm(rhs)) or residual_constraint > TOL * (1.0 + _norm(p)):
             raise KktError(
-                f"KKT residuals not reached (primal {out.residual_primal:.3e}, "
-                f"constraint {out.residual_constraint:.3e}, tol {TOL:.1e}, {k} nodes); "
+                f"KKT residuals not reached (primal {residual_primal:.3e}, "
+                f"constraint {residual_constraint:.3e}, tol {TOL:.1e}, {k} nodes); "
                 "system may be ill-conditioned"
             )
-        return out
+        return p

@@ -3,10 +3,10 @@
 The package computes these quantities another way (the two-step derivative
 through its difference operators, the closed-form constraint violation as a
 running update, the per-step audits from products kept between steps, the
-nodal constraint on the tangent planes, the mesh cells and the seeded
-initial fields in array arithmetic, the P1 matrices and the free nodes in
-one pass over the mesh); these are the plain formulas, the scalar
-splitmix64 generator, per-node loops and one assembly per matrix.
+nodal constraint and its residuals on the tangent planes, the mesh cells
+and the seeded initial fields in array arithmetic, the P1 matrices and the
+free nodes in one pass over the mesh); these are the plain formulas, the
+scalar splitmix64 generator, per-node loops and one assembly per matrix.
 """
 
 import math
@@ -96,7 +96,7 @@ def assemble_constraint_rows(u_hat, free):
 
 
 def dense_saddle_solve(b, directions, rhs):
-    """(K, 3) primal and (K,) multipliers of B p + u_hat m = rhs, p_z . u_hat(z) = 0, by a dense solve.
+    """(K, 3) primal p of B p + u_hat m = rhs, p_z . u_hat(z) = 0, by a dense solve.
 
     Solves the saddle-point system [[kron(B, I3), G^T], [G, 0]] with ``numpy.linalg.solve``,
     G the rows of :func:`assemble_constraint_rows` for the (K, 3) ``directions``.
@@ -106,7 +106,20 @@ def dense_saddle_solve(b, directions, rhs):
     g = assemble_constraint_rows(directions, np.arange(k)).toarray()
     matrix = np.block([[a, g.T], [g, np.zeros((k, k))]])
     sol = np.linalg.solve(matrix, np.concatenate([np.ravel(rhs), np.zeros(k)]))
-    return sol[: 3 * k].reshape(k, 3), sol[3 * k :]
+    return sol[: 3 * k].reshape(k, 3)
+
+
+def tangent_residuals(b, directions, rhs, primal):
+    """(primal, constraint) residual norms of a nodal solve's (K, 3) ``primal``, by per-node projections.
+
+    The first is the norm of the part of B p - rhs tangent to the unit
+    normals n_z of the ``directions`` (the part that no multiplier of the
+    constraint cancels), the second that of the pairings (p_z . n_z)_z.
+    """
+    normals = directions / np.linalg.norm(directions, axis=1)[:, None]
+    r = b @ primal - rhs
+    normal_part = np.sum(r * normals, axis=1)[:, None] * normals
+    return float(np.linalg.norm(r - normal_part)), float(np.linalg.norm(np.sum(primal * normals, axis=1)))
 
 
 def free_nodes(mesh):

@@ -46,6 +46,8 @@ def test_run_tiny_mesh(tmp_path, capsys):
 def test_run_requires_tau(capsys):
     assert main(["run", "--mesh-n", "2"]) == 2
     assert "requires --tau" in capsys.readouterr().err
+    assert main(["sweep", "--mesh-n", "2"]) == 2
+    assert capsys.readouterr().err == "error: sweep requires --tau-range\n"
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from sphereflow.flow import (
     run_flow,
     run_sweep,
 )
-from sphereflow.diagnostics import RunReport, StepRecord, audit_identities, build_sweep_table, eoc
+from sphereflow.diagnostics import MONO_SLACK, RunReport, StepRecord, audit_identities, build_sweep_table, eoc
 from sphereflow.fem import assemble_p1
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.kkt import KktError, TangentPlaneAnalysis
@@ -316,8 +316,11 @@ def test_run_flow_audits_hold_for_accepted_configurations(n, metric, method, m, 
     u0 = make_initial(mesh, InitSpec(init, seed=seed, perturb_amplitude=0.5))
     system = EnergySystem(mesh, metric=metric)
     report = run_flow(u0, system, FlowConfig(method=method, tau=2.0**-m, t_max=steps * 2.0**-m))
-    passed, summary = audit_identities(report, tol=1e-10)
-    assert passed, summary
+    # each identity holds to 1e-10, tighter than the audit's own bound, and
+    # monotonicity to its slack; a skipped (NaN) entry compares false
+    summary = audit_identities(report)[1]
+    bounds = {key: MONO_SLACK if key == "mono_violation" else 1e-10 for key in summary}
+    assert not any(summary[key] > bound for key, bound in bounds.items()), summary
     skipped = {key for key, value in summary.items() if math.isnan(value)}
     expected = {"res_energy_law", "res_nodal_recursion"} if method == "euler" else set()
     assert skipped == (expected | {"res_nodal_recursion"} if not free_nodes(mesh).size else expected)
@@ -549,7 +552,7 @@ def test_tangent_and_saddle_constraint_paths_agree(monkeypatch):
         f = sys.free
         block = (sys.stiffness + scale * sys.stiffness)[f][:, f]
         increment = np.zeros_like(u_hat)
-        increment[f] = dense_saddle_solve(block, u_hat[f], rhs)[0]
+        increment[f] = dense_saddle_solve(block, u_hat[f], rhs)
         return increment
 
     monkeypatch.setattr(EnergySystem, "solve_increment", dense_increment)

@@ -11,7 +11,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from oracles import assemble_constraint_rows, dense_saddle_solve
+from oracles import assemble_constraint_rows, dense_saddle_solve, tangent_residuals
 from sphereflow import kkt
 from sphereflow.fem import assemble_p1
 from sphereflow.flow import METRICS, EnergySystem
@@ -30,31 +30,28 @@ def random_nodal_system(rng, k_max=30):
 
 
 def test_hand_solved_system():
-    # B = I and u_hat = e_z at one node: p drops the z-component of rhs,
-    # which the multiplier takes
-    sol = TangentPlaneAnalysis(sp.identity(1, format="csr")).solve(np.array([[0.0, 0.0, 2.0]]), np.ones((1, 3)))
-    assert np.allclose(sol.primal, [[1.0, 1.0, 0.0]], atol=1e-14)
-    assert np.allclose(sol.multiplier, [0.5], atol=1e-14)
+    # B = I and u_hat = e_z at one node: p drops the z-component of rhs
+    p = TangentPlaneAnalysis(sp.identity(1, format="csr")).solve(np.array([[0.0, 0.0, 2.0]]), np.ones((1, 3)))
+    assert np.allclose(p, [[1.0, 1.0, 0.0]], atol=1e-14)
 
 
 def test_unconstrained_reduces_to_spd_solve():
     # with u_hat = e_z at every node the x and y components are unconstrained
-    # solves with B, the z component is zero and the multipliers are rhs_z
+    # solves with B and the z component is zero
     base = RNG.standard_normal((6, 6))
     b = base @ base.T + 6 * np.eye(6)
     rhs = RNG.standard_normal((6, 3))
-    sol = TangentPlaneAnalysis(sp.csr_matrix(b)).solve(np.tile([0.0, 0.0, 1.0], (6, 1)), rhs)
-    assert np.allclose(sol.primal[:, :2], np.linalg.solve(b, rhs[:, :2]), rtol=1e-12)
-    assert np.abs(sol.primal[:, 2]).max() == 0.0
-    assert np.allclose(sol.multiplier, rhs[:, 2], rtol=1e-12)
+    p = TangentPlaneAnalysis(sp.csr_matrix(b)).solve(np.tile([0.0, 0.0, 1.0], (6, 1)), rhs)
+    assert np.allclose(p[:, :2], np.linalg.solve(b, rhs[:, :2]), rtol=1e-12)
+    assert np.abs(p[:, 2]).max() == 0.0
 
 
 def test_orthonormal_constraints():
     b, directions, rhs = random_nodal_system(RNG)
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    sol = TangentPlaneAnalysis(b).solve(directions, rhs)
-    assert np.abs(np.sum(directions * sol.primal, axis=1)).max() <= 1e-10
-    assert sol.residual_primal <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+    p = TangentPlaneAnalysis(b).solve(directions, rhs)
+    assert np.abs(np.sum(directions * p, axis=1)).max() <= 1e-10
+    assert tangent_residuals(b, directions, rhs, p)[0] <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
 def test_matches_dense_reference():
@@ -65,9 +62,9 @@ def test_matches_dense_reference():
         k = b.shape[0]
         for _ in range(5):
             directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
-            primal, _ = dense_saddle_solve(b, directions, rhs)
-            sol = TangentPlaneAnalysis(b).solve(directions, rhs)
-            assert np.linalg.norm(sol.primal - primal) <= 1e-9 * (np.linalg.norm(primal) + 1.0)
+            primal = dense_saddle_solve(b, directions, rhs)
+            p = TangentPlaneAnalysis(b).solve(directions, rhs)
+            assert np.linalg.norm(p - primal) <= 1e-9 * (np.linalg.norm(primal) + 1.0)
 
 
 def test_galerkin_orthogonality():
@@ -76,10 +73,10 @@ def test_galerkin_orthogonality():
     for _ in range(20):
         b, directions, rhs = random_nodal_system(RNG)
         k = b.shape[0]
-        sol = TangentPlaneAnalysis(b).solve(directions, rhs)
+        p = TangentPlaneAnalysis(b).solve(directions, rhs)
         _, _, vt = np.linalg.svd(assemble_constraint_rows(directions, np.arange(k)).toarray())
         null_basis = vt[k:].T
-        resid = null_basis.T @ (b @ sol.primal - rhs).ravel()
+        resid = null_basis.T @ (b @ p - rhs).ravel()
         assert np.abs(resid).max() <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
@@ -106,9 +103,9 @@ def test_constraint_rows_reject_degenerate():
     directions[1, 1] = 1e-11
     rows = assemble_constraint_rows(directions, np.arange(3))
     assert rows.shape == (3, 9)
-    sol = TangentPlaneAnalysis(b).solve(directions, rhs)
-    assert sol.multiplier.shape == (3,)
-    assert np.abs(rows @ sol.primal.ravel()).max() <= 1e-12 * (1.0 + np.linalg.norm(sol.primal))
+    p = TangentPlaneAnalysis(b).solve(directions, rhs)
+    assert p.shape == (3, 3)
+    assert np.abs(rows @ p.ravel()).max() <= 1e-12 * (1.0 + np.linalg.norm(p))
 
 
 def test_constraint_rows_action_extracts_component():
@@ -134,14 +131,11 @@ def test_tangent_solve_matches_saddle_solve():
         b, directions, rhs = random_nodal_system(RNG)
         rows = assemble_constraint_rows(directions, np.arange(len(directions)))
         tangent = TangentPlaneAnalysis(b).solve(directions, rhs)
-        primal, multiplier = dense_saddle_solve(b, directions, rhs)
-        assert tangent.primal.shape == rhs.shape
+        primal = dense_saddle_solve(b, directions, rhs)
+        assert tangent.shape == rhs.shape and tangent.dtype == np.float64
         scale = 1.0 + np.linalg.norm(primal)
-        assert np.linalg.norm(tangent.primal - primal) <= 1e-10 * scale
-        assert np.abs(rows @ tangent.primal.ravel()).max() <= 1e-12 * scale
-        assert tangent.multiplier.shape == multiplier.shape
-        scale = 1.0 + np.linalg.norm(multiplier)
-        assert np.linalg.norm(tangent.multiplier - multiplier) <= 1e-10 * scale
+        assert np.linalg.norm(tangent - primal) <= 1e-10 * scale
+        assert np.abs(rows @ tangent.ravel()).max() <= 1e-12 * scale
 
 
 def test_tangent_frames_are_orthonormal_kernel():
@@ -184,9 +178,8 @@ def test_tangent_solve_rejects_mismatched_shapes():
 
 
 def test_tangent_solve_without_nodes():
-    sol = TangentPlaneAnalysis(sp.csr_matrix((0, 0))).solve(np.zeros((0, 3)), np.zeros((0, 3)))
-    assert sol.primal.shape == (0, 3)
-    assert sol.multiplier.shape == (0,)
+    p = TangentPlaneAnalysis(sp.csr_matrix((0, 0))).solve(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert p.shape == (0, 3)
     assert assemble_constraint_rows(np.zeros((4, 3)), np.array([], dtype=int)).shape == (0, 0)
 
 
@@ -194,8 +187,7 @@ def test_tangent_solve_deterministic_bitwise():
     b, directions, rhs = random_nodal_system(RNG)
     first = TangentPlaneAnalysis(b).solve(directions, rhs)
     second = TangentPlaneAnalysis(b).solve(directions, rhs)
-    assert np.array_equal(first.primal, second.primal)
-    assert np.array_equal(first.multiplier, second.multiplier)
+    assert np.array_equal(first, second)
 
 
 def bdf2_block(n, scale=2.0 * 2.0**-4 / 3.0):
@@ -207,16 +199,13 @@ def bdf2_block(n, scale=2.0 * 2.0**-4 / 3.0):
 
 
 def fresh_mmd_solve(b, directions, rhs):
-    """Tangent-plane primal and multipliers from a fresh minimum-degree LU of T^T kron(B, I3) T."""
+    """Tangent-plane primal from a fresh minimum-degree LU of T^T kron(B, I3) T."""
     k = b.shape[0]
-    norms = np.linalg.norm(directions, axis=1)
-    normals = directions / norms[:, None]
+    normals = directions / np.linalg.norm(directions, axis=1)[:, None]
     basis = sp.block_diag(list(tangent_frames(normals).transpose(1, 0, 2)), format="csr")
     reduced = (basis.T @ sp.kron(b, sp.identity(3)) @ basis).tocsc()
     lu = splu(reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    primal = (basis @ lu.solve(basis.T @ rhs.ravel())).reshape(k, 3)
-    multiplier = -np.sum(normals * (b @ primal - rhs), axis=1) / norms
-    return primal, multiplier
+    return (basis @ lu.solve(basis.T @ rhs.ravel())).reshape(k, 3)
 
 
 def test_cached_analysis_matches_fresh_factorization():
@@ -229,13 +218,10 @@ def test_cached_analysis_matches_fresh_factorization():
         cases = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(6)]
         first = [analysis.solve(directions, rhs) for directions, rhs in cases]
         for (directions, rhs), sol in zip(cases, first):
-            primal, multiplier = fresh_mmd_solve(b, directions, rhs)
-            assert np.linalg.norm(sol.primal - primal) <= 1e-12 * np.linalg.norm(primal)
-            assert np.linalg.norm(sol.multiplier - multiplier) <= 1e-12 * np.linalg.norm(multiplier)
+            primal = fresh_mmd_solve(b, directions, rhs)
+            assert np.linalg.norm(sol - primal) <= 1e-12 * np.linalg.norm(primal)
         for (directions, rhs), sol in zip(cases, first):
-            again = analysis.solve(directions, rhs)
-            assert np.array_equal(again.primal, sol.primal)
-            assert np.array_equal(again.multiplier, sol.multiplier)
+            assert np.array_equal(analysis.solve(directions, rhs), sol)
 
 
 def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
@@ -293,10 +279,9 @@ def test_analysis_on_meshes_with_few_free_nodes(n):
     b = bdf2_block(n, 0.5)
     k = b.shape[0]
     assert k == (n - 1) ** 2
-    sol = TangentPlaneAnalysis(b).solve(np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
-    assert sol.primal.shape == (k, 3)
-    assert sol.multiplier.shape == (k,)
-    assert np.abs(sol.primal @ [0.0, 0.6, 0.8]).max(initial=0.0) <= 1e-15
+    p = TangentPlaneAnalysis(b).solve(np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
+    assert p.shape == (k, 3)
+    assert np.abs(p @ [0.0, 0.6, 0.8]).max(initial=0.0) <= 1e-15
 
 
 def test_analysis_refill_leaves_no_stale_values():
@@ -310,12 +295,9 @@ def test_analysis_refill_leaves_no_stale_values():
     other = analysis.solve(*case_b)
     third = analysis.solve(*case_a)
     fresh = TangentPlaneAnalysis(b).solve(*case_a)
-    assert not np.array_equal(other.primal, first.primal)
+    assert not np.array_equal(other, first)
     for sol in (third, fresh):
-        assert np.array_equal(sol.primal, first.primal)
-        assert np.array_equal(sol.multiplier, first.multiplier)
-        assert sol.residual_primal == first.residual_primal
-        assert sol.residual_constraint == first.residual_constraint
+        assert np.array_equal(sol, first)
 
 
 def test_analysis_non_spd_block_raises():
@@ -375,11 +357,12 @@ def test_solve_does_not_depend_on_the_scale_of_the_directions(scale):
     b = sp.csr_matrix(base @ base.T + 30 * np.eye(30))
     directions, rhs = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
     solve = TangentPlaneAnalysis(b).solve
-    ref = solve(directions, rhs).primal
-    sol = solve(scale * directions, rhs)
-    assert np.linalg.norm(sol.primal - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert sol.residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
-    assert sol.residual_constraint <= TOL * (1.0 + np.linalg.norm(sol.primal))
+    ref = solve(directions, rhs)
+    p = solve(scale * directions, rhs)
+    assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(ref)
+    residual_primal, residual_constraint = tangent_residuals(b, scale * directions, rhs, p)
+    assert residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
+    assert residual_constraint <= TOL * (1.0 + np.linalg.norm(p))
 
 
 def openblas():
@@ -438,7 +421,7 @@ def test_band_solve_runs_on_one_blas_thread(monkeypatch):
 
 def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatch):
     b, directions, rhs = random_nodal_system(RNG)
-    expected = TangentPlaneAnalysis(b).solve(directions, rhs).primal
+    expected = TangentPlaneAnalysis(b).solve(directions, rhs)
     monkeypatch.setattr(kkt, "_SCIPY_LIBS", tmp_path)
     try:
         kkt._openblas.cache_clear()
@@ -446,7 +429,7 @@ def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatc
         (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
         kkt._openblas.cache_clear()
         assert kkt._openblas() is None
-        assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs).primal, expected)
+        assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs), expected)
     finally:
         monkeypatch.undo()
         kkt._openblas.cache_clear()
@@ -516,6 +499,4 @@ def test_band_cholesky_fallback_gives_the_same_primal(monkeypatch):
     openblas()
     expected = TangentPlaneAnalysis(b).solve(directions, rhs)
     monkeypatch.setattr(kkt, "_openblas", lambda: None)
-    sol = TangentPlaneAnalysis(b).solve(directions, rhs)
-    assert np.array_equal(sol.primal, expected.primal)
-    assert np.array_equal(sol.multiplier, expected.multiplier)
+    assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs), expected)

@@ -85,12 +85,12 @@ def _threshold(key):
 def test_seeded_bug_fails_audit(bug, monkeypatch):
     clean = _run()
     assert clean.n_stop == STEPS
-    assert audit_identities(clean, tol=TOL)[0]
+    assert audit_identities(clean)[0]
     seed, tripped = SEEDED_BUGS[bug]
     seed(monkeypatch)
     report = _run()
     assert report.n_stop == STEPS
-    passed, summary = audit_identities(report, tol=TOL)
+    passed, summary = audit_identities(report)
     assert not passed
     for key in tripped:
         assert summary[key] > _threshold(key), (key, summary)

@@ -78,9 +78,9 @@ class EnergySystem:
         self.metric = metric
         self.free = f = free_nodes(mesh)
         # the free rows of K serve the right-hand side and the block
-        self._a_f = self.stiffness[f]
-        self._a_ff = self._a_f[:, f]
-        self._metric_ff = self.mass[f][:, f] if metric == "l2" else self._a_ff
+        self._a_f = self.stiffness.rows(f)
+        self._a_ff = self._a_f.columns(f)
+        self._metric_ff = self.mass.rows(f).columns(f) if metric == "l2" else self._a_ff
         self._solvers = {}
 
     def solve_increment(self, scale, u_hat, rhs):

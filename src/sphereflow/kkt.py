@@ -206,8 +206,11 @@ def _reverse_cuthill_mckee(b):
 class TangentPlaneAnalysis:
     """Tangent-plane solver for one (K, K) scalar block, analysed once.
 
-    Built from a sparse SPD block B (symmetric, without duplicate entries);
-    it keeps B and index arrays:
+    Built from a sparse SPD block B (symmetric) in canonical CSR storage,
+    sorted and without duplicate entries, of which it reads the four
+    attributes ``data``, ``indices``, ``indptr`` and ``shape`` (a
+    :class:`~sphereflow.fem.CsrMatrix`, or a scipy ``csr_matrix``, which has
+    them too); it keeps B and index arrays:
     - the node order, reverse Cuthill-McKee of B, with each node keeping its
       two tangent unknowns together, so the tangent-plane matrix has a
       narrow band of ``kd`` superdiagonals;
@@ -222,7 +225,7 @@ class TangentPlaneAnalysis:
     """
 
     def __init__(self, b):
-        b = self._b = b.tocsr()
+        self._b = b
         k = b.shape[0]
         if b.shape != (k, k):
             raise ValueError(f"need a square block, got {b.shape}")

@@ -6,13 +6,16 @@ running update, the per-step audits from products kept between steps, the
 nodal constraint and its residuals on the tangent planes, the mesh cells
 and the seeded initial fields in array arithmetic, the P1 matrices and the
 free nodes in one pass over the mesh); these are the plain formulas, the
-scalar splitmix64 generator, per-node loops and one assembly per matrix.
+scalar splitmix64 generator, per-node loops and one assembly per matrix,
+converted by ``scipy.sparse``.  The meshes the tests share, and
+:func:`to_scipy`, which wraps a package matrix in scipy, live here too.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import Delaunay
 
 from sphereflow.diagnostics import StepRecord
 from sphereflow.initial_data import _GOLDEN, _MASK64, _MIX1, _MIX2, _normalize_rows, inverse_stereographic
@@ -151,6 +154,22 @@ def _accumulate(mesh, local):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
+def assemble_p1_matrices(mesh):
+    """(stiffness, mass) of ``sphereflow.assemble_p1`` by scipy's own conversion.
+
+    ``coo_matrix(...).tocsr()`` of each matrix's entries, and
+    ``eliminate_zeros()`` for the stiffness.
+    """
+    stiffness = assemble_stiffness(mesh)
+    stiffness.eliminate_zeros()
+    return stiffness, assemble_mass(mesh)
+
+
+def to_scipy(m):
+    """The package's CSR matrix ``m`` as a scipy ``csr_matrix`` on the same arrays."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def assemble_stiffness(mesh):
     """Scalar P1 stiffness matrix, stored zeros included, from its own pass over the cells."""
     b, c, area = _cell_geometry(mesh)
@@ -196,6 +215,36 @@ def scaled_square_mesh(n, lower_left, side):
     mesh = build_square_mesh(n)
     vertices = (mesh.vertices + 0.5) * side + np.asarray(lower_left, dtype=float)
     return TriMesh(vertices, mesh.cells, mesh.boundary_nodes)
+
+
+def delaunay_mesh(domain, n, seed):
+    """The Delaunay mesh of random points on the square [-1/2, 1/2]^2 or the disk of radius 1/2.
+
+    The square takes its corners and ``n`` points on each side, the disk
+    ``4 n + 4`` points on its circle; the points placed on the boundary
+    carry the Dirichlet data, and ``n * n`` points fall inside.
+    """
+    rng = np.random.default_rng(seed)
+    if domain == "square":
+        low, high, side = np.full(n, -0.5), np.full(n, 0.5), rng.uniform(-0.5, 0.5, (4, n))
+        boundary = np.vstack([[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]],
+                              np.column_stack([side[0], low]), np.column_stack([high, side[1]]),
+                              np.column_stack([side[2], high]), np.column_stack([low, side[3]])])
+        inside = rng.uniform(-0.5, 0.5, (n * n, 2))
+    else:
+        angle = 2.0 * math.pi * rng.uniform(0.0, 1.0, 4 * n + 4)
+        boundary = 0.5 * np.column_stack([np.cos(angle), np.sin(angle)])
+        radius = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, n * n))
+        theta = 2.0 * math.pi * rng.uniform(0.0, 1.0, n * n)
+        inside = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+    points = np.vstack([boundary, inside])
+    cells = Delaunay(points).simplices
+    # Qhull orients its simplices either way; the assembly takes counterclockwise cells
+    corners = points[cells]
+    edges = corners[:, 1:] - corners[:, :1]
+    clockwise = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0] < 0.0
+    cells[clockwise] = cells[clockwise][:, ::-1]
+    return TriMesh(points, cells, np.arange(len(boundary)))
 
 
 def make_initial(mesh, spec):

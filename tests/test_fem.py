@@ -1,16 +1,19 @@
 """P1 assembly against hand-computed local matrices, exact energies and the per-matrix oracle."""
 
+import importlib.machinery
+
 import numpy as np
 import pytest
 
 import oracles
-from oracles import scaled_square_mesh
+from oracles import delaunay_mesh, scaled_square_mesh, to_scipy
+from sphereflow import fem
 from sphereflow.diagnostics import constraint_violation
 from sphereflow.fem import assemble_p1
-from sphereflow.flow import EnergySystem
+from sphereflow.flow import EnergySystem, FlowConfig, run_flow
 from sphereflow.initial_data import InitSpec, inverse_stereographic, make_initial
 from sphereflow.kkt import TangentPlaneAnalysis
-from sphereflow.mesh import TriMesh, build_square_mesh
+from sphereflow.mesh import TriMesh, build_square_mesh, free_nodes
 
 RNG = np.random.default_rng(7)
 
@@ -42,13 +45,13 @@ def test_assembly_matches_hand_assembly():
     mesh = build_square_mesh(3)
     K_hand, M_hand = assemble_by_hand(mesh)
     K, M, _ = assemble_p1(mesh)
-    assert np.allclose(K.toarray(), K_hand, atol=1e-14)
-    assert np.allclose(M.toarray(), M_hand, atol=1e-16)
+    assert np.allclose(to_scipy(K).toarray(), K_hand, atol=1e-14)
+    assert np.allclose(to_scipy(M).toarray(), M_hand, atol=1e-16)
 
 
 def test_stiffness_row_sums_vanish():
     for n in (1, 4):
-        K = assemble_p1(build_square_mesh(n))[0]
+        K = to_scipy(assemble_p1(build_square_mesh(n))[0])
         assert np.abs(np.asarray(K.sum(axis=1))).max() <= 1e-13
 
 
@@ -56,7 +59,7 @@ def test_interior_five_point_stencil():
     # the six-triangle patch around an interior node gives diagonal 4,
     # axis neighbors -1, and zero on the split-diagonal neighbors
     n = 4
-    K = assemble_p1(build_square_mesh(n))[0].toarray()
+    K = to_scipy(assemble_p1(build_square_mesh(n))[0]).toarray()
     m = n + 1
     center = 2 * m + 2
     row = K[center]
@@ -84,12 +87,13 @@ def test_stiffness_kernel_is_constants():
     K = assemble_p1(mesh)[0]
     const = np.ones((mesh.n_vertices, 1))
     assert np.abs(K @ const).max() <= 1e-13
-    assert np.linalg.matrix_rank(K.toarray(), tol=1e-10) == mesh.n_vertices - 1
+    assert np.linalg.matrix_rank(to_scipy(K).toarray(), tol=1e-10) == mesh.n_vertices - 1
 
 
 def test_mass_total_and_lumped_diagonal():
     mesh = build_square_mesh(4)
     _, M, diag = assemble_p1(mesh)
+    M = to_scipy(M)
     ones = np.ones(mesh.n_vertices)
     assert ones @ (M @ ones) == pytest.approx(1.0, rel=1e-13)
     assert diag.sum() == pytest.approx(1.0, rel=1e-13)
@@ -100,7 +104,7 @@ def test_mass_total_and_lumped_diagonal():
 
 def test_consistent_mass_positive_definite():
     mesh = build_square_mesh(3)
-    M = assemble_p1(mesh)[1]
+    M = to_scipy(assemble_p1(mesh)[1])
     for _ in range(100):
         v = RNG.standard_normal(mesh.n_vertices)
         assert v @ (M @ v) > 0.0
@@ -186,25 +190,46 @@ def test_assembly_refuses_malformed_mesh(edit, message):
 def same_bits(a, b):
     """Whether two arrays, or two CSR matrices part by part, are bitwise equal, dtypes included."""
     if hasattr(a, "indptr"):
-        return all(same_bits(getattr(a, part), getattr(b, part)) for part in ("data", "indices", "indptr"))
+        parts = ("data", "indices", "indptr")
+        return tuple(a.shape) == tuple(b.shape) and all(same_bits(getattr(a, p), getattr(b, p)) for p in parts)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def jittered_mesh(n, seed):
+    """The n x n lattice with each free vertex moved by up to 0.3 h in all, which keeps every cell counterclockwise."""
+    lattice = build_square_mesh(n)
+    free = free_nodes(lattice)
+    vertices = lattice.vertices.copy()
+    vertices[free] += 0.3 / n / np.sqrt(2.0) * np.random.default_rng(seed).uniform(-1.0, 1.0, (free.size, 2))
+    return TriMesh(vertices, lattice.cells, lattice.boundary_nodes)
+
+
+# two cells that share vertex 2 alone: row 2 of the converted entries is
+# sorted but has a duplicate, so scipy sums it without sorting it again
+BOWTIE = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0], [0.0, 1.0]]),
+                 np.array([[0, 1, 2], [2, 3, 4]]), np.arange(5))
 SETUP_MESHES = {f"unit-{n}": (lambda n=n: build_square_mesh(n)) for n in (1, 2, 3, 8, 16, 32, 64)}
 SETUP_MESHES["scaled-5"] = lambda: scaled_square_mesh(5, lower_left=(0.25, -1.0), side=2.5)
+SETUP_MESHES |= {
+    "one-cell": lambda: TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]), np.arange(3)),
+    "bowtie": lambda: BOWTIE,
+    **{f"jittered-{n}": (lambda n=n: jittered_mesh(n, seed=n)) for n in (3, 8, 16)},
+    **{f"delaunay-{domain}-{n}": (lambda domain=domain, n=n: delaunay_mesh(domain, n, seed=n))
+       for domain in ("square", "disk") for n in (2, 6, 12)},
+}
 
 
 @pytest.mark.parametrize("metric", ["h1", "l2"])
 @pytest.mark.parametrize("mesh_name", SETUP_MESHES)
 def test_setup_matches_per_matrix_oracle_bitwise(mesh_name, metric):
-    # one pass over the mesh gives the bits of one assembly per matrix,
-    # add.at for the lumped weights and a set difference for the free nodes
+    # one pass over the mesh, through the kernels of scipy's coo -> csr
+    # conversion in its order, gives the bits of scipy's conversion of each
+    # matrix, on and off the lattice; add.at gives the lumped weights and a
+    # set difference the free nodes
     mesh = SETUP_MESHES[mesh_name]()
     system = EnergySystem(mesh, metric)
-    k_full, mass = oracles.assemble_stiffness(mesh), oracles.assemble_mass(mesh)
+    stiffness, mass = oracles.assemble_p1_matrices(mesh)
     free = oracles.free_nodes(mesh)
-    stiffness = k_full.copy()
-    stiffness.eliminate_zeros()
     assert same_bits(system.stiffness, stiffness)
     assert same_bits(system.mass, mass)
     assert same_bits(system.lumped_weights, oracles.lumped_mass_diagonal(mesh))
@@ -234,7 +259,8 @@ def test_tangent_plane_analysis_does_not_see_the_stiffness_zeros(n, metric):
         oracle = vars(TangentPlaneAnalysis(metric_ff + scale * k_ff))
         assert ours.keys() == oracle.keys()
         for name, value in ours.items():
-            assert same_bits(value, oracle[name]) if hasattr(value, "dtype") else value == oracle[name], name
+            compared = hasattr(value, "dtype") or hasattr(value, "indptr")
+            assert same_bits(value, oracle[name]) if compared else value == oracle[name], name
 
 
 @pytest.mark.parametrize("n", [4, 8, 32])
@@ -252,3 +278,111 @@ def test_stiffness_stores_no_zero_and_products_keep_their_bits(n):
         u = scale * rng.standard_normal((mesh.n_vertices, 3))
         assert same_bits(system.stiffness @ u, k_full @ u)
         assert same_bits(system.rhs_from(u, 1.0 / 3.0), (-(1.0 / 3.0) * (k_full @ u))[free])
+
+
+def test_repeated_cell_on_a_lattice_past_32_bit_edge_keys():
+    # 216^2 = 46,656 vertices: the directed-edge keys tail * nv + head pass
+    # 2^31, so they are formed in 64 bits and name the right edge
+    lattice = build_square_mesh(215)
+    assert lattice.n_vertices**2 > 2**31
+    mesh = TriMesh(lattice.vertices, np.vstack([lattice.cells, lattice.cells[-1]]), lattice.boundary_nodes)
+    with pytest.raises(ValueError, match=r"cells 92449 \[46438, 46655, 46654\] and 92450 \[46438, 46655, 46654\] "
+                                         r"share the directed edge \(46438, 46655\)"):
+        assemble_p1(mesh)
+
+
+def test_bowtie_sums_a_sorted_row_without_sorting_it():
+    kernels = fem._sparsetools()
+    rows = np.repeat(BOWTIE.cells, 3, axis=1).ravel().astype(np.int32)
+    cols = np.tile(BOWTIE.cells, (1, 3)).ravel().astype(np.int32)
+    indptr, indices = np.empty(6, np.int32), np.empty(18, np.int32)
+    kernels.coo_tocsr(5, 5, 18, rows, cols, np.ones(18), indptr, indices, np.empty(18))
+    assert not kernels.csr_has_canonical_format(5, indptr, indices)
+    assert kernels.csr_has_sorted_indices(5, indptr, indices)
+
+
+@pytest.mark.parametrize("metric", ["h1", "l2"])
+def test_csr_sums_and_products_match_scipy_bitwise(metric):
+    mesh = jittered_mesh(8, seed=1)
+    system = EnergySystem(mesh, metric)
+    stiffness, mass = oracles.assemble_p1_matrices(mesh)
+    free = system.free
+    k_f = stiffness[free]
+    metric_ff = (mass if metric == "l2" else stiffness)[free][:, free]
+    for scale in (0.25, 1.0 / 6.0, 1e-3):
+        assert same_bits(system._metric_ff + scale * system._a_ff, metric_ff + scale * k_f[:, free])
+    u = RNG.standard_normal((mesh.n_vertices, 3))
+    for ours, theirs in ((system.stiffness, stiffness), (system.mass, mass), (system._a_f, k_f)):
+        assert same_bits(ours @ u, theirs @ u)
+        assert same_bits(ours @ u[:, :1], theirs @ u[:, :1])
+    for bad in (u[:, 0], u[1:]):
+        with pytest.raises(ValueError, match="need a"):
+            system.stiffness @ bad
+    for index in ([-1], [mesh.n_vertices]):
+        for select in (system.stiffness.rows, system.stiffness.columns):
+            with pytest.raises(IndexError):
+                select(np.array(index))
+
+
+def test_kernel_fallback_gives_the_same_assembly_and_flow(tmp_path, monkeypatch):
+    # where the extension file does not load, the package imports scipy's
+    # module the usual way: the same kernels, so the same bits
+    mesh = jittered_mesh(8, seed=2)
+    u0 = make_initial(mesh, InitSpec("perturbed", seed=3, perturb_amplitude=0.5))
+
+    def results():
+        system = EnergySystem(mesh, "l2")
+        report = run_flow(u0, system, FlowConfig(method="bdf2", tau=0.125, t_max=0.5))
+        return (system.stiffness, system.mass, system._a_f, system._metric_ff), report.u_final
+
+    assert fem._sparsetools().__name__ == "sphereflow._sparsetools"
+    matrices, u_final = results()
+    monkeypatch.setattr(fem, "_SCIPY_SPARSE", tmp_path)
+    try:
+        fem._sparsetools.cache_clear()
+        assert fem._sparsetools().__name__ == "scipy.sparse._sparsetools"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            (tmp_path / f"_sparsetools{suffix}").write_bytes(b"not an extension module")
+        fem._sparsetools.cache_clear()
+        assert fem._sparsetools().__name__ == "scipy.sparse._sparsetools"
+        fallback_matrices, fallback_u_final = results()
+    finally:
+        monkeypatch.undo()
+        fem._sparsetools.cache_clear()
+    assert all(same_bits(a, b) for a, b in zip(matrices, fallback_matrices))
+    assert same_bits(u_final, fallback_u_final)
+
+
+class RecordingKernels:
+    """The kernels of ``fem._sparsetools()``, each call's name and arguments recorded."""
+
+    def __init__(self, kernels):
+        self.kernels, self.calls = kernels, []
+
+    def __getattr__(self, name):
+        kernel = getattr(self.kernels, name)
+
+        def recorded(*args):
+            self.calls.append((name, args))
+            return kernel(*args)
+
+        return recorded
+
+
+def test_kernels_refuse_a_wrong_argument_list(monkeypatch):
+    # the kernels are private to scipy; where one gains or loses an argument,
+    # each call the package makes fails loudly, before the kernel runs
+    kernels = fem._sparsetools()
+    recording = RecordingKernels(kernels)
+    monkeypatch.setattr(fem, "_sparsetools", lambda: recording)
+    system = EnergySystem(build_square_mesh(4), "l2")
+    system._metric_ff + 0.25 * system._a_ff
+    system.rhs_from(np.ones((system.mesh.n_vertices, 3)), 1.0)
+    assert {name for name, _ in recording.calls} == {
+        "coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices", "csr_sort_indices", "csr_sum_duplicates",
+        "csr_eliminate_zeros", "csr_row_index", "csr_column_index1", "csr_column_index2", "csr_plus_csr",
+        "csr_matvecs"}
+    for name, args in recording.calls:
+        for wrong in (args[:-1], args + args[-1:]):
+            with pytest.raises((IndexError, ValueError)):
+                getattr(kernels, name)(*wrong)

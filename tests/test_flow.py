@@ -9,10 +9,9 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.spatial import Delaunay
 from hypothesis import strategies as st
 
-from oracles import audit_steps, dense_saddle_solve
+from oracles import audit_steps, delaunay_mesh, dense_saddle_solve, to_scipy
 from sphereflow import flow, kkt
 from sphereflow.flow import (
     METHODS,
@@ -250,36 +249,6 @@ def test_run_flow_audit_residuals_both_metrics():
         assert report.mono_violation <= 1e-9
         assert report.n_stop == records[-1].n
         assert report.a_sq > 0.0 and report.b_sq > 0.0
-
-
-def delaunay_mesh(domain, n, seed):
-    """The Delaunay mesh of random points on the square [-1/2, 1/2]^2 or the disk of radius 1/2.
-
-    The square takes its corners and ``n`` points on each side, the disk
-    ``4 n + 4`` points on its circle; the points placed on the boundary
-    carry the Dirichlet data, and ``n * n`` points fall inside.
-    """
-    rng = np.random.default_rng(seed)
-    if domain == "square":
-        low, high, side = np.full(n, -0.5), np.full(n, 0.5), rng.uniform(-0.5, 0.5, (4, n))
-        boundary = np.vstack([[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]],
-                              np.column_stack([side[0], low]), np.column_stack([high, side[1]]),
-                              np.column_stack([side[2], high]), np.column_stack([low, side[3]])])
-        inside = rng.uniform(-0.5, 0.5, (n * n, 2))
-    else:
-        angle = 2.0 * math.pi * rng.uniform(0.0, 1.0, 4 * n + 4)
-        boundary = 0.5 * np.column_stack([np.cos(angle), np.sin(angle)])
-        radius = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, n * n))
-        theta = 2.0 * math.pi * rng.uniform(0.0, 1.0, n * n)
-        inside = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
-    points = np.vstack([boundary, inside])
-    cells = Delaunay(points).simplices
-    # Qhull orients its simplices either way; the assembly takes counterclockwise cells
-    corners = points[cells]
-    edges = corners[:, 1:] - corners[:, :1]
-    clockwise = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0] < 0.0
-    cells[clockwise] = cells[clockwise][:, ::-1]
-    return TriMesh(points, cells, np.arange(len(boundary)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -550,7 +519,7 @@ def test_tangent_and_saddle_constraint_paths_agree(monkeypatch):
 
     def dense_increment(sys, scale, u_hat, rhs):
         f = sys.free
-        block = (sys.stiffness + scale * sys.stiffness)[f][:, f]
+        block = to_scipy(sys.stiffness + scale * sys.stiffness)[f][:, f]
         increment = np.zeros_like(u_hat)
         increment[f] = dense_saddle_solve(block, u_hat[f], rhs)
         return increment

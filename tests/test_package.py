@@ -51,12 +51,31 @@ def test_import_loads_neither_csgraph_nor_sparse_linalg():
     assert loaded_after("import sys, sphereflow.cli", ("scipy.sparse.csgraph", "scipy.sparse.linalg")) == "[]\n"
 
 
+# one run and one sweep through the CLI, their output discarded
+RUN_AND_SWEEP = ("import contextlib, io, sys\n"
+                 "from sphereflow import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+                 "    assert cli.main(['run', '--mesh-n', '4', '--tau', '0.25', '--init', 'perturbed']) == 0\n"
+                 "    assert cli.main(['sweep', '--mesh-n', '4', '--tau-range', '2:3', '--init', 'perturbed']) == 0\n")
+
+
 def test_flows_load_no_scipy_linalg():
     # the band solves call LAPACK in scipy's bundled OpenBLAS through ctypes,
     # so neither a run nor a sweep imports scipy.linalg (about 8 MB)
-    code = ("import contextlib, io, sys\n"
-            "from sphereflow import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-            "    assert cli.main(['run', '--mesh-n', '4', '--tau', '0.25', '--init', 'perturbed']) == 0\n"
-            "    assert cli.main(['sweep', '--mesh-n', '4', '--tau-range', '2:3', '--init', 'perturbed']) == 0")
-    assert loaded_after(code, ("scipy.linalg",)) == "[]\n"
+    assert loaded_after(RUN_AND_SWEEP, ("scipy.linalg",)) == "[]\n"
+
+
+def test_flows_load_no_scipy_sparse():
+    # the CSR kernels come from scipy's extension file, loaded by path, so
+    # neither a run nor a sweep imports scipy.sparse (about 20 MB); importing
+    # it afterwards still works, beside the kernels already loaded
+    code = RUN_AND_SWEEP + (
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        "import numpy as np, scipy.sparse as sp\n"
+        "from sphereflow import fem\n"
+        "from sphereflow.mesh import build_square_mesh\n"
+        "m, u = fem.assemble_p1(build_square_mesh(4))[0], np.ones((25, 3))\n"
+        "assert np.array_equal(m @ u, sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape) @ u)\n"
+        "print(fem._sparsetools().__name__)")
+    assert loaded_after(code, ("scipy.sparse._sparsetools",)) == (
+        "[]\nsphereflow._sparsetools\n['scipy.sparse._sparsetools']\n")

@@ -67,6 +67,22 @@ class CsrMatrix:
     indptr: np.ndarray
     shape: tuple
 
+    def __post_init__(self):
+        # the kernels read the arrays as the shape and indptr say, unchecked
+        shape, indptr, indices = self.shape, self.indptr, self.indices
+        if not (len(shape) == 2 and all(isinstance(n, (int, np.integer)) and n >= 0 for n in shape)):
+            raise ValueError(f"need a shape of two non-negative ints, got {shape!r}")
+        if indptr.shape != (shape[0] + 1,):
+            raise ValueError(f"need an indptr of rows + 1 = {shape[0] + 1} entries, got shape {indptr.shape}")
+        if indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+            raise ValueError("need an indptr that starts at 0 and never decreases")
+        if indices.shape != (indptr[-1],) or self.data.shape != indices.shape:
+            raise ValueError(f"need indices and data of indptr[-1] = {indptr[-1]} entries each, "
+                             f"got {indices.shape} and {self.data.shape}")
+        # one reduction: read without its sign, a negative index is a huge one
+        if indices.size and not indices.view(f"u{indices.itemsize}").max() < shape[1]:
+            raise ValueError(f"need column indices in [0, {shape[1]})")
+
     def __matmul__(self, x):
         """The (rows, k) float64 product with an (columns, k) array, by ``csr_matvecs``."""
         x = np.asarray(x, dtype=float)
@@ -78,20 +94,6 @@ class CsrMatrix:
         _sparsetools().csr_matvecs(n_rows, n_cols, x.shape[1], self.indptr, self.indices, self.data, x.ravel(),
                                    y.ravel())
         return y
-
-    def __rmul__(self, scale):
-        """The number ``scale`` times the matrix; the index arrays are shared."""
-        return CsrMatrix(self.data * scale, self.indices, self.indptr, self.shape)
-
-    def __add__(self, other):
-        """The sum with a matrix of the same shape, by ``csr_plus_csr``, which stores no zero sum."""
-        if other.shape != self.shape:
-            raise ValueError(f"need a {self.shape} matrix, got {other.shape}")
-        most = int(self.indptr[-1]) + int(other.indptr[-1])
-        indptr, indices, data = np.empty_like(self.indptr), np.empty(most, self.indices.dtype), np.empty(most)
-        _sparsetools().csr_plus_csr(*self.shape, self.indptr, self.indices, self.data, other.indptr, other.indices,
-                                    other.data, indptr, indices, data)
-        return CsrMatrix(_trim(data, indptr[-1]), _trim(indices, indptr[-1]), indptr, self.shape)
 
     def _index(self, index, n):
         """``index`` as an array of the index type; raises ``IndexError`` outside [0, n)."""

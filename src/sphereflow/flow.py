@@ -12,11 +12,12 @@ worker processes.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,20 +82,35 @@ class EnergySystem:
         self._a_f = self.stiffness.rows(f)
         self._a_ff = self._a_f.columns(f)
         self._metric_ff = self.mass.rows(f).columns(f) if metric == "l2" else self._a_ff
-        self._solvers = {}
+        self._blocks = {}
+
+    @functools.cached_property
+    def _analysis(self):
+        """The :class:`TangentPlaneAnalysis` of the pattern of metric_ff, which contains a_ff's: every block's."""
+        return TangentPlaneAnalysis(self._metric_ff)
+
+    @functools.cached_property
+    def _a_on_metric(self):
+        """The values of a_ff on the pattern of metric_ff, 0.0 off its own, matched by sorted keys row * K + column."""
+        (k, _), m, a = self._metric_ff.shape, self._metric_ff, self._a_ff
+        keys = [np.repeat(np.arange(k) * k, np.diff(x.indptr)) + x.indices for x in (m, a)]
+        values = np.zeros(m.data.size)
+        values[np.searchsorted(*keys)] = a.data
+        return values
+
+    def _block(self, scale):
+        """The block metric_ff + scale * a_ff on the pattern of metric_ff, exact zeros kept; built once per scale."""
+        if scale not in self._blocks:
+            self._blocks[scale] = replace(self._metric_ff, data=self._metric_ff.data + scale * self._a_on_metric)
+        return self._blocks[scale]
 
     def solve_increment(self, scale, u_hat, rhs):
         """(n_vertices, 3) increment, zero on the boundary, for block metric_ff + scale * a_ff.
 
-        ``u_hat`` holds the constraint directions at every vertex, ``rhs``
-        the free-node right-hand side.  The :class:`TangentPlaneAnalysis` of
-        each scale's block is built on its first solve and kept.
+        ``u_hat`` holds the constraint directions at every vertex, ``rhs`` the free-node right-hand side.
         """
-        solver = self._solvers.get(scale)
-        if solver is None:
-            solver = self._solvers[scale] = TangentPlaneAnalysis(self._metric_ff + scale * self._a_ff)
         increment = np.zeros((self.mesh.n_vertices, 3))
-        increment[self.free] = solver.solve(u_hat[self.free], rhs)
+        increment[self.free] = self._analysis.solve(self._block(scale), u_hat[self.free], rhs)
         return increment
 
     def rhs_from(self, explicit_field, factor):
@@ -203,6 +219,7 @@ def run_sweep(u0, sys, configs):
         return [run_flow(u0, sys, cfg) for cfg in configs]
     # steps grow like 1/tau, so the finest step size starts first
     order = sorted(range(len(configs)), key=lambda i: configs[i].tau)
+    sys._analysis, sys._a_on_metric  # each task receives them pickled with the system: no worker builds them
     # fork, not spawn: the workers inherit whatever wraps this module's functions
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:

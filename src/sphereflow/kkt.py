@@ -7,12 +7,11 @@ p_z . u_hat(z) = 0; a degenerate direction (zero, or below
 solves on the tangent planes (Alouges 2008; Bartels 2016): with F_z an
 orthonormal 3x2 frame of u_hat(z)^perp, the SPD system with 2x2 blocks
 B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
-is that of B, whatever the directions, so :class:`TangentPlaneAnalysis`
-keeps B, a banded node order and one gather index and coefficient per band
-entry, all found once; each :meth:`~TangentPlaneAnalysis.solve` only fills
-the band from the frames, held in a (3, 2K) layout, by two gathers, one
-product-sum and one scatter, and factors it (LAPACK's banded Cholesky) on
-one BLAS thread.  LAPACK's ``dpbsv`` and the thread count are called
+is that of B, whatever the directions or B's values, so one
+:class:`TangentPlaneAnalysis` orders it for every block on it; each
+:meth:`~TangentPlaneAnalysis.solve` fills the band from the frames and B's
+values by three gathers, one product-sum and one scatter, and factors it
+by LAPACK's ``dpbsv`` on one BLAS thread; it and the thread count are called
 through ctypes in the OpenBLAS that scipy's wheels bundle, loaded once per
 process, so no process imports ``scipy.linalg`` unless that library is
 missing.  At a few dozen nodes numpy's per-call cost outweighs the
@@ -204,37 +203,31 @@ def _reverse_cuthill_mckee(b):
 
 
 class TangentPlaneAnalysis:
-    """Tangent-plane solver for one (K, K) scalar block, analysed once.
+    """Tangent-plane solver for the (K, K) scalar blocks of one symmetric pattern, analysed once.
 
-    Built from a sparse SPD block B (symmetric) in canonical CSR storage,
-    sorted and without duplicate entries, of which it reads the four
-    attributes ``data``, ``indices``, ``indptr`` and ``shape`` (a
-    :class:`~sphereflow.fem.CsrMatrix`, or a scipy ``csr_matrix``, which has
-    them too); it keeps B and index arrays:
-    - the node order, reverse Cuthill-McKee of B, with each node keeping its
-      two tangent unknowns together, so the tangent-plane matrix has a
-      narrow band of ``kd`` superdiagonals;
-    - one gather per entry of the upper band: the entry (a, c) of the 2x2
-      block b_ij F_i^T F_j, position(i) <= position(j) in that order, is
-      b_ij times the pairing of frame columns 2 i + a and 2 j + c, and it
-      sits at a fixed place of the Fortran-order (kd + 1, 2K) upper band
-      storage of LAPACK.
-
-    :meth:`solve` does the numeric part for any directions in a band of its
-    own, so solves on one analysis do not share state.
+    Reads the ``indptr``, ``indices`` and ``shape`` of the pattern in canonical
+    CSR storage (a :class:`~sphereflow.fem.CsrMatrix`, or a scipy
+    ``csr_matrix``) and keeps those index arrays; the node order, reverse
+    Cuthill-McKee with each node's two tangent unknowns together, so the
+    tangent-plane matrix has a narrow band of ``kd`` superdiagonals; and one
+    gather and one entry index per entry of the upper band: the entry (a, c)
+    of the 2x2 block b_ij F_i^T F_j, position(i) <= position(j), is the
+    stored entry b_ij times the pairing of frame columns 2 i + a and 2 j + c,
+    at a fixed place of LAPACK's Fortran-order (kd + 1, 2K) upper band
+    storage.  :meth:`solve` does the numeric part for any SPD block on the
+    pattern and any directions, in a band of its own.
     """
 
-    def __init__(self, b):
-        self._b = b
-        k = b.shape[0]
-        if b.shape != (k, k):
-            raise ValueError(f"need a square block, got {b.shape}")
-        self.k = k
-        self._order = _reverse_cuthill_mckee(b)
+    def __init__(self, m):
+        self.k = k = m.shape[0]
+        if m.shape != (k, k):
+            raise ValueError(f"need a square block, got {m.shape}")
+        self._indptr, self._indices = m.indptr, m.indices
+        self._order = _reverse_cuthill_mckee(m)
         self._position = position = np.argsort(self._order)
-        entry_rows = np.repeat(np.arange(k), np.diff(b.indptr))
-        upper = np.flatnonzero(position[entry_rows] <= position[b.indices])
-        rows, cols = entry_rows[upper], b.indices[upper]
+        entry_rows = np.repeat(np.arange(k), np.diff(m.indptr))
+        upper = np.flatnonzero(position[entry_rows] <= position[m.indices])
+        rows, cols = entry_rows[upper], m.indices[upper]
         # entry (a, c) of each block: frame columns 2 i + a and 2 j + c, band
         # unknowns 2 position(i) + a and 2 position(j) + c
         a, c = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
@@ -243,15 +236,16 @@ class TangentPlaneAnalysis:
         keep = band_rows <= band_cols
         self._left = ((2 * rows)[:, None] + a)[keep]
         self._right = ((2 * cols)[:, None] + c)[keep]
-        self._coef = np.broadcast_to(b.data[upper][:, None], keep.shape)[keep]
+        self._entries = np.broadcast_to(upper[:, None], keep.shape)[keep]
         band_rows, band_cols = band_rows[keep], band_cols[keep]
         self.kd = int(np.max(band_cols - band_rows, initial=0))
         # entry (i, j), i <= j, sits at ab[kd + i - j, j]
         self._dest = self.kd + band_rows - band_cols + (self.kd + 1) * band_cols
 
-    def solve(self, directions, rhs):
+    def solve(self, b, directions, rhs):
         """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
 
+        ``b`` is the block B, on the analysed pattern (else ``ValueError``);
         ``directions`` (u_hat) and ``rhs`` have shape (K, 3); B applies to
         each component.  Returns the (K, 3) float64 increment p, the primal
         part of the saddle-point system [[kron(B, I3), G^T], [G, 0]] with one
@@ -262,8 +256,12 @@ class TangentPlaneAnalysis:
         Raises :class:`KktError` on a block that is not positive definite on
         the tangent planes, an unmet tolerance or a degenerate direction.
         """
-        directions, rhs = np.asarray(directions, dtype=float), np.asarray(rhs, dtype=float)
         k = self.k
+        # the flow passes the analysed arrays themselves, which identity settles
+        if not (b.indptr is self._indptr and b.indices is self._indices or b.shape == (k, k)
+                and np.array_equal(b.indptr, self._indptr) and np.array_equal(b.indices, self._indices)):
+            raise ValueError(f"need a block on the analysed pattern, got a {b.shape} block of {b.indices.size} entries")
+        directions, rhs = np.asarray(directions, dtype=float), np.asarray(rhs, dtype=float)
         if directions.shape != (k, 3) or rhs.shape != (k, 3):
             raise ValueError(f"need ({k}, 3) directions and rhs, got {directions.shape}, {rhs.shape}")
         norms = _check_directions(directions)
@@ -273,7 +271,8 @@ class TangentPlaneAnalysis:
         reduced_rhs = np.einsum("ckj,kc->kj", frames, rhs)  # F^T rhs, node by node
         columns = frames.reshape(3, 2 * k)
         # the product with ones sums the three components in order, as sum(axis=0) does
-        values = _ONES3.dot(columns.take(self._left, axis=1) * columns.take(self._right, axis=1)) * self._coef
+        values = _ONES3.dot(columns.take(self._left, axis=1) * columns.take(self._right, axis=1)) * b.data.take(
+            self._entries)
         band = np.zeros((self.kd + 1) * 2 * k)
         band[self._dest] = values
         x = reduced_rhs.take(self._order, axis=0).ravel()
@@ -287,12 +286,9 @@ class TangentPlaneAnalysis:
         p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))
         # the frames are orthonormal, so F^T (B p - rhs) has the norm of the
         # tangential part of the residual, the part that no multiple of u_hat cancels
-        residual_primal = _norm(np.einsum("ckj,kc->kj", frames, self._b @ p - rhs))
+        residual_primal = _norm(np.einsum("ckj,kc->kj", frames, b @ p - rhs))
         residual_constraint = _norm(_nodal_dot(normals, p))
         if residual_primal > TOL * (1.0 + _norm(rhs)) or residual_constraint > TOL * (1.0 + _norm(p)):
-            raise KktError(
-                f"KKT residuals not reached (primal {residual_primal:.3e}, "
-                f"constraint {residual_constraint:.3e}, tol {TOL:.1e}, {k} nodes); "
-                "system may be ill-conditioned"
-            )
+            raise KktError(f"KKT residuals not reached (primal {residual_primal:.3e}, constraint "
+                           f"{residual_constraint:.3e}, tol {TOL:.1e}, {k} nodes); system may be ill-conditioned")
         return p

@@ -225,7 +225,7 @@ def test_acceptance_7_kkt_oracle():
         rhs = rng.standard_normal((k, 3))
 
         ref = dense_saddle_solve(b, directions, rhs)
-        primal = TangentPlaneAnalysis(b).solve(directions, rhs)
+        primal = TangentPlaneAnalysis(b).solve(b, directions, rhs)
         worst_rel = max(worst_rel, np.linalg.norm(primal - ref) / (1.0 + np.linalg.norm(ref)))
         _, _, vt = np.linalg.svd(assemble_constraint_rows(directions, np.arange(k)).toarray())
         feasible = vt[k:].T

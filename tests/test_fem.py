@@ -247,15 +247,16 @@ def test_setup_matches_per_matrix_oracle_bitwise(mesh_name, metric):
 @pytest.mark.parametrize("metric", ["h1", "l2"])
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32, 64])
 def test_tangent_plane_analysis_does_not_see_the_stiffness_zeros(n, metric):
-    # the sum metric_ff + scale * a_ff drops exact zeros, so the block of the
-    # oracle's stiffness, zeros included, has the same analysis as the system's
+    # the system analyses the pattern of metric_ff, cut from the stiffness
+    # without its zeros, so the oracle's sum metric_ff + scale * a_ff, which
+    # drops the oracle stiffness's zeros, has the same analysis at each scale
     mesh = build_square_mesh(n)
     system = EnergySystem(mesh, metric)
     free = oracles.free_nodes(mesh)
     k_ff = oracles.assemble_stiffness(mesh)[free][:, free]
     metric_ff = oracles.assemble_mass(mesh)[free][:, free] if metric == "l2" else k_ff
     for scale in (0.25, 1.0 / 6.0, 1e-3):
-        ours = vars(TangentPlaneAnalysis(system._metric_ff + scale * system._a_ff))
+        ours = vars(system._analysis)
         oracle = vars(TangentPlaneAnalysis(metric_ff + scale * k_ff))
         assert ours.keys() == oracle.keys()
         for name, value in ours.items():
@@ -310,7 +311,7 @@ def test_csr_sums_and_products_match_scipy_bitwise(metric):
     k_f = stiffness[free]
     metric_ff = (mass if metric == "l2" else stiffness)[free][:, free]
     for scale in (0.25, 1.0 / 6.0, 1e-3):
-        assert same_bits(system._metric_ff + scale * system._a_ff, metric_ff + scale * k_f[:, free])
+        assert same_bits(system._block(scale), metric_ff + scale * k_f[:, free])
     u = RNG.standard_normal((mesh.n_vertices, 3))
     for ours, theirs in ((system.stiffness, stiffness), (system.mass, mass), (system._a_f, k_f)):
         assert same_bits(ours @ u, theirs @ u)
@@ -322,6 +323,31 @@ def test_csr_sums_and_products_match_scipy_bitwise(metric):
         for select in (system.stiffness.rows, system.stiffness.columns):
             with pytest.raises(IndexError):
                 select(np.array(index))
+
+
+def test_csr_matrix_refuses_broken_storage():
+    # the kernels read the arrays unchecked: a matrix with indptr and indices
+    # swapped once crashed the interpreter inside csr_matvecs
+    m = assemble_p1(build_square_mesh(4))[0]
+    data, indices, indptr, shape = m.data, m.indices, m.indptr, m.shape
+    past, decreasing = indices.copy(), indptr.copy()
+    past[3] = shape[1]
+    decreasing[[2, 3]] = decreasing[[3, 2]]
+    cases = {
+        "shape of two non-negative ints": [(data, indices, indptr, (25,)), (data, indices, indptr, (25, -1)),
+                                           (data, indices, indptr, (25.0, 25))],
+        "indptr of rows \\+ 1 = 26 entries": [(data, indptr, indices, shape), (data, indices, indptr[:-1], shape)],
+        "indptr that starts at 0 and never decreases": [(data, indices, indptr + 1, shape),
+                                                        (data, indices, decreasing, shape)],
+        "indices and data of indptr\\[-1\\]": [(data[:-1], indices[:-1], indptr, shape),
+                                               (data[:-1], indices, indptr, shape)],
+        "column indices in \\[0, 25\\)": [(data, past, indptr, shape), (data, -indices, indptr, shape)],
+    }
+    for rule, arrays in cases.items():
+        for args in arrays:
+            with pytest.raises(ValueError, match=rule):
+                fem.CsrMatrix(*args)
+    assert same_bits(fem.CsrMatrix(data, indices, indptr, shape) @ np.eye(25), m @ np.eye(25))
 
 
 def test_kernel_fallback_gives_the_same_assembly_and_flow(tmp_path, monkeypatch):
@@ -376,12 +402,10 @@ def test_kernels_refuse_a_wrong_argument_list(monkeypatch):
     recording = RecordingKernels(kernels)
     monkeypatch.setattr(fem, "_sparsetools", lambda: recording)
     system = EnergySystem(build_square_mesh(4), "l2")
-    system._metric_ff + 0.25 * system._a_ff
     system.rhs_from(np.ones((system.mesh.n_vertices, 3)), 1.0)
     assert {name for name, _ in recording.calls} == {
         "coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices", "csr_sort_indices", "csr_sum_duplicates",
-        "csr_eliminate_zeros", "csr_row_index", "csr_column_index1", "csr_column_index2", "csr_plus_csr",
-        "csr_matvecs"}
+        "csr_eliminate_zeros", "csr_row_index", "csr_column_index1", "csr_column_index2", "csr_matvecs"}
     for name, args in recording.calls:
         for wrong in (args[:-1], args + args[-1:]):
             with pytest.raises((IndexError, ValueError)):

@@ -70,6 +70,16 @@ tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged
 tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged
 0.125,13,0.231921,,1.95493,2.87207,4.48907,1.47997,,true
 """,
+    ),
+    # at tau = 2^-9 the two-step block M + (2 tau / 3) K cancels exactly on
+    # the axis edges of the N = 8 lattice
+    (
+        "run --mesh-n 8 --method bdf2 --metric l2 --tau 0.001953125 --init perturbed --seed 1",
+        0,
+        """\
+tau,N_stop,delta_uni,eoc_uni,A2,B2,energy,delta_ener,eoc_ener,converged
+0.00195312,207,0.0540514,,1153.45,3279.5,3.23328,0.224185,,true
+""",
     ),)
 
 

@@ -462,21 +462,51 @@ def test_corrupted_euler_step_trips_closed_form_audit(monkeypatch):
     assert not audit_identities(report)[0]
 
 
-def test_run_flow_analyses_each_scale_once(monkeypatch):
+class CountingAnalysis(TangentPlaneAnalysis):
+    """A :class:`TangentPlaneAnalysis` that records each build in ``built`` and
+    refuses one outside the process ``parent`` (a module-level class pickles)."""
+
     built = []
+    parent = None
 
-    class CountingAnalysis(TangentPlaneAnalysis):
-        def __init__(self, b):
-            built.append(b.shape)
-            super().__init__(b)
+    def __init__(self, m):
+        if os.getpid() != CountingAnalysis.parent:
+            raise RuntimeError(f"tangent-plane analysis built in process {os.getpid()}, not {CountingAnalysis.parent}")
+        CountingAnalysis.built.append(m.shape)
+        super().__init__(m)
 
+
+def count_analyses(monkeypatch):
+    """Route the flow's analyses through :class:`CountingAnalysis`, built in this process only; returns its list."""
     monkeypatch.setattr("sphereflow.flow.TangentPlaneAnalysis", CountingAnalysis)
-    for method, scales in (("bdf2", 2), ("euler", 1)):
-        built.clear()
+    monkeypatch.setattr(CountingAnalysis, "parent", os.getpid())
+    monkeypatch.setattr(CountingAnalysis, "built", [])
+    return CountingAnalysis.built
+
+
+def test_run_flow_analyses_each_mesh_once(monkeypatch):
+    # the Euler and the two-step blocks lie on one pattern: one analysis a
+    # run, and one block a scale, which later steps reuse
+    for method, scales in (("bdf2", [0.125, 2.0 * 0.125 / 3.0]), ("euler", [0.125])):
+        built = count_analyses(monkeypatch)
         mesh, u0, system = unit_square_setup(8, init="perturbed", amplitude=0.5)
         report = run_flow(u0, system, FlowConfig(method=method, tau=0.125))
         assert report.n_stop > 10
-        assert len(built) == scales
+        assert len(built) == 1
+        assert sorted(system._blocks) == sorted(scales)
+        assert all(system._block(scale) is block for scale, block in system._blocks.items())
+
+
+def test_run_sweep_analyses_the_mesh_once_before_its_workers(monkeypatch):
+    # the sweep builds the analysis before it forks and each task receives it
+    # with the system, so a worker that built its own would fail the sweep
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: the sweep runs in this process")
+    built = count_analyses(monkeypatch)
+    u0, system = sweep_system("l2")
+    reports = run_sweep(u0, system, [FlowConfig(method="bdf2", tau=tau) for tau in SWEEP_TAUS])
+    assert all(report.converged for report in reports)
+    assert built == [system._metric_ff.shape]
 
 
 class CountingMatrix:
@@ -519,7 +549,8 @@ def test_tangent_and_saddle_constraint_paths_agree(monkeypatch):
 
     def dense_increment(sys, scale, u_hat, rhs):
         f = sys.free
-        block = to_scipy(sys.stiffness + scale * sys.stiffness)[f][:, f]
+        stiffness = to_scipy(sys.stiffness)
+        block = (stiffness + scale * stiffness)[f][:, f]
         increment = np.zeros_like(u_hat)
         increment[f] = dense_saddle_solve(block, u_hat[f], rhs)
         return increment

@@ -31,7 +31,8 @@ def random_nodal_system(rng, k_max=30):
 
 def test_hand_solved_system():
     # B = I and u_hat = e_z at one node: p drops the z-component of rhs
-    p = TangentPlaneAnalysis(sp.identity(1, format="csr")).solve(np.array([[0.0, 0.0, 2.0]]), np.ones((1, 3)))
+    b = sp.identity(1, format="csr")
+    p = TangentPlaneAnalysis(b).solve(b, np.array([[0.0, 0.0, 2.0]]), np.ones((1, 3)))
     assert np.allclose(p, [[1.0, 1.0, 0.0]], atol=1e-14)
 
 
@@ -41,7 +42,8 @@ def test_unconstrained_reduces_to_spd_solve():
     base = RNG.standard_normal((6, 6))
     b = base @ base.T + 6 * np.eye(6)
     rhs = RNG.standard_normal((6, 3))
-    p = TangentPlaneAnalysis(sp.csr_matrix(b)).solve(np.tile([0.0, 0.0, 1.0], (6, 1)), rhs)
+    block = sp.csr_matrix(b)
+    p = TangentPlaneAnalysis(block).solve(block, np.tile([0.0, 0.0, 1.0], (6, 1)), rhs)
     assert np.allclose(p[:, :2], np.linalg.solve(b, rhs[:, :2]), rtol=1e-12)
     assert np.abs(p[:, 2]).max() == 0.0
 
@@ -49,7 +51,7 @@ def test_unconstrained_reduces_to_spd_solve():
 def test_orthonormal_constraints():
     b, directions, rhs = random_nodal_system(RNG)
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    p = TangentPlaneAnalysis(b).solve(directions, rhs)
+    p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
     assert np.abs(np.sum(directions * p, axis=1)).max() <= 1e-10
     assert tangent_residuals(b, directions, rhs, p)[0] <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
@@ -63,7 +65,7 @@ def test_matches_dense_reference():
         for _ in range(5):
             directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
             primal = dense_saddle_solve(b, directions, rhs)
-            p = TangentPlaneAnalysis(b).solve(directions, rhs)
+            p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
             assert np.linalg.norm(p - primal) <= 1e-9 * (np.linalg.norm(primal) + 1.0)
 
 
@@ -73,7 +75,7 @@ def test_galerkin_orthogonality():
     for _ in range(20):
         b, directions, rhs = random_nodal_system(RNG)
         k = b.shape[0]
-        p = TangentPlaneAnalysis(b).solve(directions, rhs)
+        p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
         _, _, vt = np.linalg.svd(assemble_constraint_rows(directions, np.arange(k)).toarray())
         null_basis = vt[k:].T
         resid = null_basis.T @ (b @ p - rhs).ravel()
@@ -99,11 +101,11 @@ def test_constraint_rows_reject_degenerate():
         with pytest.raises(KktError, match=message):
             assemble_constraint_rows(directions, np.arange(3))
         with pytest.raises(KktError, match=message):
-            TangentPlaneAnalysis(b).solve(directions, rhs)
+            TangentPlaneAnalysis(b).solve(b, directions, rhs)
     directions[1, 1] = 1e-11
     rows = assemble_constraint_rows(directions, np.arange(3))
     assert rows.shape == (3, 9)
-    p = TangentPlaneAnalysis(b).solve(directions, rhs)
+    p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
     assert p.shape == (3, 3)
     assert np.abs(rows @ p.ravel()).max() <= 1e-12 * (1.0 + np.linalg.norm(p))
 
@@ -130,7 +132,7 @@ def test_tangent_solve_matches_saddle_solve():
     for _ in range(50):
         b, directions, rhs = random_nodal_system(RNG)
         rows = assemble_constraint_rows(directions, np.arange(len(directions)))
-        tangent = TangentPlaneAnalysis(b).solve(directions, rhs)
+        tangent = TangentPlaneAnalysis(b).solve(b, directions, rhs)
         primal = dense_saddle_solve(b, directions, rhs)
         assert tangent.shape == rhs.shape and tangent.dtype == np.float64
         scale = 1.0 + np.linalg.norm(primal)
@@ -153,19 +155,20 @@ def test_tangent_solve_singular_raises():
     b = sp.csr_matrix(np.diag([1.0, 0.0]))
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError):
-        TangentPlaneAnalysis(b).solve(directions, np.ones((2, 3)))
+        TangentPlaneAnalysis(b).solve(b, directions, np.ones((2, 3)))
 
 
 def test_tangent_solve_non_finite_rhs_raises():
     b, directions, rhs = random_nodal_system(RNG)
     rhs[0, 1] = np.nan
     with pytest.raises(KktError, match=rf"non-finite values \({b.shape[0]} nodes\)"):
-        TangentPlaneAnalysis(b).solve(directions, rhs)
+        TangentPlaneAnalysis(b).solve(b, directions, rhs)
 
 
 def test_tangent_solve_vanishing_directions_raise():
     with pytest.raises(KktError):
-        TangentPlaneAnalysis(sp.identity(2, format="csr")).solve(np.zeros((2, 3)), np.ones((2, 3)))
+        b = sp.identity(2, format="csr")
+        TangentPlaneAnalysis(b).solve(b, np.zeros((2, 3)), np.ones((2, 3)))
 
 
 def test_tangent_solve_rejects_mismatched_shapes():
@@ -175,19 +178,20 @@ def test_tangent_solve_rejects_mismatched_shapes():
              (sp.identity(3, format="csr"), directions, np.ones((2, 3)))]
     for block, d, rhs in cases:
         with pytest.raises(ValueError):
-            TangentPlaneAnalysis(block).solve(d, rhs)
+            TangentPlaneAnalysis(block).solve(block, d, rhs)
 
 
 def test_tangent_solve_without_nodes():
-    p = TangentPlaneAnalysis(sp.csr_matrix((0, 0))).solve(np.zeros((0, 3)), np.zeros((0, 3)))
+    b = sp.csr_matrix((0, 0))
+    p = TangentPlaneAnalysis(b).solve(b, np.zeros((0, 3)), np.zeros((0, 3)))
     assert p.shape == (0, 3)
     assert assemble_constraint_rows(np.zeros((4, 3)), np.array([], dtype=int)).shape == (0, 0)
 
 
 def test_tangent_solve_deterministic_bitwise():
     b, directions, rhs = random_nodal_system(RNG)
-    first = TangentPlaneAnalysis(b).solve(directions, rhs)
-    second = TangentPlaneAnalysis(b).solve(directions, rhs)
+    first = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+    second = TangentPlaneAnalysis(b).solve(b, directions, rhs)
     assert np.array_equal(first, second)
 
 
@@ -217,12 +221,12 @@ def test_cached_analysis_matches_fresh_factorization():
         k = b.shape[0]
         analysis = TangentPlaneAnalysis(b)
         cases = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(6)]
-        first = [analysis.solve(directions, rhs) for directions, rhs in cases]
+        first = [analysis.solve(b, directions, rhs) for directions, rhs in cases]
         for (directions, rhs), sol in zip(cases, first):
             primal = fresh_mmd_solve(b, directions, rhs)
             assert np.linalg.norm(sol - primal) <= 1e-12 * np.linalg.norm(primal)
         for (directions, rhs), sol in zip(cases, first):
-            assert np.array_equal(analysis.solve(directions, rhs), sol)
+            assert np.array_equal(analysis.solve(b, directions, rhs), sol)
 
 
 def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
@@ -234,7 +238,7 @@ def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
         for metric in METRICS:
             system = EnergySystem(mesh, metric=metric)
             for scale in (tau, 2.0 * tau / 3.0):
-                b = system._metric_ff + scale * system._a_ff
+                b = system._block(scale)
                 order = kkt._reverse_cuthill_mckee(b)
                 if b.shape[0]:
                     expected = reverse_cuthill_mckee(to_scipy(b), symmetric_mode=True)
@@ -281,7 +285,7 @@ def test_analysis_on_meshes_with_few_free_nodes(n):
     b = bdf2_block(n, 0.5)
     k = b.shape[0]
     assert k == (n - 1) ** 2
-    p = TangentPlaneAnalysis(b).solve(np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
+    p = TangentPlaneAnalysis(b).solve(b, np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
     assert p.shape == (k, 3)
     assert np.abs(p @ [0.0, 0.6, 0.8]).max(initial=0.0) <= 1e-15
 
@@ -293,13 +297,28 @@ def test_analysis_refill_leaves_no_stale_values():
     k = b.shape[0]
     case_a, case_b = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(2)]
     analysis = TangentPlaneAnalysis(b)
-    first = analysis.solve(*case_a)
-    other = analysis.solve(*case_b)
-    third = analysis.solve(*case_a)
-    fresh = TangentPlaneAnalysis(b).solve(*case_a)
+    first = analysis.solve(b, *case_a)
+    other = analysis.solve(b, *case_b)
+    third = analysis.solve(b, *case_a)
+    fresh = TangentPlaneAnalysis(b).solve(b, *case_a)
     assert not np.array_equal(other, first)
     for sol in (third, fresh):
         assert np.array_equal(sol, first)
+
+
+def test_solve_refuses_a_block_of_another_pattern():
+    # the analysis keeps the gathers of one pattern, so a block on another
+    # would fill the band with the wrong entries; equal index arrays pass
+    b = bdf2_block(4)
+    k = b.shape[0]
+    analysis = TangentPlaneAnalysis(b)
+    directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
+    expected = analysis.solve(b, directions, rhs)
+    assert np.array_equal(analysis.solve(b.copy(), directions, rhs), expected)
+    shuffle = RNG.permutation(k)
+    for other in (sp.identity(k, format="csr"), b[shuffle][:, shuffle], bdf2_block(5)):
+        with pytest.raises(ValueError, match="need a block on the analysed pattern"):
+            analysis.solve(other, directions, rhs)
 
 
 def test_analysis_non_spd_block_raises():
@@ -309,7 +328,7 @@ def test_analysis_non_spd_block_raises():
     analysis = TangentPlaneAnalysis(b)
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 1 \(2 nodes\)"):
-        analysis.solve(directions, np.ones((2, 3)))
+        analysis.solve(b, directions, np.ones((2, 3)))
 
 
 class Perturbation:
@@ -346,7 +365,7 @@ def test_persistent_solve_error_raises(monkeypatch):
     b, directions, rhs = random_nodal_system(RNG)
     perturbation = perturb_solves(monkeypatch, bad=math.inf)
     with pytest.raises(KktError, match="residuals not reached"):
-        TangentPlaneAnalysis(b).solve(directions, rhs)
+        TangentPlaneAnalysis(b).solve(b, directions, rhs)
     assert perturbation.solves == 1
 
 
@@ -359,8 +378,8 @@ def test_solve_does_not_depend_on_the_scale_of_the_directions(scale):
     b = sp.csr_matrix(base @ base.T + 30 * np.eye(30))
     directions, rhs = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
     solve = TangentPlaneAnalysis(b).solve
-    ref = solve(directions, rhs)
-    p = solve(scale * directions, rhs)
+    ref = solve(b, directions, rhs)
+    p = solve(b, scale * directions, rhs)
     assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(ref)
     residual_primal, residual_constraint = tangent_residuals(b, scale * directions, rhs, p)
     assert residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
@@ -379,15 +398,16 @@ def test_blas_threads_restores_the_callers_count():
     # a solve pins one thread and hands the caller's count back, also when it raises
     _, get, set_ = openblas()
     b, directions, rhs = random_nodal_system(RNG)
-    singular = TangentPlaneAnalysis(sp.csr_matrix(np.diag([1.0, 0.0])))
+    singular_block = sp.csr_matrix(np.diag([1.0, 0.0]))
+    singular = TangentPlaneAnalysis(singular_block)
     before = get()
     try:
         for count in (2, 1):
             set_(count)
-            TangentPlaneAnalysis(b).solve(directions, rhs)
+            TangentPlaneAnalysis(b).solve(b, directions, rhs)
             assert get() == count
             with pytest.raises(KktError, match="not positive definite"):
-                singular.solve(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)))
+                singular.solve(singular_block, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)))
             assert get() == count
     finally:
         set_(before)
@@ -414,7 +434,7 @@ def test_band_solve_runs_on_one_blas_thread(monkeypatch):
     before = get()
     set_(2)
     try:
-        TangentPlaneAnalysis(b).solve(directions, rhs)
+        TangentPlaneAnalysis(b).solve(b, directions, rhs)
         assert get() == 2
     finally:
         set_(before)
@@ -423,7 +443,7 @@ def test_band_solve_runs_on_one_blas_thread(monkeypatch):
 
 def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatch):
     b, directions, rhs = random_nodal_system(RNG)
-    expected = TangentPlaneAnalysis(b).solve(directions, rhs)
+    expected = TangentPlaneAnalysis(b).solve(b, directions, rhs)
     monkeypatch.setattr(kkt, "_SCIPY_LIBS", tmp_path)
     try:
         kkt._openblas.cache_clear()
@@ -431,7 +451,7 @@ def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatc
         (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
         kkt._openblas.cache_clear()
         assert kkt._openblas() is None
-        assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs), expected)
+        assert np.array_equal(TangentPlaneAnalysis(b).solve(b, directions, rhs), expected)
     finally:
         monkeypatch.undo()
         kkt._openblas.cache_clear()
@@ -491,7 +511,7 @@ def test_band_cholesky_names_the_first_failing_node(monkeypatch):
     directions = np.tile([0.0, 0.6, 0.8], (5, 1))
     for _ in band_cholesky_routines(monkeypatch):
         with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 2 \(5 nodes\)"):
-            TangentPlaneAnalysis(b).solve(directions, np.ones((5, 3)))
+            TangentPlaneAnalysis(b).solve(b, directions, np.ones((5, 3)))
 
 
 def test_band_cholesky_fallback_gives_the_same_primal(monkeypatch):
@@ -499,6 +519,6 @@ def test_band_cholesky_fallback_gives_the_same_primal(monkeypatch):
     k = b.shape[0]
     directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
     openblas()
-    expected = TangentPlaneAnalysis(b).solve(directions, rhs)
+    expected = TangentPlaneAnalysis(b).solve(b, directions, rhs)
     monkeypatch.setattr(kkt, "_openblas", lambda: None)
-    assert np.array_equal(TangentPlaneAnalysis(b).solve(directions, rhs), expected)
+    assert np.array_equal(TangentPlaneAnalysis(b).solve(b, directions, rhs), expected)

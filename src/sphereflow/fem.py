@@ -59,7 +59,9 @@ class CsrMatrix:
     These are the attributes of a scipy ``csr_matrix``, so
     ``scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)``
     wraps one; every operation calls the kernel that scipy calls for it, so
-    each result is bitwise scipy's.
+    each result is bitwise scipy's.  The constructor checks the arrays, which
+    the kernels read unchecked; what the kernels build comes through
+    :meth:`_built`, without the checks.
     """
 
     data: np.ndarray
@@ -82,6 +84,13 @@ class CsrMatrix:
         # one reduction: read without its sign, a negative index is a huge one
         if indices.size and not indices.view(f"u{indices.itemsize}").max() < shape[1]:
             raise ValueError(f"need column indices in [0, {shape[1]})")
+
+    @classmethod
+    def _built(cls, data, indices, indptr, shape):
+        """The matrix on arrays that scipy's kernels built well formed, unchecked."""
+        m = object.__new__(cls)
+        m.data, m.indices, m.indptr, m.shape = data, indices, indptr, shape
+        return m
 
     def __matmul__(self, x):
         """The (rows, k) float64 product with an (columns, k) array, by ``csr_matvecs``."""
@@ -109,7 +118,7 @@ class CsrMatrix:
         np.cumsum(self.indptr[index + 1] - self.indptr[index], out=indptr[1:])
         indices, data = np.empty(indptr[-1], self.indices.dtype), np.empty(indptr[-1])
         _sparsetools().csr_row_index(index.size, index, self.indptr, self.indices, self.data, indices, data)
-        return CsrMatrix(data, indices, indptr, (index.size, self.shape[1]))
+        return CsrMatrix._built(data, indices, indptr, (index.size, self.shape[1]))
 
     def columns(self, index):
         """The columns ``index`` (a 1-D integer array) in its order, by ``csr_column_index1/2``."""
@@ -120,7 +129,7 @@ class CsrMatrix:
         indices, data = np.empty(indptr[-1], self.indices.dtype), np.empty(indptr[-1])
         kernels.csr_column_index2(np.argsort(index).astype(index.dtype), offsets, self.indices.size, self.indices,
                                   self.data, indices, data)
-        return CsrMatrix(data, indices, indptr, (n_rows, index.size))
+        return CsrMatrix._built(data, indices, indptr, (n_rows, index.size))
 
 
 def _coo_to_csr(rows, cols, values, n):
@@ -216,11 +225,11 @@ def assemble_p1(mesh):
     local.imag = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * area[:, None, None]
     data, indices, indptr = _coo_to_csr(np.repeat(cells, 3, axis=1).ravel(), np.tile(cells, (1, 3)).ravel(),
                                         local.ravel(), nv)
-    mass = CsrMatrix(data.imag.copy(), indices, indptr, (nv, nv))
+    mass = CsrMatrix._built(data.imag.copy(), indices, indptr, (nv, nv))
     # K drops its zeros in place, so it takes copies of the index arrays
     k_data, k_indices, k_indptr = data.real.copy(), indices.copy(), indptr.copy()
     _sparsetools().csr_eliminate_zeros(nv, nv, k_indptr, k_indices, k_data)
-    stiffness = CsrMatrix(_trim(k_data, k_indptr[-1]), _trim(k_indices, k_indptr[-1]), k_indptr, (nv, nv))
+    stiffness = CsrMatrix._built(_trim(k_data, k_indptr[-1]), _trim(k_indices, k_indptr[-1]), k_indptr, (nv, nv))
     # bincount adds in input order, as np.add.at does
     lumped_weights = np.bincount(mesh.cells.ravel(), weights=np.repeat(area / 3.0, 3), minlength=nv)
     return stiffness, mass, lumped_weights

@@ -8,13 +8,17 @@ solves on the tangent planes (Alouges 2008; Bartels 2016): with F_z an
 orthonormal 3x2 frame of u_hat(z)^perp, the SPD system with 2x2 blocks
 B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
 is that of B, whatever the directions or B's values, so one
-:class:`TangentPlaneAnalysis` orders it for every block on it; each
-:meth:`~TangentPlaneAnalysis.solve` fills the band from the frames and B's
-values by three gathers, one product-sum and one scatter, and factors it
-by LAPACK's ``dpbsv`` on one BLAS thread; it and the thread count are called
-through ctypes in the OpenBLAS that scipy's wheels bundle, loaded once per
-process, so no process imports ``scipy.linalg`` unless that library is
-missing.  At a few dozen nodes numpy's per-call cost outweighs the
+:class:`TangentPlaneAnalysis` orders it for every block on it.  Where that
+pattern has a two-colouring (the five-point h1 block of the square mesh)
+and at least ``K_MIN`` nodes, the larger colour class is eliminated first
+by its 2x2 pivots b_rr I_2, red-black ordering (Buzbee, Golub & Nielson
+1970): the band holds the Schur complement on the other half, with the same
+``kd``.  Each :meth:`~TangentPlaneAnalysis.solve` fills the band from the
+frames and per-block values by gathers, one product-sum and one scatter,
+and factors it by LAPACK's ``dpbsv`` on one BLAS thread; it and the thread
+count are called through ctypes in the OpenBLAS that scipy's wheels
+bundle, loaded once per process, so no process imports ``scipy.linalg``
+unless that library is missing.  At a few dozen nodes numpy's per-call cost outweighs the
 arithmetic, so the solve keeps its calls few: the direction norms are
 taken once, and per-node pairings are products with a vector of ones.  The
 solve returns the increment p alone, and raises where p misses the residual
@@ -27,12 +31,17 @@ import ctypes
 import functools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
 
 TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
+# smaller patterns keep every node in the band: the elimination's solve, on
+# BDF2 blocks of the square mesh (one BLAS thread), takes 1.41, 1.07, 0.98,
+# 0.96 and 0.72 times the band's at 49, 169, 225, 256 and 961 nodes
+K_MIN = 256
 _ONES3 = np.ones(3)
 # LAPACKE's matrix_layout argument for column-major (Fortran) storage
 _COL_MAJOR = 102
@@ -202,20 +211,77 @@ def _reverse_cuthill_mckee(b):
     return np.array(order[::-1], dtype=np.intp)
 
 
+def _two_colouring(b):
+    """A colour, 0 or 1, per node of the symmetric sparse ``b``, no off-diagonal entry joining two alike; or None.
+
+    Each component is coloured by the parity of its breadth-first levels, a
+    level per numpy sweep, from its lowest node; the first from node K // 2,
+    the middle of a lattice numbered row by row, which halves its levels.
+    """
+    k, indptr, indices = b.shape[0], b.indptr, b.indices
+    lengths = np.diff(indptr)
+    colour = np.full(k, -1, np.int8)
+    stamp = np.empty(k, np.intp)  # a node's last place in a level's neighbour list
+    seed = k // 2
+    while seed < k:
+        colour[seed] = parity = 0
+        frontier = np.array([seed])
+        while frontier.size:
+            runs = lengths[frontier]
+            ends = np.cumsum(runs)
+            neighbours = indices[np.repeat(indptr[frontier] - ends + runs, runs) + np.arange(ends[-1])]
+            neighbours = neighbours[colour[neighbours] < 0]
+            places = np.arange(neighbours.size)
+            stamp[neighbours] = places
+            frontier = neighbours[stamp[neighbours] == places]
+            parity ^= 1
+            colour[frontier] = parity
+        rest = np.flatnonzero(colour < 0)
+        seed = int(rest[0]) if rest.size else k
+    rows = np.repeat(np.arange(k), lengths)
+    return None if (colour[rows] == colour[indices]).any(where=rows != indices) else colour
+
+
+def _corners(x, off, shifts):
+    """``x``, one value per 2x2 block, at the blocks' entries on or above the band's diagonal, plus ``shifts``.
+
+    The entries run corner by corner, (0, 0), (0, 1), (1, 0) and (1, 1), each
+    shifted by its ``shifts`` value; corner (1, 0) lies below the diagonal in
+    the blocks from ``off`` on, which lie on it.
+    """
+    n = x.size
+    out = np.empty(3 * n + off, x.dtype)
+    for part, shift in zip(np.split(out, [n, 2 * n, 2 * n + off]), shifts):
+        np.add(x[:part.size], shift, out=part)
+    return out
+
+
+def _outer_corners(w, off):
+    """The :func:`_corners` entries of the blocks w[0, t] w[1, t]^T of the (2, T, 2) ``w``, ``off`` off-diagonal."""
+    return np.concatenate([w[0, :, 0] * w[1, :, 0], w[0, :, 0] * w[1, :, 1], w[0, :off, 1] * w[1, :off, 0],
+                           w[0, :, 1] * w[1, :, 1]])
+
+
 class TangentPlaneAnalysis:
     """Tangent-plane solver for the (K, K) scalar blocks of one symmetric pattern, analysed once.
 
     Reads the ``indptr``, ``indices`` and ``shape`` of the pattern in canonical
     CSR storage (a :class:`~sphereflow.fem.CsrMatrix`, or a scipy
-    ``csr_matrix``) and keeps those index arrays; the node order, reverse
-    Cuthill-McKee with each node's two tangent unknowns together, so the
-    tangent-plane matrix has a narrow band of ``kd`` superdiagonals; and one
-    gather and one entry index per entry of the upper band: the entry (a, c)
-    of the 2x2 block b_ij F_i^T F_j, position(i) <= position(j), is the
-    stored entry b_ij times the pairing of frame columns 2 i + a and 2 j + c,
-    at a fixed place of LAPACK's Fortran-order (kd + 1, 2K) upper band
-    storage.  :meth:`solve` does the numeric part for any SPD block on the
-    pattern and any directions, in a band of its own.
+    ``csr_matrix``) and keeps those index arrays.  A pattern of at least
+    ``K_MIN`` nodes with a two-colouring has the larger colour class
+    eliminated (``_red``, sorted; else empty) and the Schur complement on
+    the rest in the band.  The band's nodes (``_order``) are in reverse
+    Cuthill-McKee order of its pattern, each node's two tangent unknowns
+    together, so it has ``kd`` superdiagonals.  Its entries are those of the
+    2x2 blocks v F_i^T F_j, position(i) <= position(j), the first ``_off``
+    with i != j, laid out by :func:`_corners`: entry (a, c) is the pairing of
+    frame columns 2 i + a and 2 j + c (``_left``, ``_right``) times v, the
+    stored entry ``_entries`` or the Schur complement's, at a fixed place
+    ``_dest`` of LAPACK's Fortran-order (kd + 1, n) upper band storage.
+    Where nodes are eliminated, the entries ``_w_entries`` also add the blocks
+    w_e1 w_e2^T of the triples (``_triples``): two edges e1, e2 of one red
+    node, the first ``_off_triples`` distinct.  :meth:`solve` does the
+    numeric part for any SPD block on the pattern, in a band of its own.
     """
 
     def __init__(self, m):
@@ -223,24 +289,98 @@ class TangentPlaneAnalysis:
         if m.shape != (k, k):
             raise ValueError(f"need a square block, got {m.shape}")
         self._indptr, self._indices = m.indptr, m.indices
+        entry_rows = np.repeat(np.arange(k), np.diff(m.indptr))
+        colour = _two_colouring(m) if k >= K_MIN else None
+        if colour is not None:
+            self._eliminate(m, entry_rows, colour == int(2 * colour.sum() > k))
+            return
+        self._red = np.empty(0, np.intp)
         self._order = _reverse_cuthill_mckee(m)
         self._position = position = np.argsort(self._order)
-        entry_rows = np.repeat(np.arange(k), np.diff(m.indptr))
         upper = np.flatnonzero(position[entry_rows] <= position[m.indices])
-        rows, cols = entry_rows[upper], m.indices[upper]
-        # entry (a, c) of each block: frame columns 2 i + a and 2 j + c, band
-        # unknowns 2 position(i) + a and 2 position(j) + c
-        a, c = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-        band_rows = (2 * position[rows])[:, None] + a
-        band_cols = (2 * position[cols])[:, None] + c
-        keep = band_rows <= band_cols
-        self._left = ((2 * rows)[:, None] + a)[keep]
-        self._right = ((2 * cols)[:, None] + c)[keep]
-        self._entries = np.broadcast_to(upper[:, None], keep.shape)[keep]
-        band_rows, band_cols = band_rows[keep], band_cols[keep]
-        self.kd = int(np.max(band_cols - band_rows, initial=0))
-        # entry (i, j), i <= j, sits at ab[kd + i - j, j]
-        self._dest = self.kd + band_rows - band_cols + (self.kd + 1) * band_cols
+        on_diagonal = entry_rows[upper] == m.indices[upper]
+        self._entries = upper = np.concatenate([upper[~on_diagonal], upper[on_diagonal]])
+        rows, cols = entry_rows[upper], m.indices[upper].astype(np.intp)
+        self._lay_out(rows, cols, position[rows], position[cols], upper.size - np.count_nonzero(on_diagonal))
+
+    def _lay_out(self, rows, cols, row_positions, col_positions, off):
+        """Set ``kd``, ``_off``, and the frame columns and band places of the entries of the blocks (rows, cols)."""
+        self.kd = kd = 2 * int(np.max(col_positions - row_positions)) + 1 if rows.size else 0
+        self._off = off
+        self._left, self._right = _corners(2 * rows, off, (0, 0, 1, 1)), _corners(2 * cols, off, (0, 1, 0, 1))
+        # entry (i, j), i <= j, sits at ab[kd + i - j, j], flat kd (j + 1) + i
+        self._dest = _corners(kd * (2 * col_positions + 1) + 2 * row_positions, off, (0, kd, 1, kd + 1))
+
+    def _eliminate(self, m, entry_rows, red):
+        """Lay out the band of the Schur complement on the black nodes, those outside ``red``.
+
+        An edge is an off-diagonal entry b_rb of a red row r, to a black node.
+        The Schur pattern joins each black node to itself and to those that
+        share a red neighbour; its blocks are its upper off-diagonal pairs,
+        then its diagonal in band order.
+        """
+        self._red, black = np.flatnonzero(red), np.flatnonzero(~red)
+        # each node's stored diagonal entry; data.size, read as 0, where it has none
+        self._diagonal = np.full(self.k, m.indices.size)
+        on_diagonal = np.flatnonzero(m.indices == entry_rows)
+        self._diagonal[entry_rows[on_diagonal]] = on_diagonal
+        self._edge_entries = edges = np.flatnonzero(red[entry_rows] & (m.indices != entry_rows))
+        edge_red, edge_black = entry_rows[edges], m.indices[edges].astype(np.intp)
+        self._edge_columns, self._edge_normals = (2 * edge_black[:, None] + [0, 1]).ravel(), np.repeat(edge_red, 2)
+        # the triples: each edge with each later edge of its red node, then each edge with itself
+        later = np.searchsorted(edge_red, edge_red, side="right") - np.arange(1, edges.size + 1)
+        self._off_triples = n = int(later.sum())
+        self._triples = triples = np.empty((2, n + edges.size), np.intp)
+        triples[:, n:] = np.arange(edges.size)
+        triples[0, :n] = np.repeat(np.arange(edges.size), later)
+        triples[1, :n] = triples[0, :n] + 1 + np.arange(n) - np.repeat(np.cumsum(later) - later, later)
+        # the black nodes numbered 0, ..., nb - 1; the Schur pattern's keys row * nb + column
+        nb, ends = black.size, (np.cumsum(~red) - 1)[edge_black]
+        i, j = ends.take(triples[:, :n])
+        keys = np.sort(np.concatenate([i * nb + j, j * nb + i, np.arange(nb) * (nb + 1)]))
+        rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], nb)
+        order = _reverse_cuthill_mckee(SimpleNamespace(shape=(nb, nb), indices=cols,
+                                                       indptr=np.searchsorted(rows, np.arange(nb + 1))))
+        self._order, position = black[order], np.argsort(order)
+        upper = position[rows] < position[cols]
+        off = np.count_nonzero(upper)
+        rows, cols = np.concatenate([rows[upper], order]), np.concatenate([cols[upper], order])
+        self._lay_out(black[rows], black[cols], position[rows], position[cols], off)
+        # each distinct triple with its earlier black node first, in its block
+        at = position[ends]
+        swap = np.flatnonzero(at.take(triples[0, :n]) > at.take(triples[1, :n]))
+        triples[:, swap] = triples[::-1, swap]
+        i, j = ends.take(triples[:, :n])
+        blocks = np.concatenate([np.searchsorted(rows[:off] * nb + cols[:off], i * nb + j), off + at])
+        self._schur_terms = np.concatenate([off + np.arange(nb), blocks])
+        size = off + nb
+        self._w_entries = _corners(blocks, n, (0, size, 2 * size, 2 * size + off))
+
+    def _values(self, b):
+        """(b, the entries' coefficients, edge weights, inverse red pivots): what :meth:`_solve` reads of ``b``.
+
+        The coefficients are b's entries, or the Schur complement
+        s = B_BB - B_BR diag(b_rr)^-1 B_RB; the weights b_rb / sqrt(b_rr),
+        twice each.  Raises ``ValueError`` for a block on another pattern and
+        :class:`KktError` at the first red pivot b_rr not positive and finite.
+        """
+        k = self.k
+        # the flow passes the analysed arrays themselves, which identity settles
+        if not (b.indptr is self._indptr and b.indices is self._indices or b.shape == (k, k)
+                and np.array_equal(b.indptr, self._indptr) and np.array_equal(b.indices, self._indices)):
+            raise ValueError(f"need a block on the analysed pattern, got a {b.shape} block of {b.indices.size} entries")
+        if not self._red.size:
+            return b, _corners(b.data.take(self._entries), self._off, (0, 0, 0, 0)), None, None
+        diagonal = np.append(b.data, 0.0).take(self._diagonal)
+        pivots = diagonal.take(self._red)
+        usable = (pivots > 0.0) & (pivots < math.inf)
+        if not usable.all():
+            raise KktError(f"KKT tangent-plane matrix is not positive definite at tangent unknown 0 "
+                           f"of node {self._red[usable.argmin()]} ({k} nodes)")
+        weights = b.data.take(self._edge_entries) / np.sqrt(diagonal.take(self._edge_normals[::2]))
+        products = weights.take(self._triples[0]) * weights.take(self._triples[1])
+        schur = np.bincount(self._schur_terms, np.concatenate([diagonal.take(self._order), -products]))
+        return b, _corners(schur, self._off, (0, 0, 0, 0)), np.repeat(weights, 2), 1.0 / pivots
 
     def solve(self, b, directions, rhs):
         """Nodal solve of B p + u_hat m = rhs, p_z . u_hat(z) = 0 at every node z.
@@ -256,11 +396,18 @@ class TangentPlaneAnalysis:
         Raises :class:`KktError` on a block that is not positive definite on
         the tangent planes, an unmet tolerance or a degenerate direction.
         """
-        k = self.k
-        # the flow passes the analysed arrays themselves, which identity settles
-        if not (b.indptr is self._indptr and b.indices is self._indices or b.shape == (k, k)
-                and np.array_equal(b.indptr, self._indptr) and np.array_equal(b.indices, self._indices)):
-            raise ValueError(f"need a block on the analysed pattern, got a {b.shape} block of {b.indices.size} entries")
+        return self._solve(self._values(b), directions, rhs)
+
+    def _solve(self, prepared, directions, rhs):
+        """:meth:`solve` from the :meth:`_values` of its block, which a caller may keep per block.
+
+        A red node r, pivot block b_rr I_2 (the frames are orthonormal), takes
+        B q off the right-hand side, q_r = P_r rhs_r / b_rr with P_r = I - n_r
+        n_r^T, and adds w_rb1 w_rb2^T to the band, w_rb = (b_rb / sqrt(b_rr))
+        F_b^T n_r; after the band solve, p_r = P_r (rhs_r - (B p)_r) / b_rr.
+        """
+        b, coefficients, weights, inverse_pivots = prepared
+        k, red = self.k, self._red
         directions, rhs = np.asarray(directions, dtype=float), np.asarray(rhs, dtype=float)
         if directions.shape != (k, 3) or rhs.shape != (k, 3):
             raise ValueError(f"need ({k}, 3) directions and rhs, got {directions.shape}, {rhs.shape}")
@@ -268,14 +415,24 @@ class TangentPlaneAnalysis:
         normals = directions / norms[:, None]
         # (3, K, 2): component, node, frame vector
         frames = tangent_frames(normals)
-        reduced_rhs = np.einsum("ckj,kc->kj", frames, rhs)  # F^T rhs, node by node
         columns = frames.reshape(3, 2 * k)
         # the product with ones sums the three components in order, as sum(axis=0) does
-        values = _ONES3.dot(columns.take(self._left, axis=1) * columns.take(self._right, axis=1)) * b.data.take(
-            self._entries)
-        band = np.zeros((self.kd + 1) * 2 * k)
+        values = _ONES3.dot(columns.take(self._left, axis=1) * columns.take(self._right, axis=1)) * coefficients
+        reduced = rhs
+        if red.size:
+            red_normals = normals.take(red, axis=0)
+            q = np.zeros((k, 3))
+            red_rhs = rhs.take(red, axis=0)
+            q[red] = (red_rhs - red_normals * _nodal_dot(red_normals, red_rhs)[:, None]) * inverse_pivots[:, None]
+            reduced = rhs - b @ q
+            w = _ONES3.dot(columns.take(self._edge_columns, axis=1) * normals.T.take(self._edge_normals, axis=1))
+            np.add.at(values, self._w_entries,
+                      _outer_corners((w * weights).reshape(-1, 2).take(self._triples, axis=0), self._off_triples))
+        # allocated after the gathers are freed, the band keeps a step's peak
+        # heap under twice its size, where glibc would return pages each step
+        band = np.zeros((self.kd + 1) * 2 * self._order.size)
         band[self._dest] = values
-        x = reduced_rhs.take(self._order, axis=0).ravel()
+        x = np.einsum("ckj,kc->kj", frames, reduced).take(self._order, axis=0).ravel()  # F^T rhs, node by node
         info = _band_cholesky(band, self.kd, x)
         if info > 0:
             node, unknown = self._order[(info - 1) // 2], (info - 1) % 2
@@ -283,7 +440,13 @@ class TangentPlaneAnalysis:
                            f"of node {node} ({k} nodes)")
         if not np.isfinite(x).all():
             raise KktError(f"KKT solve produced non-finite values ({k} nodes)")
-        p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))
+        if red.size:
+            p = np.zeros((k, 3))
+            p[self._order] = np.einsum("ckj,kj->kc", frames.take(self._order, axis=1), x.reshape(-1, 2))
+            red_rhs -= (b @ p).take(red, axis=0)
+            p[red] = (red_rhs - red_normals * _nodal_dot(red_normals, red_rhs)[:, None]) * inverse_pivots[:, None]
+        else:
+            p = np.einsum("ckj,kj->kc", frames, x.reshape(k, 2).take(self._position, axis=0))
         # the frames are orthonormal, so F^T (B p - rhs) has the norm of the
         # tangential part of the residual, the part that no multiple of u_hat cancels
         residual_primal = _norm(np.einsum("ckj,kc->kj", frames, b @ p - rhs))

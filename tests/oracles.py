@@ -125,6 +125,27 @@ def tangent_residuals(b, directions, rhs, primal):
     return float(np.linalg.norm(r - normal_part)), float(np.linalg.norm(np.sum(primal * normals, axis=1)))
 
 
+def two_colourable(b):
+    """Whether no off-diagonal entry of the symmetric sparse ``b`` joins two nodes of one colour, for some two colours.
+
+    Breadth first from each uncoloured node in turn, node by node, each
+    neighbour takes the other colour of the node it is reached from.
+    """
+    colour = [None] * b.shape[0]
+    for seed in range(b.shape[0]):
+        if colour[seed] is not None:
+            continue
+        colour[seed], queue = 0, [seed]
+        for i in queue:
+            for j in b.indices[b.indptr[i]:b.indptr[i + 1]].tolist():
+                if colour[j] is None:
+                    colour[j] = 1 - colour[i]
+                    queue.append(j)
+                elif j != i and colour[j] == colour[i]:
+                    return False
+    return True
+
+
 def free_nodes(mesh):
     """Sorted indices of the vertices not on the boundary, by a sort-based set difference."""
     return np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_nodes)
@@ -215,6 +236,15 @@ def scaled_square_mesh(n, lower_left, side):
     mesh = build_square_mesh(n)
     vertices = (mesh.vertices + 0.5) * side + np.asarray(lower_left, dtype=float)
     return TriMesh(vertices, mesh.cells, mesh.boundary_nodes)
+
+
+def jittered_mesh(n, seed):
+    """The n x n lattice with each free vertex moved by up to 0.3 h in all, which keeps every cell counterclockwise."""
+    lattice = build_square_mesh(n)
+    free = free_nodes(lattice)
+    vertices = lattice.vertices.copy()
+    vertices[free] += 0.3 / n / np.sqrt(2.0) * np.random.default_rng(seed).uniform(-1.0, 1.0, (free.size, 2))
+    return TriMesh(vertices, lattice.cells, lattice.boundary_nodes)
 
 
 def delaunay_mesh(domain, n, seed):

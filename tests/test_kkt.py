@@ -11,11 +11,13 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from oracles import assemble_constraint_rows, dense_saddle_solve, tangent_residuals, to_scipy
+from oracles import (assemble_constraint_rows, delaunay_mesh, dense_saddle_solve, jittered_mesh, tangent_residuals,
+                     to_scipy, two_colourable)
 from sphereflow import kkt
 from sphereflow.fem import assemble_p1
 from sphereflow.flow import METRICS, EnergySystem
-from sphereflow.kkt import TOL, KktError, TangentPlaneAnalysis, tangent_frames
+from sphereflow.initial_data import InitSpec, make_initial
+from sphereflow.kkt import K_MIN, TOL, KktError, TangentPlaneAnalysis, tangent_frames
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 RNG = np.random.default_rng(2718)
@@ -214,9 +216,10 @@ def fresh_mmd_solve(b, directions, rhs):
 
 
 def test_cached_analysis_matches_fresh_factorization():
-    # one analysis of an 8x8 or 16x16 BDF2 block serves every direction set,
-    # and agrees with a per-step minimum-degree factorization of the same matrix
-    for n in (8, 16):
+    # one analysis of an 8x8, 16x16 or 32x32 BDF2 block serves every direction
+    # set, and agrees with a per-step minimum-degree factorization of the same
+    # matrix; the 32x32 one eliminates half its nodes before the band
+    for n in (8, 16, 32):
         b = bdf2_block(n)
         k = b.shape[0]
         analysis = TangentPlaneAnalysis(b)
@@ -238,7 +241,7 @@ def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
         for metric in METRICS:
             system = EnergySystem(mesh, metric=metric)
             for scale in (tau, 2.0 * tau / 3.0):
-                b = system._block(scale)
+                b = system._block(scale)[0]
                 order = kkt._reverse_cuthill_mckee(b)
                 if b.shape[0]:
                     expected = reverse_cuthill_mckee(to_scipy(b), symmetric_mode=True)
@@ -248,9 +251,10 @@ def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
                     assert order.shape == (0,)
 
 
-def test_band_order_is_scipys_reverse_cuthill_mckee_on_random_graphs():
-    # several components, tied degrees, rows with and without a diagonal
-    # entry, column indices sorted or not, 32- and 64-bit indices
+def random_graphs(two_coloured=False):
+    """300 random symmetric patterns: several components, tied degrees, rows with and without a diagonal entry,
+    column indices sorted or not, 32- and 64-bit indices; ``two_coloured`` keeps only the entries that join
+    nodes of a random split into two colours, and each diagonal."""
     rng = np.random.default_rng(161)
     for case in range(300):
         parts = []
@@ -259,6 +263,9 @@ def test_band_order_is_scipys_reverse_cuthill_mckee_on_random_graphs():
             pattern = rng.random((k, k)) < rng.uniform(0.02, 0.4)
             pattern |= pattern.T
             np.fill_diagonal(pattern, rng.random(k) < 0.5)
+            if two_coloured:
+                side = rng.random(k) < 0.5
+                pattern &= (side[:, None] != side) | np.eye(k, dtype=bool)
             parts.append(sp.csr_matrix(pattern.astype(float)))
         shuffle = rng.permutation(sum(part.shape[0] for part in parts))
         b = sp.block_diag(parts, format="csr")[shuffle][:, shuffle]
@@ -269,7 +276,117 @@ def test_band_order_is_scipys_reverse_cuthill_mckee_on_random_graphs():
             b.has_sorted_indices = False
         if case % 5 == 0:
             b.indices, b.indptr = b.indices.astype(np.int64), b.indptr.astype(np.int64)
+        yield case, b
+
+
+def test_band_order_is_scipys_reverse_cuthill_mckee_on_random_graphs():
+    for case, b in random_graphs():
         assert np.array_equal(kkt._reverse_cuthill_mckee(b), reverse_cuthill_mckee(b, symmetric_mode=True)), case
+
+
+def test_two_colouring_is_found_exactly_where_a_breadth_first_search_finds_one():
+    # on the random graphs of the band order, and on their two-coloured subgraphs
+    found = 0
+    for two_coloured in (False, True):
+        for case, b in random_graphs(two_coloured):
+            colour = kkt._two_colouring(b)
+            assert (colour is not None) == two_colourable(b), (two_coloured, case)
+            if colour is not None:
+                found += 1
+                rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+                off = rows != b.indices
+                assert set(np.unique(colour)) <= {0, 1}
+                assert np.all(colour[rows[off]] != colour[b.indices[off]]), (two_coloured, case)
+            else:
+                assert not two_coloured, case
+    assert 300 < found < 600
+
+
+def test_two_colouring_of_the_five_point_pattern():
+    # the h1 block of every square mesh joins nodes of two colours only, and
+    # an analysis of at least K_MIN nodes eliminates the larger class
+    for n in range(2, 65):
+        m = EnergySystem(build_square_mesh(n))._metric_ff
+        colour = kkt._two_colouring(m)
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        off = rows != m.indices
+        assert colour is not None and np.all(colour[rows[off]] != colour[m.indices[off]]), n
+        if m.shape[0] >= K_MIN:
+            red = TangentPlaneAnalysis(m)._red
+            assert np.unique(colour[red]).size == 1 and 2 * red.size >= m.shape[0], n
+
+
+def perturbed_directions(n, seed=3):
+    """The perturbed initial field of the n x n square mesh at its free nodes."""
+    mesh = build_square_mesh(n)
+    return make_initial(mesh, InitSpec("perturbed", seed=seed, perturb_amplitude=0.5))[free_nodes(mesh)]
+
+
+@pytest.mark.parametrize("n", [17, 24, 32])
+def test_reduced_solve_matches_fresh_factorization(n):
+    # at both step scales, with the flow's perturbed directions, random ones
+    # and random ones rescaled node by node over eight decades
+    tau = 2.0**-4
+    for scale in (tau, 2.0 * tau / 3.0):
+        b = bdf2_block(n, scale)
+        k = b.shape[0]
+        analysis = TangentPlaneAnalysis(b)
+        assert 2 * analysis._red.size >= k and analysis.kd <= 2 * n - 1
+        rescaled = RNG.standard_normal((k, 3)) * 10.0 ** RNG.uniform(-4, 4, (k, 1))
+        for directions in (perturbed_directions(n), RNG.standard_normal((k, 3)), rescaled):
+            rhs = RNG.standard_normal((k, 3))
+            primal = fresh_mmd_solve(b, directions, rhs)
+            assert np.linalg.norm(analysis.solve(b, directions, rhs) - primal) <= 1e-12 * np.linalg.norm(primal)
+
+
+def test_reduced_solve_names_the_failing_node():
+    # a red pivot that is not positive names its red node, before any band is
+    # formed; black diagonals too small for the Schur complement name a black one
+    b = bdf2_block(17)
+    k = b.shape[0]
+    analysis = TangentPlaneAnalysis(b)
+    red = analysis._red
+    directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
+    diagonal = b.indptr[:-1] + np.array([np.flatnonzero(b.indices[b.indptr[i]:b.indptr[i + 1]] == i)[0]
+                                         for i in range(k)])
+    for value in (0.0, -1.0, np.nan):
+        bad = b.copy()
+        bad.data[diagonal[red[[40, 7]]]] = value
+        message = rf"not positive definite at tangent unknown 0 of node {red[7]} \({k} nodes\)"
+        with pytest.raises(KktError, match=message):
+            analysis.solve(bad, directions, rhs)
+    bad = b.copy()
+    black = np.setdiff1d(np.arange(k), red)
+    bad.data[diagonal[black]] *= 0.5
+    with pytest.raises(KktError, match="not positive definite") as error:
+        analysis.solve(bad, directions, rhs)
+    node = int(re.search(r"of node (\d+)", str(error.value)).group(1))
+    assert node in black
+
+
+def test_a_diagonal_block_eliminates_every_node():
+    # no entry joins two nodes, so every node has colour 0 and no band is left
+    b = sp.diags(np.linspace(1.0, 2.0, K_MIN), format="csr")
+    directions, rhs = RNG.standard_normal((K_MIN, 3)), RNG.standard_normal((K_MIN, 3))
+    analysis = TangentPlaneAnalysis(b)
+    assert analysis._red.size == K_MIN and analysis._order.size == 0
+    primal = dense_saddle_solve(b, directions, rhs)
+    assert np.linalg.norm(analysis.solve(b, directions, rhs) - primal) <= 1e-12 * np.linalg.norm(primal)
+
+
+def test_elimination_needs_a_two_colourable_pattern_of_k_min_nodes():
+    # the l2 metric, a jittered lattice and a Delaunay mesh join nodes of one
+    # colour, and the 16x16 h1 block has fewer than K_MIN nodes: their
+    # analyses keep every node in the band
+    lattice = build_square_mesh(17)
+    systems = [EnergySystem(lattice, "l2"), EnergySystem(jittered_mesh(17, seed=4)),
+               EnergySystem(delaunay_mesh("square", 16, seed=5)), EnergySystem(build_square_mesh(16))]
+    for system in systems:
+        m = system._metric_ff
+        analysis = TangentPlaneAnalysis(m)
+        assert analysis._red.size == 0 and 2 * analysis._order.size == 2 * m.shape[0]
+        assert (kkt._two_colouring(m) is None) == (m.shape[0] >= K_MIN)
+    assert TangentPlaneAnalysis(EnergySystem(lattice)._metric_ff)._red.size == 128
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -292,18 +409,20 @@ def test_analysis_on_meshes_with_few_free_nodes(n):
 
 def test_analysis_refill_leaves_no_stale_values():
     # each solve fills a band of its own: solving A, then B, then A again
-    # must give A's solution bit for bit, as a fresh analysis does
-    b = bdf2_block(8)
-    k = b.shape[0]
-    case_a, case_b = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(2)]
-    analysis = TangentPlaneAnalysis(b)
-    first = analysis.solve(b, *case_a)
-    other = analysis.solve(b, *case_b)
-    third = analysis.solve(b, *case_a)
-    fresh = TangentPlaneAnalysis(b).solve(b, *case_a)
-    assert not np.array_equal(other, first)
-    for sol in (third, fresh):
-        assert np.array_equal(sol, first)
+    # must give A's solution bit for bit, as a fresh analysis does, with the
+    # whole band (N = 8) or the Schur complement's (N = 32)
+    for n in (8, 32):
+        b = bdf2_block(n)
+        k = b.shape[0]
+        case_a, case_b = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(2)]
+        analysis = TangentPlaneAnalysis(b)
+        first = analysis.solve(b, *case_a)
+        other = analysis.solve(b, *case_b)
+        third = analysis.solve(b, *case_a)
+        fresh = TangentPlaneAnalysis(b).solve(b, *case_a)
+        assert not np.array_equal(other, first)
+        for sol in (third, fresh):
+            assert np.array_equal(sol, first)
 
 
 def test_solve_refuses_a_block_of_another_pattern():

@@ -105,11 +105,11 @@ class CsrMatrix:
         return y
 
     def _index(self, index, n):
-        """``index`` as an array of the index type; raises ``IndexError`` outside [0, n)."""
-        index = np.asarray(index, dtype=self.indices.dtype)
+        """``index`` as an array of the index type; raises ``IndexError`` outside [0, n), checked before the cast."""
+        index = np.asarray(index)
         if index.size and not (index.min() >= 0 and index.max() < n):
             raise IndexError(f"need indices in [0, {n})")
-        return index
+        return index.astype(self.indices.dtype, copy=False)
 
     def rows(self, index):
         """The rows ``index`` (a 1-D integer array) in its order, by ``csr_row_index``."""

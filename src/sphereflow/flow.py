@@ -99,10 +99,10 @@ class EnergySystem:
         return values
 
     def _block(self, scale):
-        """The analysis' values of the block metric_ff + scale * a_ff on metric_ff's pattern; built once per scale."""
+        """The :meth:`~TangentPlaneAnalysis.prepare` of the block metric_ff + scale * a_ff; built once per scale."""
         if scale not in self._blocks:
             block = replace(self._metric_ff, data=self._metric_ff.data + scale * self._a_on_metric)
-            self._blocks[scale] = self._analysis._values(block)
+            self._blocks[scale] = self._analysis.prepare(block)
         return self._blocks[scale]
 
     def solve_increment(self, scale, u_hat, rhs):
@@ -111,7 +111,7 @@ class EnergySystem:
         ``u_hat`` holds the constraint directions at every vertex, ``rhs`` the free-node right-hand side.
         """
         increment = np.zeros((self.mesh.n_vertices, 3))
-        increment[self.free] = self._analysis._solve(self._block(scale), u_hat[self.free], rhs)
+        increment[self.free] = self._analysis.solve(self._block(scale), u_hat[self.free], rhs)
         return increment
 
     def rhs_from(self, explicit_field, factor):

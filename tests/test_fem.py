@@ -310,7 +310,8 @@ def test_csr_sums_and_products_match_scipy_bitwise(metric):
     for bad in (u[:, 0], u[1:]):
         with pytest.raises(ValueError, match="need a"):
             system.stiffness @ bad
-    for index in ([-1], [mesh.n_vertices]):
+    # an index past the int32 range, which a cast before the check would wrap to 1
+    for index in ([-1], [mesh.n_vertices], [2**32 + 1]):
         for select in (system.stiffness.rows, system.stiffness.columns):
             with pytest.raises(IndexError):
                 select(np.array(index))

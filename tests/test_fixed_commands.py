@@ -1,4 +1,4 @@
-"""The six fixed commands: exact CSV bytes and exit codes.
+"""The seven fixed commands: exact CSV bytes and exit codes.
 
 A change to the solver, the audits or the set-up must leave these tables
 byte for byte as they are; the trace and the stderr audit values may move

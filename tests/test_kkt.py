@@ -14,13 +14,19 @@ from scipy.sparse.linalg import splu
 from oracles import (assemble_constraint_rows, delaunay_mesh, dense_saddle_solve, jittered_mesh, tangent_residuals,
                      to_scipy, two_colourable)
 from sphereflow import kkt
-from sphereflow.fem import assemble_p1
+from sphereflow.fem import CsrMatrix, assemble_p1
 from sphereflow.flow import METRICS, EnergySystem
 from sphereflow.initial_data import InitSpec, make_initial
 from sphereflow.kkt import K_MIN, TOL, KktError, TangentPlaneAnalysis, tangent_frames
 from sphereflow.mesh import build_square_mesh, free_nodes
 
 RNG = np.random.default_rng(2718)
+
+
+def tangent_solve(b, directions, rhs):
+    """The increment of one solve with the block ``b``, through an analysis of its own pattern."""
+    analysis = TangentPlaneAnalysis(b)
+    return analysis.solve(analysis.prepare(b), directions, rhs)
 
 
 def random_nodal_system(rng, k_max=30):
@@ -34,7 +40,7 @@ def random_nodal_system(rng, k_max=30):
 def test_hand_solved_system():
     # B = I and u_hat = e_z at one node: p drops the z-component of rhs
     b = sp.identity(1, format="csr")
-    p = TangentPlaneAnalysis(b).solve(b, np.array([[0.0, 0.0, 2.0]]), np.ones((1, 3)))
+    p = tangent_solve(b, np.array([[0.0, 0.0, 2.0]]), np.ones((1, 3)))
     assert np.allclose(p, [[1.0, 1.0, 0.0]], atol=1e-14)
 
 
@@ -45,7 +51,7 @@ def test_unconstrained_reduces_to_spd_solve():
     b = base @ base.T + 6 * np.eye(6)
     rhs = RNG.standard_normal((6, 3))
     block = sp.csr_matrix(b)
-    p = TangentPlaneAnalysis(block).solve(block, np.tile([0.0, 0.0, 1.0], (6, 1)), rhs)
+    p = tangent_solve(block, np.tile([0.0, 0.0, 1.0], (6, 1)), rhs)
     assert np.allclose(p[:, :2], np.linalg.solve(b, rhs[:, :2]), rtol=1e-12)
     assert np.abs(p[:, 2]).max() == 0.0
 
@@ -53,7 +59,7 @@ def test_unconstrained_reduces_to_spd_solve():
 def test_orthonormal_constraints():
     b, directions, rhs = random_nodal_system(RNG)
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+    p = tangent_solve(b, directions, rhs)
     assert np.abs(np.sum(directions * p, axis=1)).max() <= 1e-10
     assert tangent_residuals(b, directions, rhs, p)[0] <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
@@ -67,7 +73,7 @@ def test_matches_dense_reference():
         for _ in range(5):
             directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
             primal = dense_saddle_solve(b, directions, rhs)
-            p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+            p = tangent_solve(b, directions, rhs)
             assert np.linalg.norm(p - primal) <= 1e-9 * (np.linalg.norm(primal) + 1.0)
 
 
@@ -77,7 +83,7 @@ def test_galerkin_orthogonality():
     for _ in range(20):
         b, directions, rhs = random_nodal_system(RNG)
         k = b.shape[0]
-        p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+        p = tangent_solve(b, directions, rhs)
         _, _, vt = np.linalg.svd(assemble_constraint_rows(directions, np.arange(k)).toarray())
         null_basis = vt[k:].T
         resid = null_basis.T @ (b @ p - rhs).ravel()
@@ -103,11 +109,11 @@ def test_constraint_rows_reject_degenerate():
         with pytest.raises(KktError, match=message):
             assemble_constraint_rows(directions, np.arange(3))
         with pytest.raises(KktError, match=message):
-            TangentPlaneAnalysis(b).solve(b, directions, rhs)
+            tangent_solve(b, directions, rhs)
     directions[1, 1] = 1e-11
     rows = assemble_constraint_rows(directions, np.arange(3))
     assert rows.shape == (3, 9)
-    p = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+    p = tangent_solve(b, directions, rhs)
     assert p.shape == (3, 3)
     assert np.abs(rows @ p.ravel()).max() <= 1e-12 * (1.0 + np.linalg.norm(p))
 
@@ -134,7 +140,7 @@ def test_tangent_solve_matches_saddle_solve():
     for _ in range(50):
         b, directions, rhs = random_nodal_system(RNG)
         rows = assemble_constraint_rows(directions, np.arange(len(directions)))
-        tangent = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+        tangent = tangent_solve(b, directions, rhs)
         primal = dense_saddle_solve(b, directions, rhs)
         assert tangent.shape == rhs.shape and tangent.dtype == np.float64
         scale = 1.0 + np.linalg.norm(primal)
@@ -157,20 +163,20 @@ def test_tangent_solve_singular_raises():
     b = sp.csr_matrix(np.diag([1.0, 0.0]))
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError):
-        TangentPlaneAnalysis(b).solve(b, directions, np.ones((2, 3)))
+        tangent_solve(b, directions, np.ones((2, 3)))
 
 
 def test_tangent_solve_non_finite_rhs_raises():
     b, directions, rhs = random_nodal_system(RNG)
     rhs[0, 1] = np.nan
     with pytest.raises(KktError, match=rf"non-finite values \({b.shape[0]} nodes\)"):
-        TangentPlaneAnalysis(b).solve(b, directions, rhs)
+        tangent_solve(b, directions, rhs)
 
 
 def test_tangent_solve_vanishing_directions_raise():
     with pytest.raises(KktError):
         b = sp.identity(2, format="csr")
-        TangentPlaneAnalysis(b).solve(b, np.zeros((2, 3)), np.ones((2, 3)))
+        tangent_solve(b, np.zeros((2, 3)), np.ones((2, 3)))
 
 
 def test_tangent_solve_rejects_mismatched_shapes():
@@ -180,20 +186,20 @@ def test_tangent_solve_rejects_mismatched_shapes():
              (sp.identity(3, format="csr"), directions, np.ones((2, 3)))]
     for block, d, rhs in cases:
         with pytest.raises(ValueError):
-            TangentPlaneAnalysis(block).solve(block, d, rhs)
+            tangent_solve(block, d, rhs)
 
 
 def test_tangent_solve_without_nodes():
     b = sp.csr_matrix((0, 0))
-    p = TangentPlaneAnalysis(b).solve(b, np.zeros((0, 3)), np.zeros((0, 3)))
+    p = tangent_solve(b, np.zeros((0, 3)), np.zeros((0, 3)))
     assert p.shape == (0, 3)
     assert assemble_constraint_rows(np.zeros((4, 3)), np.array([], dtype=int)).shape == (0, 0)
 
 
 def test_tangent_solve_deterministic_bitwise():
     b, directions, rhs = random_nodal_system(RNG)
-    first = TangentPlaneAnalysis(b).solve(b, directions, rhs)
-    second = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+    first = tangent_solve(b, directions, rhs)
+    second = tangent_solve(b, directions, rhs)
     assert np.array_equal(first, second)
 
 
@@ -224,12 +230,12 @@ def test_cached_analysis_matches_fresh_factorization():
         k = b.shape[0]
         analysis = TangentPlaneAnalysis(b)
         cases = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(6)]
-        first = [analysis.solve(b, directions, rhs) for directions, rhs in cases]
+        first = [analysis.solve(analysis.prepare(b), directions, rhs) for directions, rhs in cases]
         for (directions, rhs), sol in zip(cases, first):
             primal = fresh_mmd_solve(b, directions, rhs)
             assert np.linalg.norm(sol - primal) <= 1e-12 * np.linalg.norm(primal)
         for (directions, rhs), sol in zip(cases, first):
-            assert np.array_equal(analysis.solve(b, directions, rhs), sol)
+            assert np.array_equal(analysis.solve(analysis.prepare(b), directions, rhs), sol)
 
 
 def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
@@ -242,7 +248,7 @@ def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
             system = EnergySystem(mesh, metric=metric)
             for scale in (tau, 2.0 * tau / 3.0):
                 b = system._block(scale)[0]
-                order = kkt._reverse_cuthill_mckee(b)
+                order = kkt._reverse_cuthill_mckee(b.indptr, b.indices)
                 if b.shape[0]:
                     expected = reverse_cuthill_mckee(to_scipy(b), symmetric_mode=True)
                     assert np.array_equal(order, expected), (n, metric, scale)
@@ -281,7 +287,8 @@ def random_graphs(two_coloured=False):
 
 def test_band_order_is_scipys_reverse_cuthill_mckee_on_random_graphs():
     for case, b in random_graphs():
-        assert np.array_equal(kkt._reverse_cuthill_mckee(b), reverse_cuthill_mckee(b, symmetric_mode=True)), case
+        order = kkt._reverse_cuthill_mckee(b.indptr, b.indices)
+        assert np.array_equal(order, reverse_cuthill_mckee(b, symmetric_mode=True)), case
 
 
 def test_two_colouring_is_found_exactly_where_a_breadth_first_search_finds_one():
@@ -336,7 +343,8 @@ def test_reduced_solve_matches_fresh_factorization(n):
         for directions in (perturbed_directions(n), RNG.standard_normal((k, 3)), rescaled):
             rhs = RNG.standard_normal((k, 3))
             primal = fresh_mmd_solve(b, directions, rhs)
-            assert np.linalg.norm(analysis.solve(b, directions, rhs) - primal) <= 1e-12 * np.linalg.norm(primal)
+            p = analysis.solve(analysis.prepare(b), directions, rhs)
+            assert np.linalg.norm(p - primal) <= 1e-12 * np.linalg.norm(primal)
 
 
 def test_reduced_solve_names_the_failing_node():
@@ -354,12 +362,12 @@ def test_reduced_solve_names_the_failing_node():
         bad.data[diagonal[red[[40, 7]]]] = value
         message = rf"not positive definite at tangent unknown 0 of node {red[7]} \({k} nodes\)"
         with pytest.raises(KktError, match=message):
-            analysis.solve(bad, directions, rhs)
+            analysis.solve(analysis.prepare(bad), directions, rhs)
     bad = b.copy()
     black = np.setdiff1d(np.arange(k), red)
     bad.data[diagonal[black]] *= 0.5
     with pytest.raises(KktError, match="not positive definite") as error:
-        analysis.solve(bad, directions, rhs)
+        analysis.solve(analysis.prepare(bad), directions, rhs)
     node = int(re.search(r"of node (\d+)", str(error.value)).group(1))
     assert node in black
 
@@ -371,22 +379,48 @@ def test_a_diagonal_block_eliminates_every_node():
     analysis = TangentPlaneAnalysis(b)
     assert analysis._red.size == K_MIN and analysis._order.size == 0
     primal = dense_saddle_solve(b, directions, rhs)
-    assert np.linalg.norm(analysis.solve(b, directions, rhs) - primal) <= 1e-12 * np.linalg.norm(primal)
+    p = analysis.solve(analysis.prepare(b), directions, rhs)
+    assert np.linalg.norm(p - primal) <= 1e-12 * np.linalg.norm(primal)
 
 
 def test_elimination_needs_a_two_colourable_pattern_of_k_min_nodes():
     # the l2 metric, a jittered lattice and a Delaunay mesh join nodes of one
     # colour, and the 16x16 h1 block has fewer than K_MIN nodes: their
-    # analyses keep every node in the band
+    # analyses keep every node in the band, which is then the Schur complement
+    # of no node: B's own pattern in its own order, at the kd recorded when
+    # that band had a layout of its own
     lattice = build_square_mesh(17)
     systems = [EnergySystem(lattice, "l2"), EnergySystem(jittered_mesh(17, seed=4)),
                EnergySystem(delaunay_mesh("square", 16, seed=5)), EnergySystem(build_square_mesh(16))]
-    for system in systems:
+    for system, kd in zip(systems, (33, 33, 67, 31)):
         m = system._metric_ff
         analysis = TangentPlaneAnalysis(m)
         assert analysis._red.size == 0 and 2 * analysis._order.size == 2 * m.shape[0]
+        assert np.array_equal(analysis._order, kkt._reverse_cuthill_mckee(m.indptr, m.indices))
+        assert analysis.kd == kd
         assert (kkt._two_colouring(m) is None) == (m.shape[0] >= K_MIN)
     assert TangentPlaneAnalysis(EnergySystem(lattice)._metric_ff)._red.size == 128
+
+
+@pytest.mark.parametrize("n, metric, products", [(16, "h1", 1), (32, "l2", 1), (32, "h1", 3)])
+def test_red_terms_run_only_where_nodes_are_red(n, metric, products, monkeypatch):
+    # every solve forms the residual from B p; one with red nodes also reduces
+    # the right-hand side by B q and lifts the red nodes by B p, and one
+    # without skips that work, whose numpy calls cost more than an N=8 band solve
+    system = EnergySystem(build_square_mesh(n), metric)
+    analysis, prepared = system._analysis, system._block(0.125)
+    k = analysis.k
+    assert (analysis._red.size > 0) == (products == 3)
+    calls = []
+    product = CsrMatrix.__matmul__
+
+    def counted(m, x):
+        calls.append(None)
+        return product(m, x)
+
+    monkeypatch.setattr(CsrMatrix, "__matmul__", counted)
+    analysis.solve(prepared, perturbed_directions(n), RNG.standard_normal((k, 3)))
+    assert len(calls) == products
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -402,7 +436,7 @@ def test_analysis_on_meshes_with_few_free_nodes(n):
     b = bdf2_block(n, 0.5)
     k = b.shape[0]
     assert k == (n - 1) ** 2
-    p = TangentPlaneAnalysis(b).solve(b, np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
+    p = tangent_solve(b, np.tile([0.0, 0.6, 0.8], (k, 1)), np.ones((k, 3)))
     assert p.shape == (k, 3)
     assert np.abs(p @ [0.0, 0.6, 0.8]).max(initial=0.0) <= 1e-15
 
@@ -416,10 +450,10 @@ def test_analysis_refill_leaves_no_stale_values():
         k = b.shape[0]
         case_a, case_b = [(RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))) for _ in range(2)]
         analysis = TangentPlaneAnalysis(b)
-        first = analysis.solve(b, *case_a)
-        other = analysis.solve(b, *case_b)
-        third = analysis.solve(b, *case_a)
-        fresh = TangentPlaneAnalysis(b).solve(b, *case_a)
+        first = analysis.solve(analysis.prepare(b), *case_a)
+        other = analysis.solve(analysis.prepare(b), *case_b)
+        third = analysis.solve(analysis.prepare(b), *case_a)
+        fresh = tangent_solve(b, *case_a)
         assert not np.array_equal(other, first)
         for sol in (third, fresh):
             assert np.array_equal(sol, first)
@@ -432,12 +466,12 @@ def test_solve_refuses_a_block_of_another_pattern():
     k = b.shape[0]
     analysis = TangentPlaneAnalysis(b)
     directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
-    expected = analysis.solve(b, directions, rhs)
-    assert np.array_equal(analysis.solve(b.copy(), directions, rhs), expected)
+    expected = analysis.solve(analysis.prepare(b), directions, rhs)
+    assert np.array_equal(analysis.solve(analysis.prepare(b.copy()), directions, rhs), expected)
     shuffle = RNG.permutation(k)
     for other in (sp.identity(k, format="csr"), b[shuffle][:, shuffle], bdf2_block(5)):
         with pytest.raises(ValueError, match="need a block on the analysed pattern"):
-            analysis.solve(other, directions, rhs)
+            analysis.solve(analysis.prepare(other), directions, rhs)
 
 
 def test_analysis_non_spd_block_raises():
@@ -447,7 +481,7 @@ def test_analysis_non_spd_block_raises():
     analysis = TangentPlaneAnalysis(b)
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 1 \(2 nodes\)"):
-        analysis.solve(b, directions, np.ones((2, 3)))
+        analysis.solve(analysis.prepare(b), directions, np.ones((2, 3)))
 
 
 class Perturbation:
@@ -484,7 +518,7 @@ def test_persistent_solve_error_raises(monkeypatch):
     b, directions, rhs = random_nodal_system(RNG)
     perturbation = perturb_solves(monkeypatch, bad=math.inf)
     with pytest.raises(KktError, match="residuals not reached"):
-        TangentPlaneAnalysis(b).solve(b, directions, rhs)
+        tangent_solve(b, directions, rhs)
     assert perturbation.solves == 1
 
 
@@ -496,9 +530,8 @@ def test_solve_does_not_depend_on_the_scale_of_the_directions(scale):
     base = rng.standard_normal((30, 30))
     b = sp.csr_matrix(base @ base.T + 30 * np.eye(30))
     directions, rhs = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
-    solve = TangentPlaneAnalysis(b).solve
-    ref = solve(b, directions, rhs)
-    p = solve(b, scale * directions, rhs)
+    ref = tangent_solve(b, directions, rhs)
+    p = tangent_solve(b, scale * directions, rhs)
     assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(ref)
     residual_primal, residual_constraint = tangent_residuals(b, scale * directions, rhs, p)
     assert residual_primal <= TOL * (1.0 + np.linalg.norm(rhs))
@@ -523,10 +556,11 @@ def test_blas_threads_restores_the_callers_count():
     try:
         for count in (2, 1):
             set_(count)
-            TangentPlaneAnalysis(b).solve(b, directions, rhs)
+            tangent_solve(b, directions, rhs)
             assert get() == count
             with pytest.raises(KktError, match="not positive definite"):
-                singular.solve(singular_block, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)))
+                singular.solve(singular.prepare(singular_block), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+                               np.ones((2, 3)))
             assert get() == count
     finally:
         set_(before)
@@ -553,7 +587,7 @@ def test_band_solve_runs_on_one_blas_thread(monkeypatch):
     before = get()
     set_(2)
     try:
-        TangentPlaneAnalysis(b).solve(b, directions, rhs)
+        tangent_solve(b, directions, rhs)
         assert get() == 2
     finally:
         set_(before)
@@ -562,7 +596,7 @@ def test_band_solve_runs_on_one_blas_thread(monkeypatch):
 
 def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatch):
     b, directions, rhs = random_nodal_system(RNG)
-    expected = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+    expected = tangent_solve(b, directions, rhs)
     monkeypatch.setattr(kkt, "_SCIPY_LIBS", tmp_path)
     try:
         kkt._openblas.cache_clear()
@@ -570,7 +604,7 @@ def test_blas_thread_helpers_do_nothing_without_the_library(tmp_path, monkeypatc
         (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
         kkt._openblas.cache_clear()
         assert kkt._openblas() is None
-        assert np.array_equal(TangentPlaneAnalysis(b).solve(b, directions, rhs), expected)
+        assert np.array_equal(tangent_solve(b, directions, rhs), expected)
     finally:
         monkeypatch.undo()
         kkt._openblas.cache_clear()
@@ -630,7 +664,7 @@ def test_band_cholesky_names_the_first_failing_node(monkeypatch):
     directions = np.tile([0.0, 0.6, 0.8], (5, 1))
     for _ in band_cholesky_routines(monkeypatch):
         with pytest.raises(KktError, match=r"not positive definite at tangent unknown 0 of node 2 \(5 nodes\)"):
-            TangentPlaneAnalysis(b).solve(b, directions, np.ones((5, 3)))
+            tangent_solve(b, directions, np.ones((5, 3)))
 
 
 def test_band_cholesky_fallback_gives_the_same_primal(monkeypatch):
@@ -638,6 +672,6 @@ def test_band_cholesky_fallback_gives_the_same_primal(monkeypatch):
     k = b.shape[0]
     directions, rhs = RNG.standard_normal((k, 3)), RNG.standard_normal((k, 3))
     openblas()
-    expected = TangentPlaneAnalysis(b).solve(b, directions, rhs)
+    expected = tangent_solve(b, directions, rhs)
     monkeypatch.setattr(kkt, "_openblas", lambda: None)
-    assert np.array_equal(TangentPlaneAnalysis(b).solve(b, directions, rhs), expected)
+    assert np.array_equal(tangent_solve(b, directions, rhs), expected)

@@ -35,7 +35,7 @@ OPTIONS = (
     ("t_max", float, 1e6, FLOWS),
     ("init", INIT_KINDS, "exact", FLOWS),
     ("seed", int, 1, FLOWS),
-    ("perturb_amplitude", float, 0.5, FLOWS),
+    ("perturb_amplitude", float, InitSpec.perturb_amplitude, FLOWS),
     ("out", str, None, FLOWS),
     ("trace_out", str, None, ("run",)),
 )

@@ -52,7 +52,7 @@ class InitSpec:
 
     kind: str = "exact"
     seed: int = 1
-    perturb_amplitude: float = 0.0
+    perturb_amplitude: float = 0.5
 
     def __post_init__(self):
         if self.kind not in INIT_KINDS:

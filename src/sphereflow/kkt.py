@@ -10,10 +10,12 @@ B_ij F_i^T F_j has two unknowns per node, and p_z = F_z x_z.  Its pattern
 is that of B, whatever the directions or B's values, so one
 :class:`TangentPlaneAnalysis` lays out one band for every block on it: the
 Schur complement of the red nodes, eliminated first by their 2x2 pivots
-b_rr I_2.  Where the pattern has a two-colouring (the five-point h1 block
-of the square mesh) and at least ``K_MIN`` nodes, the red nodes are the
-larger colour class, red-black ordering (Buzbee, Golub & Nielson 1970);
-elsewhere there are none, and the band holds B itself.  ``prepare`` reads
+b_rr I_2.  One reverse Cuthill-McKee search of B lays it out: where the
+parity of its levels two-colours a pattern of at least ``K_MIN`` nodes
+(the five-point h1 block of the square mesh), the red nodes are the larger
+parity class, the even one on a tie (red-black ordering; Buzbee, Golub &
+Nielson 1970), and the black nodes keep their places in its order;
+elsewhere no node is red, and the band holds B itself.  ``prepare`` reads
 a block's values once; each ``solve`` fills the band from the frames by
 gathers, one product-sum and one scatter, and factors it by LAPACK's
 ``dpbsv`` on one BLAS thread, called with the thread count through ctypes
@@ -177,7 +179,7 @@ def tangent_frames(normals):
 
 
 def _reverse_cuthill_mckee(indptr, indices):
-    """Reverse Cuthill-McKee order of the nodes of a symmetric CSR pattern, as an int array.
+    """Reverse Cuthill-McKee order of the nodes of a symmetric CSR pattern, and each node's level, as int arrays.
 
     The permutation of ``scipy.sparse.csgraph.reverse_cuthill_mckee`` in
     symmetric mode, without importing csgraph: each component is searched
@@ -185,60 +187,31 @@ def _reverse_cuthill_mckee(indptr, indices):
     degree of a node being its row length plus one for a diagonal entry;
     each node's unvisited neighbours join in stable order of degree, and
     the whole order is reversed (Cuthill & McKee 1969; George & Liu 1981).
+    A node's level is its breadth-first distance from its component's first
+    node, so no off-diagonal entry joins two levels more than one apart.
     """
     k = len(indptr) - 1
     degree = np.diff(indptr).astype(indices.dtype)
     rows = np.repeat(np.arange(k), degree)
     degree[rows[indices == rows]] += 1
     indptr, indices, degrees = indptr.tolist(), indices.tolist(), degree.tolist()
-    visited = bytearray(k)
+    level = [-1] * k  # -1 until a node is visited
     order, head = [], 0
     for seed in np.argsort(degree).tolist():
-        if not visited[seed]:
-            visited[seed] = 1
+        if level[seed] < 0:
+            level[seed] = 0
             order.append(seed)
         # the nodes before head have all joined their neighbours
         while head < len(order):
             i = order[head]
             head += 1
-            new = []
+            new, below = [], level[i] + 1
             for j in indices[indptr[i]:indptr[i + 1]]:
-                if not visited[j]:
-                    visited[j] = 1
+                if level[j] < 0:
+                    level[j] = below
                     new.append(j)
             order += sorted(new, key=degrees.__getitem__)
-    return np.array(order[::-1], dtype=np.intp)
-
-
-def _two_colouring(b):
-    """A colour, 0 or 1, per node of the symmetric sparse ``b``, no off-diagonal entry joining two alike; or None.
-
-    Each component is coloured by the parity of its breadth-first levels, a
-    level per numpy sweep, from its lowest node; the first from node K // 2,
-    the middle of a lattice numbered row by row, which halves its levels.
-    """
-    k, indptr, indices = b.shape[0], b.indptr, b.indices
-    lengths = np.diff(indptr)
-    colour = np.full(k, -1, np.int8)
-    stamp = np.empty(k, np.intp)  # a node's last place in a level's neighbour list
-    seed = k // 2
-    while seed < k:
-        colour[seed] = parity = 0
-        frontier = np.array([seed])
-        while frontier.size:
-            runs = lengths[frontier]
-            ends = np.cumsum(runs)
-            neighbours = indices[np.repeat(indptr[frontier] - ends + runs, runs) + np.arange(ends[-1])]
-            neighbours = neighbours[colour[neighbours] < 0]
-            places = np.arange(neighbours.size)
-            stamp[neighbours] = places
-            frontier = neighbours[stamp[neighbours] == places]
-            parity ^= 1
-            colour[frontier] = parity
-        rest = np.flatnonzero(colour < 0)
-        seed = int(rest[0]) if rest.size else k
-    rows = np.repeat(np.arange(k), lengths)
-    return None if (colour[rows] == colour[indices]).any(where=rows != indices) else colour
+    return np.array(order[::-1], dtype=np.intp), np.array(level, dtype=np.intp)
 
 
 def _corners(x, off, shifts):
@@ -269,10 +242,10 @@ class TangentPlaneAnalysis:
     ``csr_matrix``) and keeps those index arrays.  The red nodes (``_red``,
     sorted; maybe none) are eliminated, and the band holds the Schur
     complement s = B_BB - B_BR diag(b_rr)^-1 B_RB on the other, black, nodes
-    (``_order``), in reverse Cuthill-McKee order of its pattern, each node's
-    two tangent unknowns together, so it has ``kd`` superdiagonals.  Its
-    entries are those of the 2x2 blocks s_ij F_i^T F_j, position(i) <=
-    position(j), the first ``_off`` with i != j, laid out by
+    (``_order``), in their places in the reverse Cuthill-McKee order of B,
+    each node's two tangent unknowns together, so it has ``kd``
+    superdiagonals.  Its entries are those of the 2x2 blocks s_ij F_i^T F_j,
+    position(i) <= position(j), the first ``_off`` with i != j, laid out by
     :func:`_corners`: entry (a, c) is the pairing of frame columns 2 i + a
     and 2 j + c (``_left``, ``_right``) times s_ij, at a fixed place
     ``_dest`` of LAPACK's Fortran-order (kd + 1, n) upper band storage.  The
@@ -287,8 +260,13 @@ class TangentPlaneAnalysis:
             raise ValueError(f"need a square block, got {m.shape}")
         self._indptr, self._indices = indptr, indices = m.indptr, m.indices
         entry_rows = np.repeat(np.arange(k), np.diff(indptr))
-        colour = _two_colouring(m) if k >= K_MIN else None
-        red = np.zeros(k, bool) if colour is None else colour == int(2 * colour.sum() > k)
+        off_diagonal = indices != entry_rows
+        # one search of B: the parity of its levels may two-colour the pattern, and its order lays out the band
+        reverse, level = _reverse_cuthill_mckee(indptr, indices)
+        parity = level & 1
+        coloured = k >= K_MIN and not (parity[entry_rows] == parity[indices]).any(where=off_diagonal)
+        # the larger class; on a tie the even levels, with the search's first node
+        red = parity == int(2 * parity.sum() > k) if coloured else np.zeros(k, bool)
         self._red, black = np.flatnonzero(red), np.flatnonzero(~red)
         # each node's stored diagonal entry; data.size, read as 0, where it has none
         self._diagonal = np.full(k, indices.size)
@@ -296,7 +274,6 @@ class TangentPlaneAnalysis:
         self._diagonal[entry_rows[on_diagonal]] = on_diagonal
         # an edge is an off-diagonal entry b_rb of a red row r, to a black node;
         # B_BB's off-diagonal entries exist only where no node is red
-        off_diagonal = indices != entry_rows
         self._edge_entries = edges = np.flatnonzero(red[entry_rows] & off_diagonal)
         entries = np.flatnonzero(~red[entry_rows] & ~red[indices] & off_diagonal)
         edge_red, edge_black = entry_rows[edges], indices[edges].astype(np.intp)
@@ -315,8 +292,10 @@ class TangentPlaneAnalysis:
         i, j = ends.take(triples[:, :n])
         keys = np.sort(np.concatenate([bi * nb + bj, i * nb + j, j * nb + i, np.arange(nb) * (nb + 1)]))
         rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], nb)
-        order = _reverse_cuthill_mckee(np.searchsorted(rows, np.arange(nb + 1)), cols)
-        self._order, position = black[order], np.argsort(order)
+        # the black nodes in their places in B's search
+        self._order = reverse[~red[reverse]]
+        order = number[self._order]
+        position = np.argsort(order)
         # its blocks: the upper off-diagonal pairs, then the diagonal in band order
         upper = position[rows] < position[cols]
         self._off = off = np.count_nonzero(upper)

@@ -8,13 +8,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Uniform right-triangle mesh of a square.
+    """Triangle mesh of a plane domain, with the nodes of its Dirichlet data; :func:`build_square_mesh` makes one.
 
-    vertices : (nv, 2) array of finite floats, lexicographic by (row, column)
-    cells : (nc, 3) integer array, counterclockwise vertex triples
-    boundary_nodes : strictly increasing indices of vertices on the
-        geometric boundary, where the field is fixed (Dirichlet data), at
-        least one
+    vertices : (nv, 2) array of finite floats, in any order
+    cells : (nc, 3) integer array of vertex triples, which ``assemble_p1``
+        needs in [0, nv), counterclockwise, distinct and covering each vertex
+    boundary_nodes : strictly increasing indices in [0, nv) of the vertices
+        where the field is fixed (Dirichlet data), at least one
 
     Fields of another shape or dtype, a non-finite vertex or a bad boundary
     node raise ``ValueError``.

@@ -121,6 +121,15 @@ def test_huge_perturbation_amplitude_runs(capsys):
     assert out.startswith(CSV_HEADER) and "Traceback" not in err
 
 
+def test_a_perturbed_spec_is_the_cli_default_perturbed_field():
+    # the CLI's amplitude default is InitSpec's, so a library caller that
+    # names no amplitude starts from the field the CLI starts from
+    args = cli.build_parser().parse_args(["run", "--mesh-n", "4", "--tau", "0.25", "--init", "perturbed"])
+    mesh, u0, _ = cli._setup(cli.resolve_config(args))
+    assert np.array_equal(initial_data.make_initial(mesh, initial_data.InitSpec("perturbed")), u0)
+    assert not np.array_equal(initial_data.make_initial(mesh, initial_data.InitSpec("exact")), u0)
+
+
 def test_run_stdout_when_no_out(capsys):
     code = main(["run", "--mesh-n", "2", "--tau", "0.25"])
     assert code == 0

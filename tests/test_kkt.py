@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee, shortest_path
 from scipy.sparse.linalg import splu
 
 from oracles import (assemble_constraint_rows, delaunay_mesh, dense_saddle_solve, jittered_mesh, tangent_residuals,
@@ -248,7 +248,7 @@ def test_band_order_is_scipys_reverse_cuthill_mckee_on_square_meshes():
             system = EnergySystem(mesh, metric=metric)
             for scale in (tau, 2.0 * tau / 3.0):
                 b = system._block(scale)[0]
-                order = kkt._reverse_cuthill_mckee(b.indptr, b.indices)
+                order = kkt._reverse_cuthill_mckee(b.indptr, b.indices)[0]
                 if b.shape[0]:
                     expected = reverse_cuthill_mckee(to_scipy(b), symmetric_mode=True)
                     assert np.array_equal(order, expected), (n, metric, scale)
@@ -286,41 +286,59 @@ def random_graphs(two_coloured=False):
 
 
 def test_band_order_is_scipys_reverse_cuthill_mckee_on_random_graphs():
+    # each component has one node of level 0, and each node's level is its
+    # breadth-first distance from that node
     for case, b in random_graphs():
-        order = kkt._reverse_cuthill_mckee(b.indptr, b.indices)
+        order, level = kkt._reverse_cuthill_mckee(b.indptr, b.indices)
         assert np.array_equal(order, reverse_cuthill_mckee(b, symmetric_mode=True)), case
+        first = np.flatnonzero(level == 0)
+        assert first.size == connected_components(b, directed=False)[0], case
+        distance = shortest_path(b, directed=False, unweighted=True, indices=first)
+        assert np.array_equal(distance.min(axis=0), level), case
+
+
+def level_parity(b):
+    """The parity of each node's level in the band order's search of ``b``, and whether no off-diagonal entry
+    joins two nodes of one parity."""
+    parity = kkt._reverse_cuthill_mckee(b.indptr, b.indices)[1] & 1
+    rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+    off = rows != b.indices
+    return parity, bool(np.all(parity[rows[off]] != parity[b.indices[off]]))
 
 
 def test_two_colouring_is_found_exactly_where_a_breadth_first_search_finds_one():
-    # on the random graphs of the band order, and on their two-coloured subgraphs
+    # the level parity two-colours the random graphs of the band order that
+    # have a two-colouring, and all their two-coloured subgraphs
     found = 0
     for two_coloured in (False, True):
         for case, b in random_graphs(two_coloured):
-            colour = kkt._two_colouring(b)
-            assert (colour is not None) == two_colourable(b), (two_coloured, case)
-            if colour is not None:
-                found += 1
-                rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
-                off = rows != b.indices
-                assert set(np.unique(colour)) <= {0, 1}
-                assert np.all(colour[rows[off]] != colour[b.indices[off]]), (two_coloured, case)
-            else:
-                assert not two_coloured, case
+            colours = level_parity(b)[1]
+            assert colours == two_colourable(b), (two_coloured, case)
+            assert colours or not two_coloured, case
+            found += colours
     assert 300 < found < 600
 
 
 def test_two_colouring_of_the_five_point_pattern():
-    # the h1 block of every square mesh joins nodes of two colours only, and
-    # an analysis of at least K_MIN nodes eliminates the larger class
+    # the h1 block of every square mesh joins nodes of two level parities
+    # only, and an analysis of at least K_MIN nodes eliminates the larger
+    # class and keeps the other in its places in the search's order; on a
+    # tie (odd n: at n = 19, 162 and 162 of 324 nodes) it eliminates the even
+    # levels, with the search's first node, the last of its reversal
+    tied = set()
     for n in range(2, 65):
         m = EnergySystem(build_square_mesh(n))._metric_ff
-        colour = kkt._two_colouring(m)
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        off = rows != m.indices
-        assert colour is not None and np.all(colour[rows[off]] != colour[m.indices[off]]), n
+        parity, colours = level_parity(m)
+        assert colours, n
         if m.shape[0] >= K_MIN:
-            red = TangentPlaneAnalysis(m)._red
-            assert np.unique(colour[red]).size == 1 and 2 * red.size >= m.shape[0], n
+            analysis = TangentPlaneAnalysis(m)
+            red, order = analysis._red, kkt._reverse_cuthill_mckee(m.indptr, m.indices)[0]
+            assert np.unique(parity[red]).size == 1 and 2 * red.size >= m.shape[0], n
+            assert np.array_equal(analysis._order, order[~np.isin(order, red)]), n
+            if 2 * red.size == m.shape[0]:
+                assert order[-1] in red and not parity[red].any(), n
+                tied.add(n)
+    assert tied == set(range(17, 65, 2))
 
 
 def perturbed_directions(n, seed=3):
@@ -396,9 +414,9 @@ def test_elimination_needs_a_two_colourable_pattern_of_k_min_nodes():
         m = system._metric_ff
         analysis = TangentPlaneAnalysis(m)
         assert analysis._red.size == 0 and 2 * analysis._order.size == 2 * m.shape[0]
-        assert np.array_equal(analysis._order, kkt._reverse_cuthill_mckee(m.indptr, m.indices))
+        assert np.array_equal(analysis._order, kkt._reverse_cuthill_mckee(m.indptr, m.indices)[0])
         assert analysis.kd == kd
-        assert (kkt._two_colouring(m) is None) == (m.shape[0] >= K_MIN)
+        assert level_parity(m)[1] == (m.shape[0] < K_MIN)
     assert TangentPlaneAnalysis(EnergySystem(lattice)._metric_ff)._red.size == 128
 
 
@@ -423,7 +441,7 @@ def test_red_terms_run_only_where_nodes_are_red(n, metric, products, monkeypatch
     assert len(calls) == products
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("n", [8, 16, 32, 34, 64])
 def test_analysis_half_bandwidth_on_square_mesh(n):
     # reverse Cuthill-McKee orders the (n-1)^2 free nodes of the square mesh
     # about row by row: n - 1 nodes apart at most, two unknowns each
